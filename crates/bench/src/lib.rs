@@ -15,7 +15,11 @@
 //! | [`pathlen`] | §V text claim: path-length comparison | `cargo run -p mule-bench --bin table_pathlen` |
 //! | [`ablations`] | RW-TCTP recharge behaviour, start-point spreading | `cargo run -p mule-bench --bin ablation_recharge`, `ablation_spread` |
 //! | [`tourbench`] | tour-engine scaling (exact vs. candidate lists) | `patrolctl bench-tours` |
-//! | [`scalebench`] | memory-scale construction (matrix-free vs. matrix-backed) | `patrolctl bench-scale` |
+//! | [`routebench`] | road routing (Dijkstra vs. A* vs. ALT) | `patrolctl bench-routes` |
+//! | [`scalebench`] | memory-scale matrix-free construction | `patrolctl bench-scale` |
+//!
+//! The three tracked suites share [`harness`]: one min-of-samples timer,
+//! one armed allocation measurement and one artefact writer.
 //!
 //! Every sweep averages over a seeded replication fan (the paper uses 20
 //! random topologies per point); the replica count is a parameter so the
@@ -40,6 +44,7 @@ pub mod fig10;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod harness;
 pub mod pathlen;
 pub mod routebench;
 pub mod scalebench;

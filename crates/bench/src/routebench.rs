@@ -3,10 +3,10 @@
 //! Measures point-to-point query throughput of the three routing flavours
 //! — plain Dijkstra, A* with the Euclidean heuristic, and ALT (landmark)
 //! A* — on seeded grid road networks, and serialises the result as the
-//! `BENCH_routes.json` artefact the repo tracks from the road-metric PR
-//! onward. Alongside wall time the report keeps the mean settled-node
-//! count per query, which is machine-independent and explains *why* the
-//! speedups happen.
+//! tracked `BENCH_routes.json` artefact through the shared
+//! [`crate::harness`] writer. Alongside wall time the report keeps the
+//! mean settled-node count per query, which is machine-independent and
+//! explains *why* the speedups happen.
 //!
 //! The tracked claim (gated in CI via `--min-speedup`): at 10 000 nodes,
 //! ALT answers point-to-point queries at least 3× faster than plain
@@ -14,10 +14,11 @@
 //! cross-checked — a benchmark that silently computed different answers
 //! would be worthless.
 
+use crate::harness::{artefact_json, min_time_ms};
 use mule_geom::BoundingBox;
 use mule_metrics::TextTable;
+use mule_obs::json::JsonValue;
 use mule_road::{astar, astar_alt, dijkstra_to, grid_with_deletions, Landmarks, RoadGraph};
-use std::time::Instant;
 
 /// Parameters of one `bench-routes` run.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,37 +137,42 @@ impl RouteBenchReport {
         table
     }
 
-    /// Serialises the report as the tracked `BENCH_routes.json` document
-    /// (hand-written flat JSON, like `BENCH_tours.json`).
+    /// Serialises the report as the tracked `BENCH_routes.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"bench-routes/v1\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.params.seed));
-        out.push_str(&format!("  \"queries\": {},\n", self.params.queries));
-        out.push_str(&format!("  \"landmarks\": {},\n", self.params.landmarks));
-        out.push_str("  \"sizes\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"nodes\": {}", row.nodes));
-            out.push_str(&format!(", \"edges\": {}", row.edges));
-            out.push_str(&format!(", \"preprocess_ms\": {:.3}", row.preprocess_ms));
-            out.push_str(&format!(", \"dijkstra_us\": {:.3}", row.dijkstra_us));
-            out.push_str(&format!(", \"astar_us\": {:.3}", row.astar_us));
-            out.push_str(&format!(", \"alt_us\": {:.3}", row.alt_us));
-            out.push_str(&format!(", \"astar_speedup\": {:.2}", row.astar_speedup()));
-            out.push_str(&format!(", \"alt_speedup\": {:.2}", row.alt_speedup()));
-            out.push_str(&format!(
-                ", \"settled\": {{\"dijkstra\": {:.1}, \"astar\": {:.1}, \"alt\": {:.1}}}",
-                row.dijkstra_settled, row.astar_settled, row.alt_settled
-            ));
-            out.push('}');
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| {
+                JsonValue::object(vec![
+                    ("nodes", row.nodes.into()),
+                    ("edges", row.edges.into()),
+                    ("preprocess_ms", row.preprocess_ms.into()),
+                    ("dijkstra_us", row.dijkstra_us.into()),
+                    ("astar_us", row.astar_us.into()),
+                    ("alt_us", row.alt_us.into()),
+                    ("astar_speedup", row.astar_speedup().into()),
+                    ("alt_speedup", row.alt_speedup().into()),
+                    (
+                        "settled",
+                        JsonValue::object(vec![
+                            ("dijkstra", row.dijkstra_settled.into()),
+                            ("astar", row.astar_settled.into()),
+                            ("alt", row.alt_settled.into()),
+                        ]),
+                    ),
+                ])
+            })
+            .collect();
+        let p = &self.params;
+        artefact_json(
+            "bench-routes/v1",
+            vec![
+                ("seed", p.seed.into()),
+                ("queries", p.queries.into()),
+                ("landmarks", p.landmarks.into()),
+            ],
+            rows,
+        )
     }
 }
 
@@ -199,15 +205,16 @@ fn time_flavour<F: Fn(u32, u32) -> Option<mule_road::Route>>(
     expected: Option<&[f64]>,
     run: F,
 ) -> (f64, f64, Vec<f64>) {
-    let mut costs = Vec::with_capacity(pairs.len());
-    let mut settled_total = 0usize;
-    let start = Instant::now();
-    for &(s, t) in pairs {
-        let route = run(s, t).expect("benchmark networks are connected");
-        settled_total += route.settled;
-        costs.push(route.cost);
-    }
-    let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
+    let (elapsed_ms, (costs, settled_total)) = min_time_ms(1, || {
+        let mut costs = Vec::with_capacity(pairs.len());
+        let mut settled_total = 0usize;
+        for &(s, t) in pairs {
+            let route = run(s, t).expect("benchmark networks are connected");
+            settled_total += route.settled;
+            costs.push(route.cost);
+        }
+        (costs, settled_total)
+    });
     if let Some(expected) = expected {
         for (got, want) in costs.iter().zip(expected) {
             assert!(
@@ -217,7 +224,7 @@ fn time_flavour<F: Fn(u32, u32) -> Option<mule_road::Route>>(
         }
     }
     let n = pairs.len().max(1) as f64;
-    (elapsed_us / n, settled_total as f64 / n, costs)
+    (elapsed_ms * 1000.0 / n, settled_total as f64 / n, costs)
 }
 
 /// Builds the benchmark network for a requested size: a square grid with
@@ -237,9 +244,8 @@ pub fn run_route_bench(params: &RouteBenchParams) -> RouteBenchReport {
             let graph = bench_network(size, params.seed);
             let pairs = query_pairs(graph.len(), params.queries.max(1), params.seed);
 
-            let pre_start = Instant::now();
-            let landmarks = Landmarks::select(&graph, params.landmarks.max(1));
-            let preprocess_ms = pre_start.elapsed().as_secs_f64() * 1000.0;
+            let (preprocess_ms, landmarks) =
+                min_time_ms(1, || Landmarks::select(&graph, params.landmarks.max(1)));
 
             let (dijkstra_us, dijkstra_settled, costs) =
                 time_flavour(&pairs, None, |s, t| dijkstra_to(&graph, s, t));
@@ -335,13 +341,18 @@ mod tests {
     #[test]
     fn json_is_flat_and_well_formed() {
         let report = run_route_bench(&quick_params());
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"bench-routes/v1\""));
-        assert!(json.contains("\"alt_speedup\""));
-        assert!(json.contains("\"settled\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains("NaN") && !json.contains("inf"));
+        let doc = mule_obs::json::parse(&report.to_json()).expect("artefact parses");
+        assert_eq!(
+            doc.get("schema").and_then(JsonValue::as_str),
+            Some("bench-routes/v1")
+        );
+        let row = &doc.get("sizes").and_then(JsonValue::as_array).unwrap()[0];
+        assert!(row.get("alt_speedup").and_then(JsonValue::as_f64).is_some());
+        assert!(row
+            .get("settled")
+            .and_then(|s| s.get("alt"))
+            .and_then(JsonValue::as_f64)
+            .is_some());
     }
 
     #[test]

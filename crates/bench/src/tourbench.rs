@@ -2,20 +2,19 @@
 //!
 //! Measures `construct_circuit` wall-clock and tour quality across instance
 //! sizes, exact pipeline vs. candidate-list pipeline, and serialises the
-//! result as the `BENCH_tours.json` artefact the repo tracks from PR 3
-//! onward. The JSON is written by hand (the in-tree `serde` shim has no
-//! real serialisers) and kept deliberately flat so CI can validate it with
-//! any JSON parser.
+//! result as the `BENCH_tours.json` artefact through the shared
+//! [`crate::harness`] writer.
 //!
 //! The exact pipeline is `O(n³)` in construction, so it is only timed up to
 //! [`TourBenchParams::exact_cap`] points; above the cap the speedup and
 //! length-ratio columns are `null` in the JSON (explicitly, not silently
 //! dropped).
 
+use crate::harness::{artefact_json, measure_memory, min_time_ms};
 use mule_graph::{construct_circuit_with, ChbConfig, SearchMode};
 use mule_metrics::TextTable;
+use mule_obs::json::JsonValue;
 use mule_workload::layout::bench_layout;
-use std::time::Instant;
 
 /// Parameters of one `bench-tours` run.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,70 +160,37 @@ impl TourBenchReport {
     /// Schema `v2` appends `alloc_bytes` and `peak_rss_kb` per row; every
     /// `v1` field is unchanged.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"bench-tours/v2\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.params.seed));
-        out.push_str(&format!("  \"k\": {},\n", self.params.k));
-        out.push_str(&format!("  \"exact_cap\": {},\n", self.params.exact_cap));
-        out.push_str(&format!("  \"samples\": {},\n", self.params.samples));
-        out.push_str("  \"sizes\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"n\": {}", row.n));
-            out.push_str(&format!(", \"exact_ms\": {}", json_opt(row.exact_ms, 3)));
-            out.push_str(&format!(", \"candidates_ms\": {:.3}", row.candidates_ms));
-            out.push_str(&format!(", \"speedup\": {}", json_opt(row.speedup(), 2)));
-            out.push_str(&format!(", \"exact_len\": {}", json_opt(row.exact_len, 1)));
-            out.push_str(&format!(", \"candidates_len\": {:.1}", row.candidates_len));
-            out.push_str(&format!(
-                ", \"len_ratio\": {}",
-                json_opt(row.len_ratio(), 6)
-            ));
-            out.push_str(&format!(
-                ", \"phase_construction_ms\": {:.3}",
-                row.phase_construction_ms
-            ));
-            out.push_str(&format!(
-                ", \"phase_local_search_ms\": {:.3}",
-                row.phase_local_search_ms
-            ));
-            out.push_str(&format!(", \"alloc_bytes\": {}", row.alloc_bytes));
-            out.push_str(&format!(
-                ", \"peak_rss_kb\": {}",
-                row.peak_rss_kb
-                    .map(|kb| kb.to_string())
-                    .unwrap_or_else(|| "null".to_string())
-            ));
-            out.push('}');
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| {
+                JsonValue::object(vec![
+                    ("n", row.n.into()),
+                    ("exact_ms", row.exact_ms.into()),
+                    ("candidates_ms", row.candidates_ms.into()),
+                    ("speedup", row.speedup().into()),
+                    ("exact_len", row.exact_len.into()),
+                    ("candidates_len", row.candidates_len.into()),
+                    ("len_ratio", row.len_ratio().into()),
+                    ("phase_construction_ms", row.phase_construction_ms.into()),
+                    ("phase_local_search_ms", row.phase_local_search_ms.into()),
+                    ("alloc_bytes", row.alloc_bytes.into()),
+                    ("peak_rss_kb", row.peak_rss_kb.into()),
+                ])
+            })
+            .collect();
+        let p = &self.params;
+        artefact_json(
+            "bench-tours/v2",
+            vec![
+                ("seed", p.seed.into()),
+                ("k", p.k.into()),
+                ("exact_cap", p.exact_cap.into()),
+                ("samples", p.samples.into()),
+            ],
+            rows,
+        )
     }
-}
-
-fn json_opt(value: Option<f64>, decimals: usize) -> String {
-    match value {
-        Some(v) if v.is_finite() => format!("{v:.decimals$}"),
-        _ => "null".to_string(),
-    }
-}
-
-/// Times `build()` `samples` times and returns the minimum wall-clock in
-/// milliseconds alongside the (deterministic) tour length.
-fn time_pipeline<F: Fn() -> f64>(samples: usize, build: F) -> (f64, f64) {
-    let mut best_ms = f64::INFINITY;
-    let mut length = 0.0;
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        length = build();
-        let elapsed = start.elapsed().as_secs_f64() * 1000.0;
-        best_ms = best_ms.min(elapsed);
-    }
-    (best_ms, length)
 }
 
 /// Runs the tour benchmark over the configured sizes.
@@ -237,38 +203,30 @@ pub fn run_tour_bench(params: &TourBenchParams) -> TourBenchReport {
         .iter()
         .map(|&n| {
             let points = bench_layout(params.seed, n);
-            let (candidates_ms, candidates_len) = time_pipeline(params.samples, || {
+            let (candidates_ms, candidates_len) = min_time_ms(params.samples, || {
                 construct_circuit_with(&points, &fast_config).length(&points)
             });
             let (exact_ms, exact_len) = if n <= params.exact_cap {
-                let (ms, len) = time_pipeline(params.samples, || {
+                let (ms, len) = min_time_ms(params.samples, || {
                     construct_circuit_with(&points, &exact_config).length(&points)
                 });
                 (Some(ms), Some(len))
             } else {
                 (None, None)
             };
-            // One extra traced run — after the timed samples — yields the
-            // per-phase breakdown without touching the timed numbers. The
-            // counting allocator is armed around it so the same run also
-            // yields the memory columns (thread-local tallies, so other
-            // threads cannot pollute the delta).
-            mule_obs::alloc::reset_rss_peak();
-            let before = mule_obs::alloc::thread_stats();
-            mule_obs::alloc::arm();
-            let (_, trace) = mule_obs::capture(|| {
-                construct_circuit_with(&points, &fast_config);
+            // One extra traced and armed run — after the timed samples —
+            // yields the per-phase breakdown and the memory columns
+            // without touching the timed numbers.
+            let ((_, trace), alloc, peak_rss_kb) = measure_memory(|| {
+                mule_obs::capture(|| {
+                    construct_circuit_with(&points, &fast_config);
+                })
             });
-            mule_obs::alloc::disarm();
-            let after = mule_obs::alloc::thread_stats();
-            let alloc_bytes = after.allocated_bytes - before.allocated_bytes;
-            let peak_rss_kb = mule_obs::alloc::rss_peak_kb();
             let profile = mule_obs::FlatProfile::of(&trace);
             let phase_construction_ms = profile.total_ms_where(|name| {
                 matches!(
                     name,
-                    "chb.hull_seed"
-                        | "chb.nn_seed"
+                    "chb.nn_seed"
                         | "chb.hull_insertion"
                         | "chb.candidate_lists"
                         | "graph.distance_matrix"
@@ -285,7 +243,7 @@ pub fn run_tour_bench(params: &TourBenchParams) -> TourBenchReport {
                 phase_construction_ms,
                 phase_local_search_ms,
                 peak_rss_kb,
-                alloc_bytes,
+                alloc_bytes: alloc.allocated_bytes,
             }
         })
         .collect();
@@ -309,16 +267,10 @@ pub fn tracing_overhead_ratio(params: &TourBenchParams) -> f64 {
     // Minimum-of-samples on both sides; a floor of 5 samples keeps the
     // ratio stable on noisy machines even when `--samples` is lower.
     let samples = params.samples.max(5);
-    let (plain_ms, _) = time_pipeline(samples, || {
-        construct_circuit_with(&points, &config).length(&points)
-    });
-    let mut traced_ms = f64::INFINITY;
+    let build = || construct_circuit_with(&points, &config).length(&points);
+    let (plain_ms, _) = min_time_ms(samples, build);
     mule_obs::alloc::arm();
-    for _ in 0..samples {
-        let start = Instant::now();
-        let _ = mule_obs::capture(|| construct_circuit_with(&points, &config).length(&points));
-        traced_ms = traced_ms.min(start.elapsed().as_secs_f64() * 1000.0);
-    }
+    let (traced_ms, _) = min_time_ms(samples, || mule_obs::capture(build));
     mule_obs::alloc::disarm();
     if plain_ms > 0.0 {
         traced_ms / plain_ms
@@ -368,18 +320,18 @@ mod tests {
     #[test]
     fn json_is_flat_well_formed_and_null_aware() {
         let report = run_tour_bench(&quick_params());
-        let json = report.to_json();
-        assert!(json.starts_with("{\n"));
-        assert!(json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"bench-tours/v2\""));
-        assert!(json.contains("\"n\": 30"));
-        assert!(json.contains("\"exact_ms\": null"), "cap row is explicit");
-        // Balanced braces/brackets — a cheap structural sanity check that
-        // catches every way the hand serialiser could break.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // No NaN/inf can leak into the document.
-        assert!(!json.contains("NaN") && !json.contains("inf"));
+        let doc = mule_obs::json::parse(&report.to_json()).expect("artefact parses");
+        assert_eq!(
+            doc.get("schema").and_then(JsonValue::as_str),
+            Some("bench-tours/v2")
+        );
+        let rows = doc.get("sizes").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(rows[0].get("n").and_then(JsonValue::as_u64), Some(30));
+        assert_eq!(
+            rows[1].get("exact_ms"),
+            Some(&JsonValue::Null),
+            "cap row is explicit"
+        );
     }
 
     #[test]

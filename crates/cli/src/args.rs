@@ -185,18 +185,10 @@ impl Default for CliOptions {
 
 /// Options of the `bench-tours` subcommand (the tracked tour-engine
 /// benchmark; see `docs/PERFORMANCE.md`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchToursOptions {
-    /// Instance sizes to bench.
-    pub sizes: Vec<usize>,
-    /// Topology seed.
-    pub seed: u64,
-    /// Candidate-list width.
-    pub k: usize,
-    /// Largest size at which the exact pipeline is still timed.
-    pub exact_cap: usize,
-    /// Timed repetitions per measurement (minimum is reported).
-    pub samples: usize,
+    /// The suite's parameters (sizes, seed, k, exact cap, samples).
+    pub params: mule_bench::tourbench::TourBenchParams,
     /// Optional path of the JSON artefact to write (`BENCH_tours.json`).
     pub json_path: Option<String>,
     /// When set, the command fails if any measured tour-length ratio
@@ -213,36 +205,12 @@ pub struct BenchToursOptions {
     pub profile: bool,
 }
 
-impl Default for BenchToursOptions {
-    fn default() -> Self {
-        let defaults = mule_bench::tourbench::TourBenchParams::default();
-        BenchToursOptions {
-            sizes: defaults.sizes,
-            seed: defaults.seed,
-            k: defaults.k,
-            exact_cap: defaults.exact_cap,
-            samples: defaults.samples,
-            json_path: None,
-            max_ratio: None,
-            overhead_gate: None,
-            trace_out: None,
-            profile: false,
-        }
-    }
-}
-
 /// Options of the `bench-routes` subcommand (the tracked road-routing
 /// benchmark; see `docs/ROADS.md`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchRoutesOptions {
-    /// Approximate network sizes (node counts) to bench.
-    pub sizes: Vec<usize>,
-    /// Network + query seed.
-    pub seed: u64,
-    /// Point-to-point queries per flavour.
-    pub queries: usize,
-    /// ALT landmark count.
-    pub landmarks: usize,
+    /// The suite's parameters (sizes, seed, queries, landmarks).
+    pub params: mule_bench::routebench::RouteBenchParams,
     /// Optional path of the JSON artefact to write (`BENCH_routes.json`).
     pub json_path: Option<String>,
     /// When set, the command fails if the largest network's ALT speedup
@@ -251,59 +219,18 @@ pub struct BenchRoutesOptions {
     pub min_speedup: Option<f64>,
 }
 
-impl Default for BenchRoutesOptions {
-    fn default() -> Self {
-        let defaults = mule_bench::routebench::RouteBenchParams::default();
-        BenchRoutesOptions {
-            sizes: defaults.sizes,
-            seed: defaults.seed,
-            queries: defaults.queries,
-            landmarks: defaults.landmarks,
-            json_path: None,
-            min_speedup: None,
-        }
-    }
-}
-
 /// Options of the `bench-scale` subcommand (the tracked memory-scale
 /// benchmark; see `docs/PERFORMANCE.md`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchScaleOptions {
-    /// Instance sizes to bench.
-    pub sizes: Vec<usize>,
-    /// Topology seed.
-    pub seed: u64,
-    /// Candidate-list width.
-    pub k: usize,
-    /// Largest size at which the `O(n²)` matrix-backed flavour still runs.
-    pub matrix_cap: usize,
-    /// Timed repetitions per measurement (minimum is reported).
-    pub samples: usize,
+    /// The suite's parameters (sizes, seed, k, samples).
+    pub params: mule_bench::scalebench::ScaleBenchParams,
     /// Optional path of the JSON artefact to write (`BENCH_scale.json`).
     pub json_path: Option<String>,
-    /// When set, the command fails if the matrix-free pipeline's peak
-    /// live bytes per target exceed this bound at any size — the CI
-    /// regression gate for the million-target memory budget.
+    /// When set, the command fails if the peak live bytes per target
+    /// exceed this bound at any size — the CI regression gate for the
+    /// million-target memory budget.
     pub max_bytes_per_target: Option<f64>,
-    /// When set, the command fails if any measured tour-length ratio
-    /// (matrix-free / matrix-backed) exceeds this bound.
-    pub max_ratio: Option<f64>,
-}
-
-impl Default for BenchScaleOptions {
-    fn default() -> Self {
-        let defaults = mule_bench::scalebench::ScaleBenchParams::default();
-        BenchScaleOptions {
-            sizes: defaults.sizes,
-            seed: defaults.seed,
-            k: defaults.k,
-            matrix_cap: defaults.matrix_cap,
-            samples: defaults.samples,
-            json_path: None,
-            max_bytes_per_target: None,
-            max_ratio: None,
-        }
-    }
 }
 
 /// Disruption knobs of the `dynamics` subcommand, on top of the shared
@@ -606,9 +533,8 @@ pub enum CliCommand {
     /// Benchmark road routing (Dijkstra vs. A* vs. ALT) and optionally
     /// write the tracked `BENCH_routes.json` artefact.
     BenchRoutes(BenchRoutesOptions),
-    /// Benchmark construction memory at scale (matrix-free vs.
-    /// matrix-backed) and optionally write the tracked `BENCH_scale.json`
-    /// artefact.
+    /// Benchmark matrix-free construction memory at scale and optionally
+    /// write the tracked `BENCH_scale.json` artefact.
     BenchScale(BenchScaleOptions),
     /// Run the planning service daemon (blocks forever).
     Serve(ServeOptions),
@@ -798,15 +724,11 @@ FLAGS (bench-scale only — the tracked memory-scale benchmark):
     --sizes LIST         instance sizes                 [default: 10000,100000]
     --seed S             topology seed                  [default: 42]
     --knn K              candidate-list width           [default: 10]
-    --matrix-cap N       largest size running the O(n²) matrix-backed
-                         flavour (8·n² bytes)           [default: 10000]
     --samples N          timed repetitions (min is kept) [default: 3]
     --json FILE          write the benchmark report as JSON (BENCH_scale.json)
-    --max-bytes-per-target B   fail when matrix-free peak live bytes per
-                         target exceed B at any size
-    --max-ratio R        fail when matrix-free/matrix-backed tour length
-                         exceeds R where both ran
-    (gates fail *after* the artefact is written, like bench-tours)
+    --max-bytes-per-target B   fail when peak live bytes per target
+                         exceed B at any size
+    (bench gates fail *after* the artefact is written)
 
 EXAMPLES:
     patrolctl dynamics --targets 12 --mules 4 --seed 7 \\
@@ -819,7 +741,7 @@ EXAMPLES:
     patrolctl bench-routes --sizes 1000,10000 --json BENCH_routes.json \\
         --min-speedup 3.0
     patrolctl bench-scale --sizes 10000,100000 --json BENCH_scale.json \\
-        --max-bytes-per-target 4096 --max-ratio 1.05
+        --max-bytes-per-target 4096
     patrolctl serve --addr 127.0.0.1:7878 --workers 4 --cache-size 128
     patrolctl serve --deadline-ms 500 --breaker 3 --degraded
     patrolctl serve --debug-endpoints --slo p99_ms=250,availability=99.9
@@ -854,93 +776,82 @@ fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, C
     Ok(items)
 }
 
-/// Parses the flags of `bench-tours`, which shares no scenario flags with
-/// the other subcommands.
+/// The flag loop every subcommand shares: hands each flag to `apply`
+/// together with a closure that takes the flag's value.
+fn parse_flags(
+    args: &[String],
+    mut apply: impl FnMut(&str, &mut dyn FnMut() -> Result<String, CliError>) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| CliError::MissingValue(flag.clone()))
+        };
+        apply(flag, &mut value)?;
+    }
+    Ok(())
+}
+
+/// Parses the flags of `bench-tours`.
 fn parse_bench_tours(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = BenchToursOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
+    let mut o = BenchToursOptions::default();
+    parse_flags(args, |flag, take_value| {
         match flag {
-            "--sizes" => options.sizes = parse_list(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--knn" => options.k = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--exact-cap" => options.exact_cap = parse_flag(flag, &take_value()?)?,
-            "--samples" => options.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--json" => options.json_path = Some(take_value()?),
-            "--max-ratio" => options.max_ratio = Some(parse_flag(flag, &take_value()?)?),
-            "--overhead-gate" => options.overhead_gate = Some(parse_flag(flag, &take_value()?)?),
-            "--trace-out" => options.trace_out = Some(take_value()?),
-            "--profile" => options.profile = true,
+            "--sizes" => o.params.sizes = parse_list(flag, &take_value()?)?,
+            "--seed" => o.params.seed = parse_flag(flag, &take_value()?)?,
+            "--knn" => o.params.k = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--exact-cap" => o.params.exact_cap = parse_flag(flag, &take_value()?)?,
+            "--samples" => o.params.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--json" => o.json_path = Some(take_value()?),
+            "--max-ratio" => o.max_ratio = Some(parse_flag(flag, &take_value()?)?),
+            "--overhead-gate" => o.overhead_gate = Some(parse_flag(flag, &take_value()?)?),
+            "--trace-out" => o.trace_out = Some(take_value()?),
+            "--profile" => o.profile = true,
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
-        i += 1;
-    }
-    Ok(CliCommand::BenchTours(options))
+        Ok(())
+    })?;
+    Ok(CliCommand::BenchTours(o))
 }
 
-/// Parses the flags of `bench-routes`, which shares no scenario flags with
-/// the other subcommands.
+/// Parses the flags of `bench-routes`.
 fn parse_bench_routes(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = BenchRoutesOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
+    let mut o = BenchRoutesOptions::default();
+    parse_flags(args, |flag, take_value| {
         match flag {
-            "--sizes" => options.sizes = parse_list(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--queries" => options.queries = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--landmarks" => options.landmarks = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--json" => options.json_path = Some(take_value()?),
-            "--min-speedup" => options.min_speedup = Some(parse_flag(flag, &take_value()?)?),
+            "--sizes" => o.params.sizes = parse_list(flag, &take_value()?)?,
+            "--seed" => o.params.seed = parse_flag(flag, &take_value()?)?,
+            "--queries" => o.params.queries = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--landmarks" => o.params.landmarks = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--json" => o.json_path = Some(take_value()?),
+            "--min-speedup" => o.min_speedup = Some(parse_flag(flag, &take_value()?)?),
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
-        i += 1;
-    }
-    Ok(CliCommand::BenchRoutes(options))
+        Ok(())
+    })?;
+    Ok(CliCommand::BenchRoutes(o))
 }
 
-/// Parses the flags of `bench-scale`, which shares no scenario flags
-/// with the other subcommands.
+/// Parses the flags of `bench-scale`.
 fn parse_bench_scale(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = BenchScaleOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
+    let mut o = BenchScaleOptions::default();
+    parse_flags(args, |flag, take_value| {
         match flag {
-            "--sizes" => options.sizes = parse_list(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--knn" => options.k = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--matrix-cap" => options.matrix_cap = parse_flag(flag, &take_value()?)?,
-            "--samples" => options.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--json" => options.json_path = Some(take_value()?),
+            "--sizes" => o.params.sizes = parse_list(flag, &take_value()?)?,
+            "--seed" => o.params.seed = parse_flag(flag, &take_value()?)?,
+            "--knn" => o.params.k = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--samples" => o.params.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--json" => o.json_path = Some(take_value()?),
             "--max-bytes-per-target" => {
-                options.max_bytes_per_target = Some(parse_flag(flag, &take_value()?)?)
+                o.max_bytes_per_target = Some(parse_flag(flag, &take_value()?)?)
             }
-            "--max-ratio" => options.max_ratio = Some(parse_flag(flag, &take_value()?)?),
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
-        i += 1;
-    }
-    Ok(CliCommand::BenchScale(options))
+        Ok(())
+    })?;
+    Ok(CliCommand::BenchScale(o))
 }
 
 /// Parses an `--slo` objective spec via [`mule_obs::SloSpec::parse`].
@@ -962,15 +873,7 @@ fn parse_log_level(flag: &str, value: &str) -> Result<mule_obs::log::Severity, C
 /// Parses the flags of `serve`.
 fn parse_serve(args: &[String]) -> Result<CliCommand, CliError> {
     let mut options = ServeOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
+    parse_flags(args, |flag, take_value| {
         match flag {
             "--addr" => options.addr = take_value()?,
             "--workers" => options.workers = parse_flag::<usize>(flag, &take_value()?)?.max(1),
@@ -1007,23 +910,15 @@ fn parse_serve(args: &[String]) -> Result<CliCommand, CliError> {
             "--log-level" => options.log_level = parse_log_level(flag, &take_value()?)?,
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
     Ok(CliCommand::Serve(options))
 }
 
 /// Parses the flags of `chaos`.
 fn parse_chaos(args: &[String]) -> Result<CliCommand, CliError> {
     let mut options = ChaosOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
+    parse_flags(args, |flag, take_value| {
         match flag {
             "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
             "--requests" => options.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
@@ -1037,23 +932,15 @@ fn parse_chaos(args: &[String]) -> Result<CliCommand, CliError> {
             }
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
     Ok(CliCommand::Chaos(options))
 }
 
 /// Parses the flags of `loadgen`.
 fn parse_loadgen(args: &[String]) -> Result<CliCommand, CliError> {
     let mut options = LoadgenOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
+    parse_flags(args, |flag, take_value| {
         match flag {
             "--addr" => options.addr = take_value()?,
             "--requests" => options.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
@@ -1084,34 +971,24 @@ fn parse_loadgen(args: &[String]) -> Result<CliCommand, CliError> {
             "--slo" => options.slo = Some(parse_slo(flag, &take_value()?)?),
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
     Ok(CliCommand::Loadgen(options))
 }
 
 /// Parses the argument list (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
     let command = args.first().ok_or(CliError::MissingCommand)?;
-    if matches!(command.as_str(), "help" | "--help" | "-h") {
-        return Ok(CliCommand::Help);
-    }
-    if command == "bench-tours" {
-        return parse_bench_tours(&args[1..]);
-    }
-    if command == "bench-routes" {
-        return parse_bench_routes(&args[1..]);
-    }
-    if command == "bench-scale" {
-        return parse_bench_scale(&args[1..]);
-    }
-    if command == "serve" {
-        return parse_serve(&args[1..]);
-    }
-    if command == "loadgen" {
-        return parse_loadgen(&args[1..]);
-    }
-    if command == "chaos" {
-        return parse_chaos(&args[1..]);
+    let flags = &args[1..];
+    match command.as_str() {
+        "help" | "--help" | "-h" => return Ok(CliCommand::Help),
+        "bench-tours" => return parse_bench_tours(flags),
+        "bench-routes" => return parse_bench_routes(flags),
+        "bench-scale" => return parse_bench_scale(flags),
+        "serve" => return parse_serve(flags),
+        "loadgen" => return parse_loadgen(flags),
+        "chaos" => return parse_chaos(flags),
+        _ => {}
     }
     let is_dynamics = command == "dynamics";
     let is_sweep = command == "sweep";
@@ -1123,15 +1000,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
     // explicitly; resolved after the flag loop.
     let mut sweep_seeds: Option<Vec<u64>> = None;
     let mut sweep_mule_counts: Option<Vec<usize>> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take_value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::MissingValue(flag.to_string()))
-        };
+    parse_flags(flags, |flag, take_value| {
         match flag {
             "--targets" => options.targets = parse_flag(flag, &take_value()?)?,
             "--mules" => options.mules = parse_flag(flag, &take_value()?)?,
@@ -1180,8 +1049,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
             }
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
 
     // RW-TCTP needs a recharge station; turn it on implicitly so the obvious
     // invocation works.
@@ -1546,9 +1415,9 @@ mod tests {
             panic!("expected bench-tours");
         };
         assert_eq!(opts, BenchToursOptions::default());
-        assert_eq!(opts.sizes, vec![50, 200, 1000, 5000]);
-        assert_eq!(opts.seed, 42);
-        assert_eq!(opts.exact_cap, 1000);
+        assert_eq!(opts.params.sizes, vec![50, 200, 1000, 5000]);
+        assert_eq!(opts.params.seed, 42);
+        assert_eq!(opts.params.exact_cap, 1000);
         assert!(opts.json_path.is_none());
         assert!(opts.max_ratio.is_none());
 
@@ -1560,11 +1429,11 @@ mod tests {
         let CliCommand::BenchTours(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.sizes, vec![50, 200]);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.k, 8);
-        assert_eq!(opts.exact_cap, 300);
-        assert_eq!(opts.samples, 2);
+        assert_eq!(opts.params.sizes, vec![50, 200]);
+        assert_eq!(opts.params.seed, 9);
+        assert_eq!(opts.params.k, 8);
+        assert_eq!(opts.params.exact_cap, 300);
+        assert_eq!(opts.params.samples, 2);
         assert_eq!(opts.json_path.as_deref(), Some("out.json"));
         assert_eq!(opts.max_ratio, Some(1.02));
     }
@@ -1598,30 +1467,25 @@ mod tests {
             panic!("expected bench-scale");
         };
         assert_eq!(opts, BenchScaleOptions::default());
-        assert_eq!(opts.sizes, vec![10_000, 100_000]);
-        assert_eq!(opts.seed, 42);
-        assert_eq!(opts.matrix_cap, 10_000);
+        assert_eq!(opts.params.sizes, vec![10_000, 100_000]);
+        assert_eq!(opts.params.seed, 42);
         assert!(opts.json_path.is_none());
         assert!(opts.max_bytes_per_target.is_none());
-        assert!(opts.max_ratio.is_none());
 
         let cmd = parse_args(&argv(
-            "bench-scale --sizes 2000,5000 --seed 9 --knn 8 --matrix-cap 3000 \
-             --samples 2 --json BENCH_scale.json --max-bytes-per-target 4096 \
-             --max-ratio 1.05",
+            "bench-scale --sizes 2000,5000 --seed 9 --knn 8 \
+             --samples 2 --json BENCH_scale.json --max-bytes-per-target 4096",
         ))
         .unwrap();
         let CliCommand::BenchScale(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.sizes, vec![2000, 5000]);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.k, 8);
-        assert_eq!(opts.matrix_cap, 3000);
-        assert_eq!(opts.samples, 2);
+        assert_eq!(opts.params.sizes, vec![2000, 5000]);
+        assert_eq!(opts.params.seed, 9);
+        assert_eq!(opts.params.k, 8);
+        assert_eq!(opts.params.samples, 2);
         assert_eq!(opts.json_path.as_deref(), Some("BENCH_scale.json"));
         assert_eq!(opts.max_bytes_per_target, Some(4096.0));
-        assert_eq!(opts.max_ratio, Some(1.05));
     }
 
     #[test]
@@ -1640,7 +1504,13 @@ mod tests {
         ));
         assert!(USAGE.contains("bench-scale"));
         assert!(USAGE.contains("--max-bytes-per-target"));
-        assert!(USAGE.contains("--matrix-cap"));
+        // The matrix-backed flavour's flags are retired.
+        for retired in ["--matrix-cap", "--max-ratio"] {
+            assert!(matches!(
+                parse_args(&argv(&format!("bench-scale {retired} 1"))).unwrap_err(),
+                CliError::UnknownFlag(f) if f == retired
+            ));
+        }
     }
 
     #[test]
@@ -1677,10 +1547,10 @@ mod tests {
             panic!("expected bench-routes");
         };
         assert_eq!(opts, BenchRoutesOptions::default());
-        assert_eq!(opts.sizes, vec![1000, 10000]);
-        assert_eq!(opts.seed, 42);
-        assert_eq!(opts.queries, 200);
-        assert_eq!(opts.landmarks, 8);
+        assert_eq!(opts.params.sizes, vec![1000, 10000]);
+        assert_eq!(opts.params.seed, 42);
+        assert_eq!(opts.params.queries, 200);
+        assert_eq!(opts.params.landmarks, 8);
         assert!(opts.json_path.is_none());
         assert!(opts.min_speedup.is_none());
 
@@ -1692,10 +1562,10 @@ mod tests {
         let CliCommand::BenchRoutes(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.sizes, vec![500, 2000]);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.queries, 50);
-        assert_eq!(opts.landmarks, 4);
+        assert_eq!(opts.params.sizes, vec![500, 2000]);
+        assert_eq!(opts.params.seed, 9);
+        assert_eq!(opts.params.queries, 50);
+        assert_eq!(opts.params.landmarks, 4);
         assert_eq!(opts.json_path.as_deref(), Some("BENCH_routes.json"));
         assert_eq!(opts.min_speedup, Some(3.0));
 

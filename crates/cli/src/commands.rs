@@ -8,10 +8,10 @@ use crate::args::{
     CliOptions, DisruptionPreset, DynamicsOptions, LoadgenOptions, PlannerChoice, ServeOptions,
     SweepOptions, USAGE,
 };
-use mule_bench::routebench::{run_route_bench, RouteBenchParams};
-use mule_bench::scalebench::{run_scale_bench, ScaleBenchParams};
-use mule_bench::tourbench::{run_tour_bench, tracing_overhead_ratio, TourBenchParams};
-use mule_graph::ChbConfig;
+use mule_bench::routebench::run_route_bench;
+use mule_bench::scalebench::run_scale_bench;
+use mule_bench::tourbench::{run_tour_bench, tracing_overhead_ratio};
+use mule_graph::{ChbConfig, SearchMode};
 use mule_metrics::{
     DcdtSeries, EnergyEfficiencyReport, FairnessReport, IntervalReport, PhaseDelayReport,
     SweepReport, TextTable,
@@ -467,157 +467,123 @@ fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
     Ok(output)
 }
 
-fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, CommandError> {
-    let params = TourBenchParams {
-        sizes: options.sizes.clone(),
-        seed: options.seed,
-        k: options.k,
-        exact_cap: options.exact_cap,
-        samples: options.samples,
-    };
-    let report = run_tour_bench(&params);
-
-    let mut text = format!(
-        "tour engine benchmark: seed {}  k {}  exact cap {}  samples {}\n\n",
-        params.seed, params.k, params.exact_cap, params.samples
-    );
-    text.push_str(&report.to_table().render());
-
+/// The tail the bench and loadgen commands share: print `text`, write the
+/// `json` artefact when a path was given, then run `after_write` (the
+/// regression gates). Gates run *after* the write so a failing run still
+/// leaves the artefact around for diagnosis.
+fn report_then_gate(
+    text: String,
+    json: String,
+    json_path: Option<&String>,
+    after_write: impl FnOnce(&mut CommandOutput) -> Result<(), CommandError>,
+) -> Result<CommandOutput, CommandError> {
     let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
+    if let Some(path) = json_path {
+        std::fs::write(path, json)?;
         output.files_written.push(path.clone());
     }
-
-    // One traced candidates run at the largest size feeds `--trace-out`
-    // and `--profile`; the timed measurements above stay untraced.
-    if options.trace_out.is_some() || options.profile {
-        let n = params.sizes.iter().copied().max().unwrap_or(200);
-        let points = mule_workload::layout::bench_layout(params.seed, n);
-        let config =
-            ChbConfig::default().with_search(mule_graph::SearchMode::Candidates(params.k.max(1)));
-        mule_obs::alloc::arm();
-        let (_, trace) = mule_obs::capture(|| {
-            mule_graph::construct_circuit_with(&points, &config);
-        });
-        mule_obs::alloc::disarm();
-        if options.profile {
-            output
-                .text
-                .push_str(&format!("\nself-time profile (n={n}):\n"));
-            output
-                .text
-                .push_str(&mule_obs::FlatProfile::of(&trace).to_table());
-        }
-        if let Some(path) = &options.trace_out {
-            std::fs::write(path, mule_obs::chrome_trace_json(&trace))?;
-            output.files_written.push(path.clone());
-        }
-    }
-
-    // The regression gates run *after* the JSON is written so a failing
-    // run still leaves the artefact around for diagnosis.
-    if let Some(bound) = options.max_ratio {
-        if let Some(worst) = report.max_len_ratio() {
-            if worst > bound {
-                return Err(CommandError::Check(format!(
-                    "tour-length ratio {worst:.4} exceeds --max-ratio {bound}"
-                )));
-            }
-        }
-    }
-    if let Some(bound) = options.overhead_gate {
-        let ratio = tracing_overhead_ratio(&params);
-        output
-            .text
-            .push_str(&format!("\ntracing overhead: {ratio:.3}× (gate {bound})\n"));
-        if ratio > bound {
-            return Err(CommandError::Check(format!(
-                "tracing overhead {ratio:.3}× exceeds --overhead-gate {bound}"
-            )));
-        }
-    }
+    after_write(&mut output)?;
     Ok(output)
+}
+
+/// A failed regression gate: `Err(Check(message()))` when `failed`.
+fn gate(failed: bool, message: impl FnOnce() -> String) -> Result<(), CommandError> {
+    if failed {
+        Err(CommandError::Check(message()))
+    } else {
+        Ok(())
+    }
+}
+
+fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, CommandError> {
+    let p = &options.params;
+    let report = run_tour_bench(p);
+    let text = format!(
+        "tour engine benchmark: seed {}  k {}  exact cap {}  samples {}\n\n{}",
+        p.seed,
+        p.k,
+        p.exact_cap,
+        p.samples,
+        report.to_table().render()
+    );
+    report_then_gate(
+        text,
+        report.to_json(),
+        options.json_path.as_ref(),
+        |output| {
+            // One traced candidates run at the largest size feeds `--trace-out`
+            // and `--profile`; the timed measurements stay untraced.
+            if options.trace_out.is_some() || options.profile {
+                let n = p.sizes.iter().copied().max().unwrap_or(200);
+                let points = mule_workload::layout::bench_layout(p.seed, n);
+                let config = ChbConfig::default().with_search(SearchMode::Candidates(p.k.max(1)));
+                let traced = with_tracing(options.trace_out.as_deref(), options.profile, || {
+                    mule_graph::construct_circuit_with(&points, &config);
+                    Ok(CommandOutput::text_only(String::new()))
+                })?;
+                output.text.push_str(&traced.text);
+                output.files_written.extend(traced.files_written);
+            }
+            if let (Some(bound), Some(worst)) = (options.max_ratio, report.max_len_ratio()) {
+                gate(worst > bound, || {
+                    format!("tour-length ratio {worst:.4} exceeds --max-ratio {bound}")
+                })?;
+            }
+            if let Some(bound) = options.overhead_gate {
+                let ratio = tracing_overhead_ratio(p);
+                let line = format!("\ntracing overhead: {ratio:.3}× (gate {bound})\n");
+                output.text.push_str(&line);
+                gate(ratio > bound, || {
+                    format!("tracing overhead {ratio:.3}× exceeds --overhead-gate {bound}")
+                })?;
+            }
+            Ok(())
+        },
+    )
 }
 
 fn run_bench_routes(options: &BenchRoutesOptions) -> Result<CommandOutput, CommandError> {
-    let params = RouteBenchParams {
-        sizes: options.sizes.clone(),
-        seed: options.seed,
-        queries: options.queries,
-        landmarks: options.landmarks,
-    };
-    let report = run_route_bench(&params);
-
-    let mut text = format!(
-        "road routing benchmark: seed {}  queries {}  landmarks {}\n\n",
-        params.seed, params.queries, params.landmarks
+    let p = &options.params;
+    let report = run_route_bench(p);
+    let text = format!(
+        "road routing benchmark: seed {}  queries {}  landmarks {}\n\n{}",
+        p.seed,
+        p.queries,
+        p.landmarks,
+        report.to_table().render()
     );
-    text.push_str(&report.to_table().render());
-
-    let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
-        output.files_written.push(path.clone());
-    }
-
-    // Like `bench-tours`, the gate runs *after* the JSON is written so a
-    // failing run still leaves the artefact around for diagnosis.
-    if let Some(bound) = options.min_speedup {
-        if let Some(speedup) = report.largest_alt_speedup() {
-            if speedup < bound {
-                return Err(CommandError::Check(format!(
-                    "ALT speedup {speedup:.2}× below --min-speedup {bound} at the largest size"
-                )));
-            }
+    report_then_gate(text, report.to_json(), options.json_path.as_ref(), |_| {
+        if let (Some(bound), Some(speedup)) = (options.min_speedup, report.largest_alt_speedup()) {
+            gate(speedup < bound, || {
+                format!("ALT speedup {speedup:.2}× below --min-speedup {bound} at the largest size")
+            })?;
         }
-    }
-    Ok(output)
+        Ok(())
+    })
 }
 
 fn run_bench_scale(options: &BenchScaleOptions) -> Result<CommandOutput, CommandError> {
-    let params = ScaleBenchParams {
-        sizes: options.sizes.clone(),
-        seed: options.seed,
-        k: options.k,
-        matrix_cap: options.matrix_cap,
-        samples: options.samples,
-    };
-    let report = run_scale_bench(&params);
-
-    let mut text = format!(
-        "memory-scale benchmark: seed {}  k {}  matrix cap {}  samples {}\n\n",
-        params.seed, params.k, params.matrix_cap, params.samples
+    let p = &options.params;
+    let report = run_scale_bench(p);
+    let text = format!(
+        "memory-scale benchmark: seed {}  k {}  samples {}\n\n{}",
+        p.seed,
+        p.k,
+        p.samples,
+        report.to_table().render()
     );
-    text.push_str(&report.to_table().render());
-
-    let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
-        output.files_written.push(path.clone());
-    }
-
-    // Like `bench-tours`, the gates run *after* the JSON is written so a
-    // failing run still leaves the artefact around for diagnosis.
-    if let Some(bound) = options.max_bytes_per_target {
-        let worst = report.max_bytes_per_target();
-        if worst > bound {
-            return Err(CommandError::Check(format!(
-                "matrix-free footprint {worst:.1} bytes/target exceeds \
-                 --max-bytes-per-target {bound}"
-            )));
+    report_then_gate(text, report.to_json(), options.json_path.as_ref(), |_| {
+        if let Some(bound) = options.max_bytes_per_target {
+            let worst = report.max_bytes_per_target();
+            gate(worst > bound, || {
+                format!(
+                    "matrix-free footprint {worst:.1} bytes/target exceeds \
+                     --max-bytes-per-target {bound}"
+                )
+            })?;
         }
-    }
-    if let Some(bound) = options.max_ratio {
-        if let Some(worst) = report.max_len_ratio() {
-            if worst > bound {
-                return Err(CommandError::Check(format!(
-                    "matrix-free/matrix tour-length ratio {worst:.4} exceeds --max-ratio {bound}"
-                )));
-            }
-        }
-    }
-    Ok(output)
+        Ok(())
+    })
 }
 
 /// Maps a service-layer error onto the command error taxonomy.
@@ -707,37 +673,28 @@ fn run_loadgen(options: &LoadgenOptions) -> Result<CommandOutput, CommandError> 
         ..mule_serve::LoadgenParams::default()
     };
     let report = mule_serve::run_loadgen(&params);
-
-    let mut output = CommandOutput::text_only(report.render());
-    if let Some(path) = &options.json_path {
-        std::fs::write(path, report.to_json())?;
-        output.files_written.push(path.clone());
-    }
-
-    // Gates run after the artefact is written, like `bench-tours`.
-    if report.ok == 0 {
-        return Err(CommandError::Check(format!(
-            "no request succeeded against {} ({} errors) — is the server up?",
-            options.addr, report.errors
-        )));
-    }
-    if let Some(bound) = options.max_p99_ms {
-        let p99 = report.p99_ms();
-        if p99 > bound {
-            return Err(CommandError::Check(format!(
-                "p99 latency {p99:.2} ms exceeds --max-p99 {bound} ms"
-            )));
+    let text = report.render();
+    report_then_gate(text, report.to_json(), options.json_path.as_ref(), |_| {
+        gate(report.ok == 0, || {
+            format!(
+                "no request succeeded against {} ({} errors) — is the server up?",
+                options.addr, report.errors
+            )
+        })?;
+        if let Some(bound) = options.max_p99_ms {
+            let p99 = report.p99_ms();
+            gate(p99 > bound, || {
+                format!("p99 latency {p99:.2} ms exceeds --max-p99 {bound} ms")
+            })?;
         }
-    }
-    if let Some(bound) = options.min_rps {
-        if report.rps < bound {
-            return Err(CommandError::Check(format!(
-                "throughput {:.1} req/s below --min-rps {bound}",
-                report.rps
-            )));
+        if let Some(bound) = options.min_rps {
+            let rps = report.rps;
+            gate(rps < bound, || {
+                format!("throughput {rps:.1} req/s below --min-rps {bound}")
+            })?;
         }
-    }
-    Ok(output)
+        Ok(())
+    })
 }
 
 /// The default `chaos` fault plan: every fault kind across the serve
@@ -1120,6 +1077,9 @@ pub fn run_command(command: &CliCommand) -> Result<CommandOutput, CommandError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mule_bench::routebench::RouteBenchParams;
+    use mule_bench::scalebench::ScaleBenchParams;
+    use mule_bench::tourbench::TourBenchParams;
 
     fn options() -> CliOptions {
         CliOptions {
@@ -1389,16 +1349,14 @@ mod tests {
 
     fn bench_tours_options() -> BenchToursOptions {
         BenchToursOptions {
-            sizes: vec![20, 40],
-            seed: 5,
-            k: 8,
-            exact_cap: 40,
-            samples: 1,
-            json_path: None,
-            max_ratio: None,
-            overhead_gate: None,
-            trace_out: None,
-            profile: false,
+            params: TourBenchParams {
+                sizes: vec![20, 40],
+                seed: 5,
+                k: 8,
+                exact_cap: 40,
+                samples: 1,
+            },
+            ..BenchToursOptions::default()
         }
     }
 
@@ -1422,7 +1380,7 @@ mod tests {
         assert_eq!(out.files_written, vec![path.clone()]);
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"schema\": \"bench-tours/v2\""));
-        assert!(json.contains("\"n\": 20"));
+        assert!(json.contains("\"n\": 20,"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1443,12 +1401,13 @@ mod tests {
 
     fn bench_routes_options() -> BenchRoutesOptions {
         BenchRoutesOptions {
-            sizes: vec![100, 400],
-            seed: 5,
-            queries: 30,
-            landmarks: 4,
-            json_path: None,
-            min_speedup: None,
+            params: RouteBenchParams {
+                sizes: vec![100, 400],
+                seed: 5,
+                queries: 30,
+                landmarks: 4,
+            },
+            ..BenchRoutesOptions::default()
         }
     }
 
@@ -1473,14 +1432,13 @@ mod tests {
 
     fn bench_scale_options() -> BenchScaleOptions {
         BenchScaleOptions {
-            sizes: vec![200, 500],
-            seed: 5,
-            k: 8,
-            matrix_cap: 400,
-            samples: 1,
-            json_path: None,
-            max_bytes_per_target: None,
-            max_ratio: None,
+            params: ScaleBenchParams {
+                sizes: vec![200, 500],
+                seed: 5,
+                k: 8,
+                samples: 1,
+            },
+            ..BenchScaleOptions::default()
         }
     }
 
@@ -1499,10 +1457,7 @@ mod tests {
         let out = run_command(&CliCommand::BenchScale(opts)).unwrap();
         assert_eq!(out.files_written, vec![path.clone()]);
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"schema\": \"bench-scale/v1\""));
-        // n = 500 sits above the 400-point matrix cap, so its matrix
-        // columns must be explicit nulls.
-        assert!(json.contains("\"matrix_construction_ms\": null"));
+        assert!(json.contains("\"schema\": \"bench-scale/v2\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1511,7 +1466,6 @@ mod tests {
         // Generous bounds pass …
         let mut opts = bench_scale_options();
         opts.max_bytes_per_target = Some(1e12);
-        opts.max_ratio = Some(2.0);
         assert!(run_command(&CliCommand::BenchScale(opts)).is_ok());
 
         // … an impossible footprint bound fails with a Check error, and

@@ -149,22 +149,6 @@ pub fn construct_circuit_with(points: &[Point], config: &ChbConfig) -> Tour {
     }
 }
 
-/// Builds the CHB Hamiltonian circuit reusing a precomputed distance matrix.
-///
-/// The matrix only feeds the exact path; in candidate-list mode distances
-/// come straight from the coordinates (the candidate search never touches
-/// `O(n²)` state).
-pub fn construct_circuit_with_matrix(
-    points: &[Point],
-    dm: &DistanceMatrix,
-    config: &ChbConfig,
-) -> Tour {
-    match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates(points, config, k),
-        _ => construct_circuit_exact(points, dm, config),
-    }
-}
-
 /// Builds the CHB Hamiltonian circuit under an arbitrary travel metric.
 ///
 /// * `Euclidean` delegates to [`construct_circuit_with`] — the historical
@@ -191,28 +175,8 @@ pub fn construct_circuit_metric(
     }
 }
 
-/// Builds the CHB circuit through the **dense-matrix** path at any size:
-/// the full `O(n²)` Euclidean [`DistanceMatrix`] is materialised first,
-/// then the resolved pipeline (exact at or below the threshold,
-/// matrix-backed candidate lists above it) runs against it.
-///
-/// Functionally this mirrors [`construct_circuit_with`] — which never
-/// allocates the matrix in candidate mode — and exists so `patrolctl
-/// bench-scale` can measure the memory cost of the matrix representation
-/// against the matrix-free pipeline at the same instance size (see
-/// `docs/PERFORMANCE.md`). Everything runs under the existing
-/// `graph.distance_matrix` / `chb.matrix_candidates` spans.
-pub fn construct_circuit_matrix_backed(points: &[Point], config: &ChbConfig) -> Tour {
-    let dm = DistanceMatrix::from_points(points);
-    match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates_matrix(points, &dm, config, k),
-        _ => construct_circuit_exact(points, &dm, config),
-    }
-}
-
-/// The matrix-backed candidate pipeline: nearest-neighbour seeding plus
-/// matrix candidate-list local search. Shared by the road-metric path and
-/// [`construct_circuit_matrix_backed`].
+/// The matrix-backed candidate pipeline of the road-metric path:
+/// nearest-neighbour seeding plus matrix candidate-list local search.
 fn construct_circuit_candidates_matrix(
     points: &[Point],
     dm: &DistanceMatrix,
@@ -291,7 +255,7 @@ fn construct_circuit_candidates(points: &[Point], config: &ChbConfig, k: usize) 
     mule_obs::add("n", points.len() as u64);
     mule_obs::add("k", k as u64);
     let mut tour = {
-        let _s = mule_obs::span("chb.hull_seed");
+        let _s = mule_obs::span("chb.hull_insertion");
         convex_hull_insertion_incremental(points)
     };
     if config.two_opt_passes == 0 && config.or_opt_passes == 0 {
@@ -481,22 +445,23 @@ mod tests {
 
     #[test]
     fn matrix_backed_pipeline_matches_quality_at_both_regimes() {
-        // Below the threshold the matrix-backed entry point is the exact
-        // pipeline — byte-identical to the default path.
-        let small = pseudo_random_points(40, 99);
-        let a = construct_circuit_matrix_backed(&small, &ChbConfig::default());
-        let b = construct_circuit_with(&small, &ChbConfig::default());
-        assert_eq!(a.order(), b.order());
-        // Above it, the matrix candidate pipeline must stay near the
-        // matrix-free candidate pipeline in quality.
-        let large = pseudo_random_points(200, 99);
+        // The road path's matrix candidate pipeline, fed a Euclidean
+        // matrix, must stay near the matrix-free candidate pipeline in
+        // quality below and above the exact threshold.
         let config = ChbConfig::default().with_search(SearchMode::Candidates(10));
-        let matrix = construct_circuit_matrix_backed(&large, &config);
-        let free = construct_circuit_with(&large, &config);
-        assert!(matrix.is_valid());
-        assert_eq!(matrix.len(), large.len());
-        let ratio = matrix.length(&large) / free.length(&large);
-        assert!((0.9..=1.1).contains(&ratio), "quality ratio {ratio:.4}");
+        for n in [40usize, 200] {
+            let pts = pseudo_random_points(n, 99);
+            let dm = DistanceMatrix::from_points(&pts);
+            let matrix = construct_circuit_candidates_matrix(&pts, &dm, &config, 10);
+            let free = construct_circuit_with(&pts, &config);
+            assert!(matrix.is_valid());
+            assert_eq!(matrix.len(), n);
+            let ratio = matrix.length(&pts) / free.length(&pts);
+            assert!(
+                (0.9..=1.1).contains(&ratio),
+                "n = {n}: quality ratio {ratio:.4}"
+            );
+        }
     }
 
     #[test]

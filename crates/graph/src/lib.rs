@@ -46,8 +46,7 @@ pub use candidates::{
     CandidateLists,
 };
 pub use chb::{
-    construct_circuit, construct_circuit_matrix_backed, construct_circuit_metric,
-    construct_circuit_with, construct_circuit_with_matrix, ChbConfig, SearchMode,
+    construct_circuit, construct_circuit_metric, construct_circuit_with, ChbConfig, SearchMode,
 };
 pub use distance_matrix::DistanceMatrix;
 pub use insertion::{cheapest_insertion, convex_hull_insertion, convex_hull_insertion_incremental};

@@ -158,12 +158,41 @@ pub fn reset_peak() {
     PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// Resets the calling **thread's** live-bytes high-water mark to its
-/// current live figure, scoping the next [`thread_stats`] peak to the
-/// workload that follows. Benches use this instead of the global peak so
-/// allocation on unrelated threads cannot pollute the measurement.
-pub fn reset_thread_peak() {
-    TL_LIVE_BYTES.with(|l| TL_WINDOW_PEAK.with(|p| p.set(l.get())));
+/// Allocation figures of one [`measure`]d call on the calling thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Measurement {
+    /// Alloc plus realloc events (deterministic per seeded workload).
+    pub events: u64,
+    /// Bytes allocated (reallocs count their new size).
+    pub allocated_bytes: u64,
+    /// Live-bytes high-water mark above the live figure at the call's
+    /// start.
+    pub peak_live_bytes: u64,
+}
+
+/// Runs `f` with the tallies armed and returns its result together with
+/// the calling thread's allocation figures for the call. Thread-local
+/// tallies keep allocation on other threads out of the figures.
+///
+/// The peak is taken against the thread's **raw** (signed) live figure at
+/// the start, not the clamped [`thread_stats`] one: a thread that freed,
+/// while some other caller had the tallies armed, blocks it allocated
+/// disarmed carries a negative live figure, and clamping both ends at
+/// zero would hide the call's whole peak.
+pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Measurement) {
+    arm();
+    let window = open_window().expect("the tallies were armed above");
+    let start_live = TL_LIVE_BYTES.with(Cell::get);
+    let value = f();
+    let peak = TL_WINDOW_PEAK.with(Cell::get);
+    let tally = close_window(window);
+    disarm();
+    let measurement = Measurement {
+        events: tally.allocs,
+        allocated_bytes: tally.bytes,
+        peak_live_bytes: clamp(peak - start_live),
+    };
+    (value, measurement)
 }
 
 /// A pending span allocation window, opened by the tracing layer when a
@@ -443,6 +472,27 @@ pub(crate) mod tests {
             // The dropped megabyte no longer dominates the peak.
             assert!(s.peak_live_bytes <= s.live_bytes + (1 << 16));
         });
+    }
+
+    #[test]
+    fn measured_peak_survives_a_negative_thread_live_figure() {
+        let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // A block allocated disarmed and freed armed (as happens when
+        // another caller holds the tallies armed) drives this thread's
+        // raw live figure 4 MiB below zero.
+        let block: Vec<u8> = vec![0; 4 << 20];
+        arm();
+        drop(std::hint::black_box(block));
+        disarm();
+        let (len, m) = measure(|| std::hint::black_box(vec![0u8; 1 << 20]).len());
+        assert_eq!(len, 1 << 20);
+        assert!(m.events >= 1);
+        assert!(m.allocated_bytes >= 1 << 20);
+        assert!(
+            m.peak_live_bytes >= 1 << 20,
+            "window peak {} hides the 1 MiB allocation",
+            m.peak_live_bytes
+        );
     }
 
     #[test]

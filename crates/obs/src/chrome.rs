@@ -7,24 +7,8 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::JsonValue;
 use crate::trace::Trace;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Nanoseconds → microseconds with fixed three-decimal rendering, so the
 /// output is stable and never switches to exponent notation.
@@ -40,7 +24,7 @@ fn push_trace_events(events: &mut Vec<String>, trace: &Trace, tid: u32) {
         let mut args = String::new();
         args.push_str(&format!("\"seq\":{}", span.id));
         for (name, value) in &span.counters {
-            args.push_str(&format!(",\"{}\":{}", escape(name), value));
+            args.push_str(&format!(",{}:{}", JsonValue::from(name.as_str()), value));
         }
         if let Some(alloc) = &span.alloc {
             args.push_str(&format!(
@@ -49,9 +33,9 @@ fn push_trace_events(events: &mut Vec<String>, trace: &Trace, tid: u32) {
             ));
         }
         events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"mule\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+            "{{\"name\":{},\"cat\":\"mule\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
              \"pid\":1,\"tid\":{tid},\"args\":{{{}}}}}",
-            escape(&span.name),
+            JsonValue::from(span.name.as_str()),
             micros(span.start_ns),
             micros(span.dur_ns),
             args
@@ -69,9 +53,9 @@ fn push_trace_events(events: &mut Vec<String>, trace: &Trace, tid: u32) {
     }
     for (name, value) in &trace.gauges {
         events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":0.000,\"pid\":1,\"tid\":{tid},\
+            "{{\"name\":{},\"ph\":\"C\",\"ts\":0.000,\"pid\":1,\"tid\":{tid},\
              \"args\":{{\"value\":{}}}}}",
-            escape(name),
+            JsonValue::from(name.as_str()),
             value
         ));
     }
@@ -113,8 +97,8 @@ pub fn chrome_traces_json<'a>(traces: impl IntoIterator<Item = (&'a str, &'a Tra
         let tid = (i + 1) as u32;
         events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(label)
+             \"args\":{{\"name\":{}}}}}",
+            JsonValue::from(label)
         ));
         push_trace_events(&mut events, trace, tid);
     }
@@ -174,12 +158,6 @@ mod tests {
         assert!(json.contains("\"alloc_bytes\":4096"));
         assert!(json.contains("\"name\":\"heap_peak_live_bytes\",\"ph\":\"C\",\"ts\":5.000"));
         assert!(json.contains("\"args\":{\"bytes\":8192}"));
-    }
-
-    #[test]
-    fn names_are_json_escaped() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! A small, dependency-free JSON value: parse and serialise.
 //!
 //! The in-tree `serde` shim is a no-op (its derives expand to nothing —
-//! see `crates/shims/README.md`), so the service layer needs its own wire
-//! format. This module implements exactly what the API requires and
-//! nothing more:
+//! see `crates/shims/README.md`), so the workspace needs its own wire
+//! format. This module is the one JSON writer: mule-serve's API documents,
+//! the tracked bench artefacts, and the string escaping of the structured
+//! log and the Chrome trace exporter all go through it. It implements
+//! exactly what those callers require and nothing more:
 //!
 //! * [`JsonValue`] — the usual six-way value enum. Objects preserve
 //!   **insertion order** (a `Vec` of pairs, not a map), so serialisation
@@ -129,6 +131,13 @@ impl From<&str> for JsonValue {
 impl From<String> for JsonValue {
     fn from(s: String) -> Self {
         JsonValue::String(s)
+    }
+}
+
+/// `None` is `null`; `Some(v)` converts `v`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(JsonValue::Null, Into::into)
     }
 }
 
@@ -286,7 +295,9 @@ fn write_number(out: &mut String, n: JsonNumber) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
+/// backslashes and control characters.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -623,6 +634,18 @@ mod tests {
         assert!(text.contains("\\\\"));
         assert!(text.contains("\\u0001"));
         assert_eq!(roundtrip(&v), v);
+        assert_eq!(
+            JsonValue::from("a\"b\\c\nd").to_json_string(),
+            "\"a\\\"b\\\\c\\nd\""
+        );
+        assert_eq!(JsonValue::from("\u{1}").to_json_string(), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn options_serialise_as_null_or_their_value() {
+        assert_eq!(JsonValue::from(None::<u64>), JsonValue::Null);
+        assert_eq!(JsonValue::from(Some(3u64)), JsonValue::from(3u64));
+        assert_eq!(JsonValue::from(Some("x")).to_json_string(), "\"x\"");
     }
 
     #[test]

@@ -40,6 +40,9 @@
 //!   aggregation, renderable as an aligned text table.
 //! * [`prom::PromText`] — Prometheus text exposition (version 0.0.4)
 //!   writer used by mule-serve's `/metrics`.
+//! * [`json`] — the workspace's one JSON value type, parser and writer
+//!   (mule-serve's wire format, the bench artefacts, and the string
+//!   escaping of [`log`] and the Chrome exporter).
 //!
 //! ## Live telemetry
 //!
@@ -68,6 +71,7 @@
 
 pub mod alloc;
 pub mod chrome;
+pub mod json;
 pub mod log;
 pub mod metric;
 pub mod profile;

@@ -40,6 +40,7 @@
 //! [`Ring`] readable via [`recent`] — that is what
 //! mule-serve's `GET /debug/events` returns.
 
+use crate::json::write_string;
 use crate::ring::Ring;
 use std::cell::RefCell;
 use std::io::Write;
@@ -296,23 +297,23 @@ fn render_line(buf: &mut String, seq: u64, ts_ms: u64, event: &LogEvent) {
     use std::fmt::Write as _;
     let _ = write!(
         buf,
-        "{{\"seq\":{seq},\"ts_ms\":{ts_ms},\"severity\":\"{}\",\"event\":\"{}\"",
-        event.severity.label(),
-        escape(event.event)
+        "{{\"seq\":{seq},\"ts_ms\":{ts_ms},\"severity\":\"{}\",\"event\":",
+        event.severity.label()
     );
+    write_string(buf, event.event);
     if let Some(trace_id) = &event.trace_id {
-        let _ = write!(buf, ",\"trace_id\":\"{}\"", escape(trace_id));
+        buf.push_str(",\"trace_id\":");
+        write_string(buf, trace_id);
     }
     buf.push_str(",\"fields\":{");
     for (i, (name, value)) in event.fields.iter().enumerate() {
         if i > 0 {
             buf.push(',');
         }
-        let _ = write!(buf, "\"{}\":", escape(name));
+        write_string(buf, name);
+        buf.push(':');
         match value {
-            FieldValue::Str(s) => {
-                let _ = write!(buf, "\"{}\"", escape(s));
-            }
+            FieldValue::Str(s) => write_string(buf, s),
             FieldValue::U64(v) => {
                 let _ = write!(buf, "{v}");
             }
@@ -329,23 +330,6 @@ fn render_line(buf: &mut String, seq: u64, ts_ms: u64, event: &LogEvent) {
         }
     }
     buf.push_str("}}");
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //! crate is the serving dimension of the ROADMAP's north star. The
 //! layers, bottom-up:
 //!
-//! * [`json`] — a small JSON value (parse + serialise; the vendored
-//!   `serde` shim is a no-op, so the wire format lives here). Objects
-//!   preserve insertion order, which makes serialisation deterministic.
+//! * [`json`] — the JSON value (parse + serialise) of
+//!   [`mule_obs::json`], re-exported: the vendored `serde` shim is a
+//!   no-op, so the wire format lives there. Objects preserve insertion
+//!   order, which makes serialisation deterministic.
 //! * [`api`] — request/response documents. [`api::plan_response_json`]
 //!   is a pure function of the [`mule_workload::ScenarioSpec`]; equal
 //!   specs produce byte-identical documents.
@@ -42,13 +43,13 @@ pub mod api;
 pub mod breaker;
 pub mod cache;
 pub mod http;
-pub mod json;
 pub mod loadgen;
 pub mod server;
 
 pub use api::{plan_response_json, ApiError};
 pub use breaker::{BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheOutcome, PlanCache};
-pub use json::{JsonError, JsonValue};
 pub use loadgen::{run_loadgen, LoadReport, LoadgenParams};
+pub use mule_obs::json;
+pub use mule_obs::json::{JsonError, JsonValue};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -1340,10 +1340,7 @@ fn handle_debug(path: &str, query: Option<&str>, shared: &Arc<Shared>) -> Respon
                         ("path", record.path.as_str().into()),
                         ("status", u64::from(record.status).into()),
                         ("duration_ms", record.duration_ms.into()),
-                        (
-                            "cache",
-                            record.cache.map_or(JsonValue::Null, JsonValue::from),
-                        ),
+                        ("cache", record.cache.into()),
                         ("allocs", record.allocs.into()),
                         ("alloc_bytes", record.alloc_bytes.into()),
                         ("sampled", record.sampled.into()),
@@ -1411,14 +1408,8 @@ fn handle_debug(path: &str, query: Option<&str>, shared: &Arc<Shared>) -> Respon
                 (
                     "rss",
                     JsonValue::object(vec![
-                        (
-                            "now_kb",
-                            mule_obs::alloc::rss_now_kb().map_or(JsonValue::Null, Into::into),
-                        ),
-                        (
-                            "peak_kb",
-                            mule_obs::alloc::rss_peak_kb().map_or(JsonValue::Null, Into::into),
-                        ),
+                        ("now_kb", mule_obs::alloc::rss_now_kb().into()),
+                        ("peak_kb", mule_obs::alloc::rss_peak_kb().into()),
                     ]),
                 ),
             ]);
