@@ -4,110 +4,22 @@
 //! after a leading subcommand. Unknown flags and malformed values are
 //! reported as [`CliError`]s with a human-readable message.
 
+use mule_serve::{LoadgenParams, ServerConfig};
+use mule_workload::ScenarioSpec;
+use patrol_core::PlannerKind;
 use std::fmt;
+use std::time::Duration;
 
-/// Which planner a command should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannerChoice {
-    /// B-TCTP (default).
-    BTctp,
-    /// W-TCTP with the Shortest-Length policy.
-    WTctpShortest,
-    /// W-TCTP with the Balancing-Length policy.
-    WTctpBalancing,
-    /// RW-TCTP (requires `--recharge`).
-    RwTctp,
-    /// The CHB baseline.
-    Chb,
-    /// The Sweep baseline.
-    Sweep,
-    /// The Random baseline.
-    Random,
-}
-
-impl PlannerChoice {
-    /// Parses a planner name (case-insensitive).
-    pub fn parse(s: &str) -> Result<Self, CliError> {
-        match s.to_ascii_lowercase().as_str() {
-            "b-tctp" | "btctp" | "tctp" => Ok(PlannerChoice::BTctp),
-            "w-tctp" | "wtctp" | "w-tctp-shortest" | "shortest" => Ok(PlannerChoice::WTctpShortest),
-            "w-tctp-balancing" | "balancing" => Ok(PlannerChoice::WTctpBalancing),
-            "rw-tctp" | "rwtctp" => Ok(PlannerChoice::RwTctp),
-            "chb" => Ok(PlannerChoice::Chb),
-            "sweep" => Ok(PlannerChoice::Sweep),
-            "random" => Ok(PlannerChoice::Random),
-            other => Err(CliError::InvalidValue {
-                flag: "--planner".into(),
-                value: other.into(),
-            }),
-        }
-    }
-
-    /// Display name used in output tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlannerChoice::BTctp => "B-TCTP",
-            PlannerChoice::WTctpShortest => "W-TCTP (shortest)",
-            PlannerChoice::WTctpBalancing => "W-TCTP (balancing)",
-            PlannerChoice::RwTctp => "RW-TCTP",
-            PlannerChoice::Chb => "CHB",
-            PlannerChoice::Sweep => "Sweep",
-            PlannerChoice::Random => "Random",
-        }
-    }
-
-    /// Canonical wire name used in `ScenarioSpec` requests — the name the
-    /// `mule-serve` API (and [`PlannerChoice::parse`]) accepts.
-    pub fn canonical_name(&self) -> &'static str {
-        match self {
-            PlannerChoice::BTctp => "b-tctp",
-            PlannerChoice::WTctpShortest => "w-tctp-shortest",
-            PlannerChoice::WTctpBalancing => "w-tctp-balancing",
-            PlannerChoice::RwTctp => "rw-tctp",
-            PlannerChoice::Chb => "chb",
-            PlannerChoice::Sweep => "sweep",
-            PlannerChoice::Random => "random",
-        }
-    }
-}
-
-/// Which tour-search mode the planners' circuit construction uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchChoice {
-    /// Exact all-pairs construction and local search.
-    Exact,
-    /// Candidate-list (k-nearest-neighbour) search; `--knn` sets k.
-    Candidates,
-    /// Exact below the byte-stability threshold, candidate lists above
-    /// (the default — see `docs/DETERMINISM.md`).
-    #[default]
-    Auto,
-}
-
-impl SearchChoice {
-    /// Parses a search-mode name (case-insensitive).
-    pub fn parse(s: &str) -> Result<Self, CliError> {
-        match s.to_ascii_lowercase().as_str() {
-            "exact" => Ok(SearchChoice::Exact),
-            "candidates" | "cand" | "knn" => Ok(SearchChoice::Candidates),
-            "auto" => Ok(SearchChoice::Auto),
-            other => Err(CliError::InvalidValue {
-                flag: "--search".into(),
-                value: other.into(),
-            }),
-        }
-    }
-
-    /// Translates the choice (plus the optional `--knn` width) into the
-    /// graph crate's search mode.
-    pub fn to_mode(self, knn: Option<usize>) -> mule_graph::SearchMode {
-        match self {
-            SearchChoice::Exact => mule_graph::SearchMode::Exact,
-            SearchChoice::Candidates => mule_graph::SearchMode::Candidates(
-                knn.unwrap_or(mule_graph::chb::DEFAULT_CANDIDATES_K).max(1),
-            ),
-            SearchChoice::Auto => mule_graph::SearchMode::Auto,
-        }
+/// Resolves a `--planner` value through the planner table to its canonical
+/// name, so `--planner balancing` and `--planner w-tctp-balancing` put the
+/// same spec on the wire.
+fn parse_planner(value: &str) -> Result<String, CliError> {
+    match PlannerKind::lookup(value) {
+        Some(kind) => Ok(kind.name.to_string()),
+        None => Err(CliError::InvalidValue {
+            flag: "--planner".into(),
+            value: value.to_ascii_lowercase(),
+        }),
     }
 }
 
@@ -120,39 +32,19 @@ fn parse_metric(value: &str) -> Result<mule_workload::MetricSpec, CliError> {
     })
 }
 
-/// Scenario + execution options shared by every subcommand.
+/// Scenario + execution options shared by every scenario subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
-    /// Number of targets.
-    pub targets: usize,
-    /// Number of mules.
-    pub mules: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Number of VIP targets.
-    pub vips: usize,
-    /// Weight of each VIP.
-    pub vip_weight: u32,
-    /// Whether the scenario includes a recharge station.
-    pub recharge: bool,
-    /// Planner to use.
-    pub planner: PlannerChoice,
-    /// Simulation horizon in seconds.
-    pub horizon_s: f64,
-    /// Optional SVG output path.
+    /// The scenario and planner to run: the same request type `serve`
+    /// answers, with the planner name canonicalised.
+    pub spec: ScenarioSpec,
+    /// Optional SVG output path (`simulate`).
     pub svg_path: Option<String>,
-    /// Optional CSV trace prefix.
+    /// Optional CSV output: trace prefix (`simulate`) or results file
+    /// (`sweep`).
     pub csv_prefix: Option<String>,
-    /// ASCII canvas width for `render`.
+    /// ASCII canvas width (`render`).
     pub canvas_width: usize,
-    /// Tour-search mode of the circuit construction.
-    pub search: SearchChoice,
-    /// Candidate-list width (k nearest neighbours) when `search` is
-    /// `candidates`; `None` uses the engine default.
-    pub knn: Option<usize>,
-    /// Travel metric of the scenario (`euclidean` | `road`/`road-grid` |
-    /// `road-planar`).
-    pub metric: mule_workload::MetricSpec,
     /// Optional path of a Chrome `trace_event` JSON file to write the
     /// run's span trace to (loadable in `about:tracing` / Perfetto).
     pub trace_out: Option<String>,
@@ -163,20 +55,10 @@ pub struct CliOptions {
 impl Default for CliOptions {
     fn default() -> Self {
         CliOptions {
-            targets: 10,
-            mules: 4,
-            seed: 1,
-            vips: 0,
-            vip_weight: 2,
-            recharge: false,
-            planner: PlannerChoice::BTctp,
-            horizon_s: 40_000.0,
+            spec: ScenarioSpec::default(),
             svg_path: None,
             csv_prefix: None,
             canvas_width: 72,
-            search: SearchChoice::Auto,
-            knn: None,
-            metric: mule_workload::MetricSpec::Euclidean,
             trace_out: None,
             profile: false,
         }
@@ -334,8 +216,8 @@ impl Default for SweepOptions {
     fn default() -> Self {
         let base = CliOptions::default();
         SweepOptions {
-            seeds: vec![base.seed],
-            mule_counts: vec![base.mules],
+            seeds: vec![base.spec.seed],
+            mule_counts: vec![base.spec.mules],
             speeds: vec![mule_workload::PAPER_SPEED_M_PER_S],
             disruptions: vec![DisruptionPreset::None],
             replicas: 8,
@@ -348,84 +230,34 @@ impl Default for SweepOptions {
 /// Options of the `serve` subcommand (the `mule-serve` daemon).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
-    /// Bind address (`host:port`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Connection-handler worker threads.
-    pub workers: usize,
-    /// Plan-cache capacity in entries (0 disables caching).
-    pub cache_size: usize,
-    /// Maximum concurrently admitted connections; beyond it, new
-    /// connections get `503` + `Retry-After`.
-    pub queue_depth: usize,
-    /// Opt-in slow-request log threshold, milliseconds (`None` = off).
-    pub slow_ms: Option<f64>,
-    /// Per-request compute/read deadline, milliseconds (`None` = off).
-    pub deadline_ms: Option<u64>,
-    /// Circuit-breaker threshold: consecutive compute panics/timeouts
-    /// before a route opens (`None` = breakers off).
-    pub breaker_threshold: Option<usize>,
-    /// Circuit-breaker cooldown before the half-open probe, milliseconds.
-    pub breaker_cooldown_ms: u64,
-    /// Serve last-good (stale) bytes instead of 5xx where possible.
-    pub degraded: bool,
+    /// The daemon's configuration (address, workers, cache, admission,
+    /// deadlines, breakers, telemetry).
+    pub config: ServerConfig,
     /// Fault plan to arm at startup (`point=kind[@prob][#limit],...`).
     pub fault_plan: Option<String>,
     /// Seed of the armed fault plan's firing decisions.
     pub fault_seed: u64,
-    /// Expose the read-only `GET /debug/*` introspection endpoints.
-    pub debug_endpoints: bool,
-    /// Head-based trace sampling rate in `[0, 1]` (slow and 5xx requests
-    /// are tail-promoted regardless).
-    pub trace_sample: f64,
-    /// SLO objectives tracked as burn-rate gauges on `/metrics`.
-    pub slo: Option<mule_obs::SloSpec>,
     /// Minimum severity of the structured stderr log.
     pub log_level: mule_obs::log::Severity,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        let defaults = mule_serve::ServerConfig::default();
         ServeOptions {
-            addr: defaults.addr,
-            workers: defaults.workers,
-            cache_size: defaults.cache_capacity,
-            queue_depth: defaults.queue_depth,
-            slow_ms: defaults.slow_request_ms,
-            deadline_ms: defaults.deadline.map(|d| d.as_millis() as u64),
-            breaker_threshold: defaults.breaker_threshold,
-            breaker_cooldown_ms: defaults.breaker_cooldown.as_millis() as u64,
-            degraded: defaults.degraded,
+            config: ServerConfig::default(),
             fault_plan: None,
             fault_seed: 7,
-            debug_endpoints: defaults.debug_endpoints,
-            trace_sample: defaults.trace_sample_rate,
-            slo: None,
             log_level: mule_obs::log::Severity::Info,
         }
     }
 }
 
 /// Options of the `loadgen` subcommand (the server load benchmark).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadgenOptions {
-    /// Server address to fire at.
-    pub addr: String,
-    /// Total requests across all connections.
-    pub requests: usize,
-    /// Concurrent connections.
-    pub connections: usize,
-    /// Distinct scenario specs rotated through (controls the expected
-    /// cache hit rate).
-    pub spec_pool: usize,
-    /// Targets of the base spec.
-    pub targets: usize,
-    /// Mules of the base spec.
-    pub mules: usize,
-    /// Base seed (request *i* uses `seed + (i mod spec_pool)`).
-    pub seed: u64,
-    /// Planner of the base spec.
-    pub planner: PlannerChoice,
+    /// The run's parameters (address, request count or duration,
+    /// connections, spec pool, base spec, retries, warm-up, SLO).
+    pub params: LoadgenParams,
     /// Optional path of the JSON artefact (`BENCH_server.json`).
     pub json_path: Option<String>,
     /// Regression gate: fail when p99 latency exceeds this many
@@ -434,39 +266,6 @@ pub struct LoadgenOptions {
     /// Regression gate: fail when throughput falls below this many
     /// requests per second.
     pub min_rps: Option<f64>,
-    /// Maximum retries per request after a `503` (0 disables retrying).
-    pub retries: u32,
-    /// Run until this many seconds elapse instead of a fixed request
-    /// count (`--requests` is ignored when set).
-    pub duration_s: Option<f64>,
-    /// Leading requests whose latencies are excluded from the histogram
-    /// (warm-up discard; they still count everywhere else).
-    pub warmup: usize,
-    /// SLO objectives the report is graded against.
-    pub slo: Option<mule_obs::SloSpec>,
-}
-
-impl Default for LoadgenOptions {
-    fn default() -> Self {
-        let defaults = mule_serve::LoadgenParams::default();
-        LoadgenOptions {
-            addr: defaults.addr,
-            requests: defaults.requests,
-            connections: defaults.connections,
-            spec_pool: defaults.spec_pool,
-            targets: defaults.base.targets,
-            mules: defaults.base.mules,
-            seed: defaults.base.seed,
-            planner: PlannerChoice::BTctp,
-            json_path: None,
-            max_p99_ms: None,
-            min_rps: None,
-            retries: defaults.retry_budget,
-            duration_s: None,
-            warmup: defaults.warmup,
-            slo: None,
-        }
-    }
 }
 
 /// Options of the `chaos` subcommand (the self-checking fault-injection
@@ -479,12 +278,8 @@ pub struct ChaosOptions {
     pub requests: usize,
     /// Distinct scenario specs rotated through.
     pub spec_pool: usize,
-    /// Targets of the base spec.
-    pub targets: usize,
-    /// Mules of the base spec.
-    pub mules: usize,
-    /// Planner of the base spec.
-    pub planner: PlannerChoice,
+    /// Base spec; spec *k* of the pool uses `base.seed + k`.
+    pub base: ScenarioSpec,
     /// Fault plan override (`point=kind[@prob][#limit],...`); the default
     /// mixes panics, delays, evictions and connection faults.
     pub fault_plan: Option<String>,
@@ -498,9 +293,7 @@ impl Default for ChaosOptions {
             seed: 7,
             requests: 40,
             spec_pool: 4,
-            targets: 10,
-            mules: 4,
-            planner: PlannerChoice::BTctp,
+            base: ScenarioSpec::default(),
             fault_plan: None,
             deadline_ms: 800,
         }
@@ -566,15 +359,6 @@ pub enum CliError {
         /// The value that failed to parse.
         value: String,
     },
-    /// A flag was given that only has an effect alongside another flag
-    /// (e.g. `--knn` without `--search candidates`). Erroring beats
-    /// silently ignoring the user's knob.
-    RequiresFlag {
-        /// The offending flag.
-        flag: String,
-        /// The flag (and value) it requires.
-        requires: String,
-    },
 }
 
 impl fmt::Display for CliError {
@@ -586,9 +370,6 @@ impl fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "flag `{flag}` is missing a value"),
             CliError::InvalidValue { flag, value } => {
                 write!(f, "invalid value `{value}` for flag `{flag}`")
-            }
-            CliError::RequiresFlag { flag, requires } => {
-                write!(f, "flag `{flag}` requires `{requires}`")
             }
         }
     }
@@ -611,11 +392,9 @@ FLAGS (scenario subcommands):
     --vip-weight W     weight of each VIP              [default: 2]
     --recharge         add a recharge station
     --planner P        b-tctp | shortest | balancing | rw-tctp | chb | sweep | random
-    --search M         tour search: exact | candidates | auto  [default: auto]
     --metric M         travel metric: euclidean | road | road-grid | road-planar
                        (road scenarios snap targets/sink to the network and
                        plan + simulate over shortest road paths)
-    --knn K            candidate-list width (only with --search candidates)
     --horizon SECONDS  simulation horizon              [default: 40000]
     --svg FILE         write the plan as an SVG file   (simulate)
     --csv PREFIX       write visit/mule CSV traces     (simulate)
@@ -873,28 +652,28 @@ fn parse_log_level(flag: &str, value: &str) -> Result<mule_obs::log::Severity, C
 /// Parses the flags of `serve`.
 fn parse_serve(args: &[String]) -> Result<CliCommand, CliError> {
     let mut options = ServeOptions::default();
+    let c = &mut options.config;
+    let millis = |flag: &str, value: &str| -> Result<Duration, CliError> {
+        Ok(Duration::from_millis(
+            parse_flag::<u64>(flag, value)?.max(1),
+        ))
+    };
     parse_flags(args, |flag, take_value| {
         match flag {
-            "--addr" => options.addr = take_value()?,
-            "--workers" => options.workers = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--cache-size" => options.cache_size = parse_flag(flag, &take_value()?)?,
-            "--queue-depth" => {
-                options.queue_depth = parse_flag::<usize>(flag, &take_value()?)?.max(1)
-            }
-            "--slow-ms" => options.slow_ms = Some(parse_flag(flag, &take_value()?)?),
-            "--deadline-ms" => {
-                options.deadline_ms = Some(parse_flag::<u64>(flag, &take_value()?)?.max(1))
-            }
+            "--addr" => c.addr = take_value()?,
+            "--workers" => c.workers = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--cache-size" => c.cache_capacity = parse_flag(flag, &take_value()?)?,
+            "--queue-depth" => c.queue_depth = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--slow-ms" => c.slow_request_ms = Some(parse_flag(flag, &take_value()?)?),
+            "--deadline-ms" => c.deadline = Some(millis(flag, &take_value()?)?),
             "--breaker" => {
-                options.breaker_threshold = Some(parse_flag::<usize>(flag, &take_value()?)?.max(1))
+                c.breaker_threshold = Some(parse_flag::<usize>(flag, &take_value()?)?.max(1))
             }
-            "--breaker-cooldown-ms" => {
-                options.breaker_cooldown_ms = parse_flag::<u64>(flag, &take_value()?)?.max(1)
-            }
-            "--degraded" => options.degraded = true,
+            "--breaker-cooldown-ms" => c.breaker_cooldown = millis(flag, &take_value()?)?,
+            "--degraded" => c.degraded = true,
             "--fault-plan" => options.fault_plan = Some(take_value()?),
             "--fault-seed" => options.fault_seed = parse_flag(flag, &take_value()?)?,
-            "--debug-endpoints" => options.debug_endpoints = true,
+            "--debug-endpoints" => c.debug_endpoints = true,
             "--trace-sample" => {
                 let value = take_value()?;
                 let rate = parse_flag::<f64>(flag, &value)?;
@@ -904,9 +683,9 @@ fn parse_serve(args: &[String]) -> Result<CliCommand, CliError> {
                         value,
                     });
                 }
-                options.trace_sample = rate;
+                c.trace_sample_rate = rate;
             }
-            "--slo" => options.slo = Some(parse_slo(flag, &take_value()?)?),
+            "--slo" => c.slo = Some(parse_slo(flag, &take_value()?)?),
             "--log-level" => options.log_level = parse_log_level(flag, &take_value()?)?,
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
@@ -923,9 +702,9 @@ fn parse_chaos(args: &[String]) -> Result<CliCommand, CliError> {
             "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
             "--requests" => options.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
             "--spec-pool" => options.spec_pool = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--targets" => options.targets = parse_flag(flag, &take_value()?)?,
-            "--mules" => options.mules = parse_flag(flag, &take_value()?)?,
-            "--planner" => options.planner = PlannerChoice::parse(&take_value()?)?,
+            "--targets" => options.base.targets = parse_flag(flag, &take_value()?)?,
+            "--mules" => options.base.mules = parse_flag(flag, &take_value()?)?,
+            "--planner" => options.base.planner = parse_planner(&take_value()?)?,
             "--fault-plan" => options.fault_plan = Some(take_value()?),
             "--deadline-ms" => {
                 options.deadline_ms = parse_flag::<u64>(flag, &take_value()?)?.max(1)
@@ -940,22 +719,21 @@ fn parse_chaos(args: &[String]) -> Result<CliCommand, CliError> {
 /// Parses the flags of `loadgen`.
 fn parse_loadgen(args: &[String]) -> Result<CliCommand, CliError> {
     let mut options = LoadgenOptions::default();
+    let p = &mut options.params;
     parse_flags(args, |flag, take_value| {
         match flag {
-            "--addr" => options.addr = take_value()?,
-            "--requests" => options.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--connections" => {
-                options.connections = parse_flag::<usize>(flag, &take_value()?)?.max(1)
-            }
-            "--spec-pool" => options.spec_pool = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--targets" => options.targets = parse_flag(flag, &take_value()?)?,
-            "--mules" => options.mules = parse_flag(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--planner" => options.planner = PlannerChoice::parse(&take_value()?)?,
+            "--addr" => p.addr = take_value()?,
+            "--requests" => p.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--connections" => p.connections = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--spec-pool" => p.spec_pool = parse_flag::<usize>(flag, &take_value()?)?.max(1),
+            "--targets" => p.base.targets = parse_flag(flag, &take_value()?)?,
+            "--mules" => p.base.mules = parse_flag(flag, &take_value()?)?,
+            "--seed" => p.base.seed = parse_flag(flag, &take_value()?)?,
+            "--planner" => p.base.planner = parse_planner(&take_value()?)?,
             "--json" => options.json_path = Some(take_value()?),
             "--max-p99" => options.max_p99_ms = Some(parse_flag(flag, &take_value()?)?),
             "--min-rps" => options.min_rps = Some(parse_flag(flag, &take_value()?)?),
-            "--retries" => options.retries = parse_flag(flag, &take_value()?)?,
+            "--retries" => p.retry_budget = parse_flag(flag, &take_value()?)?,
             "--duration-s" => {
                 let value = take_value()?;
                 let seconds = parse_flag::<f64>(flag, &value)?;
@@ -965,10 +743,10 @@ fn parse_loadgen(args: &[String]) -> Result<CliCommand, CliError> {
                         value,
                     });
                 }
-                options.duration_s = Some(seconds);
+                p.duration = Some(Duration::from_secs_f64(seconds));
             }
-            "--warmup" => options.warmup = parse_flag(flag, &take_value()?)?,
-            "--slo" => options.slo = Some(parse_slo(flag, &take_value()?)?),
+            "--warmup" => p.warmup = parse_flag(flag, &take_value()?)?,
+            "--slo" => p.slo = Some(parse_slo(flag, &take_value()?)?),
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
         Ok(())
@@ -992,6 +770,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
     }
     let is_dynamics = command == "dynamics";
     let is_sweep = command == "sweep";
+    let is_simulate = command == "simulate";
+    let is_render = command == "render";
 
     let mut options = CliOptions::default();
     let mut dynamics = DynamicsOptions::default();
@@ -1000,22 +780,21 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
     // explicitly; resolved after the flag loop.
     let mut sweep_seeds: Option<Vec<u64>> = None;
     let mut sweep_mule_counts: Option<Vec<usize>> = None;
+    let spec = &mut options.spec;
     parse_flags(flags, |flag, take_value| {
         match flag {
-            "--targets" => options.targets = parse_flag(flag, &take_value()?)?,
-            "--mules" => options.mules = parse_flag(flag, &take_value()?)?,
-            "--seed" => options.seed = parse_flag(flag, &take_value()?)?,
-            "--vips" => options.vips = parse_flag(flag, &take_value()?)?,
-            "--vip-weight" => options.vip_weight = parse_flag(flag, &take_value()?)?,
-            "--horizon" => options.horizon_s = parse_flag(flag, &take_value()?)?,
-            "--width" => options.canvas_width = parse_flag(flag, &take_value()?)?,
-            "--planner" => options.planner = PlannerChoice::parse(&take_value()?)?,
-            "--search" => options.search = SearchChoice::parse(&take_value()?)?,
-            "--metric" => options.metric = parse_metric(&take_value()?)?,
-            "--knn" => options.knn = Some(parse_flag::<usize>(flag, &take_value()?)?.max(1)),
-            "--svg" => options.svg_path = Some(take_value()?),
-            "--csv" => options.csv_prefix = Some(take_value()?),
-            "--recharge" => options.recharge = true,
+            "--targets" => spec.targets = parse_flag(flag, &take_value()?)?,
+            "--mules" => spec.mules = parse_flag(flag, &take_value()?)?,
+            "--seed" => spec.seed = parse_flag(flag, &take_value()?)?,
+            "--vips" => spec.vips = parse_flag(flag, &take_value()?)?,
+            "--vip-weight" => spec.vip_weight = parse_flag(flag, &take_value()?)?,
+            "--horizon" => spec.horizon_s = parse_flag(flag, &take_value()?)?,
+            "--planner" => spec.planner = parse_planner(&take_value()?)?,
+            "--metric" => spec.metric = parse_metric(&take_value()?)?,
+            "--recharge" => spec.recharge = true,
+            "--width" if is_render => options.canvas_width = parse_flag(flag, &take_value()?)?,
+            "--svg" if is_simulate => options.svg_path = Some(take_value()?),
+            "--csv" if is_simulate || is_sweep => options.csv_prefix = Some(take_value()?),
             "--trace-out" => options.trace_out = Some(take_value()?),
             "--profile" => options.profile = true,
             "--fail-targets" if is_dynamics => {
@@ -1054,19 +833,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
 
     // RW-TCTP needs a recharge station; turn it on implicitly so the obvious
     // invocation works.
-    if options.planner == PlannerChoice::RwTctp {
-        options.recharge = true;
-    }
-
-    // `--knn` tunes the candidate-list width, which only exists under
-    // `--search candidates` (auto resolves its own default width above the
-    // threshold). Silently discarding the user's knob would be worse than
-    // rejecting it.
-    if options.knn.is_some() && options.search != SearchChoice::Candidates {
-        return Err(CliError::RequiresFlag {
-            flag: "--knn".into(),
-            requires: "--search candidates".into(),
-        });
+    if options.spec.planner == "rw-tctp" {
+        options.spec.recharge = true;
     }
 
     match command.as_str() {
@@ -1079,8 +847,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
             Ok(CliCommand::Dynamics(dynamics))
         }
         "sweep" => {
-            sweep.seeds = sweep_seeds.unwrap_or_else(|| vec![options.seed]);
-            sweep.mule_counts = sweep_mule_counts.unwrap_or_else(|| vec![options.mules]);
+            sweep.seeds = sweep_seeds.unwrap_or_else(|| vec![options.spec.seed]);
+            sweep.mule_counts = sweep_mule_counts.unwrap_or_else(|| vec![options.spec.mules]);
             sweep.base = options;
             Ok(CliCommand::Sweep(sweep))
         }
@@ -1125,28 +893,29 @@ mod tests {
         let CliCommand::Simulate(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.targets, 25);
-        assert_eq!(opts.mules, 6);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.vips, 3);
-        assert_eq!(opts.vip_weight, 4);
-        assert_eq!(opts.planner, PlannerChoice::WTctpBalancing);
-        assert_eq!(opts.horizon_s, 12345.0);
-        assert!(opts.recharge);
+        let spec = &opts.spec;
+        assert_eq!(spec.targets, 25);
+        assert_eq!(spec.mules, 6);
+        assert_eq!(spec.seed, 9);
+        assert_eq!(spec.vips, 3);
+        assert_eq!(spec.vip_weight, 4);
+        assert_eq!(spec.planner, "w-tctp-balancing");
+        assert_eq!(spec.horizon_s, 12345.0);
+        assert!(spec.recharge);
     }
 
     #[test]
-    fn planner_names_parse_case_insensitively() {
+    fn planner_names_parse_case_insensitively_to_canonical_names() {
+        assert_eq!(parse_planner("B-TCTP").unwrap(), "b-tctp");
+        assert_eq!(parse_planner("ChB").unwrap(), "chb");
+        assert_eq!(parse_planner("RWTCTP").unwrap(), "rw-tctp");
         assert_eq!(
-            PlannerChoice::parse("B-TCTP").unwrap(),
-            PlannerChoice::BTctp
+            parse_planner("Nonsense").unwrap_err(),
+            CliError::InvalidValue {
+                flag: "--planner".into(),
+                value: "nonsense".into()
+            }
         );
-        assert_eq!(PlannerChoice::parse("ChB").unwrap(), PlannerChoice::Chb);
-        assert_eq!(
-            PlannerChoice::parse("rw-tctp").unwrap(),
-            PlannerChoice::RwTctp
-        );
-        assert!(PlannerChoice::parse("nonsense").is_err());
     }
 
     #[test]
@@ -1155,7 +924,7 @@ mod tests {
         else {
             panic!()
         };
-        assert!(opts.recharge);
+        assert!(opts.spec.recharge);
     }
 
     #[test]
@@ -1213,9 +982,9 @@ mod tests {
         let CliCommand::Dynamics(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.base.targets, 12);
-        assert_eq!(opts.base.mules, 5);
-        assert_eq!(opts.base.seed, 9);
+        assert_eq!(opts.base.spec.targets, 12);
+        assert_eq!(opts.base.spec.mules, 5);
+        assert_eq!(opts.base.spec.seed, 9);
         assert_eq!(opts.fail_targets, 2);
         assert_eq!(opts.recover_after_s, Some(8000.0));
         assert_eq!(opts.late_targets, 1);
@@ -1226,15 +995,40 @@ mod tests {
     }
 
     #[test]
-    fn dynamics_flags_are_rejected_on_other_subcommands() {
-        assert!(matches!(
-            parse_args(&argv("simulate --fail-targets 2")).unwrap_err(),
-            CliError::UnknownFlag(f) if f == "--fail-targets"
-        ));
-        assert!(matches!(
-            parse_args(&argv("render --no-replan")).unwrap_err(),
-            CliError::UnknownFlag(_)
-        ));
+    fn subcommand_scoped_flags_are_rejected_elsewhere() {
+        for (cmdline, flag) in [
+            ("simulate --fail-targets 2", "--fail-targets"),
+            ("render --no-replan", "--no-replan"),
+            // Output flags only exist where the command writes them.
+            ("plan --svg x.svg", "--svg"),
+            ("render --svg x.svg", "--svg"),
+            ("sweep --svg x.svg", "--svg"),
+            ("plan --width 80", "--width"),
+            ("simulate --width 80", "--width"),
+            ("plan --csv out", "--csv"),
+            ("compare --csv out", "--csv"),
+            ("dynamics --csv out", "--csv"),
+            ("render --csv out", "--csv"),
+            // The engine is picked by instance size; there is no switch.
+            ("plan --search exact", "--search"),
+            ("simulate --search candidates", "--search"),
+            ("simulate --knn 5", "--knn"),
+            ("sweep --knn 5", "--knn"),
+        ] {
+            assert_eq!(
+                parse_args(&argv(cmdline)).unwrap_err(),
+                CliError::UnknownFlag(flag.into()),
+                "{cmdline}"
+            );
+        }
+        // … and accepted where they apply.
+        for cmdline in [
+            "simulate --svg x.svg --csv out",
+            "sweep --csv out.csv",
+            "render --width 80",
+        ] {
+            assert!(parse_args(&argv(cmdline)).is_ok(), "{cmdline}");
+        }
     }
 
     #[test]
@@ -1278,7 +1072,7 @@ mod tests {
         let CliCommand::Sweep(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.base.targets, 12);
+        assert_eq!(opts.base.spec.targets, 12);
         assert_eq!(opts.seeds, vec![1, 2, 3]);
         assert_eq!(opts.mule_counts, vec![2, 4]);
         assert_eq!(opts.speeds, vec![1.5, 3.0]);
@@ -1356,57 +1150,6 @@ mod tests {
         assert!(USAGE.contains("--mule-counts"));
         assert!(USAGE.contains("--disruptions"));
         assert!(USAGE.contains("patrolctl sweep"), "usage shows an example");
-    }
-
-    #[test]
-    fn search_flags_parse_on_scenario_subcommands() {
-        let CliCommand::Simulate(opts) =
-            parse_args(&argv("simulate --search candidates --knn 12")).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(opts.search, SearchChoice::Candidates);
-        assert_eq!(opts.knn, Some(12));
-        assert_eq!(
-            opts.search.to_mode(opts.knn),
-            mule_graph::SearchMode::Candidates(12)
-        );
-
-        let CliCommand::Render(opts) = parse_args(&argv("render --search exact")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(opts.search, SearchChoice::Exact);
-        assert_eq!(opts.search.to_mode(None), mule_graph::SearchMode::Exact);
-
-        // Default is auto; --knn without --search candidates is rejected
-        // (auto would silently ignore it).
-        assert_eq!(CliOptions::default().search, SearchChoice::Auto);
-        assert!(matches!(
-            parse_args(&argv("simulate --knn 5")).unwrap_err(),
-            CliError::RequiresFlag { flag, .. } if flag == "--knn"
-        ));
-        assert!(matches!(
-            parse_args(&argv("simulate --search exact --knn 5")).unwrap_err(),
-            CliError::RequiresFlag { .. }
-        ));
-        assert!(CliError::RequiresFlag {
-            flag: "--knn".into(),
-            requires: "--search candidates".into()
-        }
-        .to_string()
-        .contains("requires"));
-        // Flag order does not matter for the pairing.
-        assert!(parse_args(&argv("simulate --knn 5 --search candidates")).is_ok());
-        assert!(SearchChoice::parse("fuzzy").is_err());
-        assert_eq!(
-            SearchChoice::parse("CANDIDATES").unwrap(),
-            SearchChoice::Candidates
-        );
-        // A candidates choice without --knn uses the engine default.
-        assert_eq!(
-            SearchChoice::Candidates.to_mode(None),
-            mule_graph::SearchMode::Candidates(mule_graph::chb::DEFAULT_CANDIDATES_K)
-        );
     }
 
     #[test]
@@ -1516,24 +1259,27 @@ mod tests {
     #[test]
     fn metric_flag_parses_on_scenario_subcommands() {
         use mule_workload::MetricSpec;
-        assert_eq!(CliOptions::default().metric, MetricSpec::Euclidean);
+        assert_eq!(CliOptions::default().spec.metric, MetricSpec::Euclidean);
         let CliCommand::Simulate(opts) = parse_args(&argv("simulate --metric road")).unwrap()
         else {
             panic!()
         };
-        assert_eq!(opts.metric, MetricSpec::Road(mule_road::RoadNetKind::Grid));
+        assert_eq!(
+            opts.spec.metric,
+            MetricSpec::Road(mule_road::RoadNetKind::Grid)
+        );
         let CliCommand::Plan(opts) = parse_args(&argv("plan --metric road-planar")).unwrap() else {
             panic!()
         };
         assert_eq!(
-            opts.metric,
+            opts.spec.metric,
             MetricSpec::Road(mule_road::RoadNetKind::Planar)
         );
         let CliCommand::Render(opts) = parse_args(&argv("render --metric EUCLIDEAN")).unwrap()
         else {
             panic!()
         };
-        assert_eq!(opts.metric, MetricSpec::Euclidean);
+        assert_eq!(opts.spec.metric, MetricSpec::Euclidean);
         assert!(matches!(
             parse_args(&argv("simulate --metric warp")).unwrap_err(),
             CliError::InvalidValue { flag, .. } if flag == "--metric"
@@ -1588,31 +1334,15 @@ mod tests {
         else {
             panic!("expected plan");
         };
-        assert_eq!(opts.targets, 12);
-        assert_eq!(opts.mules, 3);
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.planner, PlannerChoice::Chb);
+        let expected = ScenarioSpec {
+            targets: 12,
+            mules: 3,
+            seed: 7,
+            planner: "chb".into(),
+            ..ScenarioSpec::default()
+        };
+        assert_eq!(opts.spec, expected);
         assert!(USAGE.contains("plan"));
-    }
-
-    #[test]
-    fn canonical_planner_names_parse_back_to_the_same_choice() {
-        for choice in [
-            PlannerChoice::BTctp,
-            PlannerChoice::WTctpShortest,
-            PlannerChoice::WTctpBalancing,
-            PlannerChoice::RwTctp,
-            PlannerChoice::Chb,
-            PlannerChoice::Sweep,
-            PlannerChoice::Random,
-        ] {
-            assert_eq!(
-                PlannerChoice::parse(choice.canonical_name()).unwrap(),
-                choice,
-                "{}",
-                choice.canonical_name()
-            );
-        }
     }
 
     #[test]
@@ -1621,7 +1351,7 @@ mod tests {
             panic!("expected serve");
         };
         assert_eq!(opts, ServeOptions::default());
-        assert_eq!(opts.addr, "127.0.0.1:7878");
+        assert_eq!(opts.config.addr, "127.0.0.1:7878");
 
         let cmd = parse_args(&argv(
             "serve --addr 0.0.0.0:9000 --workers 8 --cache-size 256 --queue-depth 32",
@@ -1630,10 +1360,10 @@ mod tests {
         let CliCommand::Serve(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.addr, "0.0.0.0:9000");
-        assert_eq!(opts.workers, 8);
-        assert_eq!(opts.cache_size, 256);
-        assert_eq!(opts.queue_depth, 32);
+        assert_eq!(opts.config.addr, "0.0.0.0:9000");
+        assert_eq!(opts.config.workers, 8);
+        assert_eq!(opts.config.cache_capacity, 256);
+        assert_eq!(opts.config.queue_depth, 32);
 
         // Worker/queue floors: zero would deadlock the daemon.
         let CliCommand::Serve(opts) =
@@ -1641,13 +1371,13 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(opts.workers, 1);
-        assert_eq!(opts.queue_depth, 1);
+        assert_eq!(opts.config.workers, 1);
+        assert_eq!(opts.config.queue_depth, 1);
         // Cache size zero is a legal "caching off" configuration.
         let CliCommand::Serve(opts) = parse_args(&argv("serve --cache-size 0")).unwrap() else {
             panic!()
         };
-        assert_eq!(opts.cache_size, 0);
+        assert_eq!(opts.config.cache_capacity, 0);
 
         assert!(matches!(
             parse_args(&argv("serve --targets 5")).unwrap_err(),
@@ -1662,9 +1392,9 @@ mod tests {
         // Everything off by default: the hardened paths must be opt-in so
         // the golden server bytes stay untouched.
         let defaults = ServeOptions::default();
-        assert!(defaults.deadline_ms.is_none());
-        assert!(defaults.breaker_threshold.is_none());
-        assert!(!defaults.degraded);
+        assert!(defaults.config.deadline.is_none());
+        assert!(defaults.config.breaker_threshold.is_none());
+        assert!(!defaults.config.degraded);
         assert!(defaults.fault_plan.is_none());
 
         let cmd = parse_args(&argv(
@@ -1675,10 +1405,11 @@ mod tests {
         let CliCommand::Serve(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.deadline_ms, Some(500));
-        assert_eq!(opts.breaker_threshold, Some(3));
-        assert_eq!(opts.breaker_cooldown_ms, 250);
-        assert!(opts.degraded);
+        let ms = Duration::from_millis;
+        assert_eq!(opts.config.deadline, Some(ms(500)));
+        assert_eq!(opts.config.breaker_threshold, Some(3));
+        assert_eq!(opts.config.breaker_cooldown, ms(250));
+        assert!(opts.config.degraded);
         assert_eq!(opts.fault_plan.as_deref(), Some("serve.plan=panic@0.2"));
         assert_eq!(opts.fault_seed, 99);
 
@@ -1689,9 +1420,9 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        assert_eq!(opts.deadline_ms, Some(1));
-        assert_eq!(opts.breaker_threshold, Some(1));
-        assert_eq!(opts.breaker_cooldown_ms, 1);
+        assert_eq!(opts.config.deadline, Some(Duration::from_millis(1)));
+        assert_eq!(opts.config.breaker_threshold, Some(1));
+        assert_eq!(opts.config.breaker_cooldown, Duration::from_millis(1));
         assert!(USAGE.contains("--fault-plan"));
         assert!(USAGE.contains("--breaker"));
         assert!(USAGE.contains("--degraded"));
@@ -1702,9 +1433,9 @@ mod tests {
         // Telemetry is opt-in: no debug surface, 1 % sampling, no SLO,
         // info-level logging by default.
         let defaults = ServeOptions::default();
-        assert!(!defaults.debug_endpoints);
-        assert_eq!(defaults.trace_sample, 0.01);
-        assert!(defaults.slo.is_none());
+        assert!(!defaults.config.debug_endpoints);
+        assert_eq!(defaults.config.trace_sample_rate, 0.01);
+        assert!(defaults.config.slo.is_none());
         assert_eq!(defaults.log_level, mule_obs::log::Severity::Info);
 
         let cmd = parse_args(&argv(
@@ -1715,9 +1446,9 @@ mod tests {
         let CliCommand::Serve(opts) = cmd else {
             panic!()
         };
-        assert!(opts.debug_endpoints);
-        assert_eq!(opts.trace_sample, 0.5);
-        let slo = opts.slo.unwrap();
+        assert!(opts.config.debug_endpoints);
+        assert_eq!(opts.config.trace_sample_rate, 0.5);
+        let slo = opts.config.slo.unwrap();
         assert_eq!(slo.p99_ms, Some(250.0));
         assert_eq!(slo.availability_pct, Some(99.9));
         assert_eq!(opts.log_level, mule_obs::log::Severity::Debug);
@@ -1743,8 +1474,8 @@ mod tests {
 
     #[test]
     fn loadgen_duration_warmup_and_slo_flags() {
-        let defaults = LoadgenOptions::default();
-        assert!(defaults.duration_s.is_none());
+        let defaults = LoadgenOptions::default().params;
+        assert!(defaults.duration.is_none());
         assert_eq!(defaults.warmup, 0);
         assert!(defaults.slo.is_none());
 
@@ -1755,9 +1486,9 @@ mod tests {
         let CliCommand::Loadgen(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.duration_s, Some(30.0));
-        assert_eq!(opts.warmup, 100);
-        assert_eq!(opts.slo.unwrap().p99_ms, Some(250.0));
+        assert_eq!(opts.params.duration, Some(Duration::from_secs(30)));
+        assert_eq!(opts.params.warmup, 100);
+        assert_eq!(opts.params.slo.unwrap().p99_ms, Some(250.0));
 
         // A non-positive duration would spin forever or not at all.
         assert!(matches!(
@@ -1792,9 +1523,9 @@ mod tests {
         assert_eq!(opts.seed, 11);
         assert_eq!(opts.requests, 80);
         assert_eq!(opts.spec_pool, 2);
-        assert_eq!(opts.targets, 8);
-        assert_eq!(opts.mules, 3);
-        assert_eq!(opts.planner, PlannerChoice::Chb);
+        assert_eq!(opts.base.targets, 8);
+        assert_eq!(opts.base.mules, 3);
+        assert_eq!(opts.base.planner, "chb");
         assert_eq!(opts.fault_plan.as_deref(), Some("serve.plan=panic#2"));
         assert_eq!(opts.deadline_ms, 300);
 
@@ -1811,8 +1542,8 @@ mod tests {
             panic!("expected loadgen");
         };
         assert_eq!(opts, LoadgenOptions::default());
-        assert_eq!(opts.requests, 1000);
-        assert_eq!(opts.connections, 4);
+        assert_eq!(opts.params.requests, 1000);
+        assert_eq!(opts.params.connections, 4);
         assert!(opts.max_p99_ms.is_none());
 
         let cmd = parse_args(&argv(
@@ -1824,14 +1555,15 @@ mod tests {
         let CliCommand::Loadgen(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.addr, "127.0.0.1:7979");
-        assert_eq!(opts.requests, 2000);
-        assert_eq!(opts.connections, 8);
-        assert_eq!(opts.spec_pool, 16);
-        assert_eq!(opts.targets, 12);
-        assert_eq!(opts.mules, 3);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.planner, PlannerChoice::Chb);
+        let p = &opts.params;
+        assert_eq!(p.addr, "127.0.0.1:7979");
+        assert_eq!(p.requests, 2000);
+        assert_eq!(p.connections, 8);
+        assert_eq!(p.spec_pool, 16);
+        assert_eq!(p.base.targets, 12);
+        assert_eq!(p.base.mules, 3);
+        assert_eq!(p.base.seed, 9);
+        assert_eq!(p.base.planner, "chb");
         assert_eq!(opts.json_path.as_deref(), Some("BENCH_server.json"));
         assert_eq!(opts.max_p99_ms, Some(250.0));
         assert_eq!(opts.min_rps, Some(50.0));
@@ -1839,8 +1571,8 @@ mod tests {
         let CliCommand::Loadgen(opts) = parse_args(&argv("loadgen --retries 0")).unwrap() else {
             panic!()
         };
-        assert_eq!(opts.retries, 0, "--retries 0 disables retrying");
-        assert_eq!(LoadgenOptions::default().retries, 3);
+        assert_eq!(opts.params.retry_budget, 0, "--retries 0 disables retrying");
+        assert_eq!(LoadgenOptions::default().params.retry_budget, 3);
 
         assert!(matches!(
             parse_args(&argv("loadgen --svg x.svg")).unwrap_err(),
@@ -1887,8 +1619,8 @@ mod tests {
         let CliCommand::Serve(opts) = parse_args(&argv("serve --slow-ms 250")).unwrap() else {
             panic!()
         };
-        assert_eq!(opts.slow_ms, Some(250.0));
-        assert!(ServeOptions::default().slow_ms.is_none());
+        assert_eq!(opts.config.slow_request_ms, Some(250.0));
+        assert!(ServeOptions::default().config.slow_request_ms.is_none());
 
         assert!(matches!(
             parse_args(&argv("plan --trace-out")).unwrap_err(),

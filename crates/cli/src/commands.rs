@@ -5,8 +5,8 @@
 
 use crate::args::{
     BenchRoutesOptions, BenchScaleOptions, BenchToursOptions, ChaosOptions, CliCommand, CliError,
-    CliOptions, DisruptionPreset, DynamicsOptions, LoadgenOptions, PlannerChoice, ServeOptions,
-    SweepOptions, USAGE,
+    CliOptions, DisruptionPreset, DynamicsOptions, LoadgenOptions, ServeOptions, SweepOptions,
+    USAGE,
 };
 use mule_bench::routebench::run_route_bench;
 use mule_bench::scalebench::run_scale_bench;
@@ -16,15 +16,11 @@ use mule_metrics::{
     DcdtSeries, EnergyEfficiencyReport, FairnessReport, IntervalReport, PhaseDelayReport,
     SweepReport, TextTable,
 };
-use mule_sim::{DynamicSimulation, Simulation, SimulationConfig, SimulationOutcome};
+use mule_serve::api::{planner_kind, sim_config_for};
+use mule_sim::{DynamicSimulation, Simulation, SimulationOutcome};
 use mule_viz::{plan_to_svg, render_plan, render_scenario, SvgStyle};
-use mule_workload::{
-    DisruptionConfig, DisruptionPlan, Scenario, ScenarioConfig, ScenarioSpec, SweepSpec,
-};
-use patrol_core::baselines::{ChbPlanner, RandomPlanner, SweepPlanner};
-use patrol_core::{
-    BTctp, BreakEdgePolicy, PatrolPlan, PlanError, Planner, ReplanWithPlanner, RwTctp, WTctp,
-};
+use mule_workload::{DisruptionConfig, DisruptionPlan, Scenario, ScenarioSpec, SweepSpec};
+use patrol_core::{PatrolPlan, PlanError, PlannerKind, ReplanWithPlanner};
 
 /// Result of running a command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,80 +78,8 @@ impl From<std::io::Error> for CommandError {
     }
 }
 
-/// The service-layer scenario spec the CLI options describe. This is the
-/// single source of truth for flag → scenario mapping: both the offline
-/// commands (via [`build_scenario_config`]) and the serving path
-/// (`patrolctl plan`, `loadgen`, the server) build their scenarios from a
-/// [`ScenarioSpec`], so the two front ends cannot drift.
-pub fn spec_from_options(options: &CliOptions) -> ScenarioSpec {
-    ScenarioSpec {
-        targets: options.targets,
-        mules: options.mules,
-        seed: options.seed,
-        vips: options.vips,
-        vip_weight: options.vip_weight,
-        recharge: options.recharge,
-        planner: options.planner.canonical_name().to_string(),
-        horizon_s: options.horizon_s,
-        metric: options.metric,
-    }
-}
-
-/// Builds the scenario configuration described by the CLI options.
-pub fn build_scenario_config(options: &CliOptions) -> ScenarioConfig {
-    spec_from_options(options).scenario_config()
-}
-
-/// Builds the scenario described by the CLI options.
-pub fn build_scenario(options: &CliOptions) -> Scenario {
-    build_scenario_config(options).generate()
-}
-
-/// The simulation configuration the CLI options imply: full energy
-/// accounting only when a recharge station is present, pure timing
-/// otherwise.
-fn sim_config_for(options: &CliOptions) -> SimulationConfig {
-    if options.recharge {
-        SimulationConfig::default()
-    } else {
-        SimulationConfig::timing_only()
-    }
-}
-
-/// The circuit-construction configuration the CLI options imply: default
-/// pass budgets with the selected tour-search mode.
-pub fn chb_config_for(options: &CliOptions) -> ChbConfig {
-    ChbConfig::default().with_search(options.search.to_mode(options.knn))
-}
-
-/// Instantiates the planner selected on the command line with the default
-/// circuit construction.
-pub fn build_planner(choice: PlannerChoice) -> Box<dyn Planner> {
-    build_planner_with(choice, ChbConfig::default())
-}
-
-/// Instantiates the planner selected on the command line, threading the
-/// circuit-construction configuration (pass budgets + search mode) through
-/// to every planner that builds a Hamiltonian circuit. The Random baseline
-/// plans no circuit and ignores it.
-pub fn build_planner_with(choice: PlannerChoice, chb: ChbConfig) -> Box<dyn Planner> {
-    match choice {
-        PlannerChoice::BTctp => Box::new(BTctp::new().with_chb(chb)),
-        PlannerChoice::WTctpShortest => {
-            Box::new(WTctp::new(BreakEdgePolicy::ShortestLength).with_chb(chb))
-        }
-        PlannerChoice::WTctpBalancing => {
-            Box::new(WTctp::new(BreakEdgePolicy::BalancingLength).with_chb(chb))
-        }
-        PlannerChoice::RwTctp => Box::new(RwTctp::default().with_chb(chb)),
-        PlannerChoice::Chb => Box::new(ChbPlanner::new().with_chb(chb)),
-        PlannerChoice::Sweep => Box::new(SweepPlanner::new().with_chb(chb)),
-        PlannerChoice::Random => Box::new(RandomPlanner::new()),
-    }
-}
-
-fn simulate(scenario: &Scenario, plan: &PatrolPlan, options: &CliOptions) -> SimulationOutcome {
-    Simulation::with_config(scenario, plan, sim_config_for(options)).run_for(options.horizon_s)
+fn simulate(scenario: &Scenario, plan: &PatrolPlan, spec: &ScenarioSpec) -> SimulationOutcome {
+    Simulation::with_config(scenario, plan, sim_config_for(spec)).run_for(spec.horizon_s)
 }
 
 fn metrics_text(plan: &PatrolPlan, outcome: &SimulationOutcome) -> String {
@@ -202,13 +126,14 @@ fn metrics_text(plan: &PatrolPlan, outcome: &SimulationOutcome) -> String {
 }
 
 fn run_render(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let scenario = build_scenario(options);
-    let planner = build_planner_with(options.planner, chb_config_for(options));
+    let spec = &options.spec;
+    let scenario = spec.scenario_config().generate();
+    let planner = planner_kind(spec).map_err(api_error)?.build();
     let width = options.canvas_width.clamp(20, 200);
     let height = width / 2;
     let mut text = format!(
         "scenario: {} targets, {} mules, seed {}\n\n",
-        options.targets, options.mules, options.seed
+        spec.targets, spec.mules, spec.seed
     );
     // Road scenarios get a network summary plus travel-metric
     // connectivity: two geometrically close targets separated by deleted
@@ -249,10 +174,10 @@ fn run_render(options: &CliOptions) -> Result<CommandOutput, CommandError> {
 }
 
 fn run_simulate(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let scenario = build_scenario(options);
-    let planner = build_planner_with(options.planner, chb_config_for(options));
+    let scenario = options.spec.scenario_config().generate();
+    let planner = planner_kind(&options.spec).map_err(api_error)?.build();
     let plan = planner.plan(&scenario)?;
-    let outcome = simulate(&scenario, &plan, options);
+    let outcome = simulate(&scenario, &plan, &options.spec);
 
     let mut output = CommandOutput::text_only(metrics_text(&plan, &outcome));
 
@@ -274,19 +199,14 @@ fn run_simulate(options: &CliOptions) -> Result<CommandOutput, CommandError> {
 }
 
 fn run_compare(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let scenario = build_scenario(options);
-    let mut choices = vec![
-        PlannerChoice::Random,
-        PlannerChoice::Sweep,
-        PlannerChoice::Chb,
-        PlannerChoice::BTctp,
-    ];
-    if options.vips > 0 {
-        choices.push(PlannerChoice::WTctpShortest);
-        choices.push(PlannerChoice::WTctpBalancing);
+    let spec = &options.spec;
+    let scenario = spec.scenario_config().generate();
+    let mut names = vec!["random", "sweep", "chb", "b-tctp"];
+    if spec.vips > 0 {
+        names.extend(["w-tctp-shortest", "w-tctp-balancing"]);
     }
-    if options.recharge {
-        choices.push(PlannerChoice::RwTctp);
+    if spec.recharge {
+        names.push("rw-tctp");
     }
 
     let mut table = TextTable::new(vec![
@@ -297,20 +217,20 @@ fn run_compare(options: &CliOptions) -> Result<CommandOutput, CommandError> {
         "path (m)",
         "survived",
     ]);
-    for choice in choices {
-        let planner = build_planner_with(choice, chb_config_for(options));
-        let plan = match planner.plan(&scenario) {
+    for name in names {
+        let kind = PlannerKind::lookup(name).expect("compare names table planners");
+        let plan = match kind.build().plan(&scenario) {
             Ok(p) => p,
             Err(e) => {
-                table.add_row(vec![choice.label().to_string(), format!("error: {e}")]);
+                table.add_row(vec![kind.label.to_string(), format!("error: {e}")]);
                 continue;
             }
         };
-        let outcome = simulate(&scenario, &plan, options);
+        let outcome = simulate(&scenario, &plan, spec);
         let intervals = IntervalReport::from_outcome(&outcome);
         let dcdt = DcdtSeries::from_outcome(&outcome);
         table.add_row(vec![
-            choice.label().to_string(),
+            kind.label.to_string(),
             format!("{:.0}", intervals.max_interval()),
             format!("{:.1}", intervals.average_sd()),
             format!("{:.0}", dcdt.average_dcdt(2)),
@@ -322,8 +242,8 @@ fn run_compare(options: &CliOptions) -> Result<CommandOutput, CommandError> {
 }
 
 fn run_dynamics(options: &DynamicsOptions) -> Result<CommandOutput, CommandError> {
-    let base = &options.base;
-    let scenario = build_scenario(base);
+    let base = &options.base.spec;
+    let scenario = base.scenario_config().generate();
     let disruption_config = DisruptionConfig {
         seed: base.seed,
         horizon_s: base.horizon_s,
@@ -339,15 +259,15 @@ fn run_dynamics(options: &DynamicsOptions) -> Result<CommandOutput, CommandError
     // Plan on the world as it looks at t = 0: late-arriving targets are
     // not yet known to the planner, so they are excluded until their
     // arrival triggers a replan.
-    let planner = build_planner_with(base.planner, chb_config_for(base));
+    let kind = planner_kind(base).map_err(api_error)?;
     let initial_world = scenario.restricted(
         &disruptions.late_target_ids(),
         scenario.mule_starts().to_vec(),
     );
-    let plan = planner.plan(&initial_world)?;
+    let plan = kind.build().plan(&initial_world)?;
 
     let sim_config = sim_config_for(base);
-    let replanner = ReplanWithPlanner::new(build_planner_with(base.planner, chb_config_for(base)));
+    let replanner = ReplanWithPlanner::new(kind.build());
     let mut sim = DynamicSimulation::new(&scenario, &plan, &disruptions).with_config(sim_config);
     if !options.no_replan {
         sim = sim.with_replanner(&replanner);
@@ -414,8 +334,8 @@ fn preset_to_config(preset: DisruptionPreset, horizon_s: f64) -> Option<Disrupti
 }
 
 fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
-    let base = &options.base;
-    let spec = SweepSpec::new(build_scenario_config(base))
+    let base = &options.base.spec;
+    let spec = SweepSpec::new(base.scenario_config())
         .with_seeds(options.seeds.clone())
         .with_mule_counts(options.mule_counts.clone())
         .with_speeds(options.speeds.clone())
@@ -430,9 +350,8 @@ fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
         .with_horizon(base.horizon_s);
 
     let sim_config = sim_config_for(base);
-    let choice = base.planner;
-    let chb = chb_config_for(base);
-    let factory = move || build_planner_with(choice, chb);
+    let kind = planner_kind(base).map_err(api_error)?;
+    let factory = move || kind.build();
     let cells = mule_sim::run_sweep(&factory, &spec, &sim_config, options.workers);
     let report = SweepReport::from_cells(&cells);
 
@@ -446,7 +365,7 @@ fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
         spec.cell_count(),
         spec.replicas,
         spec.run_count(),
-        choice.label(),
+        kind.label,
         spec.horizon_s,
         workers_label,
     );
@@ -460,7 +379,7 @@ fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
     }
 
     let mut output = CommandOutput::text_only(text);
-    if let Some(path) = &base.csv_prefix {
+    if let Some(path) = &options.base.csv_prefix {
         std::fs::write(path, report.to_csv())?;
         output.files_written.push(path.clone());
     }
@@ -598,8 +517,7 @@ fn api_error(e: mule_serve::ApiError) -> CommandError {
 /// flags — byte-identical to what a server answers on `POST /v1/plan`
 /// for the same spec (the CI smoke job diffs the two).
 fn run_plan(options: &CliOptions) -> Result<CommandOutput, CommandError> {
-    let spec = spec_from_options(options);
-    let json = mule_serve::plan_response_json(&spec).map_err(api_error)?;
+    let json = mule_serve::plan_response_json(&options.spec).map_err(api_error)?;
     Ok(CommandOutput::text_only(json))
 }
 
@@ -622,28 +540,14 @@ fn run_serve(options: &ServeOptions) -> Result<CommandOutput, CommandError> {
         );
         mule_fault::arm(plan);
     }
-    let config = mule_serve::ServerConfig {
-        addr: options.addr.clone(),
-        workers: options.workers,
-        cache_capacity: options.cache_size,
-        queue_depth: options.queue_depth,
-        slow_request_ms: options.slow_ms,
-        deadline: options.deadline_ms.map(std::time::Duration::from_millis),
-        breaker_threshold: options.breaker_threshold,
-        breaker_cooldown: std::time::Duration::from_millis(options.breaker_cooldown_ms),
-        degraded: options.degraded,
-        debug_endpoints: options.debug_endpoints,
-        trace_sample_rate: options.trace_sample,
-        slo: options.slo.clone(),
-        ..mule_serve::ServerConfig::default()
-    };
-    let server = mule_serve::start(config)?;
+    let config = &options.config;
+    let server = mule_serve::start(config.clone())?;
     emit(
         LogEvent::new(Severity::Info, "serve.listening")
             .field("addr", server.addr().to_string())
-            .field("workers", options.workers)
-            .field("debug_endpoints", options.debug_endpoints)
-            .field("slo", options.slo.is_some()),
+            .field("workers", config.workers)
+            .field("debug_endpoints", config.debug_endpoints)
+            .field("slo", config.slo.is_some()),
     );
     loop {
         std::thread::park();
@@ -653,32 +557,13 @@ fn run_serve(options: &ServeOptions) -> Result<CommandOutput, CommandError> {
 /// `patrolctl loadgen`: drive a running server and report/gate the
 /// results.
 fn run_loadgen(options: &LoadgenOptions) -> Result<CommandOutput, CommandError> {
-    let base = ScenarioSpec {
-        targets: options.targets,
-        mules: options.mules,
-        seed: options.seed,
-        planner: options.planner.canonical_name().to_string(),
-        ..ScenarioSpec::default()
-    };
-    let params = mule_serve::LoadgenParams {
-        addr: options.addr.clone(),
-        requests: options.requests,
-        duration: options.duration_s.map(std::time::Duration::from_secs_f64),
-        warmup: options.warmup,
-        slo: options.slo.clone(),
-        connections: options.connections,
-        spec_pool: options.spec_pool,
-        base,
-        retry_budget: options.retries,
-        ..mule_serve::LoadgenParams::default()
-    };
-    let report = mule_serve::run_loadgen(&params);
+    let report = mule_serve::run_loadgen(&options.params);
     let text = report.render();
     report_then_gate(text, report.to_json(), options.json_path.as_ref(), |_| {
         gate(report.ok == 0, || {
             format!(
                 "no request succeeded against {} ({} errors) — is the server up?",
-                options.addr, report.errors
+                options.params.addr, report.errors
             )
         })?;
         if let Some(bound) = options.max_p99_ms {
@@ -924,11 +809,8 @@ fn run_chaos(options: &ChaosOptions) -> Result<CommandOutput, CommandError> {
     let mut expected = Vec::new();
     for k in 0..options.spec_pool {
         let spec = ScenarioSpec {
-            targets: options.targets,
-            mules: options.mules,
-            seed: 1 + k as u64,
-            planner: options.planner.canonical_name().to_string(),
-            ..ScenarioSpec::default()
+            seed: options.base.seed + k as u64,
+            ..options.base.clone()
         };
         expected.push(
             mule_serve::plan_response_json(&spec)
@@ -1083,10 +965,13 @@ mod tests {
 
     fn options() -> CliOptions {
         CliOptions {
-            targets: 8,
-            mules: 3,
-            seed: 4,
-            horizon_s: 15_000.0,
+            spec: ScenarioSpec {
+                targets: 8,
+                mules: 3,
+                seed: 4,
+                horizon_s: 15_000.0,
+                ..ScenarioSpec::default()
+            },
             ..CliOptions::default()
         }
     }
@@ -1166,9 +1051,9 @@ mod tests {
     #[test]
     fn simulate_with_rwtctp_needs_and_gets_a_station() {
         let mut opts = options();
-        opts.planner = PlannerChoice::RwTctp;
-        opts.recharge = true;
-        opts.vips = 1;
+        opts.spec.planner = "rw-tctp".into();
+        opts.spec.recharge = true;
+        opts.spec.vips = 1;
         let out = run_command(&CliCommand::Simulate(opts)).unwrap();
         assert!(out.text.contains("RW-TCTP"));
         assert!(out.text.contains("fleet survived: true"));
@@ -1202,7 +1087,7 @@ mod tests {
         // Weighted planners only appear when VIPs are requested.
         assert!(!out.text.contains("W-TCTP"));
         let mut with_vips = options();
-        with_vips.vips = 2;
+        with_vips.spec.vips = 2;
         let out2 = run_command(&CliCommand::Compare(with_vips)).unwrap();
         assert!(out2.text.contains("W-TCTP (shortest)"));
     }
@@ -1251,13 +1136,8 @@ mod tests {
         let a = run_command(&CliCommand::Dynamics(opts.clone())).unwrap();
         let b = run_command(&CliCommand::Dynamics(opts.clone())).unwrap();
         assert_eq!(a, b, "same seed must reproduce the same report");
-        let other_seed = DynamicsOptions {
-            base: CliOptions {
-                seed: 99,
-                ..opts.base.clone()
-            },
-            ..opts
-        };
+        let mut other_seed = opts;
+        other_seed.base.spec.seed = 99;
         let c = run_command(&CliCommand::Dynamics(other_seed)).unwrap();
         assert_ne!(a, c, "a different seed should disrupt differently");
     }
@@ -1277,8 +1157,11 @@ mod tests {
     fn sweep_options() -> SweepOptions {
         SweepOptions {
             base: CliOptions {
-                targets: 6,
-                horizon_s: 5_000.0,
+                spec: ScenarioSpec {
+                    targets: 6,
+                    horizon_s: 5_000.0,
+                    ..ScenarioSpec::default()
+                },
                 ..CliOptions::default()
             },
             seeds: vec![1, 2],
@@ -1499,10 +1382,7 @@ mod tests {
     #[test]
     fn road_metric_threads_from_flags_to_plans_and_simulations() {
         let mut opts = options();
-        opts.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
-        // The spec carries the metric, so `plan` and the server agree.
-        let spec = spec_from_options(&opts);
-        assert_eq!(spec.metric, opts.metric);
+        opts.spec.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
         let out = run_command(&CliCommand::Plan(opts.clone())).unwrap();
         assert!(out.text.contains("\"metric\": \"road-grid\""));
         assert!(out.text.contains("\"path\""), "road geometry in response");
@@ -1522,7 +1402,7 @@ mod tests {
     #[test]
     fn render_reports_the_road_network_and_its_connectivity() {
         let mut opts = options();
-        opts.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
+        opts.spec.metric = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
         let out = run_command(&CliCommand::Render(opts)).unwrap();
         assert!(out.text.contains("road network (road-grid):"));
         assert!(out.text.contains("patrolled connectivity"));
@@ -1533,38 +1413,36 @@ mod tests {
     }
 
     #[test]
-    fn search_mode_threads_through_to_identical_small_scenario_plans() {
-        // At paper sizes, auto and exact must produce byte-identical
-        // reports (the determinism contract); candidates may differ but
-        // must still run every planner successfully.
-        let base = options();
-        let mut exact = options();
-        exact.search = crate::args::SearchChoice::Exact;
-        let a = run_command(&CliCommand::Simulate(base)).unwrap();
-        let b = run_command(&CliCommand::Simulate(exact)).unwrap();
-        assert_eq!(a, b);
-
-        let mut cand = options();
-        cand.search = crate::args::SearchChoice::Candidates;
-        cand.knn = Some(6);
-        let c = run_command(&CliCommand::Simulate(cand)).unwrap();
-        assert!(c.text.contains("planner: B-TCTP"));
-    }
-
-    #[test]
-    fn spec_from_options_mirrors_the_scenario_mapping() {
-        let mut opts = options();
-        opts.vips = 2;
-        opts.vip_weight = 3;
-        opts.recharge = true;
-        opts.planner = PlannerChoice::RwTctp;
-        let spec = spec_from_options(&opts);
-        assert_eq!(spec.targets, 8);
-        assert_eq!(spec.planner, "rw-tctp");
-        assert_eq!(spec.horizon_s, 15_000.0);
-        // The config built through the spec is the config the offline
-        // commands use — one mapping, two front ends.
-        assert_eq!(spec.scenario_config(), build_scenario_config(&opts));
+    fn every_planner_spelling_plans_the_canonical_spec_bytes() {
+        // `--planner <alias>` canonicalises, so the spec echo and every
+        // other byte match the service document for the canonical name.
+        for kind in &patrol_core::PLANNERS {
+            let canonical = ScenarioSpec {
+                targets: 12,
+                mules: 3,
+                seed: 7,
+                vips: 2,
+                recharge: true,
+                planner: kind.name.to_string(),
+                ..ScenarioSpec::default()
+            };
+            let expected = mule_serve::plan_response_json(&canonical).unwrap();
+            for spelling in std::iter::once(&kind.name).chain(kind.aliases) {
+                let argv: Vec<String> = format!(
+                    "plan --targets 12 --mules 3 --seed 7 --vips 2 --recharge --planner {spelling}"
+                )
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+                let command = crate::args::parse_args(&argv).unwrap();
+                let CliCommand::Plan(opts) = &command else {
+                    panic!("expected plan")
+                };
+                assert_eq!(opts.spec.planner, kind.name, "{spelling}");
+                let out = run_command(&command).unwrap();
+                assert_eq!(out.text, expected, "{spelling}");
+            }
+        }
     }
 
     #[test]
@@ -1573,13 +1451,13 @@ mod tests {
         assert!(out.files_written.is_empty());
         // Byte-identical to the service-layer computation for the same
         // spec — the contract the CI smoke job diffs over HTTP.
-        let expected = mule_serve::plan_response_json(&spec_from_options(&options())).unwrap();
+        let expected = mule_serve::plan_response_json(&options().spec).unwrap();
         assert_eq!(out.text, expected);
         assert!(out.text.contains("\"schema\": \"plan-response/v1\""));
         assert!(out.text.ends_with('\n'));
 
         let mut bad = options();
-        bad.mules = 0;
+        bad.spec.mules = 0;
         let err = run_command(&CliCommand::Plan(bad)).unwrap_err();
         assert!(err.to_string().contains("planning failed"));
     }
@@ -1587,9 +1465,12 @@ mod tests {
     #[test]
     fn loadgen_against_a_dead_address_fails_the_gate() {
         let opts = LoadgenOptions {
-            addr: "127.0.0.1:1".to_string(),
-            requests: 4,
-            connections: 2,
+            params: mule_serve::LoadgenParams {
+                addr: "127.0.0.1:1".to_string(),
+                requests: 4,
+                connections: 2,
+                ..mule_serve::LoadgenParams::default()
+            },
             ..LoadgenOptions::default()
         };
         let err = run_command(&CliCommand::Loadgen(opts)).unwrap_err();
@@ -1599,7 +1480,7 @@ mod tests {
     #[test]
     fn planning_errors_surface_as_command_errors() {
         let mut opts = options();
-        opts.mules = 0;
+        opts.spec.mules = 0;
         let err = run_command(&CliCommand::Simulate(opts)).unwrap_err();
         assert!(err.to_string().contains("planning failed"));
     }

@@ -19,5 +19,5 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{parse_args, CliCommand, CliError, CliOptions, PlannerChoice};
+pub use args::{parse_args, CliCommand, CliError, CliOptions};
 pub use commands::{run_command, CommandOutput};

@@ -6,7 +6,8 @@
 //! `plan_prints_the_service_response_document`.)
 
 use mule_serve::json::{parse, JsonValue};
-use mule_serve::ServerConfig;
+use mule_serve::{LoadgenParams, ServerConfig};
+use mule_workload::ScenarioSpec;
 use patrol_cli::args::LoadgenOptions;
 use patrol_cli::{run_command, CliCommand};
 use std::time::Duration;
@@ -23,6 +24,11 @@ fn start_server() -> mule_serve::ServerHandle {
     .expect("server start")
 }
 
+/// The base spec both runs rotate over: 8 targets, 3 mules, seed 1.
+fn base_spec() -> ScenarioSpec {
+    ScenarioSpec::default().with_targets(8).with_mules(3)
+}
+
 #[test]
 fn loadgen_drives_a_thousand_requests_and_writes_the_benchmark() {
     let server = start_server();
@@ -31,24 +37,24 @@ fn loadgen_drives_a_thousand_requests_and_writes_the_benchmark() {
     let json_path = dir.join("BENCH_server.json").to_string_lossy().into_owned();
 
     let options = LoadgenOptions {
-        addr: server.addr().to_string(),
-        requests: 1000,
-        connections: 4,
-        spec_pool: 4,
-        targets: 8,
-        mules: 3,
-        seed: 1,
+        params: LoadgenParams {
+            addr: server.addr().to_string(),
+            requests: 1000,
+            connections: 4,
+            spec_pool: 4,
+            base: base_spec(),
+            warmup: 10,
+            slo: Some(mule_obs::SloSpec {
+                p99_ms: Some(60_000.0),
+                availability_pct: Some(99.0),
+            }),
+            ..LoadgenParams::default()
+        },
         json_path: Some(json_path.clone()),
         // Generous gates: the run must pass them on any machine; the
         // failing-gate paths are tested separately below.
         max_p99_ms: Some(60_000.0),
         min_rps: Some(1.0),
-        warmup: 10,
-        slo: Some(mule_obs::SloSpec {
-            p99_ms: Some(60_000.0),
-            availability_pct: Some(99.0),
-        }),
-        ..LoadgenOptions::default()
     };
     let out = run_command(&CliCommand::Loadgen(options)).expect("loadgen run");
 
@@ -138,11 +144,13 @@ fn loadgen_drives_a_thousand_requests_and_writes_the_benchmark() {
 fn loadgen_gates_fail_on_impossible_bounds() {
     let server = start_server();
     let base = LoadgenOptions {
-        addr: server.addr().to_string(),
-        requests: 40,
-        connections: 4,
-        targets: 8,
-        mules: 3,
+        params: LoadgenParams {
+            addr: server.addr().to_string(),
+            requests: 40,
+            connections: 4,
+            base: base_spec(),
+            ..LoadgenParams::default()
+        },
         ..LoadgenOptions::default()
     };
 

@@ -9,27 +9,16 @@
 use crate::btctp::BTctp;
 use crate::plan::{PatrolPlan, PlanError};
 use crate::planner::Planner;
-use mule_graph::ChbConfig;
 use mule_workload::Scenario;
 
 /// The CHB baseline planner.
 #[derive(Debug, Clone, Default)]
-pub struct ChbPlanner {
-    /// Circuit-construction configuration.
-    pub chb: ChbConfig,
-}
+pub struct ChbPlanner;
 
 impl ChbPlanner {
-    /// CHB with the default circuit construction.
+    /// The CHB baseline.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder-style override of the circuit-construction configuration
-    /// (pass budgets and exact/candidate-list search mode).
-    pub fn with_chb(mut self, chb: ChbConfig) -> Self {
-        self.chb = chb;
-        self
+        ChbPlanner
     }
 }
 
@@ -42,11 +31,7 @@ impl Planner for ChbPlanner {
         let _span = mule_obs::span_owned(|| format!("planner.{}", self.name()));
         // CHB is exactly B-TCTP phase 1 without phase 2 (no start-point
         // spreading).
-        let inner = BTctp {
-            chb: self.chb,
-            spread_start_points: false,
-        };
-        let mut plan = inner.plan(scenario)?;
+        let mut plan = BTctp::without_spreading().plan(scenario)?;
         plan.planner_name = self.name().to_string();
         Ok(plan)
     }

@@ -31,15 +31,12 @@ pub enum GroupingStrategy {
 /// The Sweep baseline planner.
 #[derive(Debug, Clone, Default)]
 pub struct SweepPlanner {
-    /// Circuit-construction configuration used for each group's route.
-    pub chb: ChbConfig,
     /// How targets are split into per-mule groups.
     pub grouping: GroupingStrategy,
 }
 
 impl SweepPlanner {
-    /// Sweep with the default per-group circuit construction and angular
-    /// grouping.
+    /// Sweep with angular grouping.
     pub fn new() -> Self {
         Self::default()
     }
@@ -47,16 +44,8 @@ impl SweepPlanner {
     /// Sweep with k-means grouping instead of angular sectors.
     pub fn with_kmeans() -> Self {
         SweepPlanner {
-            chb: ChbConfig::default(),
             grouping: GroupingStrategy::KMeans,
         }
-    }
-
-    /// Builder-style override of the per-group circuit-construction
-    /// configuration (pass budgets and exact/candidate-list search mode).
-    pub fn with_chb(mut self, chb: ChbConfig) -> Self {
-        self.chb = chb;
-        self
     }
 
     /// Splits the targets of `scenario` into `groups` groups with the given
@@ -153,7 +142,8 @@ impl Planner for SweepPlanner {
                     return MuleItinerary::new(m, *start, vec![]);
                 }
                 let positions: Vec<Point> = nodes.iter().map(|(_, p)| *p).collect();
-                let tour = construct_circuit_metric(&positions, scenario.metric(), &self.chb);
+                let tour =
+                    construct_circuit_metric(&positions, scenario.metric(), &ChbConfig::default());
                 let cycle: Vec<Waypoint> = tour
                     .order()
                     .iter()

@@ -21,8 +21,6 @@ use mule_workload::Scenario;
 /// The B-TCTP planner.
 #[derive(Debug, Clone)]
 pub struct BTctp {
-    /// Configuration of the underlying Hamiltonian-circuit construction.
-    pub chb: ChbConfig,
     /// When `false`, the start-point spreading (phase 2) is skipped and
     /// every mule enters the circuit at the point closest to its own start
     /// position. This degenerates B-TCTP into the CHB baseline and exists
@@ -42,7 +40,6 @@ impl BTctp {
     /// B-TCTP as described in the paper (spreading enabled).
     pub fn new() -> Self {
         BTctp {
-            chb: ChbConfig::default(),
             spread_start_points: true,
         }
     }
@@ -50,16 +47,8 @@ impl BTctp {
     /// The ablation variant without start-point spreading.
     pub fn without_spreading() -> Self {
         BTctp {
-            chb: ChbConfig::default(),
             spread_start_points: false,
         }
-    }
-
-    /// Builder-style override of the circuit-construction configuration
-    /// (pass budgets and exact/candidate-list search mode).
-    pub fn with_chb(mut self, chb: ChbConfig) -> Self {
-        self.chb = chb;
-        self
     }
 }
 
@@ -71,7 +60,8 @@ impl Planner for BTctp {
     fn plan(&self, scenario: &Scenario) -> Result<PatrolPlan, PlanError> {
         let _span = mule_obs::span_owned(|| format!("planner.{}", self.name()));
         validate_common(scenario)?;
-        let circuit = SharedCircuit::build(scenario, &self.chb).ok_or(PlanError::NoTargets)?;
+        let circuit =
+            SharedCircuit::build(scenario, &ChbConfig::default()).ok_or(PlanError::NoTargets)?;
         let path = mule_geom::Polyline::closed(circuit.positions());
 
         let itineraries = if self.spread_start_points {

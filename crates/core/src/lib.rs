@@ -15,6 +15,8 @@
 //! All planners implement the [`Planner`] trait: they consume a
 //! [`mule_workload::Scenario`] and produce a [`PatrolPlan`] — one
 //! [`MuleItinerary`] per mule — which the `mule-sim` crate then executes.
+//! The [`registry`] table ([`PLANNERS`]) maps planner names and aliases to
+//! constructors; `patrolctl` and `mule-serve` both resolve names there.
 //!
 //! ## Disruptions and online replanning
 //!
@@ -39,6 +41,7 @@ pub mod deployment;
 pub mod hamiltonian;
 pub mod plan;
 pub mod planner;
+pub mod registry;
 pub mod replan;
 pub mod rwtctp;
 pub mod wtctp;
@@ -46,6 +49,7 @@ pub mod wtctp;
 pub use btctp::BTctp;
 pub use plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
 pub use planner::Planner;
+pub use registry::{PlannerKind, PLANNERS};
 pub use replan::{ReplanContext, ReplanWithPlanner, Replanner};
 pub use rwtctp::RwTctp;
 pub use wtctp::{BreakEdgePolicy, WTctp};

@@ -17,7 +17,6 @@ use crate::plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
 use crate::planner::{validate_common, Planner};
 use crate::wtctp::{BreakEdgePolicy, WTctp};
 use mule_energy::{EnergyModel, PatrolRounds};
-use mule_graph::ChbConfig;
 use mule_workload::Scenario;
 
 /// Upper bound on the number of WPP traversals encoded per recharge period.
@@ -32,8 +31,6 @@ const MAX_ENCODED_ROUNDS: u32 = 256;
 pub struct RwTctp {
     /// Break-edge policy used for the underlying WPP.
     pub policy: BreakEdgePolicy,
-    /// Circuit-construction configuration.
-    pub chb: ChbConfig,
     /// Energy model (battery capacity, movement/collection costs) used to
     /// evaluate Eq. 4.
     pub energy: EnergyModel,
@@ -43,7 +40,6 @@ impl Default for RwTctp {
     fn default() -> Self {
         RwTctp {
             policy: BreakEdgePolicy::default(),
-            chb: ChbConfig::default(),
             energy: EnergyModel::paper_default(),
         }
     }
@@ -106,18 +102,7 @@ impl RwTctp {
 
     /// RW-TCTP with an explicit energy model.
     pub fn with_energy(policy: BreakEdgePolicy, energy: EnergyModel) -> Self {
-        RwTctp {
-            policy,
-            chb: ChbConfig::default(),
-            energy,
-        }
-    }
-
-    /// Builder-style override of the circuit-construction configuration
-    /// (pass budgets and exact/candidate-list search mode).
-    pub fn with_chb(mut self, chb: ChbConfig) -> Self {
-        self.chb = chb;
-        self
+        RwTctp { policy, energy }
     }
 
     /// Builds the WPP, the WRP and the Eq. 4 schedule for `scenario`.
@@ -127,11 +112,7 @@ impl RwTctp {
             .recharge_station()
             .ok_or(PlanError::MissingRechargeStation)?;
 
-        let wtctp = WTctp {
-            policy: self.policy,
-            chb: self.chb,
-        };
-        let wpp = wtctp.build_wpp_waypoints(scenario)?;
+        let wpp = WTctp::new(self.policy).build_wpp_waypoints(scenario)?;
         let wrp = splice_station(&wpp, Waypoint::new(station.id, station.position));
 
         // Eq. 4: r = M_Energy / (|P̂|·c_m + h·c_s), with h the number of

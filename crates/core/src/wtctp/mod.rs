@@ -62,31 +62,20 @@ impl BreakEdgePolicy {
 pub struct WTctp {
     /// Break-edge selection policy.
     pub policy: BreakEdgePolicy,
-    /// Configuration of the underlying Hamiltonian-circuit construction.
-    pub chb: ChbConfig,
 }
 
 impl WTctp {
-    /// W-TCTP with the given policy and default circuit construction.
+    /// W-TCTP with the given policy.
     pub fn new(policy: BreakEdgePolicy) -> Self {
-        WTctp {
-            policy,
-            chb: ChbConfig::default(),
-        }
-    }
-
-    /// Builder-style override of the circuit-construction configuration
-    /// (pass budgets and exact/candidate-list search mode).
-    pub fn with_chb(mut self, chb: ChbConfig) -> Self {
-        self.chb = chb;
-        self
+        WTctp { policy }
     }
 
     /// Builds the weighted patrolling path for `scenario` and returns the
     /// walk as waypoints (shared by all mules). Exposed so RW-TCTP can reuse
     /// it and so benches can measure WPP length directly.
     pub fn build_wpp_waypoints(&self, scenario: &Scenario) -> Result<Vec<Waypoint>, PlanError> {
-        let circuit = SharedCircuit::build(scenario, &self.chb).ok_or(PlanError::NoTargets)?;
+        let circuit =
+            SharedCircuit::build(scenario, &ChbConfig::default()).ok_or(PlanError::NoTargets)?;
         let positions = circuit.positions();
         let ids = circuit.node_ids();
 

@@ -18,10 +18,11 @@
 //! * [`partition`] — angular and k-means target grouping (used by the Sweep
 //!   baseline and the grouping ablation).
 //! * [`chb`] — the packaged pipeline (convex-hull insertion + 2-opt + Or-opt)
-//!   used by the planners: `chb::construct_circuit(points)`. Its
-//!   [`SearchMode`] knob picks exact vs. candidate-list search; the default
-//!   `Auto` keeps paper-size instances byte-identical and switches to
-//!   candidate lists above [`chb::AUTO_EXACT_THRESHOLD`] points. The
+//!   used by the planners: `chb::construct_circuit(points)`. The planners
+//!   always run the default [`SearchMode::Auto`], which keeps paper-size
+//!   instances on the exact (byte-stable) path and switches to candidate
+//!   lists above [`chb::AUTO_EXACT_THRESHOLD`] points; forcing one engine
+//!   ([`ChbConfig::with_search`]) is for benches and tests. The
 //!   metric-aware entry point [`construct_circuit_metric`] additionally
 //!   accepts a [`mule_road::TravelMetric`]: Euclidean delegates to the
 //!   historical path bit-for-bit, road metrics run the matrix-backed

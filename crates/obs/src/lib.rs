@@ -73,7 +73,6 @@ pub mod alloc;
 pub mod chrome;
 pub mod json;
 pub mod log;
-pub mod metric;
 pub mod profile;
 pub mod prom;
 pub mod ring;
@@ -82,7 +81,6 @@ pub mod slo;
 pub mod trace;
 
 pub use chrome::{chrome_trace_json, chrome_traces_json};
-pub use metric::{Counter, Gauge};
 pub use profile::{FlatProfile, ProfileEntry};
 pub use ring::Ring;
 pub use sampler::sample_keep;

@@ -3,15 +3,22 @@
 //! armed fault plan is process-global: arming `par.job` next to
 //! unrelated pool tests in the lib test binary would fire into their
 //! jobs too.
+//!
+//! Both tests hold `FAULT_LOCK`: the armed test and the disarmed control
+//! run on parallel test threads by default, and the control must never
+//! observe the other test's plan.
 
 use mule_fault::FaultPlan;
 use mule_par::TaskPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn injected_dispatch_panic_is_caught_and_the_worker_survives() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The first job dispatch fires an injected panic; later jobs run.
     mule_fault::arm(FaultPlan::parse(7, "par.job=panic#1").unwrap());
 
@@ -44,10 +51,8 @@ fn injected_dispatch_panic_is_caught_and_the_worker_survives() {
 
 #[test]
 fn disarmed_pool_dispatch_is_unaffected() {
-    // Runs after/before the armed test in the same binary; the guard is
-    // that this test never observes a fault when it holds no plan. Rust
-    // test threads may interleave, so use a distinct point-free check:
-    // a pool with no armed plan must complete every job.
+    // A pool with no armed plan must complete every job and fire nothing.
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pool = TaskPool::new(2);
     let ran = Arc::new(AtomicUsize::new(0));
     for _ in 0..16 {

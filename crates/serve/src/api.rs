@@ -13,8 +13,7 @@
 use crate::json::{parse, JsonValue};
 use mule_sim::SimulationConfig;
 use mule_workload::{MetricSpec, ScenarioSpec, SweepSpec};
-use patrol_core::baselines::{ChbPlanner, RandomPlanner, SweepPlanner};
-use patrol_core::{BTctp, BreakEdgePolicy, PlanError, Planner, RwTctp, WTctp};
+use patrol_core::{PlanError, Planner, PlannerKind};
 use std::fmt;
 
 /// Schema tag of `/v1/plan` responses.
@@ -67,21 +66,17 @@ impl From<PlanError> for ApiError {
     }
 }
 
-/// The planner names the API accepts, with the same aliases as the
-/// `patrolctl --planner` flag.
+/// Builds the planner a request names, resolved through the planner table
+/// `patrolctl --planner` also uses ([`patrol_core::PLANNERS`]).
 pub fn build_planner(name: &str) -> Option<Box<dyn Planner>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "b-tctp" | "btctp" | "tctp" => Box::new(BTctp::new()),
-        "w-tctp" | "wtctp" | "w-tctp-shortest" | "shortest" => {
-            Box::new(WTctp::new(BreakEdgePolicy::ShortestLength))
-        }
-        "w-tctp-balancing" | "balancing" => Box::new(WTctp::new(BreakEdgePolicy::BalancingLength)),
-        "rw-tctp" | "rwtctp" => Box::new(RwTctp::default()),
-        "chb" => Box::new(ChbPlanner::new()),
-        "sweep" => Box::new(SweepPlanner::new()),
-        "random" => Box::new(RandomPlanner::new()),
-        _ => return None,
-    })
+    PlannerKind::lookup(name).map(PlannerKind::build)
+}
+
+/// The planner-table row a spec names, or the `400` a request gets for an
+/// unknown planner.
+pub fn planner_kind(spec: &ScenarioSpec) -> Result<&'static PlannerKind, ApiError> {
+    PlannerKind::lookup(&spec.planner)
+        .ok_or_else(|| ApiError::BadRequest(format!("unknown planner `{}`", spec.planner)))
 }
 
 /// Renders a spec as its JSON document (field order fixed, so equal specs
@@ -204,9 +199,9 @@ fn validate_spec(spec: &ScenarioSpec) -> Result<(), ApiError> {
 }
 
 /// The simulation configuration a spec implies: full energy accounting
-/// only when a recharge station exists, pure timing otherwise (the same
-/// rule `patrolctl simulate` applies).
-fn sim_config_for(spec: &ScenarioSpec) -> SimulationConfig {
+/// only when a recharge station exists, pure timing otherwise. The
+/// `patrolctl` scenario commands use it too.
+pub fn sim_config_for(spec: &ScenarioSpec) -> SimulationConfig {
     if spec.recharge {
         SimulationConfig::default()
     } else {
@@ -223,8 +218,7 @@ fn sim_config_for(spec: &ScenarioSpec) -> SimulationConfig {
 /// the same bytes offline.
 pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     validate_spec(spec)?;
-    let planner = build_planner(&spec.planner)
-        .ok_or_else(|| ApiError::BadRequest(format!("unknown planner `{}`", spec.planner)))?;
+    let planner = planner_kind(spec)?.build();
     let scenario = spec.scenario_config().generate();
     let plan = planner.plan(&scenario)?;
 
@@ -335,17 +329,11 @@ pub fn simulate_response_json(
 ) -> Result<String, ApiError> {
     let spec = &request.spec;
     validate_spec(spec)?;
-    if build_planner(&spec.planner).is_none() {
-        return Err(ApiError::BadRequest(format!(
-            "unknown planner `{}`",
-            spec.planner
-        )));
-    }
+    let kind = planner_kind(spec)?;
     let sweep = SweepSpec::new(spec.scenario_config())
         .with_replicas(request.replicas)
         .with_horizon(spec.horizon_s);
-    let planner_name = spec.planner.clone();
-    let factory = move || build_planner(&planner_name).expect("planner validated above");
+    let factory = move || kind.build();
     let cells = mule_sim::run_sweep(&factory, &sweep, &sim_config_for(spec), workers);
     let report = mule_metrics::SweepReport::from_cells(&cells);
     let cell = report
@@ -420,22 +408,41 @@ mod tests {
         }
     }
 
+    /// Every spelling the API has ever accepted, with the canonical name it
+    /// resolves to.
+    const ACCEPTED_PLANNER_NAMES: [(&str, &str); 14] = [
+        ("b-tctp", "b-tctp"),
+        ("btctp", "b-tctp"),
+        ("tctp", "b-tctp"),
+        ("w-tctp-shortest", "w-tctp-shortest"),
+        ("w-tctp", "w-tctp-shortest"),
+        ("wtctp", "w-tctp-shortest"),
+        ("shortest", "w-tctp-shortest"),
+        ("w-tctp-balancing", "w-tctp-balancing"),
+        ("balancing", "w-tctp-balancing"),
+        ("rw-tctp", "rw-tctp"),
+        ("rwtctp", "rw-tctp"),
+        ("chb", "chb"),
+        ("sweep", "sweep"),
+        ("random", "random"),
+    ];
+
     #[test]
     fn planner_names_and_aliases_build_planners() {
-        for name in [
-            "b-tctp",
-            "BTCTP",
-            "tctp",
-            "w-tctp",
-            "shortest",
-            "balancing",
-            "rw-tctp",
-            "chb",
-            "sweep",
-            "random",
-        ] {
-            assert!(build_planner(name).is_some(), "{name}");
+        for (name, canonical) in ACCEPTED_PLANNER_NAMES {
+            for spelling in [name.to_string(), name.to_ascii_uppercase()] {
+                let kind = PlannerKind::lookup(&spelling).expect(name);
+                assert_eq!(kind.name, canonical, "{spelling}");
+                let built = build_planner(&spelling).expect(name);
+                assert!(kind.label.starts_with(built.name()), "{spelling}");
+            }
         }
+        // The table accepts nothing beyond those spellings.
+        let table_spellings: usize = patrol_core::PLANNERS
+            .iter()
+            .map(|kind| 1 + kind.aliases.len())
+            .sum();
+        assert_eq!(table_spellings, ACCEPTED_PLANNER_NAMES.len());
         assert!(build_planner("dijkstra").is_none());
     }
 

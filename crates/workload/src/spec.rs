@@ -3,10 +3,10 @@
 //! pure data, with a **canonical form** and a stable fingerprint so a
 //! plan cache can key on it.
 //!
-//! The spec deliberately mirrors `patrolctl`'s scenario flags (the CLI
-//! builds its `ScenarioConfig` through this type, so the two front ends
-//! cannot drift), but it lives here rather than in the CLI because the
-//! server, the load generator and the CLI all speak it.
+//! `patrolctl`'s scenario flags write straight into a spec (the CLI's
+//! options embed one, so the two front ends cannot drift); it lives here
+//! rather than in the CLI because the server, the load generator and the
+//! CLI all speak it.
 //!
 //! ## Canonical form and fingerprint
 //!
@@ -63,7 +63,7 @@ pub struct ScenarioSpec {
 }
 
 impl Default for ScenarioSpec {
-    /// Matches `patrolctl`'s scenario-flag defaults.
+    /// Also `patrolctl`'s scenario-flag defaults: its options embed a spec.
     fn default() -> Self {
         ScenarioSpec {
             targets: 10,
@@ -110,9 +110,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// The scenario configuration this spec describes (the same mapping
-    /// `patrolctl` applies to its flags: VIPs become a `UniformVips`
-    /// weight spec with the weight floored to a real VIP weight).
+    /// The scenario configuration this spec describes (VIPs become a
+    /// `UniformVips` weight spec with the weight floored to a real VIP
+    /// weight). Every front end builds its scenarios here.
     pub fn scenario_config(&self) -> ScenarioConfig {
         let weights = if self.vips > 0 {
             WeightSpec::UniformVips {
