@@ -7,11 +7,11 @@
 //!   spreading: how much of the interval stability comes from the spreading
 //!   versus the shared circuit alone?
 
-use crate::{run_energy_sweep, run_timing_sweep};
+use crate::replicate;
 use mule_energy::EnergyModel;
 use mule_metrics::{EnergyEfficiencyReport, IntervalReport, TextTable};
 use mule_sim::SimulationConfig;
-use mule_workload::{ScenarioConfig, WeightSpec};
+use mule_workload::{seed_fan, ScenarioConfig, WeightSpec};
 use patrol_core::{BTctp, BreakEdgePolicy, RwTctp, WTctp};
 
 /// Parameters of the recharge ablation.
@@ -57,7 +57,7 @@ pub fn recharge_ablation(params: &RechargeAblationParams) -> TextTable {
         "RW-TCTP useful energy",
     ]);
 
-    let rows = crate::par_grid(&params.battery_capacities_j, |&capacity| {
+    let rows = mule_par::parallel_map_slice(&params.battery_capacities_j, |&capacity| {
         let energy = EnergyModel {
             initial_energy_j: capacity,
             ..EnergyModel::paper_default()
@@ -74,7 +74,13 @@ pub fn recharge_ablation(params: &RechargeAblationParams) -> TextTable {
         let sim_config = SimulationConfig::default().with_energy(energy);
 
         let rw = RwTctp::with_energy(BreakEdgePolicy::ShortestLength, energy);
-        let rw_rep = run_energy_sweep(&rw, base, params.replicas, &sim_config, params.horizon_s);
+        let rw_rep = replicate(
+            || Box::new(rw.clone()),
+            base,
+            params.replicas,
+            &sim_config,
+            params.horizon_s,
+        );
         let rw_survival = rw_rep
             .average(|o| if o.all_mules_survived() { 1.0 } else { 0.0 })
             .unwrap_or(0.0);
@@ -86,18 +92,19 @@ pub fn recharge_ablation(params: &RechargeAblationParams) -> TextTable {
             .unwrap_or(0.0);
 
         // Eq. 4 rounds on the first replica (the schedule is per-scenario).
-        let first_cfg = mule_workload::ReplicationPlan {
-            base,
-            replicas: params.replicas,
-        }
-        .configurations()[0];
+        let first_cfg = base.with_seed(seed_fan(base.seed, 1)[0]);
         let rounds = rw
             .build_schedule(&first_cfg.generate())
             .map(|s| s.rounds.rounds_per_charge)
             .unwrap_or(0);
 
-        let wtctp = WTctp::new(BreakEdgePolicy::ShortestLength);
-        let w_rep = run_energy_sweep(&wtctp, base, params.replicas, &sim_config, params.horizon_s);
+        let w_rep = replicate(
+            || Box::new(WTctp::new(BreakEdgePolicy::ShortestLength)),
+            base,
+            params.replicas,
+            &sim_config,
+            params.horizon_s,
+        );
         let w_survival = w_rep
             .average(|o| if o.all_mules_survived() { 1.0 } else { 0.0 })
             .unwrap_or(0.0);
@@ -154,13 +161,19 @@ pub fn spread_ablation(params: &SpreadAblationParams) -> TextTable {
         "no-spread max interval (s)",
         "no-spread SD (s)",
     ]);
-    let rows = crate::par_grid(&params.mule_counts, |&mules| {
+    let rows = mule_par::parallel_map_slice(&params.mule_counts, |&mules| {
         let base = ScenarioConfig::paper_default()
             .with_targets(params.targets)
             .with_mules(mules)
             .with_seed(params.seed);
-        let metrics = |planner: &BTctp| {
-            let rep = run_timing_sweep(planner, base, params.replicas, params.horizon_s);
+        let metrics = |planner: fn() -> BTctp| {
+            let rep = replicate(
+                || Box::new(planner()),
+                base,
+                params.replicas,
+                &SimulationConfig::timing_only(),
+                params.horizon_s,
+            );
             let max = rep
                 .average(|o| IntervalReport::from_outcome(o).max_interval())
                 .unwrap_or(0.0);
@@ -169,8 +182,8 @@ pub fn spread_ablation(params: &SpreadAblationParams) -> TextTable {
                 .unwrap_or(0.0);
             (max, sd)
         };
-        let (spread_max, spread_sd) = metrics(&BTctp::new());
-        let (plain_max, plain_sd) = metrics(&BTctp::without_spreading());
+        let (spread_max, spread_sd) = metrics(BTctp::new);
+        let (plain_max, plain_sd) = metrics(BTctp::without_spreading);
         vec![
             mules.to_string(),
             format!("{spread_max:.0}"),

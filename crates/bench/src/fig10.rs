@@ -8,11 +8,11 @@
 //! slightly.
 
 use crate::fig9::VipSweepParams;
-use crate::run_timing_sweep;
+use crate::replicate;
 use mule_metrics::{IntervalReport, TextTable};
 use mule_net::NodeId;
-use mule_sim::SimulationOutcome;
-use mule_workload::{Scenario, ScenarioConfig, WeightSpec};
+use mule_sim::{SimulationConfig, SimulationOutcome};
+use mule_workload::{seed_fan, Scenario, ScenarioConfig, WeightSpec};
 use patrol_core::{BreakEdgePolicy, WTctp};
 
 /// One cell of the Figure 10 grid.
@@ -55,19 +55,20 @@ pub fn average_vip_sd_for_policy(
     replicas: usize,
     horizon_s: f64,
 ) -> f64 {
-    let planner = WTctp::new(policy);
-    let rep = run_timing_sweep(&planner, base, replicas, horizon_s);
-    if rep.is_empty() {
-        return 0.0;
-    }
-    // Regenerate each replica's scenario to recover its VIP ids; the seed
-    // fan is deterministic so the k-th outcome corresponds to the k-th
-    // configuration.
-    let configs = mule_workload::ReplicationPlan { base, replicas }.configurations();
+    let rep = replicate(
+        || Box::new(WTctp::new(policy)),
+        base,
+        replicas,
+        &SimulationConfig::timing_only(),
+        horizon_s,
+    );
+    // Regenerate each replica's scenario to recover its VIP ids. `replicate`
+    // keeps every replica (it panics on a failed one), so the k-th outcome
+    // belongs to the k-th seed of the fan.
     let mut total = 0.0;
     let mut count = 0usize;
-    for (outcome, cfg) in rep.outcomes.iter().zip(configs.iter()) {
-        let scenario = cfg.generate();
+    for (outcome, seed) in rep.outcomes.iter().zip(seed_fan(base.seed, replicas)) {
+        let scenario = base.with_seed(seed).generate();
         let vips = vip_ids_of(&scenario);
         if vips.is_empty() {
             continue;
@@ -91,7 +92,7 @@ pub fn run(params: &VipSweepParams) -> Vec<Fig10Cell> {
             grid.push((vips, weight));
         }
     }
-    crate::par_grid(&grid, |&(vips, weight)| {
+    mule_par::parallel_map_slice(&grid, |&(vips, weight)| {
         let base = ScenarioConfig::paper_default()
             .with_targets(params.targets)
             .with_mules(params.mules)

@@ -5,9 +5,9 @@
 //! reproduce: Random fluctuates wildly, Sweep and CHB oscillate
 //! periodically, TCTP settles to a flat constant.
 
-use crate::run_timing_sweep;
+use crate::replicate;
 use mule_metrics::{DcdtSeries, TextTable};
-use mule_sim::ReplicatedOutcome;
+use mule_sim::{SimulationConfig, SweepCellOutcome};
 use mule_workload::ScenarioConfig;
 use patrol_core::baselines::{ChbPlanner, RandomPlanner, SweepPlanner};
 use patrol_core::{BTctp, Planner};
@@ -65,7 +65,7 @@ impl Fig7Series {
     }
 }
 
-fn averaged_series(rep: &ReplicatedOutcome, visit_indices: usize) -> Vec<f64> {
+fn averaged_series(rep: &SweepCellOutcome, visit_indices: usize) -> Vec<f64> {
     let mut sums = vec![0.0; visit_indices];
     let mut counts = vec![0usize; visit_indices];
     for outcome in &rep.outcomes {
@@ -88,17 +88,24 @@ pub fn run(params: &Fig7Params) -> Vec<Fig7Series> {
         .with_mules(params.mules)
         .with_seed(params.seed);
 
-    let planners: Vec<(&str, Box<dyn Planner + Sync>)> = vec![
-        ("Random", Box::new(RandomPlanner::new())),
-        ("Sweep", Box::new(SweepPlanner::new())),
-        ("CHB", Box::new(ChbPlanner::new())),
-        ("TCTP", Box::new(BTctp::new())),
+    type Factory = fn() -> Box<dyn Planner>;
+    let planners: Vec<(&str, Factory)> = vec![
+        ("Random", || Box::new(RandomPlanner::new())),
+        ("Sweep", || Box::new(SweepPlanner::new())),
+        ("CHB", || Box::new(ChbPlanner::new())),
+        ("TCTP", || Box::new(BTctp::new())),
     ];
 
     // One pool task per planner; each task's replication fan would go
     // parallel too, but nested maps run inline on the outer workers.
-    crate::par_grid(&planners, |(name, planner)| {
-        let rep = run_timing_sweep(planner.as_ref(), base, params.replicas, params.horizon_s);
+    mule_par::parallel_map_slice(&planners, |(name, planner)| {
+        let rep = replicate(
+            planner,
+            base,
+            params.replicas,
+            &SimulationConfig::timing_only(),
+            params.horizon_s,
+        );
         Fig7Series {
             planner: name.to_string(),
             dcdt_by_visit: averaged_series(&rep, params.visit_indices),

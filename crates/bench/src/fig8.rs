@@ -6,8 +6,9 @@
 //! number of mules because the bunched mules produce alternating short and
 //! long gaps.
 
-use crate::run_timing_sweep;
+use crate::replicate;
 use mule_metrics::{IntervalReport, TextTable};
+use mule_sim::SimulationConfig;
 use mule_workload::ScenarioConfig;
 use patrol_core::baselines::ChbPlanner;
 use patrol_core::{BTctp, Planner};
@@ -52,13 +53,19 @@ pub struct Fig8Cell {
     pub tctp_sd: f64,
 }
 
-fn average_sd<P: Planner + Sync>(
-    planner: &P,
+fn average_sd(
+    planner: impl Fn() -> Box<dyn Planner> + Sync,
     base: ScenarioConfig,
     replicas: usize,
     horizon_s: f64,
 ) -> f64 {
-    let rep = run_timing_sweep(planner, base, replicas, horizon_s);
+    let rep = replicate(
+        planner,
+        base,
+        replicas,
+        &SimulationConfig::timing_only(),
+        horizon_s,
+    );
     rep.average(|o| IntervalReport::from_outcome(o).average_sd())
         .unwrap_or(0.0)
 }
@@ -71,13 +78,23 @@ pub fn run(params: &Fig8Params) -> Vec<Fig8Cell> {
             grid.push((targets, mules));
         }
     }
-    crate::par_grid(&grid, |&(targets, mules)| {
+    mule_par::parallel_map_slice(&grid, |&(targets, mules)| {
         let base = ScenarioConfig::paper_default()
             .with_targets(targets)
             .with_mules(mules)
             .with_seed(params.seed);
-        let chb_sd = average_sd(&ChbPlanner::new(), base, params.replicas, params.horizon_s);
-        let tctp_sd = average_sd(&BTctp::new(), base, params.replicas, params.horizon_s);
+        let chb_sd = average_sd(
+            || Box::new(ChbPlanner::new()),
+            base,
+            params.replicas,
+            params.horizon_s,
+        );
+        let tctp_sd = average_sd(
+            || Box::new(BTctp::new()),
+            base,
+            params.replicas,
+            params.horizon_s,
+        );
         Fig8Cell {
             targets,
             mules,

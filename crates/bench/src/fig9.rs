@@ -6,8 +6,9 @@
 //! Shortest-Length policy always yields a DCDT no larger than the
 //! Balancing-Length policy because its WPP is shorter.
 
-use crate::run_timing_sweep;
+use crate::replicate;
 use mule_metrics::{DcdtSeries, TextTable};
+use mule_sim::SimulationConfig;
 use mule_workload::{ScenarioConfig, WeightSpec};
 use patrol_core::{BreakEdgePolicy, WTctp};
 
@@ -68,8 +69,13 @@ pub fn average_dcdt_for_policy(
     replicas: usize,
     horizon_s: f64,
 ) -> f64 {
-    let planner = WTctp::new(policy);
-    let rep = run_timing_sweep(&planner, base, replicas, horizon_s);
+    let rep = replicate(
+        || Box::new(WTctp::new(policy)),
+        base,
+        replicas,
+        &SimulationConfig::timing_only(),
+        horizon_s,
+    );
     rep.average(|o| DcdtSeries::from_outcome(o).average_dcdt(2))
         .unwrap_or(0.0)
 }
@@ -82,7 +88,7 @@ pub fn run(params: &VipSweepParams) -> Vec<Fig9Cell> {
             grid.push((vips, weight));
         }
     }
-    crate::par_grid(&grid, |&(vips, weight)| {
+    mule_par::parallel_map_slice(&grid, |&(vips, weight)| {
         let base = ScenarioConfig::paper_default()
             .with_targets(params.targets)
             .with_mules(params.mules)

@@ -23,18 +23,20 @@
 //!
 //! Every sweep averages over a seeded replication fan (the paper uses 20
 //! random topologies per point); the replica count is a parameter so the
-//! criterion benches can use a smaller fan.
+//! criterion benches can use a smaller fan. Every replicated run goes
+//! through [`replicate`], a one-cell [`mule_sim::run_sweep`] — the same
+//! runner behind `patrolctl sweep` and `/v1/simulate`.
 //!
 //! ## Parallel execution
 //!
 //! Every figure grid runs its cells on the `mule-par` worker pool via
-//! [`par_grid`], and each cell's replication fan additionally goes through
-//! the parallel `rayon` shim inside [`mule_sim::run_replicated`]. The pool
-//! serialises nested parallelism (inner sweeps run inline on the outer
-//! workers), so the thread count stays bounded by one pool while both
-//! wide grids *and* deep single-cell fans use every core. Cell results are
-//! reassembled in grid order, so the emitted tables are byte-identical to
-//! a sequential run (`MULE_PAR_WORKERS=1`).
+//! [`mule_par::parallel_map_slice`], and each cell's replication fan goes
+//! through `run_sweep` on the same pool. The pool serialises nested
+//! parallelism (inner sweeps run inline on the outer workers), so the
+//! thread count stays bounded by one pool while both wide grids *and* deep
+//! single-cell fans use every core. Cell results are reassembled in grid
+//! order, so the emitted tables are byte-identical to a sequential run
+//! (`MULE_PAR_WORKERS=1`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -50,54 +52,52 @@ pub mod routebench;
 pub mod scalebench;
 pub mod tourbench;
 
-use mule_sim::{run_replicated, ReplicatedOutcome, SimulationConfig};
-use mule_workload::{ReplicationPlan, ScenarioConfig};
+use mule_sim::{run_sweep, SimulationConfig, SweepCellOutcome};
+use mule_workload::{ScenarioConfig, SweepSpec};
 use patrol_core::Planner;
 
 /// Number of replicas the paper averages over.
 pub const PAPER_REPLICAS: usize = 20;
 
-/// Runs `cell` over every grid point on the `mule-par` worker pool,
-/// returning the results in input order (bit-identical to the sequential
-/// loop it replaces). The closure must be a pure function of its cell.
-pub fn par_grid<T, R, F>(cells: &[T], cell: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    mule_par::parallel_map_slice(cells, cell)
-}
-
-/// Runs `planner` over `replicas` seeded topologies derived from `base`,
-/// simulating each for `horizon_s` seconds without energy accounting (the
-/// timing-only model used by the DCDT / SD figures).
-pub fn run_timing_sweep<P: Planner + Sync + ?Sized>(
-    planner: &P,
-    base: ScenarioConfig,
-    replicas: usize,
-    horizon_s: f64,
-) -> ReplicatedOutcome {
-    let plan = ReplicationPlan { base, replicas };
-    run_replicated(
-        planner,
-        &plan,
-        &SimulationConfig::timing_only().with_horizon(horizon_s),
-        horizon_s,
-    )
-}
-
-/// Runs `planner` with full energy accounting (used by the recharge
-/// ablation).
-pub fn run_energy_sweep<P: Planner + Sync + ?Sized>(
-    planner: &P,
+/// Runs the planners built by `planner` over `replicas` seeded topologies
+/// derived from `base` (the seed fan of `base.seed`), simulating each for
+/// `horizon_s` seconds under `config`, and returns the cell's outcomes in
+/// replica order.
+///
+/// # Panics
+///
+/// When any replica fails to plan or panics: the figures average over
+/// every replica of a cell, so a missing one is a configuration bug, not
+/// a data point to skip.
+pub fn replicate<F>(
+    planner: F,
     base: ScenarioConfig,
     replicas: usize,
     config: &SimulationConfig,
     horizon_s: f64,
-) -> ReplicatedOutcome {
-    let plan = ReplicationPlan { base, replicas };
-    run_replicated(planner, &plan, config, horizon_s)
+) -> SweepCellOutcome
+where
+    F: Fn() -> Box<dyn Planner> + Sync,
+{
+    // `run_sweep` writes the cell's speed into the energy model, so the
+    // speed axis carries the caller's own speed.
+    let spec = SweepSpec::new(base)
+        .with_speeds(vec![config.energy.speed_m_per_s])
+        .with_replicas(replicas)
+        .with_horizon(horizon_s);
+    let cell = run_sweep(&planner, &spec, config, None)
+        .pop()
+        .expect("a one-cell spec yields one cell");
+    if let Some(error) = cell.failures.first() {
+        panic!("replica of cell seed {} failed to plan: {error}", base.seed);
+    }
+    if let Some(q) = cell.quarantined.first() {
+        panic!(
+            "replica {} (seed {}) of cell seed {} panicked: {}",
+            q.replica, q.seed, base.seed, q.message
+        );
+    }
+    cell
 }
 
 #[cfg(test)]
@@ -105,16 +105,24 @@ mod tests {
     use super::*;
     use patrol_core::BTctp;
 
+    fn btctp() -> Box<dyn Planner> {
+        Box::new(BTctp::new())
+    }
+
     #[test]
-    fn timing_sweep_runs_all_replicas() {
-        let rep = run_timing_sweep(
-            &BTctp::new(),
-            ScenarioConfig::paper_default().with_targets(6),
-            3,
-            5_000.0,
-        );
-        assert_eq!(rep.len(), 3);
-        assert!(rep.failures.is_empty());
+    fn replicate_runs_all_replicas_in_seed_fan_order() {
+        let base = ScenarioConfig::paper_default().with_targets(6);
+        let cell = replicate(btctp, base, 3, &SimulationConfig::timing_only(), 5_000.0);
+        assert_eq!(cell.outcomes.len(), 3);
+        assert_eq!(cell.cell.seed, base.seed);
+        assert!(cell.average(|o| o.total_visits() as f64).unwrap() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to plan")]
+    fn replicate_panics_when_a_replica_fails_to_plan() {
+        let base = ScenarioConfig::paper_default().with_mules(0);
+        replicate(btctp, base, 2, &SimulationConfig::timing_only(), 1_000.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use mule_geom::Polyline;
 use mule_graph::TourConstruction;
 use mule_metrics::TextTable;
-use mule_workload::{ReplicationPlan, ScenarioConfig, WeightSpec};
+use mule_workload::{seed_fan, Scenario, ScenarioConfig, WeightSpec};
 use patrol_core::{BreakEdgePolicy, RwTctp, WTctp};
 
 /// Parameters of the path-length sweep.
@@ -43,27 +43,42 @@ impl Default for PathLenParams {
     }
 }
 
+/// The scenarios of `base`'s replication fan, one per seed of
+/// `seed_fan(base.seed, replicas)` — the fan `run_sweep` simulates.
+fn replica_scenarios(base: ScenarioConfig, replicas: usize) -> Vec<Scenario> {
+    seed_fan(base.seed, replicas)
+        .into_iter()
+        .map(|seed| base.with_seed(seed).generate())
+        .collect()
+}
+
+/// Mean of `metric` over `scenarios` (`0.0` when there are none).
+fn average(scenarios: &[Scenario], metric: impl Fn(&Scenario) -> f64) -> f64 {
+    if scenarios.is_empty() {
+        return 0.0;
+    }
+    scenarios.iter().map(metric).sum::<f64>() / scenarios.len() as f64
+}
+
 /// Average Hamiltonian-circuit length per construction heuristic.
 pub fn tour_length_table(params: &PathLenParams) -> TextTable {
     let mut header = vec!["targets".to_string()];
     header.extend(TourConstruction::ALL.iter().map(|c| c.label().to_string()));
     let mut table = TextTable::new(header);
 
-    let rows = crate::par_grid(&params.target_counts, |&targets| {
-        let plan = ReplicationPlan {
-            base: ScenarioConfig::paper_default()
+    let rows = mule_par::parallel_map_slice(&params.target_counts, |&targets| {
+        let scenarios = replica_scenarios(
+            ScenarioConfig::paper_default()
                 .with_targets(targets)
                 .with_seed(params.seed),
-            replicas: params.replicas,
-        };
+            params.replicas,
+        );
         let mut row = vec![targets.to_string()];
         for construction in TourConstruction::ALL {
-            let avg = plan
-                .average(|scenario| {
-                    let pts = scenario.patrolled_positions();
-                    construction.build(&pts).length(&pts)
-                })
-                .unwrap_or(0.0);
+            let avg = average(&scenarios, |scenario| {
+                let pts = scenario.patrolled_positions();
+                construction.build(&pts).length(&pts)
+            });
             row.push(format!("{avg:.0}"));
         }
         row
@@ -83,31 +98,28 @@ pub fn wpp_overhead_table(params: &PathLenParams) -> TextTable {
         "WPP shortest (m)",
         "WPP balancing (m)",
     ]);
-    let rows = crate::par_grid(&params.target_counts, |&targets| {
-        let plan = ReplicationPlan {
-            base: ScenarioConfig::paper_default()
+    let rows = mule_par::parallel_map_slice(&params.target_counts, |&targets| {
+        let scenarios = replica_scenarios(
+            ScenarioConfig::paper_default()
                 .with_targets(targets)
                 .with_weights(WeightSpec::UniformVips {
                     count: params.vips,
                     weight: params.vip_weight,
                 })
                 .with_seed(params.seed),
-            replicas: params.replicas,
-        };
-        let base_len = plan
-            .average(|s| {
-                let pts = s.patrolled_positions();
-                mule_graph::construct_circuit(&pts).length(&pts)
-            })
-            .unwrap_or(0.0);
+            params.replicas,
+        );
+        let base_len = average(&scenarios, |s| {
+            let pts = s.patrolled_positions();
+            mule_graph::construct_circuit(&pts).length(&pts)
+        });
         let wpp_len = |policy: BreakEdgePolicy| {
-            plan.average(|s| {
+            average(&scenarios, |s| {
                 let wpp = WTctp::new(policy)
                     .build_wpp_waypoints(s)
                     .expect("plannable scenario");
                 Polyline::closed(wpp.iter().map(|w| w.position).collect()).length()
             })
-            .unwrap_or(0.0)
         };
         vec![
             targets.to_string(),
@@ -125,9 +137,9 @@ pub fn wpp_overhead_table(params: &PathLenParams) -> TextTable {
 /// Average WRP splice overhead (extra metres of the recharge detour).
 pub fn wrp_overhead_table(params: &PathLenParams) -> TextTable {
     let mut table = TextTable::new(vec!["targets", "WPP (m)", "WRP (m)", "detour (m)"]);
-    let rows = crate::par_grid(&params.target_counts, |&targets| {
-        let plan = ReplicationPlan {
-            base: ScenarioConfig::paper_default()
+    let rows = mule_par::parallel_map_slice(&params.target_counts, |&targets| {
+        let scenarios = replica_scenarios(
+            ScenarioConfig::paper_default()
                 .with_targets(targets)
                 .with_weights(WeightSpec::UniformVips {
                     count: params.vips,
@@ -135,14 +147,13 @@ pub fn wrp_overhead_table(params: &PathLenParams) -> TextTable {
                 })
                 .with_recharge_station(true)
                 .with_seed(params.seed),
-            replicas: params.replicas,
-        };
+            params.replicas,
+        );
         let mut wpp_total = 0.0;
         let mut wrp_total = 0.0;
         let mut count = 0usize;
-        for cfg in plan.configurations() {
-            let scenario = cfg.generate();
-            if let Ok(schedule) = RwTctp::default().build_schedule(&scenario) {
+        for scenario in &scenarios {
+            if let Ok(schedule) = RwTctp::default().build_schedule(scenario) {
                 wpp_total += schedule.wpp_length();
                 wrp_total += schedule.wrp_length();
                 count += 1;

@@ -13,11 +13,11 @@
 //!
 //! * [`SimulationConfig`] — speed, energy model, dwell times, horizon.
 //! * [`Simulation`] / [`SimulationOutcome`] — the engine and its results.
-//! * [`montecarlo`] — parallel replication sweeps ("average of 20
-//!   simulations", §5.1) and [`run_sweep`], the executor for declarative
-//!   [`mule_workload::SweepSpec`] experiment grids. Both run on the
-//!   `mule-par` worker pool (via the `rayon` shim's prelude) and return
-//!   results in input order, bit-identical to a single-worker run.
+//! * [`montecarlo`] — [`run_sweep`], the one replication runner ("average
+//!   of 20 simulations", §5.1): it executes declarative
+//!   [`mule_workload::SweepSpec`] experiment grids on the `mule-par` worker
+//!   pool and returns results in grid order, bit-identical to a
+//!   single-worker run.
 //!
 //! ## The event timeline
 //!
@@ -54,9 +54,7 @@ pub mod trace;
 pub use config::SimulationConfig;
 pub use dynamics::{DynamicOutcome, DynamicSimulation, TimelineEntry};
 pub use engine::Simulation;
-pub use montecarlo::{
-    run_replicated, run_sweep, ReplicatedOutcome, SweepCellError, SweepCellOutcome,
-};
+pub use montecarlo::{run_sweep, SweepCellError, SweepCellOutcome};
 pub use mule::{MuleReport, MuleStatus};
 pub use outcome::{SimulationOutcome, VisitRecord};
 pub use trace::{mules_to_csv, visits_to_csv, write_csv_files};

@@ -1,96 +1,22 @@
-//! Replicated simulation sweeps and declarative experiment grids.
+//! Replicated simulation sweeps over declarative experiment grids.
 //!
 //! The paper averages every reported number over 20 random topologies
-//! (§5.1). [`run_replicated`] runs one planner over a whole
-//! [`mule_workload::ReplicationPlan`] in parallel (the `rayon` shim on the
-//! `mule-par` worker pool) and returns the per-replica outcomes plus
-//! ready-made averaging helpers.
-//!
-//! [`run_sweep`] scales this up to a full [`mule_workload::SweepSpec`]
-//! grid: every `(cell, replica)` pair of the grid is an independent
-//! simulation, so the whole sweep is flattened into one task list and
-//! executed with chunked work-stealing. Results are regrouped by cell in
-//! grid order, so the output — and every statistic derived from it — is
-//! identical for any worker count, including a forced single-worker run.
+//! (§5.1). [`run_sweep`] runs a whole [`mule_workload::SweepSpec`] grid,
+//! each cell replicated over its seed fan: every `(cell, replica)` pair of
+//! the grid is an independent simulation, so the whole sweep is flattened
+//! into one task list and executed with chunked work-stealing on the
+//! `mule-par` worker pool. Results are regrouped by cell in grid order, so
+//! the output — and every statistic derived from it — is identical for any
+//! worker count, including a forced single-worker run. A single replicated
+//! data point is simply a one-cell spec.
 
 use crate::config::SimulationConfig;
 use crate::dynamics::DynamicSimulation;
 use crate::engine::Simulation;
 use crate::outcome::SimulationOutcome;
-use mule_workload::{seed_fan, DisruptionPlan, ReplicationPlan, SweepCell, SweepSpec};
+use mule_workload::{seed_fan, DisruptionPlan, SweepCell, SweepSpec};
 use patrol_core::{PatrolPlan, PlanError, Planner, ReplanWithPlanner};
-use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// The outcomes of all replicas of one (planner, configuration) cell.
-#[derive(Debug, Clone)]
-pub struct ReplicatedOutcome {
-    /// One simulation outcome per successfully planned replica.
-    pub outcomes: Vec<SimulationOutcome>,
-    /// Replicas whose planner returned an error (kept for diagnosis; the
-    /// figure harness treats a non-empty list as a configuration bug).
-    pub failures: Vec<PlanError>,
-}
-
-/// Mean of `metric` over `outcomes`, `None` when there are none. Shared by
-/// every per-replica averaging helper so the semantics cannot diverge.
-fn average_metric<F: Fn(&SimulationOutcome) -> f64>(
-    outcomes: &[SimulationOutcome],
-    metric: F,
-) -> Option<f64> {
-    if outcomes.is_empty() {
-        return None;
-    }
-    Some(outcomes.iter().map(&metric).sum::<f64>() / outcomes.len() as f64)
-}
-
-impl ReplicatedOutcome {
-    /// Number of successful replicas.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Returns `true` when no replica succeeded.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Averages a scalar metric over the replicas. Returns `None` when
-    /// there are no successful replicas.
-    pub fn average<F: Fn(&SimulationOutcome) -> f64>(&self, metric: F) -> Option<f64> {
-        average_metric(&self.outcomes, metric)
-    }
-}
-
-/// Runs `planner` on every replica of `plan`, simulating each for
-/// `horizon_s` seconds under `config`. Replicas run in parallel with rayon;
-/// results are returned in replica order so the sweep stays deterministic.
-pub fn run_replicated<P: patrol_core::Planner + Sync + ?Sized>(
-    planner: &P,
-    plan: &ReplicationPlan,
-    config: &SimulationConfig,
-    horizon_s: f64,
-) -> ReplicatedOutcome {
-    let results: Vec<Result<SimulationOutcome, PlanError>> = plan
-        .configurations()
-        .par_iter()
-        .map(|cfg| {
-            let scenario = cfg.generate();
-            let patrol_plan: PatrolPlan = planner.plan(&scenario)?;
-            Ok(Simulation::with_config(&scenario, &patrol_plan, *config).run_for(horizon_s))
-        })
-        .collect();
-
-    let mut outcomes = Vec::new();
-    let mut failures = Vec::new();
-    for r in results {
-        match r {
-            Ok(o) => outcomes.push(o),
-            Err(e) => failures.push(e),
-        }
-    }
-    ReplicatedOutcome { outcomes, failures }
-}
 
 /// A replica that **panicked** mid-simulation (as opposed to returning a
 /// [`PlanError`]) and was quarantined: the panic was caught on the worker,
@@ -130,7 +56,10 @@ impl SweepCellOutcome {
     /// Averages a scalar metric over the cell's successful replicas
     /// (`None` when every replica failed).
     pub fn average<F: Fn(&SimulationOutcome) -> f64>(&self, metric: F) -> Option<f64> {
-        average_metric(&self.outcomes, metric)
+        if self.outcomes.is_empty() {
+            return None;
+        }
+        Some(self.outcomes.iter().map(&metric).sum::<f64>() / self.outcomes.len() as f64)
     }
 }
 
@@ -292,42 +221,6 @@ mod tests {
     use mule_workload::ScenarioConfig;
     use patrol_core::BTctp;
 
-    #[test]
-    fn replicated_run_produces_one_outcome_per_replica() {
-        let plan = ReplicationPlan {
-            base: ScenarioConfig::paper_default().with_targets(8),
-            replicas: 6,
-        };
-        let rep = run_replicated(
-            &BTctp::new(),
-            &plan,
-            &SimulationConfig::timing_only(),
-            10_000.0,
-        );
-        assert_eq!(rep.len(), 6);
-        assert!(rep.failures.is_empty());
-        assert!(!rep.is_empty());
-        let avg_visits = rep.average(|o| o.total_visits() as f64).unwrap();
-        assert!(avg_visits > 0.0);
-    }
-
-    #[test]
-    fn failures_are_collected_not_panicked() {
-        let plan = ReplicationPlan {
-            base: ScenarioConfig::paper_default().with_mules(0),
-            replicas: 3,
-        };
-        let rep = run_replicated(
-            &BTctp::new(),
-            &plan,
-            &SimulationConfig::timing_only(),
-            1_000.0,
-        );
-        assert!(rep.is_empty());
-        assert_eq!(rep.failures.len(), 3);
-        assert!(rep.average(|o| o.total_visits() as f64).is_none());
-    }
-
     fn factory() -> Box<dyn Planner> {
         Box::new(BTctp::new())
     }
@@ -418,26 +311,5 @@ mod tests {
         );
         assert_eq!(groups.len(), 1);
         assert!(groups[0].outcomes.is_empty() && groups[0].failures.is_empty());
-    }
-
-    #[test]
-    fn replicated_runs_are_deterministic() {
-        let plan = ReplicationPlan {
-            base: ScenarioConfig::paper_default().with_targets(6),
-            replicas: 4,
-        };
-        let a = run_replicated(
-            &BTctp::new(),
-            &plan,
-            &SimulationConfig::timing_only(),
-            5_000.0,
-        );
-        let b = run_replicated(
-            &BTctp::new(),
-            &plan,
-            &SimulationConfig::timing_only(),
-            5_000.0,
-        );
-        assert_eq!(a.outcomes, b.outcomes);
     }
 }

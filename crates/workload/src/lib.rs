@@ -38,7 +38,7 @@ pub mod weights;
 
 pub use config::{LayoutKind, MetricSpec, MuleStartKind, ScenarioConfig, WeightSpec};
 pub use disruption::{Disruption, DisruptionConfig, DisruptionPlan};
-pub use replication::{seed_fan, ReplicationPlan};
+pub use replication::seed_fan;
 pub use scenario::Scenario;
 pub use spec::ScenarioSpec;
 pub use sweep::{SweepCell, SweepSpec, PAPER_SPEED_M_PER_S};

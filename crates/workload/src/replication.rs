@@ -1,12 +1,9 @@
 //! Replication support: "each simulation result is obtained from the
 //! average results of 20 simulations" (paper §5.1).
 //!
-//! A [`ReplicationPlan`] expands a base configuration into the seeded
-//! configurations of its replicas, so the figure harness can map each
-//! parameter point to 20 deterministic scenarios and average their metrics.
-
-use crate::config::ScenarioConfig;
-use serde::{Deserialize, Serialize};
+//! [`seed_fan`] expands a base seed into the decorrelated seeds of its
+//! replicas; `mule-sim`'s `run_sweep` gives replica `k` of a cell the
+//! configuration `base.with_seed(seed_fan(base.seed, n)[k])`.
 
 /// Derives `count` distinct, deterministic seeds from a base seed.
 ///
@@ -23,46 +20,6 @@ pub fn seed_fan(base_seed: u64, count: usize) -> Vec<u64> {
             z ^ (z >> 31)
         })
         .collect()
-}
-
-/// A base configuration plus a replication count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReplicationPlan {
-    /// The configuration shared by all replicas (its `seed` field is used as
-    /// the base of the seed fan).
-    pub base: ScenarioConfig,
-    /// Number of replicas (the paper uses 20).
-    pub replicas: usize,
-}
-
-impl ReplicationPlan {
-    /// The paper's 20-replica plan over `base`.
-    pub fn paper(base: ScenarioConfig) -> Self {
-        ReplicationPlan { base, replicas: 20 }
-    }
-
-    /// The per-replica configurations, each with its own derived seed.
-    pub fn configurations(&self) -> Vec<ScenarioConfig> {
-        seed_fan(self.base.seed, self.replicas)
-            .into_iter()
-            .map(|seed| self.base.with_seed(seed))
-            .collect()
-    }
-
-    /// Averages a metric over all replicas by generating each scenario and
-    /// applying `metric` to it. Returns `None` when the plan has zero
-    /// replicas.
-    pub fn average<F: Fn(&crate::Scenario) -> f64>(&self, metric: F) -> Option<f64> {
-        if self.replicas == 0 {
-            return None;
-        }
-        let sum: f64 = self
-            .configurations()
-            .iter()
-            .map(|cfg| metric(&cfg.generate()))
-            .sum();
-        Some(sum / self.replicas as f64)
-    }
 }
 
 #[cfg(test)]
@@ -84,40 +41,6 @@ mod tests {
         let a: std::collections::HashSet<u64> = seed_fan(0, 20).into_iter().collect();
         let b: std::collections::HashSet<u64> = seed_fan(1, 20).into_iter().collect();
         assert!(a.is_disjoint(&b));
-    }
-
-    #[test]
-    fn paper_plan_has_twenty_replicas_with_distinct_seeds() {
-        let plan = ReplicationPlan::paper(ScenarioConfig::paper_default());
-        assert_eq!(plan.replicas, 20);
-        let cfgs = plan.configurations();
-        assert_eq!(cfgs.len(), 20);
-        let seeds: std::collections::HashSet<u64> = cfgs.iter().map(|c| c.seed).collect();
-        assert_eq!(seeds.len(), 20);
-        // Everything except the seed matches the base config.
-        for c in &cfgs {
-            assert_eq!(c.target_count, plan.base.target_count);
-            assert_eq!(c.mule_count, plan.base.mule_count);
-        }
-    }
-
-    #[test]
-    fn average_runs_the_metric_over_every_replica() {
-        let plan = ReplicationPlan {
-            base: ScenarioConfig::paper_default().with_targets(5),
-            replicas: 4,
-        };
-        // A trivially deterministic metric: number of patrolled nodes.
-        let avg = plan
-            .average(|s| s.patrolled_positions().len() as f64)
-            .unwrap();
-        assert_eq!(avg, 6.0); // sink + 5 targets in every replica
-
-        let empty = ReplicationPlan {
-            base: ScenarioConfig::paper_default(),
-            replicas: 0,
-        };
-        assert!(empty.average(|_| 1.0).is_none());
     }
 
     #[test]
