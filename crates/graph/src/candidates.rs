@@ -17,9 +17,12 @@
 //! * [`or_opt_candidates`] — chain relocation (lengths 1–3) whose
 //!   reinsertion edges come from the chain endpoints' candidate lists.
 //!
-//! Both searches work directly off the point coordinates (distances are
-//! recomputed on demand), so no `O(n²)` [`DistanceMatrix`] allocation is
-//! needed — at n = 5000 the dense matrix alone would cost 200 MB.
+//! Both searches read distances through [`SearchDist`]. Passed the point
+//! coordinates (`&[Point]`), they recompute Euclidean distances on demand,
+//! so no `O(n²)` [`DistanceMatrix`] allocation is needed — at n = 5000 the
+//! dense matrix alone would cost 200 MB. Passed a `&DistanceMatrix`, they
+//! serve non-Euclidean metrics (road networks) whose distances were
+//! precomputed once.
 //!
 //! Like their exact counterparts, both searches only ever *shorten* the
 //! tour (acceptance threshold `1e-10`) and terminate when no candidate move
@@ -39,13 +42,13 @@ const GAIN_EPS: f64 = 1e-10;
 
 /// Where the candidate searches read pairwise distances from.
 ///
-/// The classic path recomputes Euclidean distances from the coordinates on
-/// demand (no `O(n²)` state); the matrix path serves non-Euclidean metrics
-/// (road networks) whose distances were precomputed once. Both searches are
-/// generic over this trait and monomorphise, so the historical
-/// point-backed code path compiles to exactly the same inner loop as
-/// before.
-trait SearchDist {
+/// Implemented for `&[Point]` (Euclidean distances recomputed from the
+/// coordinates on demand, no `O(n²)` state) and for `&DistanceMatrix`
+/// (any precomputed metric). Both searches are generic over this trait and
+/// monomorphise, so each source compiles to its own tight inner loop. With
+/// a matrix, the candidate lists should come from
+/// [`CandidateLists::from_matrix`] so "nearest" matches the metric.
+pub trait SearchDist {
     /// Distance between points `i` and `j`.
     fn d(&self, i: usize, j: usize) -> f64;
 }
@@ -182,33 +185,13 @@ fn dist(points: &[Point], i: usize, j: usize) -> f64 {
 /// is found from `t3`'s own scan). A point with no improving move goes to
 /// sleep until a move changes one of its edges.
 ///
-/// `max_rounds` bounds the number of full passes over all points (mirroring
-/// the exact `two_opt`'s `max_passes`). Returns the number of improving
+/// Distances come from `dist` (see [`SearchDist`]). `max_rounds` bounds
+/// the number of full passes over all points (mirroring the exact
+/// `two_opt`'s `max_passes`). Returns the number of improving
 /// moves applied; the tour is never lengthened.
-pub fn two_opt_candidates(
+pub fn two_opt_candidates<D: SearchDist>(
     tour: &mut Tour,
-    points: &[Point],
-    candidates: &CandidateLists,
-    max_rounds: usize,
-) -> usize {
-    two_opt_candidates_by(tour, &points, candidates, max_rounds)
-}
-
-/// [`two_opt_candidates`] reading distances from a precomputed matrix —
-/// the variant metric-aware pipelines use (candidate lists should then come
-/// from [`CandidateLists::from_matrix`] so "nearest" matches the metric).
-pub fn two_opt_candidates_matrix(
-    tour: &mut Tour,
-    matrix: &DistanceMatrix,
-    candidates: &CandidateLists,
-    max_rounds: usize,
-) -> usize {
-    two_opt_candidates_by(tour, &matrix, candidates, max_rounds)
-}
-
-fn two_opt_candidates_by<D: SearchDist>(
-    tour: &mut Tour,
-    points: &D,
+    dist: D,
     candidates: &CandidateLists,
     max_rounds: usize,
 ) -> usize {
@@ -238,11 +221,11 @@ fn two_opt_candidates_by<D: SearchDist>(
                     } else {
                         tour.order()[(p1 + n - 1) % n]
                     };
-                    let d_t1_t2 = points.d(t1, t2);
+                    let d_t1_t2 = dist.d(t1, t2);
                     let mut applied = false;
                     for &c in candidates.neighbors(t1) {
                         let t3 = c as usize;
-                        let d_t1_t3 = points.d(t1, t3);
+                        let d_t1_t3 = dist.d(t1, t3);
                         if d_t1_t3 >= d_t1_t2 {
                             break; // sorted list: no shorter new edge left
                         }
@@ -255,7 +238,7 @@ fn two_opt_candidates_by<D: SearchDist>(
                         if t3 == t2 || t4 == t1 {
                             continue; // adjacent edges — reversal is a no-op
                         }
-                        let gain = d_t1_t2 + points.d(t3, t4) - d_t1_t3 - points.d(t2, t4);
+                        let gain = d_t1_t2 + dist.d(t3, t4) - d_t1_t3 - dist.d(t2, t4);
                         if gain > GAIN_EPS {
                             // Removing (t1,t2) and (t3,t4), adding (t1,t3)
                             // and (t2,t4): reverse the run between the two
@@ -301,29 +284,9 @@ fn two_opt_candidates_by<D: SearchDist>(
 ///
 /// Returns the number of improving relocations applied; the tour is never
 /// lengthened.
-pub fn or_opt_candidates(
+pub fn or_opt_candidates<D: SearchDist>(
     tour: &mut Tour,
-    points: &[Point],
-    candidates: &CandidateLists,
-    max_rounds: usize,
-) -> usize {
-    or_opt_candidates_by(tour, &points, candidates, max_rounds)
-}
-
-/// [`or_opt_candidates`] reading distances from a precomputed matrix (see
-/// [`two_opt_candidates_matrix`]).
-pub fn or_opt_candidates_matrix(
-    tour: &mut Tour,
-    matrix: &DistanceMatrix,
-    candidates: &CandidateLists,
-    max_rounds: usize,
-) -> usize {
-    or_opt_candidates_by(tour, &matrix, candidates, max_rounds)
-}
-
-fn or_opt_candidates_by<D: SearchDist>(
-    tour: &mut Tour,
-    points: &D,
+    dist: D,
     candidates: &CandidateLists,
     max_rounds: usize,
 ) -> usize {
@@ -342,7 +305,7 @@ fn or_opt_candidates_by<D: SearchDist>(
             if dont_look[a] {
                 continue;
             }
-            if let Some(touched) = try_relocate_candidates(tour, points, candidates, a, &mut pos) {
+            if let Some(touched) = try_relocate_candidates(tour, &dist, candidates, a, &mut pos) {
                 moves += 1;
                 improved_any = true;
                 for t in touched {
@@ -364,7 +327,7 @@ fn or_opt_candidates_by<D: SearchDist>(
 /// the points whose tour edges changed.
 fn try_relocate_candidates<D: SearchDist>(
     tour: &mut Tour,
-    points: &D,
+    dist: &D,
     candidates: &CandidateLists,
     a: usize,
     pos: &mut Vec<usize>,
@@ -389,7 +352,7 @@ fn try_relocate_candidates<D: SearchDist>(
             continue; // chain wraps the whole tour
         }
         let removed =
-            points.d(before, chain_first) + points.d(chain_last, after) - points.d(before, after);
+            dist.d(before, chain_first) + dist.d(chain_last, after) - dist.d(before, after);
         if removed <= GAIN_EPS {
             continue; // excision itself saves nothing; no reinsertion can win
         }
@@ -410,9 +373,9 @@ fn try_relocate_candidates<D: SearchDist>(
                 if chain[..chain_len].contains(&j) {
                     continue;
                 }
-                let d_i_j = points.d(i, j);
-                let fwd = points.d(i, chain_first) + points.d(chain_last, j) - d_i_j;
-                let rev = points.d(i, chain_last) + points.d(chain_first, j) - d_i_j;
+                let d_i_j = dist.d(i, j);
+                let fwd = dist.d(i, chain_first) + dist.d(chain_last, j) - d_i_j;
+                let rev = dist.d(i, chain_last) + dist.d(chain_first, j) - d_i_j;
                 let (added, reversed) = if rev < fwd { (rev, true) } else { (fwd, false) };
                 let gain = removed - added;
                 if gain > GAIN_EPS && best.map(|(g, ..)| gain > g).unwrap_or(true) {
@@ -519,7 +482,7 @@ mod tests {
             let cand = CandidateLists::build(&pts, 10);
             let mut tour = Tour::identity(pts.len());
             let before = tour.length(&pts);
-            let moves = two_opt_candidates(&mut tour, &pts, &cand, 100);
+            let moves = two_opt_candidates(&mut tour, &pts[..], &cand, 100);
             assert!(moves > 0, "salt {salt}: the identity tour is improvable");
             assert!(tour.is_valid());
             assert!(tour.length(&pts) < before);
@@ -534,7 +497,7 @@ mod tests {
             let dm = DistanceMatrix::from_points(&pts);
             let mut tour = convex_hull_insertion(&pts, &dm);
             let before = tour.length(&pts);
-            or_opt_candidates(&mut tour, &pts, &cand, 100);
+            or_opt_candidates(&mut tour, &pts[..], &cand, 100);
             assert!(tour.is_valid());
             assert!(tour.length(&pts) <= before + 1e-9);
         }
@@ -555,9 +518,9 @@ mod tests {
 
             let cand = CandidateLists::build(&pts, 10);
             let mut fast = convex_hull_insertion(&pts, &dm);
-            two_opt_candidates(&mut fast, &pts, &cand, 100);
-            or_opt_candidates(&mut fast, &pts, &cand, 100);
-            two_opt_candidates(&mut fast, &pts, &cand, 100);
+            two_opt_candidates(&mut fast, &pts[..], &cand, 100);
+            or_opt_candidates(&mut fast, &pts[..], &cand, 100);
+            two_opt_candidates(&mut fast, &pts[..], &cand, 100);
 
             let ratio = fast.length(&pts) / exact.length(&pts);
             assert!(
@@ -580,13 +543,13 @@ mod tests {
 
             let mut by_points = Tour::identity(pts.len());
             let mut by_matrix = Tour::identity(pts.len());
-            let a = two_opt_candidates(&mut by_points, &pts, &cand, 50);
-            let b = two_opt_candidates_matrix(&mut by_matrix, &dm, &cand, 50);
+            let a = two_opt_candidates(&mut by_points, &pts[..], &cand, 50);
+            let b = two_opt_candidates(&mut by_matrix, &dm, &cand, 50);
             assert_eq!(a, b);
             assert_eq!(by_points.order(), by_matrix.order());
 
-            let c = or_opt_candidates(&mut by_points, &pts, &cand, 50);
-            let d = or_opt_candidates_matrix(&mut by_matrix, &dm, &cand, 50);
+            let c = or_opt_candidates(&mut by_points, &pts[..], &cand, 50);
+            let d = or_opt_candidates(&mut by_matrix, &dm, &cand, 50);
             assert_eq!(c, d);
             assert_eq!(by_points.order(), by_matrix.order());
         }
@@ -627,8 +590,8 @@ mod tests {
         let pts = pseudo_random_points(3, 2);
         let cand = CandidateLists::build(&pts, 2);
         let mut tour = Tour::identity(3);
-        assert_eq!(two_opt_candidates(&mut tour, &pts, &cand, 10), 0);
-        assert_eq!(or_opt_candidates(&mut tour, &pts, &cand, 10), 0);
+        assert_eq!(two_opt_candidates(&mut tour, &pts[..], &cand, 10), 0);
+        assert_eq!(or_opt_candidates(&mut tour, &pts[..], &cand, 10), 0);
         assert_eq!(tour.order(), &[0, 1, 2]);
     }
 
@@ -637,8 +600,8 @@ mod tests {
         let pts = pseudo_random_points(30, 8);
         let cand = CandidateLists::build(&pts, 8);
         let mut tour = Tour::identity(pts.len());
-        assert_eq!(two_opt_candidates(&mut tour, &pts, &cand, 0), 0);
-        assert_eq!(or_opt_candidates(&mut tour, &pts, &cand, 0), 0);
+        assert_eq!(two_opt_candidates(&mut tour, &pts[..], &cand, 0), 0);
+        assert_eq!(or_opt_candidates(&mut tour, &pts[..], &cand, 0), 0);
         assert_eq!(tour.order(), Tour::identity(pts.len()).order());
     }
 
@@ -650,8 +613,8 @@ mod tests {
         let cand = CandidateLists::build(&pts, 6);
         let mut tour = Tour::identity(pts.len());
         let before = tour.length(&pts);
-        two_opt_candidates(&mut tour, &pts, &cand, 50);
-        or_opt_candidates(&mut tour, &pts, &cand, 50);
+        two_opt_candidates(&mut tour, &pts[..], &cand, 50);
+        or_opt_candidates(&mut tour, &pts[..], &cand, 50);
         assert!(tour.is_valid());
         assert!(tour.length(&pts) <= before + 1e-9);
     }

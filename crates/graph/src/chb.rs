@@ -14,10 +14,7 @@
 //! target list, they all obtain *the same* circuit — the distributed-
 //! agreement property the paper relies on.
 
-use crate::candidates::{
-    or_opt_candidates, or_opt_candidates_matrix, two_opt_candidates, two_opt_candidates_matrix,
-    CandidateLists,
-};
+use crate::candidates::{or_opt_candidates, two_opt_candidates, CandidateLists};
 use crate::distance_matrix::DistanceMatrix;
 use crate::insertion::{convex_hull_insertion, convex_hull_insertion_incremental};
 use crate::nearest_neighbor::nearest_neighbor;
@@ -199,19 +196,18 @@ fn construct_circuit_candidates_matrix(
     };
     if config.two_opt_passes > 0 {
         let _s = mule_obs::span("chb.two_opt");
-        let moves = two_opt_candidates_matrix(&mut tour, dm, &candidates, config.two_opt_passes);
+        let moves = two_opt_candidates(&mut tour, dm, &candidates, config.two_opt_passes);
         mule_obs::add("moves", moves as u64);
     }
     if config.or_opt_passes > 0 {
         {
             let _s = mule_obs::span("chb.or_opt");
-            let moves = or_opt_candidates_matrix(&mut tour, dm, &candidates, config.or_opt_passes);
+            let moves = or_opt_candidates(&mut tour, dm, &candidates, config.or_opt_passes);
             mule_obs::add("moves", moves as u64);
         }
         if config.two_opt_passes > 0 {
             let _s = mule_obs::span("chb.two_opt");
-            let moves =
-                two_opt_candidates_matrix(&mut tour, dm, &candidates, config.two_opt_passes);
+            let moves = two_opt_candidates(&mut tour, dm, &candidates, config.two_opt_passes);
             mule_obs::add("moves", moves as u64);
         }
     }

@@ -42,10 +42,7 @@ pub mod partition;
 pub mod tour;
 pub mod two_opt;
 
-pub use candidates::{
-    or_opt_candidates, or_opt_candidates_matrix, two_opt_candidates, two_opt_candidates_matrix,
-    CandidateLists,
-};
+pub use candidates::{or_opt_candidates, two_opt_candidates, CandidateLists, SearchDist};
 pub use chb::{
     construct_circuit, construct_circuit_metric, construct_circuit_with, ChbConfig, SearchMode,
 };

@@ -6,7 +6,7 @@
 //! metadata (weights, identities) stays attached to its original slot.
 
 use crate::distance_matrix::DistanceMatrix;
-use mule_geom::{Point, Polyline};
+use mule_geom::Point;
 use serde::{Deserialize, Serialize};
 
 /// An ordered Hamiltonian cycle over the point indices `0..n`.
@@ -78,18 +78,6 @@ impl Tour {
     /// Total length using a precomputed distance matrix.
     pub fn length_with_matrix(&self, dm: &DistanceMatrix) -> f64 {
         dm.cycle_length(&self.order)
-    }
-
-    /// The successor of position `pos` in cyclic order.
-    #[inline]
-    pub fn next_pos(&self, pos: usize) -> usize {
-        (pos + 1) % self.order.len()
-    }
-
-    /// The predecessor of position `pos` in cyclic order.
-    #[inline]
-    pub fn prev_pos(&self, pos: usize) -> usize {
-        (pos + self.order.len() - 1) % self.order.len()
     }
 
     /// Position of point index `target` within the tour, if present.
@@ -181,32 +169,6 @@ impl Tour {
         }
     }
 
-    /// Removes the point at tour position `pos` and returns its index.
-    pub fn remove_at(&mut self, pos: usize) -> Option<usize> {
-        if pos < self.order.len() {
-            Some(self.order.remove(pos))
-        } else {
-            None
-        }
-    }
-
-    /// Inserts point index `target` so that it is visited after position
-    /// `pos` (or at the front when the tour is empty).
-    pub fn insert_after(&mut self, pos: usize, target: usize) {
-        if self.order.is_empty() {
-            self.order.push(target);
-        } else {
-            let at = (pos + 1).min(self.order.len());
-            self.order.insert(at, target);
-        }
-    }
-
-    /// Converts the tour into the closed [`Polyline`] over the actual
-    /// coordinates, ready to hand to the simulator.
-    pub fn to_polyline(&self, points: &[Point]) -> Polyline {
-        Polyline::closed(self.order.iter().map(|&i| points[i]).collect())
-    }
-
     /// Consumes the tour and returns the underlying order.
     pub fn into_order(self) -> Vec<usize> {
         self.order
@@ -253,10 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_navigation_helpers() {
+    fn position_of_finds_present_points_only() {
         let tour = Tour::identity(4);
-        assert_eq!(tour.next_pos(3), 0);
-        assert_eq!(tour.prev_pos(0), 3);
         assert_eq!(tour.position_of(2), Some(2));
         assert_eq!(tour.position_of(9), None);
     }
@@ -364,31 +324,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn insert_and_remove_round_trip() {
-        let mut tour = Tour::new(vec![0, 1, 2]);
-        tour.insert_after(1, 3);
-        assert_eq!(tour.order(), &[0, 1, 3, 2]);
-        let removed = tour.remove_at(2).unwrap();
-        assert_eq!(removed, 3);
-        assert_eq!(tour.order(), &[0, 1, 2]);
-        assert!(tour.remove_at(17).is_none());
-
-        let mut empty = Tour::new(vec![]);
-        empty.insert_after(5, 0);
-        assert_eq!(empty.order(), &[0]);
-    }
-
-    #[test]
-    fn to_polyline_is_closed_with_matching_length() {
-        let pts = square_points();
-        let tour = Tour::identity(4);
-        let poly = tour.to_polyline(&pts);
-        assert!(poly.is_closed());
-        assert!((poly.length() - tour.length(&pts)).abs() < 1e-12);
-        assert_eq!(poly.points().len(), 4);
     }
 
     #[test]

@@ -34,12 +34,12 @@ proptest! {
         let mut tour = convex_hull_insertion_incremental(&points);
         let mut length = tour.length(&points);
 
-        two_opt_candidates(&mut tour, &points, &candidates, 50);
+        two_opt_candidates(&mut tour, &points[..], &candidates, 50);
         prop_assert!(tour.is_valid());
         prop_assert!(tour.length(&points) <= length + 1e-6);
         length = tour.length(&points);
 
-        or_opt_candidates(&mut tour, &points, &candidates, 50);
+        or_opt_candidates(&mut tour, &points[..], &candidates, 50);
         prop_assert!(tour.is_valid());
         prop_assert!(tour.length(&points) <= length + 1e-6);
     }
