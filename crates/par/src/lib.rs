@@ -5,12 +5,10 @@
 //! range (or a slice, or an owned `Vec`) and return the results **in input
 //! order**, bit-identically to a sequential run.
 //!
-//! Replication sweeps dominate this workspace's runtime — Monte Carlo
-//! replications, bench figure grids, dynamics scenario sweeps — and every
+//! Replication sweeps dominate this workspace's runtime — `mule-sim`'s
+//! `run_sweep`, bench figure grids, dynamics scenario sweeps — and every
 //! item of those sweeps is an independent, pure function of its seed. This
-//! crate executes them that way. The `rayon` shim's prelude delegates to
-//! [`parallel_map_indexed`], so existing `par_iter().map(...).collect()`
-//! call sites go parallel without churn.
+//! crate executes them that way.
 //!
 //! ## Execution model
 //!
