@@ -8,11 +8,11 @@
 //! change may re-pin them, with the diff in hand.
 
 use mule_bench::ablations::{self, RechargeAblationParams, SpreadAblationParams};
+use mule_bench::fig10;
 use mule_bench::fig7::{self, Fig7Params};
 use mule_bench::fig8::{self, Fig8Params};
 use mule_bench::fig9::{self, VipSweepParams};
 use mule_bench::pathlen::{self, PathLenParams};
-use mule_bench::{fig10, PAPER_REPLICAS};
 use mule_metrics::TextTable;
 
 /// FNV-1a 64-bit — the same stable hash the spec fingerprint uses.
@@ -42,20 +42,6 @@ fn vip_quick() -> VipSweepParams {
         horizon_s: 80_000.0,
         ..VipSweepParams::default()
     }
-}
-
-fn pathlen_quick() -> PathLenParams {
-    PathLenParams {
-        target_counts: vec![10, 20, 30],
-        replicas: 5,
-        ..PathLenParams::default()
-    }
-}
-
-#[test]
-fn quick_sizes_are_below_the_paper_fan() {
-    assert!(vip_quick().replicas < PAPER_REPLICAS);
-    assert!(pathlen_quick().replicas < PAPER_REPLICAS);
 }
 
 #[test]
@@ -108,7 +94,11 @@ fn fig10_csv_is_pinned() {
 
 #[test]
 fn pathlen_tables_are_pinned() {
-    let params = pathlen_quick();
+    let params = PathLenParams {
+        target_counts: vec![10, 20, 30],
+        replicas: 5,
+        ..PathLenParams::default()
+    };
     assert_pinned(
         "tour length",
         &pathlen::tour_length_table(&params),
