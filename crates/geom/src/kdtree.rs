@@ -189,19 +189,72 @@ impl KdTree {
     }
 
     /// `k` nearest neighbours of `query` (fewer when the tree is smaller),
-    /// sorted by increasing distance. Brute-force over pruned candidates is
-    /// avoided by running `k` successive filtered nearest queries; `k` is
-    /// small everywhere this is used (mule counts ≤ 10 in the paper).
+    /// sorted by increasing distance. Points at equal distance keep the
+    /// order in which the depth-first search meets them, so the result is
+    /// exactly what `k` successive [`KdTree::nearest_filtered`] queries —
+    /// each excluding the hits before it — would return.
     pub fn k_nearest(&self, query: &Point, k: usize) -> Vec<(usize, f64)> {
-        let mut found: Vec<(usize, f64)> = Vec::with_capacity(k);
-        while found.len() < k {
-            let taken: Vec<usize> = found.iter().map(|(i, _)| *i).collect();
-            match self.nearest_filtered(query, |i| !taken.contains(&i)) {
-                Some(hit) => found.push(hit),
-                None => break,
+        let mut out = Vec::with_capacity(k.min(self.size));
+        self.k_nearest_into(query, k, &mut out);
+        out
+    }
+
+    /// [`KdTree::k_nearest`] into a caller-owned buffer (cleared first), so
+    /// a caller querying every point allocates once instead of per query.
+    ///
+    /// One depth-first traversal in the same child order as
+    /// [`KdTree::nearest_filtered`], keeping the best `k` hits sorted by
+    /// squared distance. A new hit is inserted after every kept hit at the
+    /// same distance — it was met later — which reproduces the tie order of
+    /// repeated filtered searches; a subtree is pruned once its box is no
+    /// closer than the current `k`-th hit.
+    pub fn k_nearest_into(&self, query: &Point, k: usize, out: &mut Vec<(usize, f64)>) {
+        out.clear();
+        if let (Some(root), true) = (self.root, k > 0) {
+            self.k_nearest_recursive(root, query, k, out);
+        }
+        for hit in out.iter_mut() {
+            hit.1 = hit.1.sqrt();
+        }
+    }
+
+    /// Collects into `best` (sorted by squared distance, at most `k` long)
+    /// the hits below `node_idx`.
+    fn k_nearest_recursive(
+        &self,
+        node_idx: usize,
+        query: &Point,
+        k: usize,
+        best: &mut Vec<(usize, f64)>,
+    ) {
+        let node = &self.nodes[node_idx];
+        let full = best.len() == k;
+        if full && node.bbox.distance_squared_to(query) >= best[k - 1].1 {
+            return;
+        }
+        let d2 = node.point.distance_squared(query);
+        if !full || d2 < best[k - 1].1 {
+            if full {
+                best.pop();
+            }
+            let at = best.partition_point(|&(_, b)| b <= d2);
+            best.insert(at, (node.index, d2));
+        }
+        // Same child order as `nearest_recursive`.
+        let children = [node.left, node.right];
+        let mut order = [0usize, 1usize];
+        if let (Some(l), Some(r)) = (node.left, node.right) {
+            let dl = self.nodes[l].bbox.distance_squared_to(query);
+            let dr = self.nodes[r].bbox.distance_squared_to(query);
+            if dr < dl {
+                order = [1, 0];
             }
         }
-        found
+        for &side in &order {
+            if let Some(child) = children[side] {
+                self.k_nearest_recursive(child, query, k, best);
+            }
+        }
     }
 }
 

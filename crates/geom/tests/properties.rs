@@ -18,6 +18,29 @@ fn field_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(field_point(), min..=max)
 }
 
+/// Points on a 6 × 6 lattice of 10 m spacing: many coincide and many
+/// distances tie exactly.
+fn lattice_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
+    prop::collection::vec(
+        (0u32..6, 0u32..6).prop_map(|(x, y)| Point::new(10.0 * f64::from(x), 10.0 * f64::from(y))),
+        min..=max,
+    )
+}
+
+/// `k` successive filtered nearest-neighbour searches, each excluding the
+/// hits before it — the reference `KdTree::k_nearest` must reproduce hit
+/// for hit, tie order included.
+fn repeated_nearest(tree: &KdTree, q: &Point, k: usize) -> Vec<(usize, f64)> {
+    let mut found: Vec<(usize, f64)> = Vec::new();
+    while found.len() < k {
+        match tree.nearest_filtered(q, |i| found.iter().all(|&(j, _)| j != i)) {
+            Some(hit) => found.push(hit),
+            None => break,
+        }
+    }
+    found
+}
+
 proptest! {
     #[test]
     fn distance_satisfies_triangle_inequality(a in field_point(), b in field_point(), c in field_point()) {
@@ -123,6 +146,23 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         prop_assert!((d - brute).abs() <= 1e-9);
         prop_assert!((points[idx].distance(&q) - brute).abs() <= 1e-9);
+    }
+
+    #[test]
+    fn kdtree_k_nearest_matches_repeated_nearest_on_lattices(
+        points in lattice_points(1, 60),
+        qx in 0u32..7,
+        qy in 0u32..7,
+        k in 1usize..16,
+    ) {
+        let tree = KdTree::build(&points);
+        // Lattice queries tie with many points at once; the off-lattice
+        // column/row (6) adds queries outside the occupied square.
+        let q = Point::new(10.0 * f64::from(qx), 10.0 * f64::from(qy));
+        prop_assert_eq!(tree.k_nearest(&q, k), repeated_nearest(&tree, &q, k));
+        for p in points.iter().take(8) {
+            prop_assert_eq!(tree.k_nearest(p, k), repeated_nearest(&tree, p, k));
+        }
     }
 
     #[test]

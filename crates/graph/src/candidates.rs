@@ -70,40 +70,45 @@ impl SearchDist for &DistanceMatrix {
 /// Per-point k-nearest-neighbour candidate lists, sorted by distance.
 #[derive(Debug, Clone)]
 pub struct CandidateLists {
-    /// `lists[i]` holds the indices of the k nearest neighbours of point
-    /// `i` (excluding `i` itself), nearest first.
-    lists: Vec<Vec<u32>>,
+    /// Every list is exactly `k` long (after clamping), so the lists are
+    /// stored back to back: `lists[i*k..(i+1)*k]` holds the k nearest
+    /// neighbours of point `i` (excluding `i` itself), nearest first.
+    lists: Vec<u32>,
     k: usize,
+    /// Number of points covered.
+    n: usize,
 }
 
 impl CandidateLists {
-    /// Builds k-nearest-neighbour lists over `points` using a kd-tree.
-    /// `k` is clamped to `points.len() - 1`.
+    /// Builds k-nearest-neighbour lists over `points` using a kd-tree: one
+    /// single-pass [`KdTree::k_nearest_into`] query per point into a reused
+    /// buffer, `O(n·log n)` for fixed `k`, with a constant number of
+    /// allocations. `k` is clamped to `points.len() - 1`.
     pub fn build(points: &[Point], k: usize) -> Self {
         let n = points.len();
         let k = k.min(n.saturating_sub(1));
         if k == 0 {
             return CandidateLists {
-                lists: vec![Vec::new(); n],
+                lists: Vec::new(),
                 k,
+                n,
             };
         }
         let tree = KdTree::build(points);
-        let lists = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                // Query k+1 and drop the point itself (duplicates of `p` at
-                // other indices are legitimate candidates).
-                tree.k_nearest(p, k + 1)
-                    .into_iter()
-                    .filter(|&(j, _)| j != i)
+        let mut lists = Vec::with_capacity(n * k);
+        let mut hits = Vec::with_capacity(k + 1);
+        for (i, p) in points.iter().enumerate() {
+            // Query k+1 and drop the point itself (duplicates of `p` at
+            // other indices are legitimate candidates).
+            tree.k_nearest_into(p, k + 1, &mut hits);
+            lists.extend(
+                hits.iter()
+                    .filter(|&&(j, _)| j != i)
                     .take(k)
-                    .map(|(j, _)| j as u32)
-                    .collect()
-            })
-            .collect();
-        CandidateLists { lists, k }
+                    .map(|&(j, _)| j as u32),
+            );
+        }
+        CandidateLists { lists, k, n }
     }
 
     /// Builds k-nearest-neighbour lists from a precomputed distance
@@ -115,41 +120,39 @@ impl CandidateLists {
     pub fn from_matrix(matrix: &DistanceMatrix, k: usize) -> Self {
         let n = matrix.len();
         let k = k.min(n.saturating_sub(1));
+        let mut lists = Vec::with_capacity(n * k);
         if k == 0 {
-            return CandidateLists {
-                lists: vec![Vec::new(); n],
-                k,
-            };
+            return CandidateLists { lists, k, n };
         }
-        let lists = (0..n)
-            .map(|i| {
-                let by_distance = |&a: &u32, &b: &u32| {
-                    matrix
-                        .get(i, a as usize)
-                        .total_cmp(&matrix.get(i, b as usize))
-                        .then(a.cmp(&b))
-                };
-                let mut order: Vec<u32> = (0..n as u32).filter(|&j| j as usize != i).collect();
-                // Top-k selection, then sort only the survivors: O(n + k
-                // log k) per point instead of a full O(n log n) sort. The
-                // (distance, index) comparator is a total order, so the
-                // selected set — and its sorted order — is exactly what
-                // the full sort would produce.
-                if k < order.len() {
-                    order.select_nth_unstable_by(k - 1, by_distance);
-                    order.truncate(k);
-                }
-                order.sort_by(by_distance);
-                order
-            })
-            .collect();
-        CandidateLists { lists, k }
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        for i in 0..n {
+            let by_distance = |&a: &u32, &b: &u32| {
+                matrix
+                    .get(i, a as usize)
+                    .total_cmp(&matrix.get(i, b as usize))
+                    .then(a.cmp(&b))
+            };
+            order.clear();
+            order.extend((0..n as u32).filter(|&j| j as usize != i));
+            // Top-k selection, then sort only the survivors: O(n + k log k)
+            // per point instead of a full O(n log n) sort. The (distance,
+            // index) comparator is a total order, so the selected set —
+            // and its sorted order — is exactly what the full sort would
+            // produce.
+            if k < order.len() {
+                order.select_nth_unstable_by(k - 1, by_distance);
+                order.truncate(k);
+            }
+            order.sort_by(by_distance);
+            lists.extend_from_slice(&order);
+        }
+        CandidateLists { lists, k, n }
     }
 
     /// The neighbour list of point `i`, nearest first.
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.lists[i]
+        &self.lists[i * self.k..(i + 1) * self.k]
     }
 
     /// The `k` the lists were built with (after clamping).
@@ -161,13 +164,13 @@ impl CandidateLists {
     /// Number of points the lists cover.
     #[inline]
     pub fn len(&self) -> usize {
-        self.lists.len()
+        self.n
     }
 
     /// Returns `true` when built over an empty point set.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
+        self.n == 0
     }
 }
 
@@ -296,6 +299,7 @@ pub fn or_opt_candidates<D: SearchDist>(
     }
     debug_assert_eq!(candidates.len(), n, "candidate lists cover the tour");
     let mut pos = tour.position_index();
+    let mut order = std::mem::take(tour).into_order();
     let mut dont_look = vec![false; n];
     let mut moves = 0usize;
 
@@ -305,7 +309,9 @@ pub fn or_opt_candidates<D: SearchDist>(
             if dont_look[a] {
                 continue;
             }
-            if let Some(touched) = try_relocate_candidates(tour, &dist, candidates, a, &mut pos) {
+            if let Some(touched) =
+                try_relocate_candidates(&mut order, &dist, candidates, a, &mut pos)
+            {
                 moves += 1;
                 improved_any = true;
                 for t in touched {
@@ -319,20 +325,22 @@ pub fn or_opt_candidates<D: SearchDist>(
             break;
         }
     }
+    *tour = Tour::new(order);
     moves
 }
 
 /// Tries the best candidate relocation of the chains of length 1–3 starting
-/// at point `a`. On success applies the move, refreshes `pos`, and returns
-/// the points whose tour edges changed.
+/// at point `a`. On success applies the move to `order` in place, keeps
+/// `pos` its position index, and returns the points whose tour edges
+/// changed.
 fn try_relocate_candidates<D: SearchDist>(
-    tour: &mut Tour,
+    order: &mut [usize],
     dist: &D,
     candidates: &CandidateLists,
     a: usize,
-    pos: &mut Vec<usize>,
+    pos: &mut [usize],
 ) -> Option<[usize; 6]> {
-    let n = tour.len();
+    let n = order.len();
     let mut best: Option<(f64, [usize; 3], usize, usize, bool)> = None; // (gain, chain, chain_len, edge_start, reversed)
 
     for chain_len in 1..=3usize {
@@ -342,12 +350,12 @@ fn try_relocate_candidates<D: SearchDist>(
         let start = pos[a];
         let mut chain = [0usize; 3];
         for (s, slot) in chain.iter_mut().enumerate().take(chain_len) {
-            *slot = tour.order()[(start + s) % n];
+            *slot = order[(start + s) % n];
         }
         let chain_first = chain[0];
         let chain_last = chain[chain_len - 1];
-        let before = tour.order()[(start + n - 1) % n];
-        let after = tour.order()[(start + chain_len) % n];
+        let before = order[(start + n - 1) % n];
+        let after = order[(start + chain_len) % n];
         if chain[..chain_len].contains(&before) || chain[..chain_len].contains(&after) {
             continue; // chain wraps the whole tour
         }
@@ -369,7 +377,7 @@ fn try_relocate_candidates<D: SearchDist>(
                 if chain[..chain_len].contains(&i) || i == before {
                     continue; // edge inside the chain or the excised edge
                 }
-                let j = tour.order()[(pos[i] + 1) % n];
+                let j = order[(pos[i] + 1) % n];
                 if chain[..chain_len].contains(&j) {
                     continue;
                 }
@@ -389,31 +397,58 @@ fn try_relocate_candidates<D: SearchDist>(
     let chain_first = chain[0];
     let chain_last = chain[chain_len - 1];
     let start = pos[chain_first];
-    let before = tour.order()[(start + n - 1) % n];
-    let after = tour.order()[(start + chain_len) % n];
-    let edge_end = tour.order()[(pos[edge_start] + 1) % n];
-
-    // Splice: rebuild the order without the chain, then insert it after
-    // `edge_start`. O(n), but only paid on applied (improving) moves.
-    let mut new_order = Vec::with_capacity(n);
-    for p in 0..n {
-        let idx = tour.order()[p];
-        if chain[..chain_len].contains(&idx) {
-            continue;
-        }
-        new_order.push(idx);
-        if idx == edge_start {
-            if reversed {
-                new_order.extend(chain[..chain_len].iter().rev().copied());
-            } else {
-                new_order.extend(chain[..chain_len].iter().copied());
-            }
-        }
-    }
-    debug_assert_eq!(new_order.len(), n);
-    *tour = Tour::new(new_order);
-    *pos = tour.position_index();
+    let before = order[(start + n - 1) % n];
+    let after = order[(start + chain_len) % n];
+    let edge_end = order[(pos[edge_start] + 1) % n];
+    relocate_chain(order, pos, start, chain_len, pos[edge_start], reversed);
     Some([before, after, chain_first, chain_last, edge_start, edge_end])
+}
+
+/// Moves the chain at positions `start..start + len` (cyclic) to just after
+/// position `edge`, reversed when asked, in place; `pos` stays the position
+/// index of `order`.
+///
+/// The result is exactly the array "remove the chain, then re-insert it
+/// after the edge's first point" would give — not merely the same cycle —
+/// because the chains of later moves are read in array direction. Only the
+/// segment between the chain and the insertion edge is rotated, so a move
+/// costs the length of that segment rather than `O(n)`. A chain that wraps
+/// past the end of the array is first rotated to the end (the rare `O(n)`
+/// case).
+fn relocate_chain(
+    order: &mut [usize],
+    pos: &mut [usize],
+    start: usize,
+    len: usize,
+    edge: usize,
+    reversed: bool,
+) {
+    let n = order.len();
+    let (mut start, mut edge) = (start, edge);
+    let wraps = start + len > n;
+    if wraps {
+        let shift = start + len - n;
+        order.rotate_left(shift);
+        start -= shift;
+        edge -= shift;
+    }
+    let (segment, chain) = if edge < start {
+        // The chain moves back: it lands right after `edge`.
+        order[edge + 1..start + len].rotate_right(len);
+        (edge + 1..start + len, edge + 1..edge + 1 + len)
+    } else {
+        // The chain moves forward: it lands right after `edge`, whose
+        // position drops by `len`.
+        order[start..=edge].rotate_left(len);
+        (start..edge + 1, edge + 1 - len..edge + 1)
+    };
+    if reversed {
+        order[chain].reverse();
+    }
+    let dirty = if wraps { 0..n } else { segment };
+    for p in dirty {
+        pos[order[p]] = p;
+    }
 }
 
 #[cfg(test)]
@@ -422,6 +457,73 @@ mod tests {
     use crate::distance_matrix::DistanceMatrix;
     use crate::insertion::convex_hull_insertion;
     use crate::test_support::pseudo_random_points;
+
+    /// The splice rebuild `relocate_chain` replaced: drop the chain from
+    /// the array, then re-insert it right after `order[edge]`.
+    fn splice_oracle(
+        order: &[usize],
+        start: usize,
+        len: usize,
+        edge: usize,
+        reversed: bool,
+    ) -> Vec<usize> {
+        let n = order.len();
+        let mut chain: Vec<usize> = (0..len).map(|s| order[(start + s) % n]).collect();
+        if reversed {
+            chain.reverse();
+        }
+        let mut out = Vec::with_capacity(n);
+        for &idx in order {
+            if chain.contains(&idx) {
+                continue;
+            }
+            out.push(idx);
+            if idx == order[edge] {
+                out.extend(&chain);
+            }
+        }
+        out
+    }
+
+    /// Every chain (start, length 1–3, either direction) against every
+    /// insertion edge the search may pick: the edge may not touch the
+    /// chain, nor be the edge just before it.
+    #[test]
+    fn relocate_chain_matches_the_splice_rebuild() {
+        let mut seen = [false; 4]; // before, after, wrapping, reversed
+        for n in 5..=9usize {
+            // A reversed, rotated start order, so positions and point ids
+            // differ.
+            let base: Vec<usize> = (0..n).map(|p| (n + 2 - p) % n).collect();
+            for start in 0..n {
+                for len in 1..=3usize {
+                    let in_chain = |p: usize| (p + n - start) % n < len;
+                    for edge in 0..n {
+                        let before = (start + n - 1) % n;
+                        if in_chain(edge) || in_chain((edge + 1) % n) || edge == before {
+                            continue;
+                        }
+                        for reversed in [false, true] {
+                            let want = splice_oracle(&base, start, len, edge, reversed);
+                            let mut order = base.clone();
+                            let mut pos = Tour::new(base.clone()).position_index();
+                            relocate_chain(&mut order, &mut pos, start, len, edge, reversed);
+                            assert_eq!(
+                                order, want,
+                                "n {n} start {start} len {len} edge {edge} reversed {reversed}"
+                            );
+                            assert_eq!(pos, Tour::new(want).position_index());
+                            let wraps = start + len > n;
+                            seen[usize::from(!wraps && edge > start)] = true;
+                            seen[2] |= wraps;
+                            seen[3] |= reversed;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4], "every relocation shape was exercised");
+    }
 
     #[test]
     fn candidate_lists_are_sorted_and_exclude_self() {

@@ -23,7 +23,7 @@
 
 use crate::distance_matrix::DistanceMatrix;
 use crate::tour::Tour;
-use mule_geom::{convex_hull, hull_diameter, Point};
+use mule_geom::{convex_hull, hull_diameter, BoundingBox, Point};
 use std::collections::BinaryHeap;
 
 /// Cost of inserting point `k` between consecutive tour points `i` and `j`:
@@ -120,15 +120,15 @@ fn hull_seed(points: &[Point]) -> (Vec<usize>, Vec<bool>) {
 /// A pending `(cost, point, edge)` candidate in the incremental insertion's
 /// lazy-invalidation heap. Ordered so the *smallest* cost pops first from
 /// the `BinaryHeap` (which is a max-heap), with `(point, edge)` as the
-/// deterministic tie-break.
+/// deterministic tie-break. Indices are `u32` to keep entries at 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PendingInsertion {
     cost: f64,
-    point: usize,
+    point: u32,
     /// The edge `(from, to)` the cost was computed for; stale once the tour
     /// no longer contains it.
-    from: usize,
-    to: usize,
+    from: u32,
+    to: u32,
 }
 
 impl Eq for PendingInsertion {}
@@ -151,6 +151,217 @@ impl PartialOrd for PendingInsertion {
     }
 }
 
+/// Interior points per leaf of the [`OfferTree`].
+const OFFER_LEAF: usize = 8;
+
+/// Relative slack subtracted from an [`OfferTree`] node's lower bound
+/// before it is compared with the node's cached-cost bound. The bound is
+/// already exact under IEEE rounding (see [`OfferTree::offer`]); the slack
+/// only makes pruning more conservative.
+const OFFER_SLACK: f64 = 1e-9;
+
+/// One node of the [`OfferTree`]: a box around a run of interior points
+/// and an upper bound on the cached `best_cost` of its remaining points.
+#[derive(Debug, Clone, Copy)]
+struct OfferNode {
+    bbox: BoundingBox,
+    /// `≥ best_cost[q]` for every remaining point `q` below this node
+    /// (`-∞` once none remain).
+    bound: f64,
+    /// The node's points are `items[lo..hi]`.
+    lo: u32,
+    hi: u32,
+    /// Right child (the left child is the next node in preorder); `0` for
+    /// a leaf, since the root is never a child.
+    right: u32,
+    /// Parent node; `u32::MAX` for the root.
+    parent: u32,
+}
+
+/// A static 2-d tree over the interior (not hull-seeded) points, used to
+/// send each insertion's two new edges only to the points that could take
+/// them.
+///
+/// A point `q` takes an offer of edge `(a, b)` only when
+/// `d(a,q) + d(q,b) − d(a,b) < best_cost[q]`. For every `q` in a box `B`
+/// that cost is at least `d(a,B) + d(b,B) − d(a,b)`, so a subtree whose
+/// lower bound is not below its cached-cost bound cannot hold a taker and
+/// is skipped. Leaves run the exact offer expression, so the set of
+/// accepted offers — and hence every heap entry and every tour — is the
+/// same as offering to all remaining points.
+struct OfferTree {
+    nodes: Vec<OfferNode>,
+    /// Interior point indices, grouped by leaf.
+    items: Vec<u32>,
+    /// Leaf holding each interior point (`u32::MAX` for hull points).
+    leaf_of: Vec<u32>,
+}
+
+impl OfferTree {
+    /// Builds the tree over the points flagged in `interior`, with every
+    /// bound set from `best_cost`.
+    fn build(points: &[Point], interior: &[bool], best_cost: &[f64]) -> Self {
+        let items: Vec<u32> = (0..points.len() as u32)
+            .filter(|&i| interior[i as usize])
+            .collect();
+        let mut tree = OfferTree {
+            nodes: Vec::with_capacity(2 * items.len() / OFFER_LEAF + 1),
+            items,
+            leaf_of: vec![u32::MAX; points.len()],
+        };
+        if !tree.items.is_empty() {
+            tree.split(points, best_cost, 0, tree.items.len(), u32::MAX);
+        }
+        tree
+    }
+
+    /// Appends the subtree over `items[lo..hi]` in preorder (median split
+    /// across the wider side of its box) and returns its node index.
+    fn split(
+        &mut self,
+        points: &[Point],
+        best_cost: &[f64],
+        lo: usize,
+        hi: usize,
+        parent: u32,
+    ) -> u32 {
+        let run = &mut self.items[lo..hi];
+        let mut bbox = BoundingBox::from_corners(points[run[0] as usize], points[run[0] as usize]);
+        for &i in run.iter() {
+            bbox.expand_to(&points[i as usize]);
+        }
+        let id = self.nodes.len() as u32;
+        self.nodes.push(OfferNode {
+            bbox,
+            bound: f64::NEG_INFINITY,
+            lo: lo as u32,
+            hi: hi as u32,
+            right: 0,
+            parent,
+        });
+        if hi - lo <= OFFER_LEAF {
+            let mut bound = f64::NEG_INFINITY;
+            for &i in run.iter() {
+                self.leaf_of[i as usize] = id;
+                bound = bound.max(best_cost[i as usize]);
+            }
+            self.nodes[id as usize].bound = bound;
+            return id;
+        }
+        let mid = (hi - lo) / 2;
+        let along_x = bbox.width() >= bbox.height();
+        run.select_nth_unstable_by(mid, |&a, &b| {
+            let (pa, pb) = (points[a as usize], points[b as usize]);
+            if along_x {
+                pa.x.total_cmp(&pb.x)
+            } else {
+                pa.y.total_cmp(&pb.y)
+            }
+        });
+        let left = self.split(points, best_cost, lo, lo + mid, id);
+        let right = self.split(points, best_cost, lo + mid, hi, id);
+        let bound = self.nodes[left as usize]
+            .bound
+            .max(self.nodes[right as usize].bound);
+        let node = &mut self.nodes[id as usize];
+        node.right = right;
+        node.bound = bound;
+        id
+    }
+
+    /// Records that `point`'s cached cost rose to `cost` (a rescore), so
+    /// every bound on its root path covers it again.
+    fn raise(&mut self, point: usize, cost: f64) {
+        let mut node = self.leaf_of[point];
+        while node != u32::MAX && self.nodes[node as usize].bound < cost {
+            self.nodes[node as usize].bound = cost;
+            node = self.nodes[node as usize].parent;
+        }
+    }
+}
+
+/// One insertion's offer walk: inserting `k` into `(e, f)` created the
+/// edges `(e, k)` and `(k, f)`, of lengths `d_ek` and `d_kf`.
+struct Offer<'a> {
+    e: usize,
+    k: usize,
+    f: usize,
+    d_ek: f64,
+    d_kf: f64,
+    points: &'a [Point],
+    is_remaining: &'a [bool],
+    best_cost: &'a mut [f64],
+    heap: &'a mut BinaryHeap<PendingInsertion>,
+}
+
+impl OfferTree {
+    /// Offers the two new edges to every remaining point below `node` that
+    /// could take one, tightening the bounds it passes on the way back up.
+    ///
+    /// The skip test is exact, not approximate: box distances are computed
+    /// from the same coordinate differences as point distances, only
+    /// clamped towards zero, and IEEE addition, multiplication and square
+    /// root are monotone — so the computed lower bound never exceeds the
+    /// computed offer cost of any point in the box.
+    fn offer(&mut self, node: usize, o: &mut Offer) {
+        let n = self.nodes[node];
+        let pts = o.points;
+        let d_kb = n.bbox.distance_squared_to(&pts[o.k]).sqrt();
+        let d_eb = n.bbox.distance_squared_to(&pts[o.e]).sqrt();
+        let d_fb = n.bbox.distance_squared_to(&pts[o.f]).sqrt();
+        let lower = (d_eb + d_kb - o.d_ek).min(d_kb + d_fb - o.d_kf);
+        if lower - OFFER_SLACK * (d_kb + o.d_ek + o.d_kf) >= n.bound {
+            return; // no remaining point below can take either edge
+        }
+        let bound = if n.right == 0 {
+            self.offer_leaf(n.lo as usize..n.hi as usize, o)
+        } else {
+            self.offer(node + 1, o);
+            self.offer(n.right as usize, o);
+            self.nodes[node + 1]
+                .bound
+                .max(self.nodes[n.right as usize].bound)
+        };
+        self.nodes[node].bound = bound;
+    }
+
+    /// The exact offer to each remaining point of one leaf — the same
+    /// expression, bit for bit, as scoring the two edges directly — and
+    /// returns the leaf's tightened bound.
+    fn offer_leaf(&self, run: std::ops::Range<usize>, o: &mut Offer) -> f64 {
+        let pts = o.points;
+        let (e, k, f) = (o.e, o.k, o.f);
+        let mut bound = f64::NEG_INFINITY;
+        for &q in &self.items[run] {
+            let q = q as usize;
+            if !o.is_remaining[q] {
+                continue;
+            }
+            // `d(q,k)` equals `d(k,q)` bit for bit (negating a coordinate
+            // difference is exact), so both edges share it.
+            let d_qk = pts[q].distance(&pts[k]);
+            let via_e = pts[e].distance(&pts[q]) + d_qk - o.d_ek;
+            let via_f = d_qk + pts[q].distance(&pts[f]) - o.d_kf;
+            let (cost, from, to) = if via_e <= via_f {
+                (via_e, e, k)
+            } else {
+                (via_f, k, f)
+            };
+            if cost < o.best_cost[q] {
+                o.best_cost[q] = cost;
+                o.heap.push(PendingInsertion {
+                    cost,
+                    point: q as u32,
+                    from: from as u32,
+                    to: to as u32,
+                });
+            }
+            bound = bound.max(o.best_cost[q]);
+        }
+        bound
+    }
+}
+
 /// Convex-hull insertion with incremental re-scoring — the scalable twin of
 /// [`convex_hull_insertion`].
 ///
@@ -165,10 +376,11 @@ impl PartialOrd for PendingInsertion {
 ///   discarded.
 ///
 /// After each insertion splits edge `(e, f)` into `(e, k)`/`(k, f)`, the two
-/// *new* edges are offered to every remaining point (`O(remaining)`), which
-/// keeps every cached cost equal to the true minimum over the current
-/// edges — so the greedy selection rule is exactly that of the all-pairs
-/// variant, up to tie order.
+/// *new* edges are offered to the remaining points through an [`OfferTree`]
+/// that skips every subtree where no point could take them. Every cached
+/// cost stays equal to the true minimum over the current edges, so the
+/// greedy selection rule is exactly that of the all-pairs variant, up to
+/// tie order.
 ///
 /// Works straight off the point coordinates; no distance matrix needed.
 pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
@@ -190,97 +402,109 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
     }
 
     let d = |i: usize, j: usize| points[i].distance(&points[j]);
-    let edge_cost = |i: usize, j: usize, k: usize| d(i, k) + d(k, j) - d(i, j);
+    // `len_next[i]` = d(i, next[i]), the length of the edge leaving `i`.
+    let mut len_next = vec![0.0; n];
+    for &i in &order {
+        len_next[i] = d(i, next[i]);
+    }
 
     // Best-known insertion per remaining point, mirrored in the heap.
     let mut best_cost = vec![f64::INFINITY; n];
-    let mut heap: BinaryHeap<PendingInsertion> = BinaryHeap::with_capacity(n);
-    let mut remaining: Vec<usize> = (0..n).filter(|&i| !in_tour[i]).collect();
-    let mut is_remaining = vec![false; n];
-    for &k in &remaining {
-        is_remaining[k] = true;
-    }
+    let mut is_remaining: Vec<bool> = in_tour.iter().map(|&t| !t).collect();
+    let mut remaining = n - order.len();
+    let mut heap: BinaryHeap<PendingInsertion> = BinaryHeap::with_capacity(remaining);
 
     // Scores `k` against every edge of the current cycle (the recompute
-    // path for stale caches) and queues the result.
+    // path for stale caches) and queues the result. Each edge's cost is
+    // `d(i,k) + d(k,j) − d(i,j)`, evaluated left to right as everywhere
+    // else; `d(i,j)` comes from `len_next`, and `d(k,j)` is reused as the
+    // next edge's `d(j,k)`, which is the same value bit for bit.
     let rescore = |k: usize,
                    next: &[usize],
+                   len_next: &[f64],
                    best_cost: &mut [f64],
                    heap: &mut BinaryHeap<PendingInsertion>| {
-        let mut best = PendingInsertion {
-            cost: f64::INFINITY,
-            point: k,
-            from: anchor,
-            to: next[anchor],
-        };
+        let mut best = (f64::INFINITY, anchor, next[anchor]);
         let mut i = anchor;
+        let mut d_ik = d(i, k);
         loop {
             let j = next[i];
-            let c = edge_cost(i, j, k);
-            if c < best.cost {
-                best = PendingInsertion {
-                    cost: c,
-                    point: k,
-                    from: i,
-                    to: j,
-                };
+            let d_kj = d(k, j);
+            let c = d_ik + d_kj - len_next[i];
+            if c < best.0 {
+                best = (c, i, j);
             }
             i = j;
+            d_ik = d_kj;
             if i == anchor {
                 break;
             }
         }
-        best_cost[k] = best.cost;
-        heap.push(best);
+        best_cost[k] = best.0;
+        heap.push(PendingInsertion {
+            cost: best.0,
+            point: k as u32,
+            from: best.1 as u32,
+            to: best.2 as u32,
+        });
     };
 
-    for &k in &remaining {
-        rescore(k, &next, &mut best_cost, &mut heap);
+    for k in (0..n).filter(|&k| is_remaining[k]) {
+        rescore(k, &next, &len_next, &mut best_cost, &mut heap);
     }
+    let mut tree = OfferTree::build(points, &is_remaining, &best_cost);
+    // Entries kept by the last compaction; the heap is compacted once it
+    // doubles past this (or past the remaining count), so compaction stays
+    // amortised O(1) per push.
+    let mut compacted_len = remaining;
 
-    while !remaining.is_empty() {
+    while remaining > 0 {
         let entry = heap.pop().expect("heap mirrors remaining points");
-        let k = entry.point;
+        let k = entry.point as usize;
         if !is_remaining[k] {
             continue; // already inserted
         }
         if entry.cost.to_bits() != best_cost[k].to_bits() {
             continue; // superseded by a cheaper offer
         }
-        if next[entry.from] != entry.to {
+        let (e, f) = (entry.from as usize, entry.to as usize);
+        if next[e] != f {
             // Cached edge was split since this entry was queued: re-score
             // over the current cycle (the only non-O(1) validation path).
-            rescore(k, &next, &mut best_cost, &mut heap);
+            rescore(k, &next, &len_next, &mut best_cost, &mut heap);
+            tree.raise(k, best_cost[k]);
             continue;
         }
 
-        // Splice k into (from, to).
-        let (e, f) = (entry.from, entry.to);
+        // Splice k into (e, f) and offer the two new edges.
         next[e] = k;
         next[k] = f;
         is_remaining[k] = false;
-        let slot = remaining.iter().position(|&r| r == k).expect("tracked");
-        remaining.swap_remove(slot);
-
-        // Offer the two new edges (e, k) and (k, f) to every remaining
-        // point; a cheaper offer supersedes the cache.
-        for &q in &remaining {
-            let via_e = edge_cost(e, k, q);
-            let via_f = edge_cost(k, f, q);
-            let (cost, from, to) = if via_e <= via_f {
-                (via_e, e, k)
-            } else {
-                (via_f, k, f)
+        remaining -= 1;
+        len_next[e] = d(e, k);
+        len_next[k] = d(k, f);
+        if remaining > 0 {
+            let mut offer = Offer {
+                e,
+                k,
+                f,
+                d_ek: len_next[e],
+                d_kf: len_next[k],
+                points,
+                is_remaining: &is_remaining,
+                best_cost: &mut best_cost,
+                heap: &mut heap,
             };
-            if cost < best_cost[q] {
-                best_cost[q] = cost;
-                heap.push(PendingInsertion {
-                    cost,
-                    point: q,
-                    from,
-                    to,
-                });
-            }
+            tree.offer(0, &mut offer);
+        }
+
+        // Entries of inserted points can never act again; drop them once
+        // they dominate the heap. Superseded entries of remaining points
+        // are kept: a later rescore can restore their exact cost, and on
+        // a cost tie the older entry's edge may be the one that wins.
+        if heap.len() > 2 * compacted_len.max(remaining) {
+            heap.retain(|p| is_remaining[p.point as usize]);
+            compacted_len = heap.len();
         }
     }
 
