@@ -485,11 +485,13 @@ fn run_bench_scale(options: &BenchScaleOptions) -> Result<CommandOutput, Command
     let p = &options.params;
     let report = run_scale_bench(p);
     let text = format!(
-        "memory-scale benchmark: seed {}  k {}  samples {}\n\n{}",
+        "memory-scale benchmark: seed {}  k {}  samples {}\n\n{}\n\
+         per-stage times (one captured run; exp = log-log slope vs the previous size):\n\n{}",
         p.seed,
         p.k,
         p.samples,
-        report.to_table().render()
+        report.to_table().render(),
+        report.to_stage_table().render()
     );
     report_then_gate(text, report.to_json(), options.json_path.as_ref(), |_| {
         if let Some(bound) = options.max_bytes_per_target {

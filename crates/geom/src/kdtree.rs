@@ -3,8 +3,10 @@
 //! Used by the B-TCTP location-initialisation step (each mule moves to the
 //! *closest* start point), by the Random baseline (closest unvisited
 //! target), and by the radio substrate (which targets are within
-//! communication range of a mule). The tree stores indices into the
-//! caller's point slice so callers can map hits back to their own entities.
+//! communication range of a mule), and — through single-pass k-nearest
+//! queries — by the tour engine's candidate lists and the planar road
+//! generator. The tree stores indices into the caller's point slice so
+//! callers can map hits back to their own entities.
 
 use crate::bbox::BoundingBox;
 use crate::point::Point;

@@ -8,14 +8,18 @@
 //! geometrically nearest neighbours, so it suffices to examine **candidate
 //! edges** only:
 //!
-//! * [`CandidateLists`] — per-point k-nearest-neighbour lists built from the
-//!   [`mule_geom::KdTree`] in `O(n·k·log n)`, sorted by distance;
+//! * [`CandidateLists`] — per-point k-nearest-neighbour lists, sorted by
+//!   distance and stored back to back in one `n·k` array, built with one
+//!   single-pass [`mule_geom::KdTree`] query per point (`O(n·log n)` for
+//!   fixed `k`, a constant number of allocations);
 //! * [`two_opt_candidates`] — 2-opt restricted to candidate edges, with
 //!   *don't-look bits* (a point whose neighbourhood yields no improving move
 //!   is skipped until one of its tour edges changes) and shorter-arc
 //!   reversals via [`Tour::reverse_arc`];
 //! * [`or_opt_candidates`] — chain relocation (lengths 1–3) whose
-//!   reinsertion edges come from the chain endpoints' candidate lists.
+//!   reinsertion edges come from the chain endpoints' candidate lists,
+//!   applied in place by rotating only the array segment between the
+//!   chain and the insertion edge.
 //!
 //! Both searches read distances through [`SearchDist`]. Passed the point
 //! coordinates (`&[Point]`), they recompute Euclidean distances on demand,

@@ -47,7 +47,10 @@ pub enum SearchMode {
     Exact,
     /// Candidate-list search with the given `k` (nearest neighbours per
     /// point): incremental convex-hull insertion plus neighbour-list
-    /// 2-opt / Or-opt with don't-look bits. Near `O(n log n)` in practice.
+    /// 2-opt / Or-opt with don't-look bits. Sub-quadratic but not
+    /// `O(n log n)`: on uniform points the whole pipeline grows as about
+    /// `n^1.3`, dominated by the insertion (measured exponents in
+    /// docs/PERFORMANCE.md).
     Candidates(usize),
     /// Exact at or below [`AUTO_EXACT_THRESHOLD`] points (keeping small
     /// instances byte-identical), candidate lists with

@@ -10,12 +10,15 @@
 //!   byte-for-byte stable because golden tests pin its tours.
 //! * [`convex_hull_insertion_incremental`] — the same greedy rule made
 //!   scalable: each interior point caches its best `(edge, cost)` in a
-//!   lazy-invalidation min-heap, so an insertion only re-scores points whose
-//!   cached edge was split (plus an `O(remaining)` check of the two new
-//!   edges). `O(n² log n)` worst case, near `O(n log n)` in practice, and no
-//!   dense distance matrix. Tie-breaking differs from the exact variant
-//!   (heap order vs. scan order), so tours can differ *by bytes* on exact
-//!   cost ties while the greedy rule — and hence quality — is identical.
+//!   lazy-invalidation min-heap; an insertion offers its two new edges
+//!   only to the points a 2-d tree cannot rule out, and a point whose
+//!   cached edge was split is re-scored through the same tree. No dense
+//!   distance matrix. Measured on uniform points (`patrolctl bench-scale`,
+//!   docs/PERFORMANCE.md) the construction grows as about `n^1.3`; exact
+//!   cost ties can still force full cycle scans. Tie-breaking differs from
+//!   the exact variant (heap order vs. scan order), so tours can differ
+//!   *by bytes* on exact cost ties while the greedy rule — and hence
+//!   quality — is identical.
 //! * [`cheapest_insertion`] — classic cheapest insertion seeded with the
 //!   farthest-apart pair (found via convex-hull rotating calipers, with the
 //!   `O(n²)` matrix scan as the degenerate-hull fallback); used for
@@ -151,23 +154,37 @@ impl PartialOrd for PendingInsertion {
     }
 }
 
-/// Interior points per leaf of the [`OfferTree`].
-const OFFER_LEAF: usize = 8;
+/// Points per leaf of the [`InsertionTree`].
+const TREE_LEAF: usize = 8;
 
-/// Relative slack subtracted from an [`OfferTree`] node's lower bound
-/// before it is compared with the node's cached-cost bound. The bound is
-/// already exact under IEEE rounding (see [`OfferTree::offer`]); the slack
-/// only makes pruning more conservative.
-const OFFER_SLACK: f64 = 1e-9;
+/// Relative slack subtracted from an [`InsertionTree`] lower bound before
+/// it is compared. Both bounds are already exact under IEEE rounding (see
+/// [`InsertionTree::offer`]); the slack only makes pruning more
+/// conservative.
+const TREE_SLACK: f64 = 1e-9;
 
-/// One node of the [`OfferTree`]: a box around a run of interior points
-/// and an upper bound on the cached `best_cost` of its remaining points.
+/// A box that contains nothing yet; [`BoundingBox::expand_to`] grows it
+/// from the first point it is given.
+const EMPTY_BOX: BoundingBox = BoundingBox {
+    min_x: f64::INFINITY,
+    min_y: f64::INFINITY,
+    max_x: f64::NEG_INFINITY,
+    max_y: f64::NEG_INFINITY,
+};
+
+/// One node of the [`InsertionTree`].
 #[derive(Debug, Clone, Copy)]
-struct OfferNode {
+struct TreeNode {
+    /// Box around every point below the node.
     bbox: BoundingBox,
-    /// `≥ best_cost[q]` for every remaining point `q` below this node
-    /// (`-∞` once none remain).
+    /// `≥ best_cost[q]` for every remaining point `q` below the node
+    /// (`-∞` once none remain). Starts at `+∞`; offer walks tighten it.
     bound: f64,
+    /// Box around both endpoints of every cycle edge `(a, next[a])` whose
+    /// first point `a` is below the node.
+    edge_box: BoundingBox,
+    /// `≥ d(a, next[a])` for each of those edges; `-∞` while none exist.
+    edge_len: f64,
     /// The node's points are `items[lo..hi]`.
     lo: u32,
     hi: u32,
@@ -178,74 +195,116 @@ struct OfferNode {
     parent: u32,
 }
 
-/// A static 2-d tree over the interior (not hull-seeded) points, used to
-/// send each insertion's two new edges only to the points that could take
-/// them.
+/// The current cycle of the incremental insertion: successor links, the
+/// length of the edge leaving each point, and the anchor every scan starts
+/// from.
+struct Cycle {
+    anchor: usize,
+    /// `next[i]` = the point visited after `i` (`usize::MAX` off-cycle).
+    next: Vec<usize>,
+    /// `len_next[i]` = `d(i, next[i])`.
+    len_next: Vec<f64>,
+}
+
+impl Cycle {
+    /// The cheapest edge of the cycle to insert `q` into, as
+    /// `(cost, from)`, by scanning every edge from the anchor: the first
+    /// edge with the strictly smallest cost wins. Each edge's cost is
+    /// `d(i,q) + d(q,j) − d(i,j)`, evaluated left to right as everywhere
+    /// else; `d(q,j)` is reused as the next edge's `d(j,q)`, which is the
+    /// same value bit for bit (negating a coordinate difference is exact).
+    fn scan_cheapest(&self, points: &[Point], q: usize) -> (f64, usize) {
+        let mut best = (f64::INFINITY, self.anchor);
+        let mut i = self.anchor;
+        let mut d_iq = points[i].distance(&points[q]);
+        loop {
+            let j = self.next[i];
+            let d_qj = points[q].distance(&points[j]);
+            let c = d_iq + d_qj - self.len_next[i];
+            if c < best.0 {
+                best = (c, i);
+            }
+            i = j;
+            d_iq = d_qj;
+            if i == self.anchor {
+                return best;
+            }
+        }
+    }
+}
+
+/// A static 2-d tree over all points that serves both searches of the
+/// incremental insertion.
 ///
-/// A point `q` takes an offer of edge `(a, b)` only when
-/// `d(a,q) + d(q,b) − d(a,b) < best_cost[q]`. For every `q` in a box `B`
-/// that cost is at least `d(a,B) + d(b,B) − d(a,b)`, so a subtree whose
-/// lower bound is not below its cached-cost bound cannot hold a taker and
-/// is skipped. Leaves run the exact offer expression, so the set of
-/// accepted offers — and hence every heap entry and every tour — is the
-/// same as offering to all remaining points.
-struct OfferTree {
-    nodes: Vec<OfferNode>,
-    /// Interior point indices, grouped by leaf.
+/// * **Offers.** A point `q` takes an offer of edge `(a, b)` only when
+///   `d(a,q) + d(q,b) − d(a,b) < best_cost[q]`. For every `q` in a box `B`
+///   that cost is at least `d(a,B) + d(b,B) − d(a,b)`, so a subtree whose
+///   lower bound is not below its cached-cost bound cannot hold a taker
+///   and is skipped ([`InsertionTree::offer`]).
+/// * **Rescores.** For every cycle edge `(a, b)` leaving a point below a
+///   node, the cost of inserting `q` is at least `2·d(q, E) − L`, where `E`
+///   boxes both endpoints and `L` bounds the edge length, so a search for
+///   the cheapest edge skips subtrees whose bound exceeds the best cost
+///   found ([`InsertionTree::cheapest_edge`]).
+///
+/// Leaves evaluate the exact cost expressions, so the accepted offers and
+/// the chosen edges — hence every heap entry and every tour — are those of
+/// scanning all remaining points and all cycle edges.
+struct InsertionTree {
+    nodes: Vec<TreeNode>,
+    /// Point indices, grouped by leaf.
     items: Vec<u32>,
-    /// Leaf holding each interior point (`u32::MAX` for hull points).
+    /// Leaf holding each point.
     leaf_of: Vec<u32>,
 }
 
-impl OfferTree {
-    /// Builds the tree over the points flagged in `interior`, with every
-    /// bound set from `best_cost`.
-    fn build(points: &[Point], interior: &[bool], best_cost: &[f64]) -> Self {
-        let items: Vec<u32> = (0..points.len() as u32)
-            .filter(|&i| interior[i as usize])
-            .collect();
-        let mut tree = OfferTree {
-            nodes: Vec::with_capacity(2 * items.len() / OFFER_LEAF + 1),
-            items,
-            leaf_of: vec![u32::MAX; points.len()],
+/// The running answer of [`InsertionTree::cheapest_edge`].
+struct Cheapest {
+    cost: f64,
+    from: usize,
+    /// Edges found at exactly `cost`.
+    ties: usize,
+}
+
+impl InsertionTree {
+    /// Builds the tree over `points`, with no cycle edges and every offer
+    /// bound at `+∞`.
+    fn build(points: &[Point]) -> Self {
+        let n = points.len();
+        let mut tree = InsertionTree {
+            nodes: Vec::with_capacity(2 * n / TREE_LEAF + 1),
+            items: (0..n as u32).collect(),
+            leaf_of: vec![u32::MAX; n],
         };
-        if !tree.items.is_empty() {
-            tree.split(points, best_cost, 0, tree.items.len(), u32::MAX);
+        if n > 0 {
+            tree.split(points, 0, n, u32::MAX);
         }
         tree
     }
 
     /// Appends the subtree over `items[lo..hi]` in preorder (median split
     /// across the wider side of its box) and returns its node index.
-    fn split(
-        &mut self,
-        points: &[Point],
-        best_cost: &[f64],
-        lo: usize,
-        hi: usize,
-        parent: u32,
-    ) -> u32 {
+    fn split(&mut self, points: &[Point], lo: usize, hi: usize, parent: u32) -> u32 {
         let run = &mut self.items[lo..hi];
-        let mut bbox = BoundingBox::from_corners(points[run[0] as usize], points[run[0] as usize]);
+        let mut bbox = EMPTY_BOX;
         for &i in run.iter() {
             bbox.expand_to(&points[i as usize]);
         }
         let id = self.nodes.len() as u32;
-        self.nodes.push(OfferNode {
+        self.nodes.push(TreeNode {
             bbox,
-            bound: f64::NEG_INFINITY,
+            bound: f64::INFINITY,
+            edge_box: EMPTY_BOX,
+            edge_len: f64::NEG_INFINITY,
             lo: lo as u32,
             hi: hi as u32,
             right: 0,
             parent,
         });
-        if hi - lo <= OFFER_LEAF {
-            let mut bound = f64::NEG_INFINITY;
+        if hi - lo <= TREE_LEAF {
             for &i in run.iter() {
                 self.leaf_of[i as usize] = id;
-                bound = bound.max(best_cost[i as usize]);
             }
-            self.nodes[id as usize].bound = bound;
             return id;
         }
         let mid = (hi - lo) / 2;
@@ -258,25 +317,52 @@ impl OfferTree {
                 pa.y.total_cmp(&pb.y)
             }
         });
-        let left = self.split(points, best_cost, lo, lo + mid, id);
-        let right = self.split(points, best_cost, lo + mid, hi, id);
-        let bound = self.nodes[left as usize]
-            .bound
-            .max(self.nodes[right as usize].bound);
-        let node = &mut self.nodes[id as usize];
-        node.right = right;
-        node.bound = bound;
+        self.split(points, lo, lo + mid, id);
+        self.nodes[id as usize].right = self.split(points, lo + mid, hi, id);
         id
     }
 
     /// Records that `point`'s cached cost rose to `cost` (a rescore), so
-    /// every bound on its root path covers it again.
+    /// every offer bound on its root path covers it again.
     fn raise(&mut self, point: usize, cost: f64) {
         let mut node = self.leaf_of[point];
         while node != u32::MAX && self.nodes[node as usize].bound < cost {
             self.nodes[node as usize].bound = cost;
             node = self.nodes[node as usize].parent;
         }
+    }
+
+    /// Records the cycle edge `(from, to)` of length `len` on every node
+    /// above `from`. Edges that left the cycle stay covered until a search
+    /// re-tightens the node, which only makes the bounds looser.
+    fn add_edge(&mut self, points: &[Point], from: usize, to: usize, len: f64) {
+        let mut node = self.leaf_of[from];
+        while node != u32::MAX {
+            let n = &mut self.nodes[node as usize];
+            n.edge_box.expand_to(&points[from]);
+            n.edge_box.expand_to(&points[to]);
+            n.edge_len = n.edge_len.max(len);
+            node = n.parent;
+        }
+    }
+
+    /// Sets an internal node's edge box and length bound to the union of
+    /// its children's.
+    fn tighten_edges(&mut self, node: usize) {
+        let (l, r) = (
+            self.nodes[node + 1],
+            self.nodes[self.nodes[node].right as usize],
+        );
+        let mut edge_box = EMPTY_BOX;
+        for child in [l, r] {
+            if child.edge_len > f64::NEG_INFINITY {
+                edge_box.expand_to(&Point::new(child.edge_box.min_x, child.edge_box.min_y));
+                edge_box.expand_to(&Point::new(child.edge_box.max_x, child.edge_box.max_y));
+            }
+        }
+        let n = &mut self.nodes[node];
+        n.edge_box = edge_box;
+        n.edge_len = l.edge_len.max(r.edge_len);
     }
 }
 
@@ -294,23 +380,31 @@ struct Offer<'a> {
     heap: &'a mut BinaryHeap<PendingInsertion>,
 }
 
-impl OfferTree {
+impl InsertionTree {
     /// Offers the two new edges to every remaining point below `node` that
-    /// could take one, tightening the bounds it passes on the way back up.
+    /// could take one, tightening the offer bounds it passes on the way
+    /// back up.
     ///
     /// The skip test is exact, not approximate: box distances are computed
     /// from the same coordinate differences as point distances, only
     /// clamped towards zero, and IEEE addition, multiplication and square
     /// root are monotone — so the computed lower bound never exceeds the
-    /// computed offer cost of any point in the box.
+    /// computed offer cost of any point in the box. The same argument
+    /// covers [`InsertionTree::cheapest_edge`].
     fn offer(&mut self, node: usize, o: &mut Offer) {
         let n = self.nodes[node];
         let pts = o.points;
+        let slack = |lower: f64, d_kb: f64| lower - TREE_SLACK * (d_kb + o.d_ek + o.d_kf);
         let d_kb = n.bbox.distance_squared_to(&pts[o.k]).sqrt();
+        // Dropping `d(e,B)` and `d(f,B)` (both ≥ 0) gives a cheaper, looser
+        // bound that already rejects most far subtrees.
+        if slack(d_kb - o.d_ek.max(o.d_kf), d_kb) >= n.bound {
+            return;
+        }
         let d_eb = n.bbox.distance_squared_to(&pts[o.e]).sqrt();
         let d_fb = n.bbox.distance_squared_to(&pts[o.f]).sqrt();
         let lower = (d_eb + d_kb - o.d_ek).min(d_kb + d_fb - o.d_kf);
-        if lower - OFFER_SLACK * (d_kb + o.d_ek + o.d_kf) >= n.bound {
+        if slack(lower, d_kb) >= n.bound {
             return; // no remaining point below can take either edge
         }
         let bound = if n.right == 0 {
@@ -337,9 +431,13 @@ impl OfferTree {
             if !o.is_remaining[q] {
                 continue;
             }
-            // `d(q,k)` equals `d(k,q)` bit for bit (negating a coordinate
-            // difference is exact), so both edges share it.
+            // `d(q,k)` equals `d(k,q)` bit for bit, so both edges share it;
+            // alone it bounds both costs from below.
             let d_qk = pts[q].distance(&pts[k]);
+            if d_qk - o.d_ek.max(o.d_kf) >= o.best_cost[q] {
+                bound = bound.max(o.best_cost[q]);
+                continue;
+            }
             let via_e = pts[e].distance(&pts[q]) + d_qk - o.d_ek;
             let via_f = d_qk + pts[q].distance(&pts[f]) - o.d_kf;
             let (cost, from, to) = if via_e <= via_f {
@@ -360,6 +458,91 @@ impl OfferTree {
         }
         bound
     }
+
+    /// The cheapest cycle edge to insert `q` into, as `(cost, from)`, when
+    /// exactly one edge attains that cost; `None` on an exact tie, where
+    /// the winner is the first tied edge in cycle order and only
+    /// [`Cycle::scan_cheapest`] knows that order.
+    fn cheapest_edge(&mut self, points: &[Point], cycle: &Cycle, q: usize) -> Option<(f64, usize)> {
+        let mut best = Cheapest {
+            cost: f64::INFINITY,
+            from: cycle.anchor,
+            ties: 0,
+        };
+        self.cheapest_below(0, points, cycle, q, &mut best);
+        (best.ties == 1).then_some((best.cost, best.from))
+    }
+
+    /// Lower bound on the cost of inserting `q` into any cycle edge that
+    /// leaves a point below `node`, loosened by the slack; `None` when no
+    /// such edge exists.
+    fn edge_lower(&self, node: usize, q: &Point) -> Option<f64> {
+        let n = &self.nodes[node];
+        if n.edge_len == f64::NEG_INFINITY {
+            return None;
+        }
+        let d = n.edge_box.distance_squared_to(q).sqrt();
+        let lower = d + d - n.edge_len;
+        Some(lower - TREE_SLACK * (d + d + n.edge_len))
+    }
+
+    /// Scores the cycle edges below `node` whose bound does not exceed the
+    /// best cost found so far, re-tightening the edge bounds it passes.
+    fn cheapest_below(
+        &mut self,
+        node: usize,
+        points: &[Point],
+        cycle: &Cycle,
+        q: usize,
+        best: &mut Cheapest,
+    ) {
+        let n = self.nodes[node];
+        if n.right != 0 {
+            let (l, r) = (node + 1, n.right as usize);
+            let (lower_l, lower_r) = (
+                self.edge_lower(l, &points[q]),
+                self.edge_lower(r, &points[q]),
+            );
+            let order = if lower_r < lower_l {
+                [(r, lower_r), (l, lower_l)]
+            } else {
+                [(l, lower_l), (r, lower_r)]
+            };
+            for (child, lower) in order {
+                if lower.is_some_and(|lower| lower <= best.cost) {
+                    self.cheapest_below(child, points, cycle, q, best);
+                }
+            }
+            self.tighten_edges(node);
+            return;
+        }
+        let mut edge_box = EMPTY_BOX;
+        let mut edge_len = f64::NEG_INFINITY;
+        for &a in &self.items[n.lo as usize..n.hi as usize] {
+            let a = a as usize;
+            let b = cycle.next[a];
+            if b == usize::MAX {
+                continue; // not on the cycle yet
+            }
+            let c =
+                points[a].distance(&points[q]) + points[q].distance(&points[b]) - cycle.len_next[a];
+            if c < best.cost {
+                *best = Cheapest {
+                    cost: c,
+                    from: a,
+                    ties: 1,
+                };
+            } else if c == best.cost {
+                best.ties += 1;
+            }
+            edge_box.expand_to(&points[a]);
+            edge_box.expand_to(&points[b]);
+            edge_len = edge_len.max(cycle.len_next[a]);
+        }
+        let leaf = &mut self.nodes[node];
+        leaf.edge_box = edge_box;
+        leaf.edge_len = edge_len;
+    }
 }
 
 /// Convex-hull insertion with incremental re-scoring — the scalable twin of
@@ -371,16 +554,17 @@ impl OfferTree {
 /// validated lazily on pop:
 ///
 /// * if the cached edge was split by an earlier insertion, the point is
-///   re-scored over the current cycle and re-queued;
+///   re-scored against the current cycle and re-queued;
 /// * if the entry is superseded (a cheaper cost was recorded later), it is
 ///   discarded.
 ///
 /// After each insertion splits edge `(e, f)` into `(e, k)`/`(k, f)`, the two
-/// *new* edges are offered to the remaining points through an [`OfferTree`]
-/// that skips every subtree where no point could take them. Every cached
-/// cost stays equal to the true minimum over the current edges, so the
-/// greedy selection rule is exactly that of the all-pairs variant, up to
-/// tie order.
+/// *new* edges are offered to the remaining points. An [`InsertionTree`]
+/// confines both searches — offers and rescores — to the subtrees that can
+/// change their outcome, and falls back to a full cycle scan only when a
+/// rescore ties exactly. Every cached cost stays equal to the true minimum
+/// over the current edges, so the greedy selection rule is exactly that of
+/// the all-pairs variant, up to tie order.
 ///
 /// Works straight off the point coordinates; no distance matrix needed.
 pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
@@ -390,22 +574,22 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
     }
 
     let (order, in_tour) = hull_seed(points);
-    let anchor = order[0];
-
-    // Successor links of the current (partial) cycle. A single seeded point
-    // forms the self-loop (a, a), whose generic insertion cost
-    // `d(a,k) + d(k,a) − d(a,a)` is exactly the 2·d(a,k) the exact variant
-    // special-cases.
-    let mut next = vec![usize::MAX; n];
-    for (s, &i) in order.iter().enumerate() {
-        next[i] = order[(s + 1) % order.len()];
-    }
-
     let d = |i: usize, j: usize| points[i].distance(&points[j]);
-    // `len_next[i]` = d(i, next[i]), the length of the edge leaving `i`.
-    let mut len_next = vec![0.0; n];
-    for &i in &order {
-        len_next[i] = d(i, next[i]);
+
+    // A single seeded point forms the self-loop (a, a), whose generic
+    // insertion cost `d(a,k) + d(k,a) − d(a,a)` is exactly the 2·d(a,k) the
+    // exact variant special-cases.
+    let mut cycle = Cycle {
+        anchor: order[0],
+        next: vec![usize::MAX; n],
+        len_next: vec![0.0; n],
+    };
+    let mut tree = InsertionTree::build(points);
+    for (s, &i) in order.iter().enumerate() {
+        let j = order[(s + 1) % order.len()];
+        cycle.next[i] = j;
+        cycle.len_next[i] = d(i, j);
+        tree.add_edge(points, i, j, cycle.len_next[i]);
     }
 
     // Best-known insertion per remaining point, mirrored in the heap.
@@ -415,47 +599,30 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
     let mut heap: BinaryHeap<PendingInsertion> = BinaryHeap::with_capacity(remaining);
 
     // Scores `k` against every edge of the current cycle (the recompute
-    // path for stale caches) and queues the result. Each edge's cost is
-    // `d(i,k) + d(k,j) − d(i,j)`, evaluated left to right as everywhere
-    // else; `d(i,j)` comes from `len_next`, and `d(k,j)` is reused as the
-    // next edge's `d(j,k)`, which is the same value bit for bit.
+    // path for stale caches) and queues the result.
     let rescore = |k: usize,
-                   next: &[usize],
-                   len_next: &[f64],
+                   tree: &mut InsertionTree,
+                   cycle: &Cycle,
                    best_cost: &mut [f64],
                    heap: &mut BinaryHeap<PendingInsertion>| {
-        let mut best = (f64::INFINITY, anchor, next[anchor]);
-        let mut i = anchor;
-        let mut d_ik = d(i, k);
-        loop {
-            let j = next[i];
-            let d_kj = d(k, j);
-            let c = d_ik + d_kj - len_next[i];
-            if c < best.0 {
-                best = (c, i, j);
-            }
-            i = j;
-            d_ik = d_kj;
-            if i == anchor {
-                break;
-            }
-        }
-        best_cost[k] = best.0;
+        let (cost, from) = tree
+            .cheapest_edge(points, cycle, k)
+            .unwrap_or_else(|| cycle.scan_cheapest(points, k));
+        best_cost[k] = cost;
         heap.push(PendingInsertion {
-            cost: best.0,
+            cost,
             point: k as u32,
-            from: best.1 as u32,
-            to: best.2 as u32,
+            from: from as u32,
+            to: cycle.next[from] as u32,
         });
     };
 
     for k in (0..n).filter(|&k| is_remaining[k]) {
-        rescore(k, &next, &len_next, &mut best_cost, &mut heap);
+        rescore(k, &mut tree, &cycle, &mut best_cost, &mut heap);
     }
-    let mut tree = OfferTree::build(points, &is_remaining, &best_cost);
     // Entries kept by the last compaction; the heap is compacted once it
-    // doubles past this (or past the remaining count), so compaction stays
-    // amortised O(1) per push.
+    // grows a quarter past this (or past the remaining count), so
+    // compaction stays amortised O(1) per push.
     let mut compacted_len = remaining;
 
     while remaining > 0 {
@@ -468,28 +635,30 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
             continue; // superseded by a cheaper offer
         }
         let (e, f) = (entry.from as usize, entry.to as usize);
-        if next[e] != f {
+        if cycle.next[e] != f {
             // Cached edge was split since this entry was queued: re-score
-            // over the current cycle (the only non-O(1) validation path).
-            rescore(k, &next, &len_next, &mut best_cost, &mut heap);
+            // against the current cycle.
+            rescore(k, &mut tree, &cycle, &mut best_cost, &mut heap);
             tree.raise(k, best_cost[k]);
             continue;
         }
 
         // Splice k into (e, f) and offer the two new edges.
-        next[e] = k;
-        next[k] = f;
+        cycle.next[e] = k;
+        cycle.next[k] = f;
+        cycle.len_next[e] = d(e, k);
+        cycle.len_next[k] = d(k, f);
+        tree.add_edge(points, e, k, cycle.len_next[e]);
+        tree.add_edge(points, k, f, cycle.len_next[k]);
         is_remaining[k] = false;
         remaining -= 1;
-        len_next[e] = d(e, k);
-        len_next[k] = d(k, f);
         if remaining > 0 {
             let mut offer = Offer {
                 e,
                 k,
                 f,
-                d_ek: len_next[e],
-                d_kf: len_next[k],
+                d_ek: cycle.len_next[e],
+                d_kf: cycle.len_next[k],
                 points,
                 is_remaining: &is_remaining,
                 best_cost: &mut best_cost,
@@ -502,7 +671,7 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
         // they dominate the heap. Superseded entries of remaining points
         // are kept: a later rescore can restore their exact cost, and on
         // a cost tie the older entry's edge may be the one that wins.
-        if heap.len() > 2 * compacted_len.max(remaining) {
+        if 4 * heap.len() > 5 * compacted_len.max(remaining) {
             heap.retain(|p| is_remaining[p.point as usize]);
             compacted_len = heap.len();
         }
@@ -511,11 +680,11 @@ pub fn convex_hull_insertion_incremental(points: &[Point]) -> Tour {
     // Unlink the cycle back into an order vector, starting at the hull
     // anchor for determinism.
     let mut final_order = Vec::with_capacity(n);
-    let mut i = anchor;
+    let mut i = cycle.anchor;
     loop {
         final_order.push(i);
-        i = next[i];
-        if i == anchor {
+        i = cycle.next[i];
+        if i == cycle.anchor {
             break;
         }
     }
