@@ -42,7 +42,7 @@ pub struct ScaleBenchParams {
 impl Default for ScaleBenchParams {
     fn default() -> Self {
         ScaleBenchParams {
-            sizes: vec![10_000, 100_000],
+            sizes: vec![10_000, 30_000, 100_000],
             seed: 42,
             k: mule_graph::chb::DEFAULT_CANDIDATES_K,
             samples: 3,

@@ -500,7 +500,7 @@ FLAGS (bench-routes only — the tracked road-routing benchmark):
                          at the largest network size
 
 FLAGS (bench-scale only — the tracked memory-scale benchmark):
-    --sizes LIST         instance sizes                 [default: 10000,100000]
+    --sizes LIST         instance sizes          [default: 10000,30000,100000]
     --seed S             topology seed                  [default: 42]
     --knn K              candidate-list width           [default: 10]
     --samples N          timed repetitions (min is kept) [default: 3]
@@ -519,7 +519,7 @@ EXAMPLES:
     patrolctl plan --targets 12 --mules 3 --metric road
     patrolctl bench-routes --sizes 1000,10000 --json BENCH_routes.json \\
         --min-speedup 3.0
-    patrolctl bench-scale --sizes 10000,100000 --json BENCH_scale.json \\
+    patrolctl bench-scale --sizes 10000,30000,100000 --json BENCH_scale.json \\
         --max-bytes-per-target 4096
     patrolctl serve --addr 127.0.0.1:7878 --workers 4 --cache-size 128
     patrolctl serve --deadline-ms 500 --breaker 3 --degraded
@@ -1210,7 +1210,7 @@ mod tests {
             panic!("expected bench-scale");
         };
         assert_eq!(opts, BenchScaleOptions::default());
-        assert_eq!(opts.params.sizes, vec![10_000, 100_000]);
+        assert_eq!(opts.params.sizes, vec![10_000, 30_000, 100_000]);
         assert_eq!(opts.params.seed, 42);
         assert!(opts.json_path.is_none());
         assert!(opts.max_bytes_per_target.is_none());

@@ -1342,7 +1342,7 @@ mod tests {
         let out = run_command(&CliCommand::BenchScale(opts)).unwrap();
         assert_eq!(out.files_written, vec![path.clone()]);
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"schema\": \"bench-scale/v2\""));
+        assert!(json.contains("\"schema\": \"bench-scale/v3\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 
