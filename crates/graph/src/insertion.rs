@@ -394,17 +394,11 @@ impl InsertionTree {
     fn offer(&mut self, node: usize, o: &mut Offer) {
         let n = self.nodes[node];
         let pts = o.points;
-        let slack = |lower: f64, d_kb: f64| lower - TREE_SLACK * (d_kb + o.d_ek + o.d_kf);
         let d_kb = n.bbox.distance_squared_to(&pts[o.k]).sqrt();
-        // Dropping `d(e,B)` and `d(f,B)` (both ≥ 0) gives a cheaper, looser
-        // bound that already rejects most far subtrees.
-        if slack(d_kb - o.d_ek.max(o.d_kf), d_kb) >= n.bound {
-            return;
-        }
         let d_eb = n.bbox.distance_squared_to(&pts[o.e]).sqrt();
         let d_fb = n.bbox.distance_squared_to(&pts[o.f]).sqrt();
         let lower = (d_eb + d_kb - o.d_ek).min(d_kb + d_fb - o.d_kf);
-        if slack(lower, d_kb) >= n.bound {
+        if lower - TREE_SLACK * (d_kb + o.d_ek + o.d_kf) >= n.bound {
             return; // no remaining point below can take either edge
         }
         let bound = if n.right == 0 {
@@ -431,13 +425,8 @@ impl InsertionTree {
             if !o.is_remaining[q] {
                 continue;
             }
-            // `d(q,k)` equals `d(k,q)` bit for bit, so both edges share it;
-            // alone it bounds both costs from below.
+            // `d(q,k)` equals `d(k,q)` bit for bit, so both edges share it.
             let d_qk = pts[q].distance(&pts[k]);
-            if d_qk - o.d_ek.max(o.d_kf) >= o.best_cost[q] {
-                bound = bound.max(o.best_cost[q]);
-                continue;
-            }
             let via_e = pts[e].distance(&pts[q]) + d_qk - o.d_ek;
             let via_f = d_qk + pts[q].distance(&pts[f]) - o.d_kf;
             let (cost, from, to) = if via_e <= via_f {
