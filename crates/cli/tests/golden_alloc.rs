@@ -53,3 +53,66 @@ fn alloc_shape_attributes_counts_without_pinning_bytes() {
     let root = shape.lines().next().unwrap();
     assert!(root.contains("allocs="), "root span attributed: {root}");
 }
+
+/// The road-grid dynamic run the replanning work bounds are stated on:
+/// an initial plan plus six replans over 50 targets and the sink.
+const ROAD_DYNAMICS: &str = "dynamics --targets 50 --mules 4 --fail-targets 3 \
+     --late-targets 2 --breakdowns 1 --metric road-grid";
+
+/// Runs `cmdline` under a captured trace with the counting allocator
+/// armed, returning the trace.
+fn armed_trace(cmdline: &str) -> mule_obs::Trace {
+    mule_obs::alloc::arm();
+    let (result, trace) = mule_obs::capture(|| run_command(&parse_args(&argv(cmdline)).unwrap()));
+    mule_obs::alloc::disarm();
+    result.unwrap();
+    trace
+}
+
+fn counter(span: &mule_obs::SpanRecord, name: &str) -> u64 {
+    span.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+#[test]
+fn road_replans_reuse_tables_legs_and_buffers() {
+    let _ = armed_trace(ROAD_DYNAMICS);
+    let trace = armed_trace(ROAD_DYNAMICS);
+    let named = |name: &'static str| trace.spans.iter().filter(move |s| s.name == name);
+
+    // Every plan's distance matrix reads the index's kept Dijkstra
+    // tables: one run per patrolled node over the whole dynamic run.
+    assert_eq!(
+        named("road.pairwise").count(),
+        7,
+        "initial plan + 6 replans"
+    );
+    let sources: u64 = named("road.pairwise")
+        .map(|s| counter(s, "dijkstra_sources"))
+        .sum();
+    assert!(sources <= 51, "{sources} Dijkstra sources for 51 nodes");
+
+    // Each B-TCTP plan is one shared cycle over its `n` nodes, so it has
+    // `n` distinct legs and runs at most one A* per leg, whatever the
+    // fleet size.
+    let plans: Vec<_> = named("planner.B-TCTP").collect();
+    assert_eq!(plans.len(), 7);
+    for plan in plans {
+        let exact = trace
+            .spans
+            .iter()
+            .find(|s| s.parent == Some(plan.id) && s.name == "chb.exact")
+            .expect("every plan builds its circuit on the exact path");
+        let (queries, legs) = (counter(plan, "alt_queries"), counter(exact, "n"));
+        assert!(queries <= legs, "{queries} A* queries for {legs} legs");
+    }
+
+    // Exact Or-opt works in place: its position index plus the span's
+    // own counter bookkeeping, never an allocation per attempt.
+    for or_opt in named("chb.or_opt") {
+        let allocs = or_opt.alloc.expect("armed").allocs;
+        assert!(allocs <= 3, "chb.or_opt made {allocs} allocations");
+    }
+}

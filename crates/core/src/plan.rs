@@ -20,6 +20,7 @@ use mule_geom::{Point, Polyline};
 use mule_net::NodeId;
 use mule_road::TravelMetric;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 
 /// One stop of an itinerary: a field node and its position.
@@ -109,18 +110,24 @@ impl MuleItinerary {
     /// entry offset so the mule keeps its *fractional* position along the
     /// cycle (B-TCTP's `i/n` spreading is exact under the rescale). A
     /// no-op for the Euclidean metric.
-    pub fn with_metric_geometry(mut self, metric: &TravelMetric) -> Self {
+    pub fn with_metric_geometry(self, metric: &TravelMetric) -> Self {
+        self.with_legs(metric, |a, b| metric.leg_path(a, b))
+    }
+
+    /// [`MuleItinerary::with_metric_geometry`] with the leg geometry
+    /// supplied by `leg(from, to)`, which must return `metric.leg_path`.
+    fn with_legs(
+        mut self,
+        metric: &TravelMetric,
+        mut leg: impl FnMut(&Point, &Point) -> Vec<Point>,
+    ) -> Self {
         if metric.is_euclidean() || self.cycle.len() < 2 {
             return self;
         }
         let chord_length = self.cycle_length();
         let n = self.cycle.len();
         self.leg_paths = (0..n)
-            .map(|i| {
-                let a = self.cycle[i].position;
-                let b = self.cycle[(i + 1) % n].position;
-                metric.leg_path(&a, &b)
-            })
+            .map(|i| leg(&self.cycle[i].position, &self.cycle[(i + 1) % n].position))
             .collect();
         if chord_length > 1e-9 {
             let fraction = self.entry_offset_m / chord_length;
@@ -194,14 +201,28 @@ impl PatrolPlan {
     /// as its final step, so a plan built over a road scenario always
     /// describes real road motion. A no-op for Euclidean scenarios —
     /// their plans stay byte-identical to the pre-road era.
+    ///
+    /// B-, W- and RW-TCTP give every mule the same cycle, and RW-TCTP's
+    /// super-cycle repeats the same legs within one itinerary, so each
+    /// distinct leg is routed once per plan and cloned. A leg path is a
+    /// function of its two endpoint positions alone, which is what the
+    /// memo is keyed on.
     pub fn with_metric_geometry(mut self, metric: &TravelMetric) -> Self {
         if metric.is_euclidean() {
             return self;
         }
+        let mut legs: HashMap<[u64; 4], Vec<Point>> = HashMap::new();
         self.itineraries = self
             .itineraries
             .into_iter()
-            .map(|it| it.with_metric_geometry(metric))
+            .map(|it| {
+                it.with_legs(metric, |a, b| {
+                    let key = [a.x, a.y, b.x, b.y].map(f64::to_bits);
+                    legs.entry(key)
+                        .or_insert_with(|| metric.leg_path(a, b))
+                        .clone()
+                })
+            })
             .collect();
         self
     }
@@ -362,6 +383,52 @@ mod tests {
         );
         // The expanded polyline still starts at the first waypoint.
         assert_eq!(road_it.expanded_points()[0], road_it.cycle[0].position);
+    }
+
+    #[test]
+    fn shared_cycles_route_each_distinct_leg_once() {
+        use mule_geom::BoundingBox;
+        let metric = TravelMetric::road(mule_road::RoadIndex::for_field(
+            mule_road::RoadNetKind::Grid,
+            &BoundingBox::square(800.0),
+            4,
+        ));
+        let index = metric.road_index().unwrap();
+        let wp = |id: usize, x: f64, y: f64| {
+            Waypoint::new(NodeId(id), index.snap_position(&Point::new(x, y)))
+        };
+        // A walk that repeats its legs (RW-TCTP's super-cycle shape),
+        // shared by three mules entering at different offsets.
+        let (a, b, c) = (
+            wp(0, 100.0, 100.0),
+            wp(1, 700.0, 120.0),
+            wp(2, 400.0, 650.0),
+        );
+        let cycle = vec![a, b, c, a, b, c];
+        let itineraries: Vec<MuleItinerary> = (0..3)
+            .map(|m| {
+                MuleItinerary::new(m, a.position, cycle.clone()).with_entry_offset(m as f64 * 300.0)
+            })
+            .collect();
+        let plan = PatrolPlan::new("test", itineraries.clone());
+
+        let (memoised, trace) = mule_obs::capture(|| {
+            let _s = mule_obs::span("test.geometry");
+            plan.with_metric_geometry(&metric)
+        });
+        let alt_queries: u64 = trace
+            .spans
+            .iter()
+            .flat_map(|s| &s.counters)
+            .filter(|(name, _)| name == "alt_queries")
+            .map(|&(_, v)| v)
+            .sum();
+        assert_eq!(alt_queries, 3, "one A* per distinct leg");
+        let per_itinerary: Vec<MuleItinerary> = itineraries
+            .into_iter()
+            .map(|it| it.with_metric_geometry(&metric))
+            .collect();
+        assert_eq!(memoised.itineraries, per_itinerary);
     }
 
     #[test]

@@ -163,3 +163,59 @@ proptest! {
         }
     }
 }
+
+/// Under a road metric every distinct leg of a plan is routed by one A*
+/// at most, however many mules share the cycle and however often a
+/// weighted walk repeats it; RW-TCTP adds one distance query per leg of
+/// its recharge path when it sizes the Eq. 4 rounds.
+#[test]
+fn road_plans_run_one_astar_per_distinct_leg() {
+    use mule_road::RoadNetKind;
+    use mule_workload::MetricSpec;
+    use std::collections::BTreeSet;
+
+    let rw = RwTctp::default();
+    let planners: [(&dyn Planner, usize, bool); 3] = [
+        (&BTctp::new(), 0, false),
+        (&WTctp::new(BreakEdgePolicy::BalancingLength), 5, false),
+        (&rw, 0, true),
+    ];
+    for (planner, vips, recharge) in planners {
+        for mules in [2, 8] {
+            let scenario = weighted_config(3, 50, mules, vips, 3, recharge)
+                .with_metric(MetricSpec::Road(RoadNetKind::Grid))
+                .generate();
+            let (plan, trace) = mule_obs::capture(|| planner.plan(&scenario).unwrap());
+            let queries: u64 = trace
+                .spans
+                .iter()
+                .flat_map(|s| &s.counters)
+                .filter(|(name, _)| name == "alt_queries")
+                .map(|&(_, v)| v)
+                .sum();
+            let legs: BTreeSet<[u64; 4]> = plan
+                .itineraries
+                .iter()
+                .flat_map(|it| {
+                    let n = it.cycle.len();
+                    (0..n).map(move |i| {
+                        let (a, b) = (it.cycle[i].position, it.cycle[(i + 1) % n].position);
+                        [a.x, a.y, b.x, b.y].map(f64::to_bits)
+                    })
+                })
+                .collect();
+            let wrp_legs = if recharge {
+                rw.build_schedule(&scenario).unwrap().wrp.len()
+            } else {
+                0
+            };
+            let bound = (legs.len() + wrp_legs) as u64;
+            assert!(
+                queries <= bound,
+                "{} with {mules} mules: {queries} A* queries for {} legs + {wrp_legs} WRP legs",
+                planner.name(),
+                legs.len()
+            );
+        }
+    }
+}

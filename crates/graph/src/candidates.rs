@@ -419,7 +419,7 @@ fn try_relocate_candidates<D: SearchDist>(
 /// costs the length of that segment rather than `O(n)`. A chain that wraps
 /// past the end of the array is first rotated to the end (the rare `O(n)`
 /// case).
-fn relocate_chain(
+pub(crate) fn relocate_chain(
     order: &mut [usize],
     pos: &mut [usize],
     start: usize,

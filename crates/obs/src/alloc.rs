@@ -83,6 +83,16 @@ pub fn disarm() {
     });
 }
 
+/// Releases one [`arm`] when dropped, so a section that panics cannot
+/// leave the tallies armed for the rest of the process.
+struct DisarmOnDrop;
+
+impl Drop for DisarmOnDrop {
+    fn drop(&mut self) {
+        disarm();
+    }
+}
+
 /// `true` while at least one caller has the tallies armed.
 #[inline]
 pub fn armed() -> bool {
@@ -181,12 +191,12 @@ pub struct Measurement {
 /// zero would hide the call's whole peak.
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Measurement) {
     arm();
+    let _armed = DisarmOnDrop;
     let window = open_window().expect("the tallies were armed above");
     let start_live = TL_LIVE_BYTES.with(Cell::get);
     let value = f();
     let peak = TL_WINDOW_PEAK.with(Cell::get);
     let tally = close_window(window);
-    disarm();
     let measurement = Measurement {
         events: tally.allocs,
         allocated_bytes: tally.bytes,
@@ -383,14 +393,14 @@ pub(crate) mod tests {
     /// disarmed state before releasing it.
     pub(crate) static ARM_LOCK: Mutex<()> = Mutex::new(());
 
-    /// Runs `f` armed, under the lock, and disarms afterwards even on
-    /// panic-free early returns.
+    /// Runs `f` armed, under the lock. The disarm is a drop guard
+    /// released before the lock, so a failing assertion inside `f` cannot
+    /// leave the allocator armed for the next test.
     pub(crate) fn armed_section<T>(f: impl FnOnce() -> T) -> T {
         let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         arm();
-        let value = f();
-        disarm();
-        value
+        let _armed = DisarmOnDrop;
+        f()
     }
 
     #[test]
@@ -448,18 +458,38 @@ pub(crate) mod tests {
 
     #[test]
     fn realloc_counts_both_sides_and_tracks_peak() {
+        // Thread tallies and this thread's window peak only: other test
+        // threads allocate and free while the tallies are armed, which
+        // moves the process-wide figures in either direction.
         armed_section(|| {
-            let before = stats();
-            let mut v: Vec<u8> = vec![0; 16];
-            for i in 0..4096u32 {
-                v.push(i as u8); // forces reallocs
-            }
-            let after = stats();
+            let before = thread_stats();
+            let (v, m) = measure(|| {
+                let mut v: Vec<u8> = vec![0; 16];
+                for i in 0..4096u32 {
+                    v.push(i as u8); // forces reallocs
+                }
+                v
+            });
+            let after = thread_stats();
             assert!(after.realloc_count > before.realloc_count);
             assert!(after.allocated_bytes > before.allocated_bytes);
             assert!(after.freed_bytes > before.freed_bytes);
-            assert!(after.peak_live_bytes >= 4096);
+            assert!(
+                m.peak_live_bytes >= 4096,
+                "window peak {}",
+                m.peak_live_bytes
+            );
+            drop(v);
         });
+    }
+
+    #[test]
+    fn a_panicking_armed_section_leaves_the_allocator_disarmed() {
+        let panicked =
+            std::panic::catch_unwind(|| armed_section(|| panic!("deliberate panic while armed")));
+        assert!(panicked.is_err());
+        let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(!armed(), "the panic left the tallies armed");
     }
 
     #[test]

@@ -16,6 +16,8 @@ use crate::graph::RoadGraph;
 use crate::landmarks::Landmarks;
 use crate::route::{astar_alt, dijkstra_counted};
 use mule_geom::{BoundingBox, KdTree, Point};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Landmark count used by [`RoadIndex::build`]'s callers in this
 /// workspace. 8 is the classic sweet spot for ALT on planar networks:
@@ -32,12 +34,29 @@ pub struct RoadIndex {
     component: ComponentReport,
     kind: RoadNetKind,
     seed: u64,
+    source_tables: SourceTables,
+}
+
+/// One shortest-path table per road node, filled the first time
+/// [`RoadIndex::pairwise`] needs that node as a Dijkstra source and kept
+/// for the life of the index. A table is a pure function of the graph and
+/// its source, so a kept one holds exactly the floats a fresh run would.
+#[derive(Clone)]
+struct SourceTables(Box<[OnceLock<Vec<f64>>]>);
+
+impl fmt::Debug for SourceTables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SourceTables")
+            .field("nodes", &self.0.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for RoadIndex {
     fn eq(&self, other: &Self) -> bool {
         // The kd-tree is a deterministic function of the graph's node
-        // positions, so graph equality subsumes it.
+        // positions, so graph equality subsumes it; the kept Dijkstra
+        // tables are a cache of the graph.
         self.graph == other.graph
             && self.landmarks == other.landmarks
             && self.component == other.component
@@ -52,6 +71,7 @@ impl RoadIndex {
     pub fn build(net: RoadNet, kind: RoadNetKind, seed: u64, landmark_count: usize) -> Self {
         let landmarks = Landmarks::select(&net.graph, landmark_count);
         let snap_tree = KdTree::build(net.graph.positions());
+        let source_tables = SourceTables((0..net.graph.len()).map(|_| OnceLock::new()).collect());
         RoadIndex {
             graph: net.graph,
             landmarks,
@@ -59,6 +79,7 @@ impl RoadIndex {
             component: net.component,
             kind,
             seed,
+            source_tables,
         }
     }
 
@@ -195,6 +216,10 @@ impl RoadIndex {
     /// targets share intersections), then connector adjustment per pair —
     /// the right tool for one-to-all workloads like tour construction,
     /// where point-to-point ALT would redo the same corridors n² times.
+    ///
+    /// Each source's table is kept on the index after its first use, so
+    /// later calls over the same nodes (a replan over the surviving
+    /// targets of a scenario) run Dijkstra only for nodes not seen before.
     pub fn pairwise(&self, points: &[Point]) -> Vec<f64> {
         let n = points.len();
         let mut out = vec![0.0; n * n];
@@ -209,18 +234,13 @@ impl RoadIndex {
             .collect();
         let _span = mule_obs::span("road.pairwise");
         mule_obs::add("n", n as u64);
-        // BTreeMap: deterministic iteration over the distinct sources.
-        let mut tables: std::collections::BTreeMap<u32, Vec<f64>> = Default::default();
-        for &s in &snapped {
-            tables.entry(s).or_insert_with(|| {
-                let (table, settled) = dijkstra_counted(&self.graph, s);
+        for i in 0..n {
+            let table = self.source_tables.0[snapped[i] as usize].get_or_init(|| {
+                let (table, settled) = dijkstra_counted(&self.graph, snapped[i]);
                 mule_obs::add("dijkstra_sources", 1);
                 mule_obs::add("dijkstra_settled", settled as u64);
                 table
             });
-        }
-        for i in 0..n {
-            let table = &tables[&snapped[i]];
             for j in (i + 1)..n {
                 let road = if snapped[i] == snapped[j] {
                     0.0
@@ -345,5 +365,44 @@ mod tests {
             }
         }
         assert!(idx.pairwise(&[]).is_empty());
+    }
+
+    /// The Dijkstra sources a `pairwise` call ran, from its trace.
+    fn pairwise_counted(idx: &RoadIndex, pts: &[Point]) -> (Vec<f64>, u64) {
+        let (m, trace) = mule_obs::capture(|| idx.pairwise(pts));
+        let sources = trace
+            .spans
+            .iter()
+            .flat_map(|s| &s.counters)
+            .filter(|(name, _)| name == "dijkstra_sources")
+            .map(|&(_, v)| v)
+            .sum();
+        (m, sources)
+    }
+
+    #[test]
+    fn pairwise_keeps_each_source_table_for_later_calls() {
+        let idx = index();
+        let all = [
+            Point::new(100.0, 100.0),
+            Point::new(400.0, 400.0),
+            Point::new(700.0, 200.0),
+            Point::new(250.0, 650.0),
+        ];
+        let (first, sources) = pairwise_counted(&idx, &all[..3]);
+        assert_eq!(sources, 3);
+        // A subset needs no new table; a superset only the new node's.
+        let (subset, sources) = pairwise_counted(&idx, &all[1..3]);
+        assert_eq!(sources, 0);
+        let (superset, sources) = pairwise_counted(&idx, &all);
+        assert_eq!(sources, 1);
+        // Kept tables give the bits a fresh index gives.
+        assert_eq!(first, index().pairwise(&all[..3]));
+        assert_eq!(subset, index().pairwise(&all[1..3]));
+        assert_eq!(superset, index().pairwise(&all));
+        // Cloning carries the kept tables; equality ignores them.
+        let (cloned, sources) = pairwise_counted(&idx.clone(), &all);
+        assert_eq!((cloned, sources), (superset, 0));
+        assert_eq!(idx, index());
     }
 }
