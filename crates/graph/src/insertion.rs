@@ -548,7 +548,7 @@ impl InsertionTree {
 ///   discarded.
 ///
 /// After each insertion splits edge `(e, f)` into `(e, k)`/`(k, f)`, the two
-/// *new* edges are offered to the remaining points. An [`InsertionTree`]
+/// *new* edges are offered to the remaining points. An `InsertionTree`
 /// confines both searches — offers and rescores — to the subtrees that can
 /// change their outcome, and falls back to a full cycle scan only when a
 /// rescore ties exactly. Every cached cost stays equal to the true minimum

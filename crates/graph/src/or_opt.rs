@@ -214,9 +214,10 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// `n` points of one of three shapes on an 800 m field: uniform
-    /// floats, a coarse integer lattice (exact distance ties), or a few
-    /// distinct points repeated (zero distances).
+    /// `n` points of one of four shapes on an 800 m field: uniform
+    /// floats, a coarse integer lattice (exact distance ties), a few
+    /// distinct points repeated (zero distances), or the lattice jittered
+    /// by under a nanometre (gains near the `1e-10` acceptance test).
     fn instance(shape: usize, n: usize, seed: u64) -> Vec<Point> {
         let mut state = seed;
         let mut coord = |modulus: u64, scale: f64| (splitmix(&mut state) % modulus) as f64 * scale;
@@ -226,6 +227,12 @@ mod tests {
                 .collect(),
             1 => (0..n)
                 .map(|_| Point::new(coord(8, 100.0), coord(8, 100.0)))
+                .collect(),
+            3 => (0..n)
+                .map(|_| {
+                    let x = coord(8, 100.0) + coord(1000, 1e-12);
+                    Point::new(x, coord(8, 100.0) + coord(1000, 1e-12))
+                })
                 .collect(),
             _ => {
                 let distinct: Vec<Point> = (0..n.div_ceil(3))
@@ -248,7 +255,7 @@ mod tests {
         let mut instances = 0;
         let mut moved = 0;
         for n in 5..=60usize {
-            for shape in 0..3 {
+            for shape in 0..4 {
                 let pts = instance(shape, n, (n * 3 + shape) as u64);
                 for metric in [&TravelMetric::Euclidean, &road] {
                     let dm = DistanceMatrix::from_metric(&pts, metric);
