@@ -16,7 +16,6 @@ use crate::graph::RoadGraph;
 use crate::landmarks::Landmarks;
 use crate::route::{astar_alt, dijkstra_counted};
 use mule_geom::{BoundingBox, KdTree, Point};
-use std::fmt;
 use std::sync::OnceLock;
 
 /// Landmark count used by [`RoadIndex::build`]'s callers in this
@@ -34,22 +33,12 @@ pub struct RoadIndex {
     component: ComponentReport,
     kind: RoadNetKind,
     seed: u64,
-    source_tables: SourceTables,
-}
-
-/// One shortest-path table per road node, filled the first time
-/// [`RoadIndex::pairwise`] needs that node as a Dijkstra source and kept
-/// for the life of the index. A table is a pure function of the graph and
-/// its source, so a kept one holds exactly the floats a fresh run would.
-#[derive(Clone)]
-struct SourceTables(Box<[OnceLock<Vec<f64>>]>);
-
-impl fmt::Debug for SourceTables {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SourceTables")
-            .field("nodes", &self.0.len())
-            .finish_non_exhaustive()
-    }
+    /// One shortest-path table per road node, filled the first time
+    /// [`RoadIndex::pairwise`] needs that node as a Dijkstra source and
+    /// kept for the life of the index. A table is a pure function of the
+    /// graph and its source, so a kept one holds exactly the floats a
+    /// fresh run would.
+    source_tables: Box<[OnceLock<Vec<f64>>]>,
 }
 
 impl PartialEq for RoadIndex {
@@ -71,7 +60,7 @@ impl RoadIndex {
     pub fn build(net: RoadNet, kind: RoadNetKind, seed: u64, landmark_count: usize) -> Self {
         let landmarks = Landmarks::select(&net.graph, landmark_count);
         let snap_tree = KdTree::build(net.graph.positions());
-        let source_tables = SourceTables((0..net.graph.len()).map(|_| OnceLock::new()).collect());
+        let source_tables = (0..net.graph.len()).map(|_| OnceLock::new()).collect();
         RoadIndex {
             graph: net.graph,
             landmarks,
@@ -235,7 +224,7 @@ impl RoadIndex {
         let _span = mule_obs::span("road.pairwise");
         mule_obs::add("n", n as u64);
         for i in 0..n {
-            let table = self.source_tables.0[snapped[i] as usize].get_or_init(|| {
+            let table = self.source_tables[snapped[i] as usize].get_or_init(|| {
                 let (table, settled) = dijkstra_counted(&self.graph, snapped[i]);
                 mule_obs::add("dijkstra_sources", 1);
                 mule_obs::add("dijkstra_settled", settled as u64);
