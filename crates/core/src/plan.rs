@@ -111,17 +111,17 @@ impl MuleItinerary {
     /// cycle (B-TCTP's `i/n` spreading is exact under the rescale). A
     /// no-op for the Euclidean metric.
     pub fn with_metric_geometry(self, metric: &TravelMetric) -> Self {
-        self.with_legs(metric, |a, b| metric.leg_path(a, b))
+        if metric.is_euclidean() {
+            return self;
+        }
+        self.with_legs(|a, b| metric.leg_path(a, b))
     }
 
-    /// [`MuleItinerary::with_metric_geometry`] with the leg geometry
-    /// supplied by `leg(from, to)`, which must return `metric.leg_path`.
-    fn with_legs(
-        mut self,
-        metric: &TravelMetric,
-        mut leg: impl FnMut(&Point, &Point) -> Vec<Point>,
-    ) -> Self {
-        if metric.is_euclidean() || self.cycle.len() < 2 {
+    /// Road geometry with each leg's path supplied by `leg(from, to)`
+    /// (the metric's `leg_path`); see
+    /// [`MuleItinerary::with_metric_geometry`].
+    fn with_legs(mut self, mut leg: impl FnMut(&Point, &Point) -> Vec<Point>) -> Self {
+        if self.cycle.len() < 2 {
             return self;
         }
         let chord_length = self.cycle_length();
@@ -216,7 +216,7 @@ impl PatrolPlan {
             .itineraries
             .into_iter()
             .map(|it| {
-                it.with_legs(metric, |a, b| {
+                it.with_legs(|a, b| {
                     let key = [a.x, a.y, b.x, b.y].map(f64::to_bits);
                     legs.entry(key)
                         .or_insert_with(|| metric.leg_path(a, b))
