@@ -3,8 +3,7 @@
 //! The figure-regeneration harness: one module per figure of the paper's
 //! evaluation (§V), each exposing a function that runs the full sweep and
 //! returns a [`mule_metrics::TextTable`] with the same series the paper
-//! plots. The binaries in `src/bin/` print these tables; the criterion
-//! benches in `benches/` time the underlying computations.
+//! plots. The binaries in `src/bin/` print these tables.
 //!
 //! | Module | Paper figure | Binary |
 //! |--------|--------------|--------|
@@ -23,7 +22,7 @@
 //!
 //! Every sweep averages over a seeded replication fan (the paper uses 20
 //! random topologies per point); the replica count is a parameter so the
-//! criterion benches can use a smaller fan. Every replicated run goes
+//! `--quick` runs can use a smaller fan. Every replicated run goes
 //! through [`replicate`], a one-cell [`mule_sim::run_sweep`] — the same
 //! runner behind `patrolctl sweep` and `/v1/simulate`.
 //!

@@ -41,13 +41,6 @@ impl SweepPlanner {
         Self::default()
     }
 
-    /// Sweep with k-means grouping instead of angular sectors.
-    pub fn with_kmeans() -> Self {
-        SweepPlanner {
-            grouping: GroupingStrategy::KMeans,
-        }
-    }
-
     /// Splits the targets of `scenario` into `groups` groups with the given
     /// strategy, returning one vector of node indices (into the field's node
     /// list) per group.
@@ -247,7 +240,11 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), 16);
 
-        let plan = SweepPlanner::with_kmeans().plan(&s).unwrap();
+        let plan = SweepPlanner {
+            grouping: GroupingStrategy::KMeans,
+        }
+        .plan(&s)
+        .unwrap();
         let mut covered = std::collections::HashSet::new();
         for it in &plan.itineraries {
             covered.extend(it.covered_nodes());

@@ -19,12 +19,11 @@
 use mule_geom::{Point, Polyline};
 use mule_net::NodeId;
 use mule_road::TravelMetric;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// One stop of an itinerary: a field node and its position.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// The node visited at this stop.
     pub node: NodeId,
@@ -40,7 +39,7 @@ impl Waypoint {
 }
 
 /// The route of a single mule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MuleItinerary {
     /// Index of the mule in the scenario's mule list.
     pub mule_index: usize,
@@ -165,7 +164,7 @@ impl MuleItinerary {
 }
 
 /// A complete plan: one itinerary per mule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatrolPlan {
     /// Human-readable planner name ("B-TCTP", "CHB", …) for reports.
     pub planner_name: String,
@@ -241,7 +240,7 @@ impl PatrolPlan {
 }
 
 /// Why a planner could not produce a plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The scenario has no patrolled nodes at all.
     NoTargets,

@@ -29,10 +29,9 @@ use crate::plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
 use crate::planner::{validate_common, Planner};
 use mule_graph::ChbConfig;
 use mule_workload::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// Break-edge selection policy (paper §3.1 A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakEdgePolicy {
     /// Minimise the total WPP length (Exp. 1).
     #[default]

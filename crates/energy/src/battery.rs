@@ -1,11 +1,9 @@
 //! The mule battery: a finite energy store with recharge support.
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse battery condition, used by the RW-TCTP patrolling strategy to
 /// decide whether the next round follows the ordinary patrolling path or the
 /// recharge path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatteryState {
     /// Remaining energy is above the planning threshold.
     Healthy,
@@ -17,12 +15,10 @@ pub enum BatteryState {
 }
 
 /// A battery with capacity and current charge in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_j: f64,
     remaining_j: f64,
-    /// Total energy ever drawn, for efficiency reporting.
-    total_drawn_j: f64,
     /// Number of times the battery hit zero.
     depletion_events: usize,
     /// Number of recharges performed.
@@ -36,7 +32,6 @@ impl Battery {
         Battery {
             capacity_j: cap,
             remaining_j: cap,
-            total_drawn_j: 0.0,
             depletion_events: 0,
             recharge_count: 0,
         }
@@ -61,12 +56,6 @@ impl Battery {
         } else {
             (self.remaining_j / self.capacity_j).clamp(0.0, 1.0)
         }
-    }
-
-    /// Total energy drawn over the battery's lifetime (across recharges).
-    #[inline]
-    pub fn total_drawn(&self) -> f64 {
-        self.total_drawn_j
     }
 
     /// Number of times the battery was fully depleted.
@@ -96,14 +85,12 @@ impl Battery {
         let available = self.remaining_j;
         if amount <= available {
             self.remaining_j -= amount;
-            self.total_drawn_j += amount;
             if self.remaining_j <= 0.0 {
                 self.depletion_events += 1;
             }
             0.0
         } else {
             self.remaining_j = 0.0;
-            self.total_drawn_j += available;
             self.depletion_events += 1;
             amount - available
         }
@@ -163,7 +150,6 @@ mod tests {
         let mut b = Battery::full(100.0);
         assert_eq!(b.draw(30.0), 0.0);
         assert_eq!(b.remaining(), 70.0);
-        assert_eq!(b.total_drawn(), 30.0);
         assert!(b.can_afford(70.0));
         assert!(!b.can_afford(70.1));
         // Negative draws are ignored.
@@ -179,7 +165,6 @@ mod tests {
         assert_eq!(b.remaining(), 0.0);
         assert!(b.is_depleted());
         assert_eq!(b.depletion_events(), 1);
-        assert_eq!(b.total_drawn(), 50.0);
     }
 
     #[test]
@@ -200,8 +185,6 @@ mod tests {
         // Recharging a full battery is not counted.
         b.recharge_full();
         assert_eq!(b.recharge_count(), 1);
-        // Total drawn survives recharging.
-        assert_eq!(b.total_drawn(), 60.0);
     }
 
     #[test]

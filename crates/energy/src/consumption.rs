@@ -4,10 +4,8 @@
 //! dimension; to report it we track *where* each joule went (movement,
 //! collection, recharging detours), per mule.
 
-use serde::{Deserialize, Serialize};
-
 /// Why energy was consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergyCause {
     /// Moving along the ordinary patrolling path.
     PatrolMovement,
@@ -36,7 +34,7 @@ impl EnergyCause {
 }
 
 /// A ledger of energy consumption broken down by cause.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConsumptionLedger {
     patrol_movement_j: f64,
     recharge_movement_j: f64,

@@ -5,10 +5,8 @@
 //! states 0.075 J/s for the collection radio and charges it per collection
 //! event; we keep the same per-collection accounting).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-activity energy costs of a data mule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy to move one metre, in joules (`c_m` in Eq. 4).
     pub move_cost_j_per_m: f64,
@@ -61,16 +59,6 @@ impl EnergyModel {
         self.movement_energy(path_length_m) + self.collection_energy(collections)
     }
 
-    /// Time to travel `distance_m` metres at the mule's speed.
-    #[inline]
-    pub fn travel_time(&self, distance_m: f64) -> f64 {
-        if self.speed_m_per_s <= 0.0 {
-            f64::INFINITY
-        } else {
-            distance_m.max(0.0) / self.speed_m_per_s
-        }
-    }
-
     /// Maximum distance a mule can travel on `energy_j` joules if it does
     /// nothing but move.
     #[inline]
@@ -115,18 +103,6 @@ mod tests {
         let m = EnergyModel::paper_default();
         let e = m.round_energy(1000.0, 10);
         assert!((e - (8267.0 + 0.75)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn travel_time_uses_the_mule_speed() {
-        let m = EnergyModel::paper_default();
-        assert_eq!(m.travel_time(100.0), 50.0);
-        assert_eq!(m.travel_time(-3.0), 0.0);
-        let stopped = EnergyModel {
-            speed_m_per_s: 0.0,
-            ..m
-        };
-        assert!(stopped.travel_time(1.0).is_infinite());
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! recharge path on round `r`.
 
 use crate::model::EnergyModel;
-use serde::{Deserialize, Serialize};
 
 /// The recharge schedule derived from Eq. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatrolRounds {
     /// Total rounds affordable per charge (`r` in Eq. 4, at least 1).
     pub rounds_per_charge: u32,
@@ -59,14 +58,6 @@ impl PatrolRounds {
     pub fn patrol_rounds_between_recharges(&self) -> u32 {
         self.rounds_per_charge.saturating_sub(1)
     }
-
-    /// Returns `true` when round number `round_index` (0-based, counting
-    /// every completed traversal) should follow the recharge path: every
-    /// `r`-th round, i.e. rounds `r−1, 2r−1, 3r−1, …`.
-    pub fn is_recharge_round(&self, round_index: u64) -> bool {
-        let r = u64::from(self.rounds_per_charge.max(1));
-        round_index % r == r - 1
-    }
 }
 
 #[cfg(test)]
@@ -112,22 +103,6 @@ mod tests {
         let r = PatrolRounds::evaluate(&model, 500.0, 10);
         assert_eq!(r.rounds_per_charge, u32::MAX);
         assert!(r.is_feasible(&model));
-    }
-
-    #[test]
-    fn recharge_round_fires_every_r_rounds() {
-        let model = model_with_energy(50_000.0);
-        let r = PatrolRounds::evaluate(&model, 1000.0, 10); // r = 6
-        let recharge_rounds: Vec<u64> = (0..18).filter(|&i| r.is_recharge_round(i)).collect();
-        assert_eq!(recharge_rounds, vec![5, 11, 17]);
-    }
-
-    #[test]
-    fn single_round_schedules_recharge_every_round() {
-        let model = model_with_energy(100.0);
-        let r = PatrolRounds::evaluate(&model, 1000.0, 5);
-        assert!(r.is_recharge_round(0));
-        assert!(r.is_recharge_round(1));
     }
 
     #[test]

@@ -85,14 +85,6 @@ impl SimClock {
         SimClock::default()
     }
 
-    /// A clock starting at `start_s` seconds.
-    pub fn starting_at(start_s: f64) -> Self {
-        SimClock {
-            now_s: start_s,
-            ..SimClock::default()
-        }
-    }
-
     /// Current simulation time, seconds. Advances as events fire.
     #[inline]
     pub fn now(&self) -> f64 {
@@ -260,7 +252,9 @@ mod tests {
 
     #[test]
     fn past_and_nonfinite_times_are_handled_totally() {
-        let mut clock = SimClock::starting_at(100.0);
+        let mut clock = SimClock::new();
+        clock.schedule_at(100.0, EventSubject::Global, EventKind::Replan);
+        clock.next();
         assert!(clock.schedule_at(5.0, EventSubject::Global, EventKind::Replan));
         assert_eq!(clock.peek_time(), Some(100.0), "past events clamp to now");
         assert!(!clock.schedule_at(f64::NAN, EventSubject::Global, EventKind::Replan));

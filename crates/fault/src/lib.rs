@@ -151,23 +151,6 @@ impl FaultPlan {
         }
     }
 
-    /// Builder-style rule append.
-    pub fn with_rule(
-        mut self,
-        point: &str,
-        kind: FaultKind,
-        probability: f64,
-        limit: Option<u64>,
-    ) -> Self {
-        self.rules.push(FaultRule {
-            point: point.to_string(),
-            kind,
-            probability,
-            limit,
-        });
-        self
-    }
-
     /// Parses the compact rule syntax used by `patrolctl`:
     /// comma-separated `point=kind[:arg][@probability][#limit]` rules,
     /// e.g. `serve.plan=panic@0.25#3,serve.conn.read=io@0.1` or
@@ -326,11 +309,6 @@ pub fn arm(plan: FaultPlan) {
 pub fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     *STATE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// Returns `true` while a plan is armed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
 }
 
 /// SplitMix64 — the same mixer the workspace's seeded RNGs use.
@@ -506,7 +484,6 @@ mod tests {
     fn disarmed_points_are_inert() {
         let _guard = armed_guard();
         disarm();
-        assert!(!is_armed());
         assert!(point("anything").is_none());
         assert!(io_error("anything").is_none());
         assert!(injection_counts().is_empty());
@@ -599,7 +576,7 @@ mod tests {
     #[test]
     fn panic_kind_panics_with_the_recognisable_prefix() {
         let _guard = armed_guard();
-        arm(FaultPlan::new(5).with_rule("boom", FaultKind::Panic, 1.0, Some(1)));
+        arm(FaultPlan::parse(5, "boom=panic#1").unwrap());
         let err = std::panic::catch_unwind(|| point("boom")).unwrap_err();
         let message = err
             .downcast_ref::<String>()

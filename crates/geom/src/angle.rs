@@ -8,7 +8,7 @@
 //! simulator and the Sweep baseline.
 
 use crate::point::Point;
-use std::f64::consts::{PI, TAU};
+use std::f64::consts::TAU;
 
 /// A compass-style bearing, stored as radians counter-clockwise from the
 /// positive x-axis (east), normalised to `[0, 2π)`.
@@ -39,12 +39,6 @@ impl Bearing {
         self.0
     }
 
-    /// Degrees in `[0, 360)`.
-    #[inline]
-    pub fn degrees(&self) -> f64 {
-        self.0.to_degrees()
-    }
-
     /// Counter-clockwise angular distance from `self` to `other`,
     /// in `[0, 2π)`.
     pub fn ccw_to(&self, other: &Bearing) -> f64 {
@@ -67,17 +61,6 @@ pub fn normalize_angle(theta: f64) -> f64 {
     t
 }
 
-/// Normalises an angle to `(-π, π]`, the signed convention.
-#[inline]
-pub fn normalize_signed(theta: f64) -> f64 {
-    let t = normalize_angle(theta);
-    if t > PI {
-        t - TAU
-    } else {
-        t
-    }
-}
-
 /// The counter-clockwise *included angle* used by the W-TCTP patrolling
 /// rule.
 ///
@@ -97,22 +80,6 @@ pub fn ccw_included_angle(from: &Point, at: &Point, candidate: &Point) -> Option
     Some(back.ccw_to(&out))
 }
 
-/// Interior angle at vertex `b` of the polyline `a – b – c`, in `[0, π]`.
-///
-/// This is the unsigned "corner sharpness" used by heuristics that penalise
-/// sharp turns; it does not distinguish left from right turns.
-pub fn interior_angle(a: &Point, b: &Point, c: &Point) -> Option<f64> {
-    let u = *a - *b;
-    let v = *c - *b;
-    let nu = u.norm();
-    let nv = v.norm();
-    if nu <= f64::EPSILON || nv <= f64::EPSILON {
-        return None;
-    }
-    let cos = (u.dot(&v) / (nu * nv)).clamp(-1.0, 1.0);
-    Some(cos.acos())
-}
-
 /// Orientation of the ordered triple `(a, b, c)`.
 ///
 /// Positive for a counter-clockwise turn, negative for clockwise, zero for
@@ -127,7 +94,7 @@ pub fn orientation(a: &Point, b: &Point, c: &Point) -> f64 {
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use std::f64::consts::FRAC_PI_2;
+    use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn normalize_angle_wraps_into_zero_two_pi() {
@@ -140,21 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn normalize_signed_wraps_into_pi_range() {
-        assert!(approx_eq(normalize_signed(1.5 * PI), -0.5 * PI));
-        assert!(approx_eq(normalize_signed(PI), PI));
-        assert!(approx_eq(normalize_signed(-PI), PI));
-    }
-
-    #[test]
     fn bearing_between_cardinal_points() {
         let o = Point::ORIGIN;
         let east = Bearing::between(&o, &Point::new(5.0, 0.0)).unwrap();
         let north = Bearing::between(&o, &Point::new(0.0, 5.0)).unwrap();
         assert!(approx_eq(east.radians(), 0.0));
         assert!(approx_eq(north.radians(), FRAC_PI_2));
-        assert!(approx_eq(east.degrees(), 0.0));
-        assert!(approx_eq(north.degrees(), 90.0));
         assert!(Bearing::between(&o, &o).is_none());
     }
 
@@ -195,15 +153,6 @@ mod tests {
         let p = Point::new(1.0, 1.0);
         assert!(ccw_included_angle(&p, &p, &Point::new(2.0, 2.0)).is_none());
         assert!(ccw_included_angle(&Point::new(2.0, 2.0), &p, &p).is_none());
-    }
-
-    #[test]
-    fn interior_angle_of_right_corner_is_half_pi() {
-        let a = Point::new(1.0, 0.0);
-        let b = Point::ORIGIN;
-        let c = Point::new(0.0, 1.0);
-        assert!(approx_eq(interior_angle(&a, &b, &c).unwrap(), FRAC_PI_2));
-        assert!(interior_angle(&b, &b, &c).is_none());
     }
 
     #[test]

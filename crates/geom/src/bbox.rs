@@ -5,10 +5,9 @@
 //! pruning primitive of the [`crate::KdTree`].
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle `[min_x, max_x] × [min_y, max_y]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Smallest x coordinate.
     pub min_x: f64,

@@ -148,22 +148,6 @@ pub fn point_in_convex_polygon(p: &Point, hull: &[Point]) -> bool {
     }
 }
 
-/// Signed area of a simple polygon given in order (positive when
-/// counter-clockwise). Uses the shoelace formula.
-pub fn signed_area(polygon: &[Point]) -> f64 {
-    let n = polygon.len();
-    if n < 3 {
-        return 0.0;
-    }
-    let mut twice_area = 0.0;
-    for i in 0..n {
-        let a = &polygon[i];
-        let b = &polygon[(i + 1) % n];
-        twice_area += a.x * b.y - b.x * a.y;
-    }
-    twice_area * 0.5
-}
-
 /// Perimeter of a closed polygon given in order.
 pub fn perimeter(polygon: &[Point]) -> f64 {
     let n = polygon.len();
@@ -202,7 +186,10 @@ mod tests {
             assert!(hull.contains(&corner), "missing corner {corner}");
         }
         assert!(is_convex_polygon(&hull));
-        assert!(signed_area(&hull) > 0.0, "hull must be CCW");
+        assert!(
+            orientation(&hull[0], &hull[1], &hull[2]) > 0.0,
+            "hull must be CCW"
+        );
     }
 
     #[test]
@@ -320,11 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn signed_area_and_perimeter_of_square() {
+    fn perimeter_of_square() {
         let sq = square();
-        assert!(approx_eq(signed_area(&sq), 16.0));
-        let cw: Vec<Point> = sq.iter().rev().copied().collect();
-        assert!(approx_eq(signed_area(&cw), -16.0));
         assert!(approx_eq(perimeter(&sq), 16.0));
         assert!(approx_eq(perimeter(&[Point::ORIGIN]), 0.0));
     }

@@ -19,9 +19,9 @@
 //! * [`UniformGrid`] — bucketed spatial index for range queries
 //!   (which targets are within communication range of a mule).
 //!
-//! The crate is dependency-light (only `serde` for persisting scenarios) and
-//! panic-free on degenerate input wherever a sensible total behaviour
-//! exists; degenerate cases that have no sensible answer return `Option`.
+//! The crate has no dependencies and is panic-free on degenerate input
+//! wherever a sensible total behaviour exists; degenerate cases that have
+//! no sensible answer return `Option`.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -6,12 +6,11 @@
 //! operations are branch-free arithmetic so it is cheap to pass around in
 //! hot simulation loops.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A point (or free vector) in the 2-D monitoring field, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// East–west coordinate in metres.
     pub x: f64,
@@ -69,18 +68,6 @@ impl Point {
     #[inline]
     pub fn cross(&self, other: &Point) -> f64 {
         self.x * other.y - self.y * other.x
-    }
-
-    /// Unit vector pointing in the same direction, or `None` for the zero
-    /// vector.
-    #[inline]
-    pub fn normalized(&self) -> Option<Point> {
-        let n = self.norm();
-        if n <= f64::EPSILON {
-            None
-        } else {
-            Some(Point::new(self.x / n, self.y / n))
-        }
     }
 
     /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
@@ -298,14 +285,6 @@ mod tests {
         let b = Point::new(1.0, 1.0);
         assert_eq!(a.advance_towards(&b, 100.0), b);
         assert_eq!(a.advance_towards(&a, 5.0), a);
-    }
-
-    #[test]
-    fn normalized_returns_unit_vector_or_none() {
-        let v = Point::new(3.0, 4.0);
-        let u = v.normalized().unwrap();
-        assert!(approx_eq(u.norm(), 1.0));
-        assert!(Point::ORIGIN.normalized().is_none());
     }
 
     #[test]

@@ -9,11 +9,10 @@
 
 use crate::point::Point;
 use crate::segment::Segment;
-use serde::{Deserialize, Serialize};
 
 /// A chain of waypoints. When `closed` is true the last waypoint connects
 /// back to the first one, forming a cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     points: Vec<Point>,
     closed: bool,
@@ -41,12 +40,6 @@ impl Polyline {
     #[inline]
     pub fn points(&self) -> &[Point] {
         &self.points
-    }
-
-    /// Whether the polyline is a cycle.
-    #[inline]
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 
     /// Number of waypoints.
@@ -82,24 +75,6 @@ impl Polyline {
     /// Total length in metres (including the closing edge when closed).
     pub fn length(&self) -> f64 {
         self.segments().iter().map(Segment::length).sum()
-    }
-
-    /// Cumulative arc length at the start of each edge, ending with the
-    /// total length. For a closed polyline over `k` points this has `k + 1`
-    /// entries; for an open one, `k` entries (or empty for < 2 points).
-    pub fn cumulative_lengths(&self) -> Vec<f64> {
-        let segs = self.segments();
-        if segs.is_empty() {
-            return Vec::new();
-        }
-        let mut cum = Vec::with_capacity(segs.len() + 1);
-        let mut acc = 0.0;
-        cum.push(0.0);
-        for s in &segs {
-            acc += s.length();
-            cum.push(acc);
-        }
-        cum
     }
 
     /// The point located `distance` metres along the polyline from its first
@@ -247,18 +222,6 @@ mod tests {
         let open = Polyline::open(unit_square_cycle().points().to_vec());
         assert_eq!(open.segments().len(), 3);
         assert!(Polyline::open(vec![Point::ORIGIN]).segments().is_empty());
-    }
-
-    #[test]
-    fn cumulative_lengths_are_monotone_and_end_at_total() {
-        let p = unit_square_cycle();
-        let cum = p.cumulative_lengths();
-        assert_eq!(cum.len(), 5);
-        assert!(approx_eq(cum[0], 0.0));
-        assert!(approx_eq(*cum.last().unwrap(), 40.0));
-        for w in cum.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
     }
 
     #[test]

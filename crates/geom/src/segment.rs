@@ -1,14 +1,13 @@
 //! Directed line segments — the edges of a patrolling path.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// A directed segment from [`Segment::a`] to [`Segment::b`].
 ///
 /// Patrolling paths are sequences of segments; break-edge selection in
 /// W-TCTP / RW-TCTP removes one segment and replaces it with two new ones,
 /// so the planners manipulate these values directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Point,

@@ -23,7 +23,6 @@ use crate::tour::Tour;
 use crate::two_opt::two_opt;
 use mule_geom::Point;
 use mule_road::TravelMetric;
-use serde::{Deserialize, Serialize};
 
 /// Instance size up to which [`SearchMode::Auto`] uses the exact pipeline.
 ///
@@ -39,7 +38,7 @@ pub const AUTO_EXACT_THRESHOLD: usize = 128;
 pub const DEFAULT_CANDIDATES_K: usize = 10;
 
 /// Which neighbourhood the construction pipeline searches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchMode {
     /// Exact all-pairs construction and local search (`O(n³)` worst-case
     /// construction, `O(n²)` per polish pass). Byte-stable; the only mode
@@ -86,7 +85,7 @@ impl SearchMode {
 }
 
 /// Configuration of the CHB circuit-construction pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChbConfig {
     /// Maximum number of full 2-opt sweeps (0 disables 2-opt).
     pub two_opt_passes: usize,
@@ -197,23 +196,12 @@ fn construct_circuit_candidates_matrix(
         let _s = mule_obs::span("chb.candidate_lists");
         CandidateLists::from_matrix(dm, k.max(1))
     };
-    if config.two_opt_passes > 0 {
-        let _s = mule_obs::span("chb.two_opt");
-        let moves = two_opt_candidates(&mut tour, dm, &candidates, config.two_opt_passes);
-        mule_obs::add("moves", moves as u64);
-    }
-    if config.or_opt_passes > 0 {
-        {
-            let _s = mule_obs::span("chb.or_opt");
-            let moves = or_opt_candidates(&mut tour, dm, &candidates, config.or_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
-        if config.two_opt_passes > 0 {
-            let _s = mule_obs::span("chb.two_opt");
-            let moves = two_opt_candidates(&mut tour, dm, &candidates, config.two_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
-    }
+    polish(
+        &mut tour,
+        config,
+        |t, passes| two_opt_candidates(t, dm, &candidates, passes),
+        |t, passes| or_opt_candidates(t, dm, &candidates, passes),
+    );
     tour
 }
 
@@ -226,24 +214,12 @@ fn construct_circuit_exact(points: &[Point], dm: &DistanceMatrix, config: &ChbCo
         let _s = mule_obs::span("chb.hull_insertion");
         convex_hull_insertion(points, dm)
     };
-    if config.two_opt_passes > 0 {
-        let _s = mule_obs::span("chb.two_opt");
-        let moves = two_opt(&mut tour, dm, config.two_opt_passes);
-        mule_obs::add("moves", moves as u64);
-    }
-    if config.or_opt_passes > 0 {
-        {
-            let _s = mule_obs::span("chb.or_opt");
-            let moves = or_opt(&mut tour, dm, config.or_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
-        // A final 2-opt pass cleans up crossings introduced by relocations.
-        if config.two_opt_passes > 0 {
-            let _s = mule_obs::span("chb.two_opt");
-            let moves = two_opt(&mut tour, dm, config.two_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
-    }
+    polish(
+        &mut tour,
+        config,
+        |t, passes| two_opt(t, dm, passes),
+        |t, passes| or_opt(t, dm, passes),
+    );
     tour
 }
 
@@ -264,24 +240,42 @@ fn construct_circuit_candidates(points: &[Point], config: &ChbConfig, k: usize) 
         let _s = mule_obs::span("chb.candidate_lists");
         CandidateLists::build(points, k.max(1))
     };
-    if config.two_opt_passes > 0 {
-        let _s = mule_obs::span("chb.two_opt");
-        let moves = two_opt_candidates(&mut tour, points, &candidates, config.two_opt_passes);
-        mule_obs::add("moves", moves as u64);
-    }
+    polish(
+        &mut tour,
+        config,
+        |t, passes| two_opt_candidates(t, points, &candidates, passes),
+        |t, passes| or_opt_candidates(t, points, &candidates, passes),
+    );
+    tour
+}
+
+/// The polish sequence every pipeline shares: 2-opt, Or-opt, then a final
+/// 2-opt. A pass with a zero budget in `config` is skipped; each pass that
+/// runs opens its `chb.two_opt` / `chb.or_opt` span and records its applied
+/// `moves` there.
+fn polish(
+    tour: &mut Tour,
+    config: &ChbConfig,
+    two_opt_pass: impl Fn(&mut Tour, usize) -> usize,
+    or_opt_pass: impl Fn(&mut Tour, usize) -> usize,
+) {
+    let two_opt_step = |tour: &mut Tour| {
+        if config.two_opt_passes > 0 {
+            let _s = mule_obs::span("chb.two_opt");
+            let moves = two_opt_pass(tour, config.two_opt_passes);
+            mule_obs::add("moves", moves as u64);
+        }
+    };
+    two_opt_step(tour);
     if config.or_opt_passes > 0 {
         {
             let _s = mule_obs::span("chb.or_opt");
-            let moves = or_opt_candidates(&mut tour, points, &candidates, config.or_opt_passes);
+            let moves = or_opt_pass(tour, config.or_opt_passes);
             mule_obs::add("moves", moves as u64);
         }
-        if config.two_opt_passes > 0 {
-            let _s = mule_obs::span("chb.two_opt");
-            let moves = two_opt_candidates(&mut tour, points, &candidates, config.two_opt_passes);
-            mule_obs::add("moves", moves as u64);
-        }
+        // A final 2-opt pass cleans up crossings introduced by relocations.
+        two_opt_step(tour);
     }
-    tour
 }
 
 #[cfg(test)]

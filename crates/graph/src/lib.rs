@@ -1,12 +1,14 @@
 //! # mule-graph
 //!
-//! Euclidean tours over target sets: the Hamiltonian-circuit substrate that
-//! every TCTP planner (and the CHB baseline of reference \[5\]) starts from.
+//! Tours over target sets: the Hamiltonian-circuit substrate that every
+//! TCTP planner (and the CHB baseline of reference \[5\]) starts from.
 //!
 //! The crate is organised as construction → improvement → inspection:
 //!
-//! * [`DistanceMatrix`] — dense pairwise Euclidean distances, computed once
-//!   per scenario and shared by all heuristics.
+//! * [`DistanceMatrix`] — dense pairwise travel distances, computed once
+//!   per scenario and shared by all heuristics: Euclidean
+//!   ([`DistanceMatrix::from_points`]) or under any
+//!   [`mule_road::TravelMetric`] ([`DistanceMatrix::from_metric`]).
 //! * [`Tour`] — an ordered Hamiltonian cycle over point indices with length,
 //!   validity, rotation and edge bookkeeping.
 //! * Construction heuristics: [`nearest_neighbor()`], [`cheapest_insertion`],

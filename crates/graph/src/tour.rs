@@ -7,13 +7,12 @@
 
 use crate::distance_matrix::DistanceMatrix;
 use mule_geom::Point;
-use serde::{Deserialize, Serialize};
 
 /// An ordered Hamiltonian cycle over the point indices `0..n`.
 ///
 /// The `Default` tour is empty (no points), which lets callers
 /// `std::mem::take` a tour to work on its order without cloning.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tour {
     order: Vec<usize>,
 }

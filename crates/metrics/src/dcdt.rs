@@ -8,11 +8,10 @@
 use crate::summary::SummaryStatistics;
 use mule_net::NodeId;
 use mule_sim::SimulationOutcome;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// DCDT samples organised per visit index and per node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcdtSeries {
     /// For every node, the DCDT of its 1st, 2nd, 3rd, … visit.
     pub per_node: BTreeMap<NodeId, Vec<f64>>,
@@ -23,19 +22,6 @@ impl DcdtSeries {
     pub fn from_outcome(outcome: &SimulationOutcome) -> Self {
         DcdtSeries {
             per_node: outcome.data_ages_per_node(),
-        }
-    }
-
-    /// Restricts the series to the given nodes (used by Fig. 9/10 which
-    /// report VIP targets only). Unknown nodes are ignored.
-    pub fn restricted_to(&self, nodes: &[NodeId]) -> DcdtSeries {
-        DcdtSeries {
-            per_node: self
-                .per_node
-                .iter()
-                .filter(|(n, _)| nodes.contains(n))
-                .map(|(n, v)| (*n, v.clone()))
-                .collect(),
         }
     }
 
@@ -92,21 +78,6 @@ impl DcdtSeries {
             .flat_map(|v| v.iter().skip(warmup_visits).copied())
             .collect();
         SummaryStatistics::from_samples(&samples)
-    }
-
-    /// Per-node average DCDT after warm-up.
-    pub fn per_node_average(&self, warmup_visits: usize) -> BTreeMap<NodeId, f64> {
-        self.per_node
-            .iter()
-            .filter_map(|(n, v)| {
-                let post: Vec<f64> = v.iter().skip(warmup_visits).copied().collect();
-                if post.is_empty() {
-                    None
-                } else {
-                    Some((*n, post.iter().sum::<f64>() / post.len() as f64))
-                }
-            })
-            .collect()
     }
 }
 
@@ -166,23 +137,6 @@ mod tests {
         // Without warm-up the initial 100 s sample dominates.
         assert_eq!(s.max_dcdt(0), 100.0);
         assert_eq!(s.summary(1).count, 2);
-    }
-
-    #[test]
-    fn restriction_keeps_only_the_requested_nodes() {
-        let o = outcome(vec![(1, vec![5.0]), (2, vec![9.0]), (3, vec![11.0])]);
-        let s = DcdtSeries::from_outcome(&o).restricted_to(&[NodeId(2), NodeId(3)]);
-        assert_eq!(s.per_node.len(), 2);
-        assert!(!s.per_node.contains_key(&NodeId(1)));
-    }
-
-    #[test]
-    fn per_node_average_skips_unmeasured_nodes() {
-        let o = outcome(vec![(1, vec![4.0, 8.0]), (2, vec![3.0])]);
-        let s = DcdtSeries::from_outcome(&o);
-        let avg = s.per_node_average(1);
-        assert_eq!(avg.len(), 1);
-        assert!((avg[&NodeId(1)] - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 
 use mule_energy::EnergyCause;
 use mule_sim::SimulationOutcome;
-use serde::{Deserialize, Serialize};
 
 /// Fleet-level energy efficiency of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyEfficiencyReport {
     /// Total energy consumed by the fleet, joules.
     pub total_energy_j: f64,
@@ -56,15 +55,6 @@ impl EnergyEfficiencyReport {
             recharges,
             depleted_mules: depleted,
             fleet_size: outcome.mules.len(),
-        }
-    }
-
-    /// Bytes delivered per joule consumed. Zero when no energy was used.
-    pub fn bytes_per_joule(&self) -> f64 {
-        if self.total_energy_j <= 0.0 {
-            0.0
-        } else {
-            self.delivered_bytes / self.total_energy_j
         }
     }
 
@@ -142,7 +132,6 @@ mod tests {
     fn derived_ratios() {
         let o = outcome(vec![mule(80.0, 20.0, 0.0, 1000.0, false)]);
         let r = EnergyEfficiencyReport::from_outcome(&o);
-        assert!((r.bytes_per_joule() - 10.0).abs() < 1e-12);
         assert!((r.useful_fraction() - 0.8).abs() < 1e-12);
         assert!(r.fleet_survived());
     }
@@ -150,7 +139,6 @@ mod tests {
     #[test]
     fn zero_energy_is_total() {
         let r = EnergyEfficiencyReport::from_outcome(&outcome(vec![]));
-        assert_eq!(r.bytes_per_joule(), 0.0);
         assert_eq!(r.useful_fraction(), 1.0);
         assert!(r.fleet_survived());
         assert_eq!(r.fleet_size, 0);

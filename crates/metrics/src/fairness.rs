@@ -11,7 +11,6 @@
 
 use crate::intervals::IntervalReport;
 use mule_sim::SimulationOutcome;
-use serde::{Deserialize, Serialize};
 
 /// Jain's fairness index of a sample: `(Σx)² / (n · Σx²)`, in `(0, 1]`.
 ///
@@ -29,7 +28,7 @@ pub fn jain_index(samples: &[f64]) -> f64 {
 }
 
 /// Fairness report for one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FairnessReport {
     /// Jain's index over per-target mean visiting intervals.
     pub coverage_fairness: f64,

@@ -8,11 +8,10 @@
 use crate::summary::{sample_std_dev, SummaryStatistics};
 use mule_net::NodeId;
 use mule_sim::SimulationOutcome;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-target and aggregate visiting-interval statistics for one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalReport {
     /// Visiting intervals per node, in chronological order.
     pub per_node_intervals: BTreeMap<NodeId, Vec<f64>>,
@@ -96,23 +95,9 @@ impl IntervalReport {
         }
     }
 
-    /// The largest per-node SD.
-    pub fn max_sd(&self) -> f64 {
-        self.per_node_sd().values().cloned().fold(0.0, f64::max)
-    }
-
     /// Summary statistics over the interval population.
     pub fn summary(&self) -> SummaryStatistics {
         SummaryStatistics::from_samples(&self.all_intervals())
-    }
-
-    /// Nodes that were visited too rarely to measure a single interval.
-    pub fn unmeasured_nodes(&self) -> Vec<NodeId> {
-        self.per_node_intervals
-            .iter()
-            .filter(|(_, v)| v.is_empty())
-            .map(|(n, _)| *n)
-            .collect()
     }
 }
 
@@ -146,7 +131,6 @@ mod tests {
         assert_eq!(r.per_node_intervals[&NodeId(1)], vec![20.0, 30.0, 40.0]);
         assert_eq!(r.max_interval(), 40.0);
         assert!((r.mean_interval() - 30.0).abs() < 1e-12);
-        assert!(r.unmeasured_nodes().is_empty());
     }
 
     #[test]
@@ -163,7 +147,6 @@ mod tests {
         let r = IntervalReport::from_outcome_with_warmup(&o, 0);
         assert_eq!(r.node_sd(NodeId(1)), Some(0.0));
         assert_eq!(r.average_sd(), 0.0);
-        assert_eq!(r.max_sd(), 0.0);
     }
 
     #[test]
@@ -180,7 +163,6 @@ mod tests {
         let r = IntervalReport::from_outcome_with_warmup(&o, 0);
         assert_eq!(r.per_node_intervals[&NodeId(1)], vec![10.0]);
         assert!(r.per_node_intervals[&NodeId(2)].is_empty());
-        assert_eq!(r.unmeasured_nodes(), vec![NodeId(2)]);
         assert!(r.node_sd(NodeId(2)).is_none());
     }
 
@@ -199,7 +181,6 @@ mod tests {
         let r = IntervalReport::from_outcome_with_warmup(&o, 0);
         let expected_node2 = 200.0f64.sqrt();
         assert!((r.average_sd() - expected_node2 / 2.0).abs() < 1e-9);
-        assert!((r.max_sd() - expected_node2).abs() < 1e-9);
         assert_eq!(r.summary().count, 4);
     }
 

@@ -22,7 +22,6 @@
 //! **upper bound** of the bucket holding the requested rank) overestimates
 //! the true sample quantile by at most 12.5 %.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Number of linear sub-buckets per power-of-two octave (must be a power
@@ -66,8 +65,8 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 }
 
 /// A mergeable log-bucketed latency histogram with exact count / mean /
-/// min / max and bounded-error quantiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// max and bounded-error quantiles.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     /// Per-bucket observation counts (see [`bucket_index`]).
     counts: Vec<u64>,
@@ -77,8 +76,6 @@ pub struct LatencyHistogram {
     /// histograms is exactly the same as interleaved recording — no
     /// floating-point accumulation-order effects.
     sum_ns: u128,
-    /// Smallest observation, nanoseconds.
-    min_ns: u64,
     /// Largest observation, nanoseconds.
     max_ns: u64,
 }
@@ -96,7 +93,6 @@ impl LatencyHistogram {
             counts: vec![0; NUM_BUCKETS],
             count: 0,
             sum_ns: 0,
-            min_ns: u64::MAX,
             max_ns: 0,
         }
     }
@@ -128,7 +124,6 @@ impl LatencyHistogram {
         self.counts[bucket_index(nanos)] += 1;
         self.count += 1;
         self.sum_ns += u128::from(nanos);
-        self.min_ns = self.min_ns.min(nanos);
         self.max_ns = self.max_ns.max(nanos);
     }
 
@@ -148,15 +143,6 @@ impl LatencyHistogram {
             0.0
         } else {
             self.sum_ns as f64 / 1e9 / self.count as f64
-        }
-    }
-
-    /// Exact smallest observation, seconds (0 when empty).
-    pub fn min_s(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min_ns as f64 / 1e9
         }
     }
 
@@ -235,7 +221,6 @@ impl LatencyHistogram {
         }
         self.count += other.count;
         self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
@@ -295,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn count_mean_min_max_are_exact() {
+    fn count_mean_max_are_exact() {
         let mut h = LatencyHistogram::new();
         assert!(h.is_empty());
         for ms in [1.0, 2.0, 3.0, 10.0] {
@@ -303,7 +288,6 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert!((h.mean_s() - 0.004).abs() < 1e-9);
-        assert!((h.min_s() - 0.001).abs() < 1e-12);
         assert!((h.max_s() - 0.010).abs() < 1e-12);
     }
 
@@ -331,7 +315,6 @@ mod tests {
         let empty = LatencyHistogram::new();
         assert_eq!(empty.quantile(0.5), 0.0);
         assert_eq!(empty.mean_s(), 0.0);
-        assert_eq!(empty.min_s(), 0.0);
         assert_eq!(empty.max_s(), 0.0);
 
         let mut one = LatencyHistogram::new();

@@ -12,10 +12,9 @@
 use crate::summary::SummaryStatistics;
 use crate::table::TextTable;
 use mule_sim::{DynamicOutcome, SimulationOutcome};
-use serde::{Deserialize, Serialize};
 
 /// Delay statistics of one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseDelay {
     /// Phase start, seconds (inclusive).
     pub start_s: f64,
@@ -41,7 +40,7 @@ impl PhaseDelay {
 }
 
 /// Data-collection delay partitioned at phase boundaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseDelayReport {
     /// One entry per phase, in time order. A run with no boundaries has
     /// exactly one phase covering the whole horizon.

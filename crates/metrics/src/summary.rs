@@ -1,12 +1,10 @@
 //! Basic sample statistics shared by every report.
 
-use serde::{Deserialize, Serialize};
-
 /// Min / max / mean / standard deviation of a sample.
 ///
 /// The standard deviation uses the `n − 1` (sample) denominator, matching
 /// the paper's SD formula in §V.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SummaryStatistics {
     /// Number of samples.
     pub count: usize,

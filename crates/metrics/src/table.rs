@@ -1,13 +1,11 @@
 //! Plain-text tables for the figure-regeneration binaries.
 //!
-//! The benches print the rows/series of every figure as aligned text tables
-//! (and CSV when piping into plotting tools); this keeps the harness free
-//! of plotting dependencies.
-
-use serde::{Deserialize, Serialize};
+//! They print the rows/series of every figure as aligned text tables (and
+//! CSV when piping into plotting tools); this keeps the harness free of
+//! plotting dependencies.
 
 /// A simple column-aligned text table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -28,14 +26,6 @@ impl TextTable {
         let mut cells: Vec<String> = row.into_iter().map(Into::into).collect();
         cells.resize(self.header.len(), String::new());
         self.rows.push(cells);
-    }
-
-    /// Convenience: appends a row of numbers formatted with `precision`
-    /// decimal places, prefixed by a label cell.
-    pub fn add_numeric_row(&mut self, label: impl Into<String>, values: &[f64], precision: usize) {
-        let mut row = vec![label.into()];
-        row.extend(values.iter().map(|v| format!("{v:.precision$}")));
-        self.add_row(row);
     }
 
     /// Number of data rows.
@@ -105,13 +95,6 @@ mod tests {
         assert_eq!(lines[0], "a,b,c");
         assert_eq!(lines[1], "1,,");
         assert_eq!(lines[2], "1,2,3");
-    }
-
-    #[test]
-    fn numeric_rows_are_formatted_with_precision() {
-        let mut t = TextTable::new(vec!["planner", "dcdt", "sd"]);
-        t.add_numeric_row("B-TCTP", &[1234.5678, 0.123], 2);
-        assert_eq!(t.to_csv().lines().nth(1).unwrap(), "B-TCTP,1234.57,0.12");
     }
 
     #[test]

@@ -9,14 +9,13 @@
 //! the energy-efficiency discussion needs.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The sensing-data buffer at a single target.
 ///
 /// Data is generated at a constant rate (bytes per second); a visiting mule
 /// drains the buffer completely (the paper assumes collection of a target's
 /// data is a fixed-cost operation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataBuffer {
     /// Generation rate in bytes per second.
     rate_bps: f64,
@@ -87,7 +86,7 @@ impl DataBuffer {
 
 /// The payload a mule is carrying: per-target batches awaiting delivery to
 /// the sink.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MulePayload {
     batches: Vec<(NodeId, f64)>,
     delivered_bytes: f64,
@@ -108,11 +107,6 @@ impl MulePayload {
     /// Bytes currently on board.
     pub fn onboard_bytes(&self) -> f64 {
         self.batches.iter().map(|(_, b)| b).sum()
-    }
-
-    /// Number of undelivered batches on board.
-    pub fn onboard_batches(&self) -> usize {
-        self.batches.len()
     }
 
     /// Delivers everything on board to the sink, returning the delivered
@@ -203,7 +197,6 @@ mod tests {
         p.load(NodeId(1), 100.0);
         p.load(NodeId(2), 50.0);
         assert_eq!(p.onboard_bytes(), 150.0);
-        assert_eq!(p.onboard_batches(), 2);
         let delivered = p.deliver_all();
         assert_eq!(delivered, 150.0);
         assert_eq!(p.onboard_bytes(), 0.0);

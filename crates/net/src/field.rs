@@ -7,13 +7,12 @@
 
 use crate::node::{Node, NodeId, NodeKind, Weight};
 use mule_geom::{BoundingBox, Point};
-use serde::{Deserialize, Serialize};
 
 /// Radio-range constants of the data mules.
 ///
 /// Defaults follow the paper's simulation model (§5.1): sensing range 10 m,
 /// communication range 20 m.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioParameters {
     /// Sensing range of a mule in metres.
     pub sensing_range_m: f64,
@@ -31,7 +30,7 @@ impl Default for RadioParameters {
 }
 
 /// The monitoring field: nodes plus global parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Field {
     nodes: Vec<Node>,
     bounds: BoundingBox,
@@ -116,12 +115,6 @@ impl Field {
     /// [`Field::patrolled_positions`].
     pub fn patrolled_ids(&self) -> Vec<NodeId> {
         self.patrolled_nodes().iter().map(|n| n.id).collect()
-    }
-
-    /// Weights of the patrolled nodes, aligned with
-    /// [`Field::patrolled_positions`].
-    pub fn patrolled_weights(&self) -> Vec<Weight> {
-        self.patrolled_nodes().iter().map(|n| n.weight).collect()
     }
 
     /// The sink node, if one was added.
@@ -237,7 +230,6 @@ mod tests {
         assert_eq!(f.patrolled_nodes().len(), 4);
         assert_eq!(f.patrolled_positions().len(), 4);
         assert_eq!(f.patrolled_ids().len(), 4);
-        assert_eq!(f.patrolled_weights().len(), 4);
         assert!(f
             .patrolled_nodes()
             .iter()

@@ -7,12 +7,11 @@
 //! the recharge station "as an NTP" spliced into the path (§IV).
 
 use mule_geom::Point;
-use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a node within a [`crate::Field`]. This is the index
 /// into the field's node list, so it doubles as the tour index used by
 //  the planners.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -32,7 +31,7 @@ impl std::fmt::Display for NodeId {
 /// Integer visiting weight of a target (paper Definition 1): weight 1 is a
 /// Normal Target Point, weight ≥ 2 is a Very Important Point that must be
 /// visited that many times per complete traversal of the patrolling path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Weight(u32);
 
 impl Weight {
@@ -71,7 +70,7 @@ impl From<u32> for Weight {
 }
 
 /// What role a node plays in the field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A sensing target whose buffered data must be collected periodically.
     Target,
@@ -94,7 +93,7 @@ impl NodeKind {
 }
 
 /// A node of the monitoring field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// Stable identifier (index into the field's node list).
     pub id: NodeId,

@@ -10,7 +10,6 @@
 
 use crate::field::RadioParameters;
 use mule_geom::Point;
-use serde::{Deserialize, Serialize};
 
 /// Returns `true` when `target` is within the mule's sensing range.
 #[inline]
@@ -26,7 +25,7 @@ pub fn in_communication_range(params: &RadioParameters, mule: &Point, target: &P
 
 /// A simple link model: a fixed transfer rate inside communication range,
 /// zero outside.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     /// Transfer rate inside communication range, bytes per second.
     pub rate_bps: f64,
@@ -53,17 +52,6 @@ impl LinkBudget {
             self.rate_bps
         } else {
             0.0
-        }
-    }
-
-    /// Time to transfer `bytes` from the target to a stationary mule at
-    /// `mule`. Returns `None` when the target is out of range.
-    pub fn transfer_time(&self, mule: &Point, target: &Point, bytes: f64) -> Option<f64> {
-        let rate = self.rate_between(mule, target);
-        if rate <= 0.0 {
-            None
-        } else {
-            Some(bytes.max(0.0) / rate)
         }
     }
 }
@@ -101,18 +89,5 @@ mod tests {
         let mule = Point::ORIGIN;
         assert_eq!(lb.rate_between(&mule, &Point::new(5.0, 0.0)), lb.rate_bps);
         assert_eq!(lb.rate_between(&mule, &Point::new(25.0, 0.0)), 0.0);
-    }
-
-    #[test]
-    fn transfer_time_scales_with_bytes() {
-        let lb = LinkBudget {
-            rate_bps: 1000.0,
-            radio: RadioParameters::default(),
-        };
-        let mule = Point::ORIGIN;
-        let near = Point::new(1.0, 0.0);
-        assert_eq!(lb.transfer_time(&mule, &near, 2000.0), Some(2.0));
-        assert_eq!(lb.transfer_time(&mule, &near, -5.0), Some(0.0));
-        assert_eq!(lb.transfer_time(&mule, &Point::new(50.0, 0.0), 10.0), None);
     }
 }

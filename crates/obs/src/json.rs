@@ -1,8 +1,7 @@
 //! A small, dependency-free JSON value: parse and serialise.
 //!
-//! The in-tree `serde` shim is a no-op (its derives expand to nothing —
-//! see `crates/shims/README.md`), so the workspace needs its own wire
-//! format. This module is the one JSON writer: mule-serve's API documents,
+//! The workspace has no serialisation framework, so it carries its own
+//! wire format. This module is the one JSON writer: mule-serve's API documents,
 //! the tracked bench artefacts, and the string escaping of the structured
 //! log and the Chrome trace exporter all go through it. It implements
 //! exactly what those callers require and nothing more:

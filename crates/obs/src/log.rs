@@ -71,15 +71,6 @@ impl Severity {
         }
     }
 
-    fn from_rank(rank: u8) -> Severity {
-        match rank {
-            0 => Severity::Debug,
-            1 => Severity::Info,
-            2 => Severity::Warn,
-            _ => Severity::Error,
-        }
-    }
-
     /// The lowercase label used in the `severity` line field.
     pub fn label(self) -> &'static str {
         match self {
@@ -249,11 +240,6 @@ pub fn enabled() -> bool {
 #[inline]
 pub fn enabled_at(severity: Severity) -> bool {
     ENABLED.load(Ordering::Relaxed) && severity.rank() >= MIN_RANK.load(Ordering::Relaxed)
-}
-
-/// The minimum severity currently passing the filter.
-pub fn min_severity() -> Severity {
-    Severity::from_rank(MIN_RANK.load(Ordering::Relaxed))
 }
 
 /// Emits an event: renders it as one JSON line, writes it to the sink,

@@ -61,13 +61,6 @@ impl PromText {
         self
     }
 
-    /// Appends one integer gauge sample (may be negative).
-    pub fn sample_i64(&mut self, name: &str, labels: &[(&str, &str)], value: i64) -> &mut Self {
-        self.out
-            .push_str(&format!("{name}{} {value}\n", render_labels(labels)));
-        self
-    }
-
     /// Appends one float sample. Rust's `{}` for `f64` never uses
     /// exponent notation, which keeps the output within what every
     /// exposition parser accepts.

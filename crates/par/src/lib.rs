@@ -2,8 +2,8 @@
 //!
 //! A dependency-free parallel executor for embarrassingly parallel work:
 //! scoped [`std::thread`] worker pools that map a function over an index
-//! range (or a slice, or an owned `Vec`) and return the results **in input
-//! order**, bit-identically to a sequential run.
+//! range (or a slice) and return the results **in input order**,
+//! bit-identically to a sequential run.
 //!
 //! Replication sweeps dominate this workspace's runtime — `mule-sim`'s
 //! `run_sweep`, bench figure grids, dynamics scenario sweeps — and every
@@ -205,57 +205,6 @@ where
     parallel_map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Maps `f` over an owned `Vec` by value in parallel, returning results in
-/// input order.
-///
-/// Unlike the index-range maps this uses a static partition (the input is
-/// split into one contiguous chunk per worker up front), because moving
-/// values out of the shared input safely requires handing each worker its
-/// own chunk. Sweeps with skewed per-item cost should prefer the
-/// work-stealing [`parallel_map_indexed`] over borrowed data.
-pub fn parallel_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let len = items.len();
-    let workers = resolve_workers(None).min(len.max(1));
-    if workers <= 1 || len <= 1 || in_worker() {
-        return items.into_iter().map(f).collect();
-    }
-
-    let per_chunk = len.div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-    let mut iter = items.into_iter();
-    loop {
-        let chunk: Vec<T> = iter.by_ref().take(per_chunk).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    let out: Vec<R> = chunk.into_iter().map(f).collect();
-                    IN_WORKER.with(|w| w.set(false));
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pool worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,14 +230,6 @@ mod tests {
         let doubled = parallel_map_slice(&items, |&x| x * 2);
         let expected: Vec<i64> = items.iter().map(|&x| x * 2).collect();
         assert_eq!(doubled, expected);
-    }
-
-    #[test]
-    fn vec_map_moves_values_and_preserves_order() {
-        let items: Vec<String> = (0..50).map(|i| format!("item-{i}")).collect();
-        let lens = parallel_map_vec(items.clone(), |s| s.len());
-        let expected: Vec<usize> = items.iter().map(String::len).collect();
-        assert_eq!(lens, expected);
     }
 
     #[test]

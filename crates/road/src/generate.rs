@@ -19,10 +19,9 @@ use crate::graph::{RoadGraph, RoadGraphBuilder, SpeedClass};
 use mule_geom::{BoundingBox, KdTree, Point};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which generator family a road network comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoadNetKind {
     /// Jittered grid with deleted edges ([`grid_with_deletions`]).
     #[default]
@@ -42,7 +41,7 @@ impl RoadNetKind {
 }
 
 /// What the largest-component restriction kept and dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComponentReport {
     /// Nodes generated before the restriction.
     pub total_nodes: usize,

@@ -12,11 +12,10 @@
 //! [`crate::route`]).
 
 use mule_geom::Point;
-use serde::{Deserialize, Serialize};
 
 /// Road category of an edge. The cost factor models how slow the class is
 /// relative to the fastest road: routing cost = length × factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpeedClass {
     /// Fast arterial road (factor 1.0 — cost equals geometric length).
     Highway,
@@ -43,7 +42,7 @@ impl SpeedClass {
 }
 
 /// An immutable road network in CSR form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoadGraph {
     positions: Vec<Point>,
     /// `offsets[u]..offsets[u + 1]` indexes `u`'s outgoing arcs.

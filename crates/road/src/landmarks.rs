@@ -15,10 +15,9 @@
 
 use crate::graph::RoadGraph;
 use crate::route::dijkstra;
-use serde::{Deserialize, Serialize};
 
 /// Precomputed landmark distances for ALT queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Landmarks {
     /// Chosen landmark node ids, in selection order.
     ids: Vec<u32>,

@@ -9,9 +9,9 @@
 //! layers, bottom-up:
 //!
 //! * [`json`] — the JSON value (parse + serialise) of
-//!   [`mule_obs::json`], re-exported: the vendored `serde` shim is a
-//!   no-op, so the wire format lives there. Objects preserve insertion
-//!   order, which makes serialisation deterministic.
+//!   [`mule_obs::json`], re-exported: the wire format lives there.
+//!   Objects preserve insertion order, which makes serialisation
+//!   deterministic.
 //! * [`api`] — request/response documents. [`api::plan_response_json`]
 //!   is a pure function of the [`mule_workload::ScenarioSpec`]; equal
 //!   specs produce byte-identical documents.

@@ -1,10 +1,9 @@
 //! Simulation configuration.
 
 use mule_energy::EnergyModel;
-use serde::{Deserialize, Serialize};
 
 /// Knobs of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
     /// Energy model (speed, movement/collection costs, battery capacity).
     pub energy: EnergyModel,
@@ -62,12 +61,6 @@ impl SimulationConfig {
         self.energy = energy;
         self
     }
-
-    /// Builder-style override of the collection dwell time.
-    pub fn with_collection_dwell(mut self, dwell_s: f64) -> Self {
-        self.collection_dwell_s = dwell_s.max(0.0);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -91,11 +84,8 @@ mod tests {
 
     #[test]
     fn builders_clamp_negative_values() {
-        let c = SimulationConfig::default()
-            .with_horizon(-5.0)
-            .with_collection_dwell(-1.0);
+        let c = SimulationConfig::default().with_horizon(-5.0);
         assert_eq!(c.horizon_s, 0.0);
-        assert_eq!(c.collection_dwell_s, 0.0);
         let e = EnergyModel {
             speed_m_per_s: 5.0,
             ..EnergyModel::paper_default()

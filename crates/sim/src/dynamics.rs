@@ -15,11 +15,10 @@ use crate::engine::EngineCore;
 use crate::outcome::SimulationOutcome;
 use mule_workload::{DisruptionPlan, Scenario};
 use patrol_core::{PatrolPlan, Replanner};
-use serde::{Deserialize, Serialize};
 
 /// One applied event of a dynamic run (a disruption taking effect, a
 /// replan, a failure to replan).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineEntry {
     /// Simulation time, seconds.
     pub time_s: f64,

@@ -2,10 +2,9 @@
 
 use mule_energy::{Battery, ConsumptionLedger};
 use mule_net::MulePayload;
-use serde::{Deserialize, Serialize};
 
 /// Whether a mule was still operating at the end of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MuleStatus {
     /// Still patrolling when the horizon was reached.
     Active,
@@ -36,7 +35,7 @@ impl MuleStatus {
 }
 
 /// Summary of one mule's run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MuleReport {
     /// Index of the mule in the scenario.
     pub mule_index: usize,

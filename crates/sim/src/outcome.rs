@@ -2,11 +2,10 @@
 
 use crate::mule::MuleReport;
 use mule_net::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One data-collection visit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisitRecord {
     /// Simulation time of the visit, seconds.
     pub time_s: f64,
@@ -22,7 +21,7 @@ pub struct VisitRecord {
 }
 
 /// The complete result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutcome {
     /// Name of the planner whose plan was executed.
     pub planner_name: String,

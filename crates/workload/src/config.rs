@@ -1,7 +1,6 @@
 //! Scenario configuration: every knob the paper's evaluation sweeps.
 
 use mule_road::RoadNetKind;
-use serde::{Deserialize, Serialize};
 
 /// Which travel metric the scenario's world uses.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// queryable [`mule_road::TravelMetric`] is derived from it at generation
 /// time. The default is [`MetricSpec::Euclidean`] — absent from canonical
 /// spec strings, so every pre-road fingerprint and cache key is unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricSpec {
     /// Straight-line travel (the historical behaviour).
     #[default]
@@ -44,7 +43,7 @@ impl MetricSpec {
 }
 
 /// How targets are laid out in the field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LayoutKind {
     /// Uniformly random positions over the whole field (the paper's base
     /// setup: "the locations of targets are randomly distributed over the
@@ -64,7 +63,7 @@ pub enum LayoutKind {
 }
 
 /// How VIP weights are assigned to targets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WeightSpec {
     /// Every target is a Normal Target Point (weight 1).
     #[default]
@@ -91,7 +90,7 @@ pub enum WeightSpec {
 }
 
 /// Where the mules start before location initialisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MuleStartKind {
     /// All mules start at the sink (the common deployment story: mules are
     /// launched from the base station).
@@ -104,7 +103,7 @@ pub enum MuleStartKind {
 }
 
 /// Full configuration of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// Side length of the square monitoring field, metres.
     pub field_side_m: f64,
@@ -160,8 +159,7 @@ impl ScenarioConfig {
     /// field scaled so the *density* matches the paper's densest setup
     /// (50 targets in 800 m × 800 m). This is the tour-engine stress
     /// workload — the paper stops at 50 targets, the ROADMAP north-star
-    /// asks for thousands — used by the `bench-tours` harness and the
-    /// scaled criterion benches.
+    /// asks for thousands.
     pub fn large_scale(targets: usize) -> Self {
         ScenarioConfig {
             field_side_m: crate::layout::scaled_field_side_m(targets),

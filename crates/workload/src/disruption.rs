@@ -20,10 +20,9 @@ use mule_net::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One disruption of a dynamic scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Disruption {
     /// `target` stops producing data at `at_s`.
     TargetFailure {
@@ -104,7 +103,7 @@ impl Disruption {
 }
 
 /// Knobs of the seeded disruption generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DisruptionConfig {
     /// RNG seed; equal configs over equal scenarios yield equal plans.
     pub seed: u64,
@@ -197,7 +196,7 @@ impl DisruptionConfig {
 }
 
 /// The disruptions of one dynamic scenario, in nondecreasing time order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DisruptionPlan {
     /// The disruptions, sorted by [`Disruption::time_s`].
     pub disruptions: Vec<Disruption>,

@@ -8,12 +8,11 @@ use mule_net::{Field, NodeId};
 use mule_road::{RoadIndex, TravelMetric};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A fully instantiated problem instance: the monitoring field (targets,
 /// sink, optional recharge station, weights), the travel metric of the
 /// world, and where each mule starts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     config: ScenarioConfig,
     field: Field,

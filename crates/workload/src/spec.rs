@@ -22,7 +22,6 @@
 
 use crate::config::{MetricSpec, ScenarioConfig};
 use crate::WeightSpec;
-use serde::{Deserialize, Serialize};
 
 /// Version tag of the canonical form (bump when the field set changes so
 /// old cache keys cannot alias new specs).
@@ -34,7 +33,7 @@ const MIN_VIP_WEIGHT: u32 = 2;
 
 /// A planning request: scenario knobs plus the planner to run, as pure
 /// data. See the module docs for the canonical-form contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Number of targets.
     pub targets: usize,

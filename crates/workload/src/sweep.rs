@@ -12,7 +12,6 @@
 
 use crate::config::ScenarioConfig;
 use crate::disruption::DisruptionConfig;
-use serde::{Deserialize, Serialize};
 
 /// Mule speed of the paper's §5.1 energy model, metres per second. Used as
 /// the default (single-element) speed axis; kept in sync with
@@ -26,7 +25,7 @@ pub const PAPER_SPEED_M_PER_S: f64 = 2.0;
 /// An **empty axis produces an empty grid** (the cartesian product with an
 /// empty set is empty); [`SweepSpec::new`] therefore starts every axis as a
 /// one-element vector taken from the base configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Configuration shared by every cell; each cell overrides its `seed`
     /// and `mule_count` fields.
@@ -50,7 +49,7 @@ pub struct SweepSpec {
 }
 
 /// One cell of an expanded sweep grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Position in [`SweepSpec::cells`] order (stable across runs).
     pub index: usize,
