@@ -69,3 +69,32 @@ fn pinned_sweep_csv_is_byte_identical_to_pre_road_output() {
         "the pinned sweep CSV drifted from the pre-road bytes"
     );
 }
+
+/// Plan documents large enough to take the candidate-list tour engine,
+/// where every mule shares one cycle, plus a planner whose mules each get
+/// their own cycle. They pin the rendering of repeated and distinct
+/// cycles byte-for-byte.
+#[test]
+fn large_plan_responses_are_byte_identical() {
+    for (cmdline, expected) in [
+        (
+            "plan --targets 1000 --mules 8 --seed 7",
+            0x78ec_0e8f_bf02_0d27,
+        ),
+        (
+            "plan --targets 1000 --mules 4 --seed 7 --recharge --planner rw-tctp",
+            0x6f43_6223_9deb_a765,
+        ),
+        (
+            "plan --targets 200 --mules 4 --seed 3 --planner sweep",
+            0x4d95_62f9_4dc6_57f4,
+        ),
+    ] {
+        let out = run(cmdline);
+        assert_eq!(
+            fnv1a(out.text.as_bytes()),
+            expected,
+            "`patrolctl {cmdline}` drifted"
+        );
+    }
+}

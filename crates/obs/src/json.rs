@@ -739,18 +739,93 @@ mod tests {
         assert!(err.to_string().contains("byte"));
     }
 
-    #[test]
-    fn pretty_printing_is_parseable_and_ends_with_newline() {
-        let v = JsonValue::object(vec![
+    /// A document with every value kind, the float and integer extremes,
+    /// an escaped string and deep nesting.
+    fn exact_bytes_document() -> JsonValue {
+        let mut deep = JsonValue::from(1u64);
+        for _ in 0..10 {
+            deep = JsonValue::Array(vec![deep]);
+        }
+        JsonValue::object(vec![
+            ("null", JsonValue::Null),
+            ("bools", JsonValue::Array(vec![true.into(), false.into()])),
             (
-                "a",
-                JsonValue::Array(vec![JsonValue::from(1u64), JsonValue::from(2u64)]),
+                "floats",
+                JsonValue::Array(
+                    [-0.0, 0.0, 1.5, 1e16, 1e-7, 5e-324, f64::NAN]
+                        .into_iter()
+                        .map(JsonValue::from)
+                        .collect(),
+                ),
             ),
-            ("b", JsonValue::object(vec![("c", JsonValue::Null)])),
-        ]);
-        let pretty = v.to_pretty_string();
-        assert!(pretty.ends_with('\n'));
-        assert!(pretty.contains("\n  \"a\": ["));
-        assert_eq!(parse(&pretty).unwrap(), v);
+            (
+                "ints",
+                JsonValue::Array(vec![0u64.into(), u64::MAX.into(), (-42i64).into()]),
+            ),
+            ("text", "a\"b\\c\n\u{1}é".into()),
+            ("empty_arr", JsonValue::Array(vec![])),
+            ("empty_obj", JsonValue::Object(vec![])),
+            ("deep", JsonValue::object(vec![("k", deep)])),
+        ])
+    }
+
+    #[test]
+    fn compact_and_pretty_bytes_are_exact() {
+        let v = exact_bytes_document();
+        assert_eq!(
+            v.to_json_string(),
+            r#"{"null":null,"bools":[true,false],"floats":[-0.0,0.0,1.5,1e16,1e-7,5e-324,null],"ints":[0,18446744073709551615,-42],"text":"a\"b\\c\n\u0001é","empty_arr":[],"empty_obj":{},"deep":{"k":[[[[[[[[[[1]]]]]]]]]]}}"#
+        );
+        assert_eq!(
+            v.to_pretty_string(),
+            r#"{
+  "null": null,
+  "bools": [
+    true,
+    false
+  ],
+  "floats": [
+    -0.0,
+    0.0,
+    1.5,
+    1e16,
+    1e-7,
+    5e-324,
+    null
+  ],
+  "ints": [
+    0,
+    18446744073709551615,
+    -42
+  ],
+  "text": "a\"b\\c\n\u0001é",
+  "empty_arr": [],
+  "empty_obj": {},
+  "deep": {
+    "k": [
+      [
+        [
+          [
+            [
+              [
+                [
+                  [
+                    [
+                      [
+                        1
+                      ]
+                    ]
+                  ]
+                ]
+              ]
+            ]
+          ]
+        ]
+      ]
+    ]
+  }
+}
+"#
+        );
     }
 }
