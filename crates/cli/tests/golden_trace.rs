@@ -29,7 +29,8 @@ fn paper_size_plan_span_tree_shape_is_pinned() {
                     \x20   chb.hull_insertion\n\
                     \x20   chb.two_opt moves=0\n\
                     \x20   chb.or_opt moves=0\n\
-                    \x20   chb.two_opt moves=0\n";
+                    \x20   chb.two_opt moves=0\n\
+                    plan.render itineraries=3 cycles=1\n";
     assert_eq!(
         shape, expected,
         "span tree shape of `patrolctl plan --targets 12 --mules 3 --seed 7` drifted"

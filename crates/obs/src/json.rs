@@ -15,6 +15,9 @@
 //!   an `f64`). Floats serialise with Rust's shortest-round-trip `{:?}`
 //!   formatting, so `f64 → text → f64` is the identity; non-finite floats
 //!   serialise as `null` (JSON has no NaN).
+//! * [`JsonWriter`] — the writer itself: it streams a document into one
+//!   `String` with no intermediate tree. [`JsonValue`] renders through
+//!   it, and large documents (plan responses) call it directly.
 //! * [`parse`] — a recursive-descent parser with a depth limit, full
 //!   string-escape handling (including `\uXXXX` surrogate pairs) and byte
 //!   positions in every error.
@@ -203,42 +206,42 @@ impl JsonValue {
     /// Serialises compactly (no whitespace). Deterministic: equal values
     /// produce equal bytes.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut w = JsonWriter::compact();
+        self.write(&mut w);
+        w.finish()
     }
 
     /// Serialises with 2-space indentation and a trailing newline — the
     /// format of the tracked artefacts and API responses (stable and
     /// diff-friendly).
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
+        let mut w = JsonWriter::pretty();
+        self.write(&mut w);
+        w.finish()
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+    /// Writes this value as the writer's next value, so documents that
+    /// are mostly streamed can still embed a small tree.
+    pub fn write(&self, w: &mut JsonWriter) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(true) => out.push_str("true"),
-            JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Number(n) => write_number(out, *n),
-            JsonValue::String(s) => write_string(out, s),
+            JsonValue::Null => w.null(),
+            JsonValue::Bool(b) => w.bool(*b),
+            JsonValue::Number(n) => w.number(*n),
+            JsonValue::String(s) => w.string(s),
             JsonValue::Array(items) => {
-                write_seq(out, indent, level, '[', ']', items.len(), |out, i, lvl| {
-                    items[i].write(out, indent, lvl);
-                });
+                w.begin_array();
+                for item in items {
+                    item.write(w);
+                }
+                w.end_array();
             }
             JsonValue::Object(pairs) => {
-                write_seq(out, indent, level, '{', '}', pairs.len(), |out, i, lvl| {
-                    write_string(out, &pairs[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    pairs[i].1.write(out, indent, lvl);
-                });
+                w.begin_object();
+                for (key, value) in pairs {
+                    w.key(key);
+                    value.write(w);
+                }
+                w.end_object();
             }
         }
     }
@@ -250,53 +253,187 @@ impl fmt::Display for JsonValue {
     }
 }
 
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    level: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut write_item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(step) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(step * (level + 1)));
-        }
-        write_item(out, i, level + 1);
-    }
-    if let Some(step) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(step * level));
-    }
-    out.push(close);
+/// Spaces that pretty indentation is cut from; deeper levels take it
+/// more than once.
+const INDENT: &str = "                ";
+
+/// A streaming JSON writer: appends one document to a `String`, compact
+/// or pretty (2-space indentation, `": "` after keys, a trailing newline),
+/// with no intermediate tree. It places the commas and line breaks; the
+/// caller opens and closes containers in a valid order and gives every
+/// object value a [`JsonWriter::key`] first.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container has no item yet.
+    empty: bool,
+    /// A key was just written, so the next value follows it directly.
+    after_key: bool,
 }
 
-fn write_number(out: &mut String, n: JsonNumber) {
-    match n {
-        JsonNumber::U64(v) => out.push_str(&v.to_string()),
-        JsonNumber::I64(v) => out.push_str(&v.to_string()),
-        JsonNumber::F64(f) if f.is_finite() => {
+impl JsonWriter {
+    /// A writer of compact JSON (no whitespace).
+    pub fn compact() -> Self {
+        Self::new(false)
+    }
+
+    /// A writer of pretty JSON, the format of
+    /// [`JsonValue::to_pretty_string`].
+    pub fn pretty() -> Self {
+        Self::new(true)
+    }
+
+    fn new(pretty: bool) -> Self {
+        JsonWriter {
+            out: String::new(),
+            pretty,
+            depth: 0,
+            empty: true,
+            after_key: false,
+        }
+    }
+
+    /// The document so far, ending in a newline when pretty.
+    pub fn finish(mut self) -> String {
+        if self.pretty {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    /// Bytes written so far: the offsets [`JsonWriter::copy_value`] takes.
+    pub fn position(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Starts the next value: the separator and indentation it needs.
+    fn item(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            if !self.empty {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+        self.empty = false;
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            let mut width = 2 * self.depth;
+            while width > INDENT.len() {
+                self.out.push_str(INDENT);
+                width -= INDENT.len();
+            }
+            self.out.push_str(&INDENT[..width]);
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.item();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) {
+        self.item();
+        write_string(&mut self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.item();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.item();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, n: u64) {
+        self.number(JsonNumber::U64(n));
+    }
+
+    /// Writes a float in Rust's shortest round-trip form (`null` when
+    /// non-finite).
+    pub fn f64(&mut self, f: f64) {
+        self.number(JsonNumber::F64(f));
+    }
+
+    /// Writes a number.
+    pub fn number(&mut self, n: JsonNumber) {
+        use fmt::Write as _;
+        self.item();
+        // Writing into a `String` cannot fail.
+        let _ = match n {
+            JsonNumber::U64(v) => write!(self.out, "{v}"),
+            JsonNumber::I64(v) => write!(self.out, "{v}"),
             // `{:?}` is Rust's shortest representation that parses back to
             // the same f64 — deterministic and lossless.
-            out.push_str(&format!("{f:?}"));
-        }
-        JsonNumber::F64(_) => out.push_str("null"),
+            JsonNumber::F64(f) if f.is_finite() => write!(self.out, "{f:?}"),
+            JsonNumber::F64(_) => self.out.write_str("null"),
+        };
+    }
+
+    /// Writes a string.
+    pub fn string(&mut self, s: &str) {
+        self.item();
+        write_string(&mut self.out, s);
+    }
+
+    /// Writes again the value already written at `range`. The bytes are
+    /// copied, not re-formatted, so the value must have been written at
+    /// the nesting depth of this one for the indentation to match.
+    pub fn copy_value(&mut self, range: std::ops::Range<usize>) {
+        self.item();
+        self.out.extend_from_within(range);
     }
 }
 
 /// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
 /// backslashes and control characters.
 pub fn write_string(out: &mut String, s: &str) {
+    use fmt::Write as _;
     out.push('"');
     for c in s.chars() {
         match c {
@@ -306,7 +443,7 @@ pub fn write_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -552,6 +689,12 @@ impl<'a> Parser<'a> {
             }
         }
         let token = &self.input[start..self.pos];
+        // Rust's number parsers accept more than JSON does (`01`, `1.`,
+        // `-.5`), so the token must match the JSON grammar first.
+        if !is_json_number(token.as_bytes()) {
+            self.pos = start;
+            return Err(self.error("invalid number"));
+        }
         if !is_float {
             if let Ok(n) = token.parse::<u64>() {
                 return Ok(JsonValue::Number(JsonNumber::U64(n)));
@@ -568,6 +711,39 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// Whether `token` is a number by RFC 8259's grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_json_number(token: &[u8]) -> bool {
+    fn digits(t: &[u8]) -> usize {
+        t.iter().take_while(|b| b.is_ascii_digit()).count()
+    }
+    let t = token.strip_prefix(b"-").unwrap_or(token);
+    let int = digits(t);
+    if int == 0 || (int > 1 && t[0] == b'0') {
+        return false;
+    }
+    let mut t = &t[int..];
+    if let Some(frac) = t.strip_prefix(b".") {
+        let n = digits(frac);
+        if n == 0 {
+            return false;
+        }
+        t = &frac[n..];
+    }
+    if let Some(exp) = t.strip_prefix(b"e").or_else(|| t.strip_prefix(b"E")) {
+        let exp = exp
+            .strip_prefix(b"+")
+            .or_else(|| exp.strip_prefix(b"-"))
+            .unwrap_or(exp);
+        let n = digits(exp);
+        if n == 0 {
+            return false;
+        }
+        t = &exp[n..];
+    }
+    t.is_empty()
 }
 
 #[cfg(test)]
@@ -709,6 +885,9 @@ mod tests {
     #[test]
     fn whitespace_is_tolerated_and_garbage_rejected() {
         assert!(parse("  { \"a\" :\n[ 1 , 2 ]\t}  ").is_ok());
+        for good in ["0", "-0", "10", "0.5", "-1.5e-3", "1E+5", "2e0"] {
+            assert!(parse(good).is_ok(), "`{good}` must parse");
+        }
         for bad in [
             "",
             "{",
@@ -725,6 +904,12 @@ mod tests {
             "--1",
             "1e",
             "+1",
+            "01",
+            "00",
+            "-01",
+            "1.",
+            "-.5",
+            "1.e5",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` must not parse");
         }
@@ -740,7 +925,7 @@ mod tests {
     }
 
     /// A document with every value kind, the float and integer extremes,
-    /// an escaped string and deep nesting.
+    /// an escaped string and nesting deeper than [`INDENT`] is wide.
     fn exact_bytes_document() -> JsonValue {
         let mut deep = JsonValue::from(1u64);
         for _ in 0..10 {

@@ -10,11 +10,12 @@
 //! this document, so the offline CLI and the service can be diffed
 //! byte-for-byte.
 
-use crate::json::{parse, JsonValue};
+use crate::json::{parse, JsonValue, JsonWriter};
 use mule_sim::SimulationConfig;
 use mule_workload::{MetricSpec, ScenarioSpec, SweepSpec};
-use patrol_core::{PlanError, Planner, PlannerKind};
+use patrol_core::{PlanError, Planner, PlannerKind, Waypoint};
 use std::fmt;
+use std::ops::Range;
 
 /// Schema tag of `/v1/plan` responses.
 pub const PLAN_SCHEMA: &str = "plan-response/v1";
@@ -211,7 +212,8 @@ pub fn sim_config_for(spec: &ScenarioSpec) -> SimulationConfig {
 
 /// Computes the `/v1/plan` response document for a spec: the planner's
 /// tour (per-mule closed walks) plus summary metrics, rendered as pretty
-/// JSON with a trailing newline.
+/// JSON with a trailing newline. The render is streamed under a
+/// `plan.render` span.
 ///
 /// **Determinism contract:** equal specs produce byte-identical strings —
 /// this is the value the plan cache stores, and `patrolctl plan` prints
@@ -222,58 +224,99 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     let scenario = spec.scenario_config().generate();
     let plan = planner.plan(&scenario)?;
 
-    let itineraries: Vec<JsonValue> = plan
-        .itineraries
-        .iter()
-        .map(|it| {
-            let cycle: Vec<JsonValue> = it
-                .cycle
-                .iter()
-                .map(|w| {
-                    JsonValue::object(vec![
-                        ("node", w.node.0.into()),
-                        ("x", w.position.x.into()),
-                        ("y", w.position.y.into()),
-                    ])
-                })
-                .collect();
-            let mut fields = vec![
-                ("mule", JsonValue::from(it.mule_index)),
-                (
-                    "start",
-                    JsonValue::Array(vec![it.start_position.x.into(), it.start_position.y.into()]),
-                ),
-                ("entry_offset_m", it.entry_offset_m.into()),
-                ("cycle_length_m", it.cycle_length().into()),
-                ("cycle", JsonValue::Array(cycle)),
-            ];
-            // Road plans also expose the driven geometry (the expanded
-            // polyline, `[[x, y], …]`); Euclidean responses stay
-            // byte-identical by omitting the field.
-            if !it.leg_paths.is_empty() {
-                let path: Vec<JsonValue> = it
-                    .expanded_points()
-                    .iter()
-                    .map(|p| JsonValue::Array(vec![p.x.into(), p.y.into()]))
-                    .collect();
-                fields.push(("path", JsonValue::Array(path)));
+    let _render = mule_obs::span("plan.render");
+    let mut w = JsonWriter::pretty();
+    w.begin_object();
+    w.key("schema");
+    w.string(PLAN_SCHEMA);
+    w.key("fingerprint");
+    w.string(&format!("{:016x}", spec.fingerprint()));
+    w.key("spec");
+    spec_to_json(spec).write(&mut w);
+    w.key("planner");
+    w.string(&plan.planner_name);
+    w.key("mules");
+    w.u64(plan.mule_count() as u64);
+    w.key("targets");
+    w.u64(spec.targets as u64);
+    w.key("max_cycle_length_m");
+    w.f64(plan.max_cycle_length());
+    w.key("covered_nodes");
+    w.u64(plan.covered_nodes().len() as u64);
+    w.key("itineraries");
+    w.begin_array();
+    // Planners that share one circuit among all mules hand every itinerary
+    // the same cycle: its bytes are formatted once and copied after that.
+    let mut last_cycle: Option<(&[Waypoint], Range<usize>)> = None;
+    let mut cycles_formatted = 0;
+    for it in &plan.itineraries {
+        w.begin_object();
+        w.key("mule");
+        w.u64(it.mule_index as u64);
+        w.key("start");
+        write_xy(&mut w, it.start_position.x, it.start_position.y);
+        w.key("entry_offset_m");
+        w.f64(it.entry_offset_m);
+        w.key("cycle_length_m");
+        w.f64(it.cycle_length());
+        w.key("cycle");
+        match &last_cycle {
+            Some((prev, bytes)) if same_bits(prev, &it.cycle) => w.copy_value(bytes.clone()),
+            _ => {
+                let begin = w.position();
+                w.begin_array();
+                for p in &it.cycle {
+                    w.begin_object();
+                    w.key("node");
+                    w.u64(p.node.0 as u64);
+                    w.key("x");
+                    w.f64(p.position.x);
+                    w.key("y");
+                    w.f64(p.position.y);
+                    w.end_object();
+                }
+                w.end_array();
+                last_cycle = Some((&it.cycle, begin..w.position()));
+                cycles_formatted += 1;
             }
-            JsonValue::object(fields)
-        })
-        .collect();
+        }
+        // Road plans also expose the driven geometry (the expanded
+        // polyline, `[[x, y], …]`); Euclidean responses stay
+        // byte-identical by omitting the field.
+        if !it.leg_paths.is_empty() {
+            w.key("path");
+            w.begin_array();
+            for p in it.expanded_points() {
+                write_xy(&mut w, p.x, p.y);
+            }
+            w.end_array();
+        }
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    mule_obs::add("itineraries", plan.itineraries.len() as u64);
+    mule_obs::add("cycles", cycles_formatted);
+    Ok(w.finish())
+}
 
-    let doc = JsonValue::object(vec![
-        ("schema", PLAN_SCHEMA.into()),
-        ("fingerprint", format!("{:016x}", spec.fingerprint()).into()),
-        ("spec", spec_to_json(spec)),
-        ("planner", plan.planner_name.as_str().into()),
-        ("mules", plan.mule_count().into()),
-        ("targets", spec.targets.into()),
-        ("max_cycle_length_m", plan.max_cycle_length().into()),
-        ("covered_nodes", plan.covered_nodes().len().into()),
-        ("itineraries", JsonValue::Array(itineraries)),
-    ]);
-    Ok(doc.to_pretty_string())
+/// Writes a point as `[x, y]`.
+fn write_xy(w: &mut JsonWriter, x: f64, y: f64) {
+    w.begin_array();
+    w.f64(x);
+    w.f64(y);
+    w.end_array();
+}
+
+/// Whether two cycles render to the same bytes: the same nodes at
+/// bit-identical coordinates (`-0.0` and `0.0` differ).
+fn same_bits(a: &[Waypoint], b: &[Waypoint]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(p, q)| {
+            p.node == q.node
+                && p.position.x.to_bits() == q.position.x.to_bits()
+                && p.position.y.to_bits() == q.position.y.to_bits()
+        })
 }
 
 /// A parsed `/v1/simulate` request: the spec plus execution knobs.

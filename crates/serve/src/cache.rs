@@ -163,7 +163,12 @@ impl PlanCache {
         // An InFlight marker must never outlive its computer, or waiters
         // would block forever — clean up even if `compute` panics.
         let guard = InFlightGuard { cache: self, key };
-        let result = compute();
+        // The cache is bounded by entry count, so an entry must not keep
+        // the growth slack of the buffer it was rendered into.
+        let result = compute().map(|mut bytes| {
+            bytes.shrink_to_fit();
+            bytes
+        });
         std::mem::forget(guard);
 
         let mut state = self.state.lock().expect("cache mutex poisoned");
@@ -264,6 +269,19 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "hit shares the stored allocation");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn cached_bytes_carry_no_growth_slack() {
+        let cache = PlanCache::new(4);
+        let (bytes, _) = cache
+            .get_or_compute(1, || -> Result<Vec<u8>, String> {
+                let mut v = Vec::with_capacity(64);
+                v.extend_from_slice(b"plan");
+                Ok(v)
+            })
+            .unwrap();
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     #[test]
