@@ -924,14 +924,15 @@ mod tests {
         assert!(err.to_string().contains("byte"));
     }
 
-    /// A document with every value kind, the float and integer extremes,
-    /// an escaped string and nesting deeper than [`INDENT`] is wide.
-    fn exact_bytes_document() -> JsonValue {
+    #[test]
+    fn compact_and_pretty_bytes_are_exact() {
+        // Every value kind, the float and integer extremes, an escaped
+        // string and nesting deeper than `INDENT` is wide.
         let mut deep = JsonValue::from(1u64);
         for _ in 0..10 {
             deep = JsonValue::Array(vec![deep]);
         }
-        JsonValue::object(vec![
+        let v = JsonValue::object(vec![
             ("null", JsonValue::Null),
             ("bools", JsonValue::Array(vec![true.into(), false.into()])),
             (
@@ -951,12 +952,7 @@ mod tests {
             ("empty_arr", JsonValue::Array(vec![])),
             ("empty_obj", JsonValue::Object(vec![])),
             ("deep", JsonValue::object(vec![("k", deep)])),
-        ])
-    }
-
-    #[test]
-    fn compact_and_pretty_bytes_are_exact() {
-        let v = exact_bytes_document();
+        ]);
         assert_eq!(
             v.to_json_string(),
             r#"{"null":null,"bools":[true,false],"floats":[-0.0,0.0,1.5,1e16,1e-7,5e-324,null],"ints":[0,18446744073709551615,-42],"text":"a\"b\\c\n\u0001é","empty_arr":[],"empty_obj":{},"deep":{"k":[[[[[[[[[[1]]]]]]]]]]}}"#

@@ -441,6 +441,7 @@ mod tests {
             (br#"{"horizon_s": []}"#, "`horizon_s`"),
             (br#"[1,2]"#, "object"),
             (b"not json", "invalid JSON"),
+            (br#"{"targets": 01}"#, "invalid number"),
             (&[0xff, 0xfe], "UTF-8"),
         ] {
             let err = spec_from_body(body).unwrap_err();
@@ -449,6 +450,26 @@ mod tests {
                 "body {body:?}: {err} should mention {needle}"
             );
         }
+    }
+
+    #[test]
+    fn only_bit_identical_cycles_share_bytes() {
+        let spec = ScenarioSpec {
+            targets: 6,
+            mules: 2,
+            ..ScenarioSpec::default()
+        };
+        let plan = build_planner("b-tctp")
+            .unwrap()
+            .plan(&spec.scenario_config().generate())
+            .unwrap();
+        let mut a = plan.itineraries[0].cycle.clone();
+        assert!(same_bits(&a, &plan.itineraries[1].cycle), "B-TCTP shares");
+        assert!(!same_bits(&a, &a[1..]), "lengths differ");
+        let mut b = a.clone();
+        a[0].position.x = 0.0;
+        b[0].position.x = -0.0;
+        assert!(!same_bits(&a, &b), "-0.0 and 0.0 render differently");
     }
 
     /// Every spelling the API has ever accepted, with the canonical name it
