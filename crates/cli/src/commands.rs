@@ -626,17 +626,6 @@ struct DrillOutcome {
     firings: Vec<mule_fault::Firing>,
 }
 
-/// Sums every sample of a counter family in a Prometheus exposition.
-fn prom_sum(text: &str, family: &str) -> u64 {
-    text.lines()
-        .filter(|line| {
-            line.strip_prefix(family)
-                .is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
-        })
-        .filter_map(|line| line.rsplit(' ').next()?.parse::<u64>().ok())
-        .sum()
-}
-
 /// Sends one request on a fresh connection; `None` means the exchange
 /// died at the transport level (the connection was dropped). The request
 /// carries `Connection: close` so the server visits each connection
@@ -774,8 +763,9 @@ fn run_chaos_drill(
     // Accounting: the server parses every request except the ones a
     // `serve.conn.read` fault dropped before reading, and records exactly
     // one root `request` span per parsed request.
-    let requests_total = prom_sum(&prometheus, "mule_requests_total");
-    let span_requests = prom_sum(&prometheus, "mule_span_total{span=\"request\"}");
+    let counted = |selector: &str| mule_obs::prom::sum(&prometheus, selector).unwrap_or(0.0) as u64;
+    let requests_total = counted("mule_requests_total");
+    let span_requests = counted("mule_span_total{span=\"request\"}");
     let parsed = (options.requests - read_io) as u64;
     if requests_total != parsed {
         violations.push(format!(

@@ -129,11 +129,11 @@ fn loadgen_drives_a_thousand_requests_and_writes_the_benchmark() {
     assert!(out.text.contains("slo verdict: PASS"), "{}", out.text);
 
     // The server observed the same cache traffic.
-    let metrics = parse(&server.metrics_json()).unwrap();
-    let server_cache = metrics.get("cache").unwrap();
+    let metrics = server.metrics_prometheus();
     assert_eq!(
-        server_cache.get("misses").and_then(JsonValue::as_usize),
-        Some(4)
+        mule_obs::prom::sum(&metrics, "mule_cache_events_total{event=\"miss\"}"),
+        Some(4.0),
+        "{metrics}"
     );
 
     std::fs::remove_dir_all(&dir).ok();

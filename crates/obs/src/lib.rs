@@ -39,7 +39,8 @@
 //! * [`FlatProfile`] — per-span-name count / total / self / max
 //!   aggregation, renderable as an aligned text table.
 //! * [`prom::PromText`] — Prometheus text exposition (version 0.0.4)
-//!   writer used by mule-serve's `/metrics`.
+//!   writer used by mule-serve's `/metrics`, and [`prom::sum`], the
+//!   reader tests and the chaos drill check its counters with.
 //! * [`json`] — the workspace's one JSON value type, parser and writer
 //!   (mule-serve's wire format, the bench artefacts, and the string
 //!   escaping of [`log`] and the Chrome exporter).

@@ -1,10 +1,11 @@
-//! Prometheus text exposition (format version 0.0.4) writer.
+//! Prometheus text exposition (format version 0.0.4) writer and reader.
 //!
 //! A small append-only builder producing output a Prometheus scraper (or
 //! the CI smoke checker) accepts: `# HELP` / `# TYPE` headers followed by
 //! samples with escaped label values. Histogram families are emitted from
 //! pre-cumulated `(upper_bound_seconds, cumulative_count)` pairs plus the
-//! mandatory `+Inf` bucket, `_sum` and `_count` series.
+//! mandatory `+Inf` bucket, `_sum` and `_count` series. [`sum`] reads a
+//! rendered document back, one series or one family at a time.
 
 /// The `Content-Type` a 0.0.4 text exposition should be served with.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -103,6 +104,25 @@ impl PromText {
     }
 }
 
+/// Reads an exposition document back: the sum of the samples `selector`
+/// picks, or `None` when it picks none. A bare name
+/// (`mule_requests_total`) picks every sample of that name whatever its
+/// labels; a full series (`mule_requests_total{route="plan"}`, labels in
+/// rendered order) picks exactly that sample.
+pub fn sum(text: &str, selector: &str) -> Option<f64> {
+    text.lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix(selector)?;
+            let value = match rest.strip_prefix(' ') {
+                Some(value) => value,
+                None if rest.starts_with('{') => rest.rsplit_once("} ")?.1,
+                None => return None,
+            };
+            value.parse::<f64>().ok()
+        })
+        .fold(None, |total, value| Some(total.unwrap_or(0.0) + value))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +158,23 @@ mod tests {
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 6\n"));
         assert!(text.contains("lat_sum 0.025\n"));
         assert!(text.contains("lat_count 6\n"));
+    }
+
+    #[test]
+    fn sum_reads_one_series_or_a_whole_family() {
+        let mut p = PromText::new();
+        p.family("req_total", "counter", "Requests.")
+            .sample_u64("req_total", &[("route", "plan")], 3)
+            .sample_u64("req_total", &[("route", "a} b")], 4)
+            .sample_u64("req_total_other", &[], 100)
+            .sample_f64("rate", &[("window", "1m")], 0.5);
+        let text = p.finish();
+        assert_eq!(sum(&text, "req_total"), Some(7.0));
+        assert_eq!(sum(&text, "req_total{route=\"plan\"}"), Some(3.0));
+        assert_eq!(sum(&text, "req_total_other"), Some(100.0));
+        assert_eq!(sum(&text, "rate{window=\"1m\"}"), Some(0.5));
+        assert_eq!(sum(&text, "req"), None, "a name prefix is not a name");
+        assert_eq!(sum(&text, "req_total{route=\"sim\"}"), None);
     }
 
     #[test]

@@ -366,10 +366,7 @@ fn stats_json(stats: &mule_metrics::SummaryStatistics) -> JsonValue {
 /// pool and renders the aggregated `SweepReport`-style summary. Like
 /// planning, this is a deterministic function of the request (the worker
 /// count is not an input — see `docs/DETERMINISM.md`).
-pub fn simulate_response_json(
-    request: &SimulateRequest,
-    workers: Option<usize>,
-) -> Result<String, ApiError> {
+pub fn simulate_response_json(request: &SimulateRequest) -> Result<String, ApiError> {
     let spec = &request.spec;
     validate_spec(spec)?;
     let kind = planner_kind(spec)?;
@@ -377,7 +374,7 @@ pub fn simulate_response_json(
         .with_replicas(request.replicas)
         .with_horizon(spec.horizon_s);
     let factory = move || kind.build();
-    let cells = mule_sim::run_sweep(&factory, &sweep, &sim_config_for(spec), workers);
+    let cells = mule_sim::run_sweep(&factory, &sweep, &sim_config_for(spec), None);
     let report = mule_metrics::SweepReport::from_cells(&cells);
     let cell = report
         .cells
@@ -570,7 +567,7 @@ mod tests {
             };
             assert!(
                 matches!(
-                    simulate_response_json(&request, Some(1)).unwrap_err(),
+                    simulate_response_json(&request).unwrap_err(),
                     ApiError::BadRequest(_)
                 ),
                 "horizon {horizon}"
@@ -705,9 +702,9 @@ mod tests {
             },
             replicas: 3,
         };
-        let a = simulate_response_json(&request, Some(1)).unwrap();
-        let b = simulate_response_json(&request, Some(2)).unwrap();
-        assert_eq!(a, b, "worker count is not an input");
+        let a = simulate_response_json(&request).unwrap();
+        let b = simulate_response_json(&request).unwrap();
+        assert_eq!(a, b, "deterministic");
         let doc = parse(&a).unwrap();
         assert_eq!(doc.get("replicas").and_then(JsonValue::as_usize), Some(3));
         assert!(
@@ -729,7 +726,7 @@ mod tests {
             replicas: 2,
         };
         assert_eq!(
-            simulate_response_json(&request, Some(1)).unwrap_err(),
+            simulate_response_json(&request).unwrap_err(),
             ApiError::Plan(PlanError::NoMules)
         );
     }

@@ -65,8 +65,6 @@ struct Inner {
 pub struct BreakerSnapshot {
     /// Current state.
     pub state: BreakerState,
-    /// Consecutive failures observed in the current closed period.
-    pub consecutive_failures: usize,
     /// Transitions into `Open`.
     pub opened: u64,
     /// Transitions into `HalfOpen`.
@@ -226,7 +224,6 @@ impl CircuitBreaker {
         let inner = self.lock();
         BreakerSnapshot {
             state: inner.state,
-            consecutive_failures: inner.consecutive_failures,
             opened: inner.opened,
             half_opened: inner.half_opened,
             closed: inner.closed,

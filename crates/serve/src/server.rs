@@ -48,7 +48,7 @@
 //! keep-alive peer can delay this).
 
 use crate::api;
-use crate::breaker::{BreakerSnapshot, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::cache::{CacheOutcome, PlanCache};
 use crate::http::{read_request, HttpError, Request, Response};
 use mule_metrics::LatencyHistogram;
@@ -74,9 +74,6 @@ pub struct ServerConfig {
     /// Maximum concurrently admitted connections; beyond it new
     /// connections get `503` + `Retry-After`.
     pub queue_depth: usize,
-    /// Worker override for `/v1/simulate` replication sweeps (`None` =
-    /// `mule_par::resolve_workers` default).
-    pub sim_workers: Option<usize>,
     /// How long a worker waits for the next request on an idle keep-alive
     /// connection before closing it.
     pub idle_timeout: Duration,
@@ -126,7 +123,6 @@ impl Default for ServerConfig {
             workers: 4,
             cache_capacity: 128,
             queue_depth: 64,
-            sim_workers: None,
             idle_timeout: Duration::from_secs(5),
             slow_request_ms: None,
             deadline: None,
@@ -143,10 +139,10 @@ impl Default for ServerConfig {
 /// The value of the `Retry-After` header on 503 responses, seconds.
 pub const RETRY_AFTER_S: u32 = 1;
 
-/// Request counters, latency histogram and cache statistics, exposed as
-/// the `/metrics` document.
+/// Request counters, latency histogram and cache statistics, rendered
+/// into the `/metrics` document by `Shared::render_metrics`.
 #[derive(Debug, Default)]
-pub struct ServerMetrics {
+struct ServerMetrics {
     inner: Mutex<MetricsInner>,
 }
 
@@ -234,7 +230,8 @@ impl ServerMetrics {
     }
 
     /// Records one connection rejected by backpressure (no request was
-    /// read, so nothing else is counted — rejections carry no trace).
+    /// read, so no route, status or latency is counted — rejections carry
+    /// no trace).
     fn observe_rejected(&self) {
         self.lock().rejected_503 += 1;
     }
@@ -253,149 +250,95 @@ impl ServerMetrics {
     fn observe_stale_served(&self) {
         self.lock().stale_served += 1;
     }
+}
 
-    /// Renders the `/metrics` document. Cache hit rate counts coalesced
-    /// requests as served-from-cache: they did not recompute.
-    pub fn to_json(&self) -> String {
-        self.to_json_with(&[], &[])
-    }
+/// One handled request's record in the `/debug/requests` ring.
+#[derive(Debug, Clone)]
+struct RequestRecord {
+    trace_id: String,
+    method: String,
+    path: String,
+    status: u16,
+    duration_ms: f64,
+    /// Cache outcome label (`hit` / `miss` / `coalesced`), when the
+    /// request went through the plan cache.
+    cache: Option<&'static str>,
+    /// Root-span allocation tally (zero while the counting allocator is
+    /// disarmed).
+    allocs: u64,
+    alloc_bytes: u64,
+    /// Whether the trace landed in the recent-traces ring (head-sampled
+    /// or tail-promoted).
+    sampled: bool,
+    slow: bool,
+}
 
-    /// [`ServerMetrics::to_json`] extended with per-route breaker
-    /// snapshots and the armed fault plan's firing counters (the server
-    /// passes its live breakers and `mule_fault::injection_counts()`;
-    /// `&[]` omits the sections' rows). Carrying the fault rows here
-    /// keeps `/metrics.json` in lockstep with the Prometheus
-    /// `mule_fault_injected_total{point,kind}` family.
-    pub fn to_json_with(
-        &self,
-        breakers: &[(&str, BreakerSnapshot)],
-        faults: &[(String, &'static str, u64)],
-    ) -> String {
-        use crate::json::JsonValue;
-        let inner = self.lock();
-        let total =
-            inner.healthz + inner.metrics + inner.plan + inner.simulate + inner.debug + inner.other;
-        let cache_total = inner.cache_hits + inner.cache_misses + inner.cache_coalesced;
-        let hit_rate = if cache_total == 0 {
-            0.0
-        } else {
-            (inner.cache_hits + inner.cache_coalesced) as f64 / cache_total as f64
-        };
-        // Group the sorted (point, kind, count) rows into point → kind →
-        // count, mirroring the Prometheus label pair.
-        let mut fault_rows: Vec<(&str, JsonValue)> = Vec::new();
-        for (point, kind, count) in faults {
-            match fault_rows.iter_mut().find(|(p, _)| *p == point.as_str()) {
-                Some((_, JsonValue::Object(kinds))) => {
-                    kinds.push((kind.to_string(), (*count).into()));
-                }
-                _ => fault_rows.push((
-                    point.as_str(),
-                    JsonValue::object(vec![(kind, (*count).into())]),
-                )),
-            }
+/// The in-process stores behind the `/debug/*` endpoints, recorded only
+/// when [`ServerConfig::debug_endpoints`] is on. Ring pushes are
+/// lock-light (one atomic + one slot mutex) and never block the request
+/// path on a reader.
+struct Telemetry {
+    /// Recent sampled traces, `(trace id, trace)`.
+    traces: mule_obs::Ring<(String, mule_obs::Trace)>,
+    /// Recent request records.
+    requests: mule_obs::Ring<RequestRecord>,
+    /// Span profile merged since the last `/debug/profile` scrape (the
+    /// scrape takes it, so consecutive scrapes report disjoint windows).
+    profile: Mutex<FlatProfile>,
+}
+
+/// Capacity of the recent-traces ring.
+const TRACE_RING_CAPACITY: usize = 64;
+/// Capacity of the recent-requests ring.
+const REQUEST_RING_CAPACITY: usize = 512;
+
+struct Shared {
+    cache: PlanCache,
+    metrics: ServerMetrics,
+    admitted: AtomicUsize,
+    shutdown: AtomicBool,
+    /// Monotonic request sequence feeding [`trace_id`].
+    trace_seq: AtomicU64,
+    /// Per-route circuit breakers (disabled unless
+    /// [`ServerConfig::breaker_threshold`] is set).
+    breaker_plan: CircuitBreaker,
+    breaker_simulate: CircuitBreaker,
+    /// Server start; SLO buckets are stamped in seconds since here.
+    epoch: Instant,
+    /// Burn-rate tracker, present iff [`ServerConfig::slo`] is set.
+    slo: Option<mule_obs::SloTracker>,
+    /// Debug-endpoint stores, present iff
+    /// [`ServerConfig::debug_endpoints`] is on.
+    telemetry: Option<Telemetry>,
+    config: ServerConfig,
+}
+
+impl Shared {
+    /// Feeds one answered request to the SLO tracker, if one is
+    /// configured.
+    fn record_slo(&self, duration_ms: f64, is_error: bool) {
+        if let Some(slo) = &self.slo {
+            slo.record(self.epoch.elapsed().as_secs(), duration_ms, is_error);
         }
-        let doc = JsonValue::object(vec![
-            ("schema", "server-metrics/v1".into()),
-            (
-                "requests",
-                JsonValue::object(vec![
-                    ("total", total.into()),
-                    ("healthz", inner.healthz.into()),
-                    ("metrics", inner.metrics.into()),
-                    ("plan", inner.plan.into()),
-                    ("simulate", inner.simulate.into()),
-                    ("debug", inner.debug.into()),
-                    ("other", inner.other.into()),
-                ]),
-            ),
-            (
-                "responses",
-                JsonValue::object(vec![
-                    ("ok_2xx", inner.ok_2xx.into()),
-                    ("client_error_4xx", inner.client_err_4xx.into()),
-                    ("server_error_5xx", inner.server_err_5xx.into()),
-                    ("rejected_503", inner.rejected_503.into()),
-                ]),
-            ),
-            (
-                "latency_ms",
-                JsonValue::object(vec![
-                    ("count", inner.latency.count().into()),
-                    ("mean", (inner.latency.mean_s() * 1e3).into()),
-                    ("p50", (inner.latency.p50() * 1e3).into()),
-                    ("p95", (inner.latency.p95() * 1e3).into()),
-                    ("p99", (inner.latency.p99() * 1e3).into()),
-                    ("max", (inner.latency.max_s() * 1e3).into()),
-                ]),
-            ),
-            (
-                "cache",
-                JsonValue::object(vec![
-                    ("hits", inner.cache_hits.into()),
-                    ("misses", inner.cache_misses.into()),
-                    ("coalesced", inner.cache_coalesced.into()),
-                    ("hit_rate", hit_rate.into()),
-                ]),
-            ),
-            (
-                "degraded",
-                JsonValue::object(vec![
-                    ("deadline_read_504", inner.deadline_read.into()),
-                    ("deadline_compute_504", inner.deadline_compute.into()),
-                    ("stale_served", inner.stale_served.into()),
-                ]),
-            ),
-            (
-                "breakers",
-                JsonValue::object(
-                    breakers
-                        .iter()
-                        .map(|(route, snap)| {
-                            (
-                                *route,
-                                JsonValue::object(vec![
-                                    ("state", snap.state.label().into()),
-                                    (
-                                        "consecutive_failures",
-                                        (snap.consecutive_failures as u64).into(),
-                                    ),
-                                    ("opened", snap.opened.into()),
-                                    ("half_opened", snap.half_opened.into()),
-                                    ("closed", snap.closed.into()),
-                                    ("fast_failed", snap.fast_failed.into()),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            ("faults", JsonValue::object(fault_rows)),
-        ]);
-        doc.to_pretty_string()
     }
 
-    /// Renders the Prometheus text exposition (format 0.0.4) served at
-    /// `/metrics`: per-route request counters, status-class counters,
-    /// cache outcomes, the latency histogram (`_bucket`/`_sum`/`_count`)
-    /// and per-span-name totals from the merged request profiles.
-    pub fn to_prometheus(&self) -> String {
-        self.to_prometheus_with(&[], &[], None)
-    }
-
-    /// [`ServerMetrics::to_prometheus`] extended with per-route breaker
-    /// gauges/counters, the `mule_fault_injected_total{point,kind}` rows
-    /// of the armed fault plan (both empty on a plain scrape), and —
-    /// when SLO tracking is configured — the `mule_slo_*` burn-rate
-    /// gauges rendered from the tracker's current report.
-    pub fn to_prometheus_with(
-        &self,
-        breakers: &[(&str, BreakerSnapshot)],
-        faults: &[(String, &'static str, u64)],
-        slo: Option<&mule_obs::SloReport>,
-    ) -> String {
+    /// Renders the `/metrics` document, the daemon's one metrics
+    /// exposition (Prometheus text 0.0.4). `docs/OBSERVABILITY.md` lists
+    /// its families in render order.
+    fn render_metrics(&self) -> String {
         use mule_obs::prom::PromText;
-        let inner = self.lock();
+        let breakers = [
+            ("plan", self.breaker_plan.snapshot()),
+            ("simulate", self.breaker_simulate.snapshot()),
+        ];
+        let faults = mule_fault::injection_counts();
+        let slo = self
+            .slo
+            .as_ref()
+            .map(|tracker| tracker.report(self.epoch.elapsed().as_secs()));
+        // One lock over the route counters and the span profile keeps
+        // `mule_span_total{span="request"}` equal to their sum.
+        let inner = self.metrics.lock();
         let mut p = PromText::new();
 
         p.family(
@@ -471,7 +414,7 @@ impl ServerMetrics {
             "gauge",
             "Circuit breaker state, by route (0 closed, 1 open, 2 half-open).",
         );
-        for (route, snap) in breakers {
+        for (route, snap) in &breakers {
             p.sample_u64("mule_breaker_state", &[("route", route)], snap.state.code());
         }
         p.family(
@@ -479,7 +422,7 @@ impl ServerMetrics {
             "counter",
             "Circuit breaker transitions, by route and target state.",
         );
-        for (route, snap) in breakers {
+        for (route, snap) in &breakers {
             for (to, count) in [
                 ("open", snap.opened),
                 ("half_open", snap.half_opened),
@@ -497,7 +440,7 @@ impl ServerMetrics {
             "counter",
             "Requests rejected fast (503) by an open breaker, by route.",
         );
-        for (route, snap) in breakers {
+        for (route, snap) in &breakers {
             p.sample_u64(
                 "mule_breaker_fast_fail_total",
                 &[("route", route)],
@@ -510,7 +453,7 @@ impl ServerMetrics {
             "counter",
             "Faults fired by the armed mule-fault plan, by point and kind.",
         );
-        for (point, kind, count) in faults {
+        for (point, kind, count) in &faults {
             p.sample_u64(
                 "mule_fault_injected_total",
                 &[("point", point), ("kind", kind)],
@@ -518,7 +461,7 @@ impl ServerMetrics {
             );
         }
 
-        if let Some(report) = slo {
+        if let Some(report) = &slo {
             p.family(
                 "mule_slo_error_budget_remaining",
                 "gauge",
@@ -611,95 +554,6 @@ impl ServerMetrics {
     }
 }
 
-/// One handled request's record in the `/debug/requests` ring.
-#[derive(Debug, Clone)]
-struct RequestRecord {
-    trace_id: String,
-    method: String,
-    path: String,
-    status: u16,
-    duration_ms: f64,
-    /// Cache outcome label (`hit` / `miss` / `coalesced`), when the
-    /// request went through the plan cache.
-    cache: Option<&'static str>,
-    /// Root-span allocation tally (zero while the counting allocator is
-    /// disarmed).
-    allocs: u64,
-    alloc_bytes: u64,
-    /// Whether the trace landed in the recent-traces ring (head-sampled
-    /// or tail-promoted).
-    sampled: bool,
-    slow: bool,
-}
-
-/// The in-process stores behind the `/debug/*` endpoints, recorded only
-/// when [`ServerConfig::debug_endpoints`] is on. Ring pushes are
-/// lock-light (one atomic + one slot mutex) and never block the request
-/// path on a reader.
-struct Telemetry {
-    /// Recent sampled traces, `(trace id, trace)`.
-    traces: mule_obs::Ring<(String, mule_obs::Trace)>,
-    /// Recent request records.
-    requests: mule_obs::Ring<RequestRecord>,
-    /// Span profile merged since the last `/debug/profile` scrape (the
-    /// scrape takes it, so consecutive scrapes report disjoint windows).
-    profile: Mutex<FlatProfile>,
-}
-
-/// Capacity of the recent-traces ring.
-const TRACE_RING_CAPACITY: usize = 64;
-/// Capacity of the recent-requests ring.
-const REQUEST_RING_CAPACITY: usize = 512;
-
-struct Shared {
-    cache: PlanCache,
-    metrics: ServerMetrics,
-    admitted: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Monotonic request sequence feeding [`trace_id`].
-    trace_seq: AtomicU64,
-    /// Per-route circuit breakers (disabled unless
-    /// [`ServerConfig::breaker_threshold`] is set).
-    breaker_plan: CircuitBreaker,
-    breaker_simulate: CircuitBreaker,
-    /// Server start; SLO buckets are stamped in seconds since here.
-    epoch: Instant,
-    /// Burn-rate tracker, present iff [`ServerConfig::slo`] is set.
-    slo: Option<mule_obs::SloTracker>,
-    /// Debug-endpoint stores, present iff
-    /// [`ServerConfig::debug_endpoints`] is on.
-    telemetry: Option<Telemetry>,
-    config: ServerConfig,
-}
-
-impl Shared {
-    fn breaker_rows(&self) -> Vec<(&'static str, BreakerSnapshot)> {
-        vec![
-            ("plan", self.breaker_plan.snapshot()),
-            ("simulate", self.breaker_simulate.snapshot()),
-        ]
-    }
-
-    fn slo_report(&self) -> Option<mule_obs::SloReport> {
-        self.slo
-            .as_ref()
-            .map(|tracker| tracker.report(self.epoch.elapsed().as_secs()))
-    }
-
-    fn render_prometheus(&self) -> String {
-        self.metrics.to_prometheus_with(
-            &self.breaker_rows(),
-            &mule_fault::injection_counts(),
-            self.slo_report().as_ref(),
-        )
-    }
-
-    fn render_json(&self) -> String {
-        self.metrics
-            .to_json_with(&self.breaker_rows(), &mule_fault::injection_counts())
-    }
-}
-
 /// The 64-bit trace token for the `seq`-th request; rendered as 16 hex
 /// digits it is the `X-Trace-Id` header value. The splitmix64 finaliser
 /// turns sequential numbers into well-mixed tokens while staying a pure
@@ -742,14 +596,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The current `/metrics.json` document (for embedding servers).
-    pub fn metrics_json(&self) -> String {
-        self.shared.render_json()
-    }
-
     /// The current Prometheus text exposition (the `/metrics` document).
     pub fn metrics_prometheus(&self) -> String {
-        self.shared.render_prometheus()
+        self.shared.render_metrics()
     }
 
     /// Stops accepting, drains the in-flight connections and joins every
@@ -901,6 +750,7 @@ fn accept_loop(
         let admitted = shared.admitted.load(Ordering::SeqCst);
         if admitted >= shared.config.queue_depth {
             shared.metrics.observe_rejected();
+            shared.record_slo(0.0, true);
             let response = Response::error(503, "server at capacity, retry later")
                 .with_header("Retry-After", RETRY_AFTER_S.to_string());
             let _ = response.write_to(&mut stream, false);
@@ -1061,8 +911,9 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 // deadline (slow-loris or a stalled upload): answer 504
                 // and close. No request was parsed, so — like
                 // backpressure 503s — this is counted outside the
-                // per-route counters.
+                // per-route counters, but it spends availability budget.
                 shared.metrics.observe_deadline_read();
+                shared.record_slo(0.0, true);
                 let _ = Response::error(504, "request read deadline exceeded")
                     .write_to(&mut writer, false);
                 return;
@@ -1110,9 +961,7 @@ fn observe_telemetry(
         .config
         .slow_request_ms
         .is_some_and(|threshold_ms| elapsed_ms >= threshold_ms);
-    if let Some(slo) = &shared.slo {
-        slo.record(shared.epoch.elapsed().as_secs(), elapsed_ms, is_error);
-    }
+    shared.record_slo(elapsed_ms, is_error);
     if let Some(telemetry) = &shared.telemetry {
         let sampled =
             slow || is_error || mule_obs::sample_keep(token, shared.config.trace_sample_rate);
@@ -1218,16 +1067,7 @@ fn route_request(
         ("GET", "/metrics") => (
             Route::Metrics,
             None,
-            Response::text(
-                200,
-                mule_obs::prom::CONTENT_TYPE,
-                shared.render_prometheus(),
-            ),
-        ),
-        ("GET", "/metrics.json") => (
-            Route::Metrics,
-            None,
-            Response::json(200, shared.render_json()),
+            Response::text(200, mule_obs::prom::CONTENT_TYPE, shared.render_metrics()),
         ),
         ("POST", "/v1/plan") => {
             let (cache, response) = handle_plan(&request.body, shared);
@@ -1246,7 +1086,7 @@ fn route_request(
             None,
             Response::error(405, "method not allowed for this path"),
         ),
-        (_, "/healthz" | "/metrics" | "/metrics.json" | "/v1/plan" | "/v1/simulate") => (
+        (_, "/healthz" | "/metrics" | "/v1/plan" | "/v1/simulate") => (
             Route::Other,
             None,
             Response::error(405, "method not allowed for this path"),
@@ -1593,11 +1433,8 @@ fn handle_simulate(body: &[u8], shared: &Arc<Shared>) -> Response {
         return breaker_response();
     }
     let _s = mule_obs::span("request.simulate");
-    let sim_workers = shared.config.sim_workers;
     let computed = with_deadline(shared.config.deadline, move || {
-        catch_unwind(AssertUnwindSafe(|| {
-            api::simulate_response_json(&request, sim_workers)
-        }))
+        catch_unwind(AssertUnwindSafe(|| api::simulate_response_json(&request)))
     });
     match computed {
         Ok(Ok(Ok(doc))) => {

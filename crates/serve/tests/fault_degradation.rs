@@ -260,11 +260,11 @@ fn a_disarmed_server_shows_zero_injected_faults() {
 }
 
 #[test]
-fn fault_counters_agree_between_metrics_json_and_prometheus() {
+fn fired_faults_are_counted_on_metrics() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = test_server(ServerConfig::default());
 
-    // Fire one delay on the plan compute, then scrape both documents.
+    // Fire one delay on the plan compute, then scrape.
     let _armed = Armed::plan(7, "serve.plan=delay:1#1");
     let response = post_plan(&server, &spec_body());
     assert_eq!(response.status, 200);
@@ -274,14 +274,5 @@ fn fault_counters_agree_between_metrics_json_and_prometheus() {
         prom.contains("mule_fault_injected_total{point=\"serve.plan\",kind=\"delay\"} 1"),
         "{prom}"
     );
-
-    // The JSON document carries the same rows under `faults`, so the two
-    // expositions can be cross-checked sample for sample.
-    let json = server.metrics_json();
-    for (point, kind, count) in mule_fault::injection_counts() {
-        assert!(json.contains(&format!("\"{point}\"")), "{json}");
-        assert!(json.contains(&format!("\"{kind}\": {count}")), "{json}");
-    }
-    assert!(json.contains("\"faults\""), "{json}");
     server.shutdown();
 }

@@ -2,6 +2,7 @@
 //! byte-identity contract between cold / cached / offline plans, error
 //! mapping, metrics and backpressure.
 
+use mule_obs::prom;
 use mule_serve::http::{read_response, write_request, ClientResponse};
 use mule_serve::json::{parse, JsonValue};
 use mule_serve::{plan_response_json, ServerConfig, ServerHandle};
@@ -129,6 +130,10 @@ fn error_paths_map_to_the_right_status_codes() {
     let not_found = client.request("GET", "/nope", b"");
     assert_eq!(not_found.status, 404);
 
+    // There is one metrics exposition; the old JSON path is unknown.
+    let retired = client.request("GET", "/metrics.json", b"");
+    assert_eq!(retired.status, 404);
+
     let wrong_method = client.request("GET", "/v1/plan", b"");
     assert_eq!(wrong_method.status, 405);
 
@@ -164,10 +169,7 @@ fn error_paths_map_to_the_right_status_codes() {
 
 #[test]
 fn simulate_runs_replicas_and_reports_statistics() {
-    let server = test_server(ServerConfig {
-        sim_workers: Some(1),
-        ..ServerConfig::default()
-    });
+    let server = test_server(ServerConfig::default());
     let mut client = Client::connect(&server);
     let body = br#"{"spec": {"targets": 6, "horizon_s": 5000.0}, "replicas": 3}"#;
     let response = client.request("POST", "/v1/simulate", body);
@@ -222,15 +224,13 @@ fn backpressure_rejects_connections_beyond_queue_depth_with_retry_after() {
     let response = third.request("POST", "/v1/plan", &small_spec_body());
     assert_eq!(response.status, 200);
 
-    // The rejection shows up in /metrics.json.
-    let metrics = third.request("GET", "/metrics.json", b"");
-    let doc = parse(&metrics.body_text()).unwrap();
-    let rejected_count = doc
-        .get("responses")
-        .and_then(|r| r.get("rejected_503"))
-        .and_then(JsonValue::as_u64)
-        .unwrap();
-    assert!(rejected_count >= 1, "rejections counted: {rejected_count}");
+    // The rejection shows up in /metrics.
+    let metrics = third.request("GET", "/metrics", b"").body_text();
+    let rejected_count = prom::sum(&metrics, "mule_rejected_total").unwrap();
+    assert!(
+        rejected_count >= 1.0,
+        "rejections counted: {rejected_count}"
+    );
     server.shutdown();
 }
 
@@ -242,32 +242,17 @@ fn metrics_reflect_requests_latency_and_cache_state() {
     client.request("POST", "/v1/plan", &small_spec_body()); // miss
     client.request("POST", "/v1/plan", &small_spec_body()); // hit
     client.request("POST", "/v1/plan", br#"{"targets": 9}"#); // miss
-    let metrics = client.request("GET", "/metrics.json", b"");
+    let metrics = client.request("GET", "/metrics", b"");
     assert_eq!(metrics.status, 200);
-    let doc = parse(&metrics.body_text()).unwrap();
+    let text = metrics.body_text();
 
-    let requests = doc.get("requests").unwrap();
-    assert_eq!(requests.get("healthz").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(requests.get("plan").and_then(JsonValue::as_u64), Some(3));
-
-    let cache = doc.get("cache").unwrap();
-    assert_eq!(cache.get("hits").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(cache.get("misses").and_then(JsonValue::as_u64), Some(2));
-    let hit_rate = cache.get("hit_rate").and_then(JsonValue::as_f64).unwrap();
-    assert!((hit_rate - 1.0 / 3.0).abs() < 1e-9, "hit rate {hit_rate}");
-
-    let latency = doc.get("latency_ms").unwrap();
-    assert_eq!(latency.get("count").and_then(JsonValue::as_u64), Some(4));
-    assert!(latency.get("p99").and_then(JsonValue::as_f64).unwrap() >= 0.0);
+    let value = |series: &str| prom::sum(&text, series);
+    assert_eq!(value("mule_requests_total{route=\"healthz\"}"), Some(1.0));
+    assert_eq!(value("mule_requests_total{route=\"plan\"}"), Some(3.0));
+    assert_eq!(value("mule_cache_events_total{event=\"hit\"}"), Some(1.0));
+    assert_eq!(value("mule_cache_events_total{event=\"miss\"}"), Some(2.0));
+    assert_eq!(value("mule_request_duration_seconds_count"), Some(4.0));
     server.shutdown();
-}
-
-/// Pulls the integer value of a Prometheus sample line (exact match on
-/// `name{labels}` including braces) out of an exposition document.
-fn prom_value(text: &str, series: &str) -> Option<u64> {
-    text.lines()
-        .find_map(|line| line.strip_prefix(series))
-        .and_then(|rest| rest.trim().parse().ok())
 }
 
 #[test]
@@ -285,46 +270,28 @@ fn metrics_is_prometheus_text_and_span_counters_match_requests() {
     );
     let text = metrics.body_text();
 
+    let value = |series: &str| prom::sum(&text, series);
     assert!(text.contains("# TYPE mule_requests_total counter"));
-    assert_eq!(
-        prom_value(&text, "mule_requests_total{route=\"healthz\"}"),
-        Some(1)
-    );
-    assert_eq!(
-        prom_value(&text, "mule_requests_total{route=\"plan\"}"),
-        Some(2)
-    );
-    assert_eq!(
-        prom_value(&text, "mule_cache_events_total{event=\"hit\"}"),
-        Some(1)
-    );
-    assert_eq!(
-        prom_value(&text, "mule_cache_events_total{event=\"miss\"}"),
-        Some(1)
-    );
+    assert_eq!(value("mule_requests_total{route=\"healthz\"}"), Some(1.0));
+    assert_eq!(value("mule_requests_total{route=\"plan\"}"), Some(2.0));
+    assert_eq!(value("mule_cache_events_total{event=\"hit\"}"), Some(1.0));
+    assert_eq!(value("mule_cache_events_total{event=\"miss\"}"), Some(1.0));
 
     // Histogram: +Inf bucket and _count agree, and 3 requests were timed
     // before this scrape.
     assert!(text.contains("# TYPE mule_request_duration_seconds histogram"));
-    let inf = prom_value(&text, "mule_request_duration_seconds_bucket{le=\"+Inf\"}").unwrap();
-    let count = prom_value(&text, "mule_request_duration_seconds_count").unwrap();
+    let inf = value("mule_request_duration_seconds_bucket{le=\"+Inf\"}");
+    let count = value("mule_request_duration_seconds_count");
     assert_eq!(inf, count);
-    assert_eq!(count, 3);
+    assert_eq!(count, Some(3.0));
 
     // The invariant the CI smoke test scrapes for: exactly one `request`
     // span per handled request (the scrape itself is not yet counted).
-    let spans = prom_value(&text, "mule_span_total{span=\"request\"}").unwrap();
-    assert_eq!(spans, 3);
+    assert_eq!(value("mule_span_total{span=\"request\"}"), Some(3.0));
     // Plan handling produced child spans, including the planner work on
     // the cache miss.
-    assert_eq!(
-        prom_value(&text, "mule_span_total{span=\"request.parse\"}"),
-        Some(2)
-    );
-    assert_eq!(
-        prom_value(&text, "mule_span_total{span=\"request.plan\"}"),
-        Some(1)
-    );
+    assert_eq!(value("mule_span_total{span=\"request.parse\"}"), Some(2.0));
+    assert_eq!(value("mule_span_total{span=\"request.plan\"}"), Some(1.0));
     server.shutdown();
 }
 

@@ -347,6 +347,95 @@ fn slo_gauges_appear_on_metrics_when_configured() {
         metrics.contains("mule_slo_error_budget_remaining{objective=\"availability\"} 1"),
         "{metrics}"
     );
+
+    // Every family, in render order: the same list as the family table
+    // in docs/OBSERVABILITY.md.
+    let families: Vec<&str> = metrics
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+    let mut expected = vec![
+        "mule_requests_total",
+        "mule_responses_total",
+        "mule_rejected_total",
+        "mule_cache_events_total",
+        "mule_deadline_exceeded_total",
+        "mule_stale_served_total",
+        "mule_breaker_state",
+        "mule_breaker_transitions_total",
+        "mule_breaker_fast_fail_total",
+        "mule_fault_injected_total",
+        "mule_slo_error_budget_remaining",
+        "mule_slo_burn_rate",
+    ];
+    if mule_obs::alloc::rss_now_kb().is_some() {
+        expected.push("mule_process_resident_bytes");
+    }
+    if mule_obs::alloc::rss_peak_kb().is_some() {
+        expected.push("mule_process_peak_resident_bytes");
+    }
+    expected.extend([
+        "mule_request_duration_seconds",
+        "mule_span_total",
+        "mule_span_seconds_total",
+    ]);
+    assert_eq!(families, expected);
+    server.shutdown();
+}
+
+#[test]
+fn backpressure_rejections_spend_the_availability_budget() {
+    // The default 5 s idle timeout (not `test_server`'s 300 ms) keeps the
+    // slot holder admitted while the second connection arrives.
+    let server = mule_serve::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 1,
+        slo: Some(mule_obs::SloSpec::parse("availability=99").unwrap()),
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    // One completed round trip proves the holder owns the only slot.
+    let mut holder = Client::connect(&server);
+    assert_eq!(holder.request("GET", "/healthz", b"").status, 200);
+    let rejected = Client::connect(&server).request("GET", "/healthz", b"");
+    assert_eq!(rejected.status, 503);
+
+    let metrics = server.metrics_prometheus();
+    let value = |series: &str| mule_obs::prom::sum(&metrics, series).unwrap();
+    let burn = value("mule_slo_burn_rate{objective=\"availability\",window=\"1m\"}");
+    assert!(burn > 0.0, "a shed connection burns budget:\n{metrics}");
+    let remaining = value("mule_slo_error_budget_remaining{objective=\"availability\"}");
+    assert!(remaining < 1.0, "{metrics}");
+    drop(holder);
+    server.shutdown();
+}
+
+#[test]
+fn read_deadline_504s_spend_the_availability_budget() {
+    use std::io::Write;
+    let server = test_server(ServerConfig {
+        deadline: Some(Duration::from_millis(100)),
+        slo: Some(mule_obs::SloSpec::parse("availability=99").unwrap()),
+        ..ServerConfig::default()
+    });
+    // Half a request head, then silence: the read deadline runs out.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    let response = read_response(&mut BufReader::new(stream)).unwrap();
+    assert_eq!(response.status, 504);
+
+    let metrics = server.metrics_prometheus();
+    let value = |series: &str| mule_obs::prom::sum(&metrics, series);
+    assert_eq!(
+        value("mule_deadline_exceeded_total{stage=\"read\"}"),
+        Some(1.0)
+    );
+    assert_eq!(
+        value("mule_slo_error_budget_remaining{objective=\"availability\"}"),
+        Some(0.0),
+        "the only request was a 504:\n{metrics}"
+    );
     server.shutdown();
 }
 
@@ -366,19 +455,11 @@ fn untelemetered_server_reports_no_slo_and_keeps_metrics_schema() {
         "no SLO gauges without --slo"
     );
 
-    // The JSON metrics document keeps its schema and now counts the
-    // debug route (zero here).
-    let json = parse(&client.request("GET", "/metrics.json", b"").body_text()).unwrap();
+    // The debug route is counted (zero here).
     assert_eq!(
-        json.get("schema").and_then(JsonValue::as_str),
-        Some("server-metrics/v1")
-    );
-    assert_eq!(
-        json.get("requests")
-            .unwrap()
-            .get("debug")
-            .and_then(JsonValue::as_usize),
-        Some(0)
+        mule_obs::prom::sum(&metrics, "mule_requests_total{route=\"debug\"}"),
+        Some(0.0),
+        "{metrics}"
     );
     server.shutdown();
 }
