@@ -156,20 +156,26 @@ fn rwtctp_road_replans_are_pinned() {
 }
 
 /// An 8-mule road-grid `/v1/plan` response of each planner: every mule
-/// carries its own copy of the shared cycle's leg geometry.
+/// carries its own copy of the shared cycle's leg geometry. The CHB, Sweep
+/// and Random baselines are pinned too, since they share the circuit and
+/// angular-grouping code with the TCTP planners.
 #[test]
 fn road_plan_responses_are_pinned() {
-    let pinned: [(&str, u64); 3] = [
+    let pinned: [(&str, u64); 7] = [
         ("b-tctp", 0x7b1a_b6a5_785d_9ad5),
         ("w-tctp-balancing", 0x8d53_65b3_d17e_1f25),
         ("rw-tctp", 0x74cd_ec55_6bce_4400),
+        ("w-tctp-shortest", 0x93a1_ef63_7c3e_95ec),
+        ("chb", 0x6e07_962e_abe5_865e),
+        ("sweep", 0x747a_30b0_7f45_ecd5),
+        ("random", 0x584b_ad4f_4ebf_7cd1),
     ];
     for (planner, want) in pinned {
         let spec = ScenarioSpec {
             targets: TARGETS,
             mules: 8,
             seed: 9,
-            vips: if planner == "w-tctp-balancing" { 5 } else { 0 },
+            vips: if planner.starts_with("w-tctp") { 5 } else { 0 },
             vip_weight: 3,
             recharge: planner == "rw-tctp",
             planner: planner.to_string(),
