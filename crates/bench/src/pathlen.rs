@@ -11,7 +11,7 @@
 //!    recharge station).
 
 use mule_geom::Polyline;
-use mule_graph::TourConstruction;
+use mule_graph::{construct_circuit, ChbConfig, TourConstruction};
 use mule_metrics::TextTable;
 use mule_workload::{seed_fan, Scenario, ScenarioConfig, WeightSpec};
 use patrol_core::{BreakEdgePolicy, RwTctp, WTctp};
@@ -111,7 +111,7 @@ pub fn wpp_overhead_table(params: &PathLenParams) -> TextTable {
         );
         let base_len = average(&scenarios, |s| {
             let pts = s.patrolled_positions();
-            mule_graph::construct_circuit(&pts).length(&pts)
+            construct_circuit(&pts, s.metric(), &ChbConfig::default()).length(&pts)
         });
         let wpp_len = |policy: BreakEdgePolicy| {
             average(&scenarios, |s| {

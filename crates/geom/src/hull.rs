@@ -4,8 +4,7 @@
 //! the "Hamiltonian_CycleConstruct" step of every TCTP planner) starts from
 //! the convex hull of the target set and inserts the interior targets one by
 //! one. This module provides the hull itself (Andrew's monotone chain,
-//! `O(n log n)`), plus the convexity and containment predicates the tests
-//! and the insertion heuristic rely on.
+//! `O(n log n)`), plus its diameter by rotating calipers.
 
 use crate::angle::orientation;
 use crate::point::Point;
@@ -103,64 +102,6 @@ pub fn hull_diameter(hull: &[Point]) -> Option<(usize, usize)> {
     Some(best)
 }
 
-/// Returns `true` when `polygon` (given in order, either orientation) is a
-/// convex polygon. Polygons with fewer than 3 vertices are trivially
-/// considered convex.
-pub fn is_convex_polygon(polygon: &[Point]) -> bool {
-    let n = polygon.len();
-    if n < 3 {
-        return true;
-    }
-    let mut sign = 0.0_f64;
-    for i in 0..n {
-        let o = orientation(&polygon[i], &polygon[(i + 1) % n], &polygon[(i + 2) % n]);
-        if o.abs() <= f64::EPSILON {
-            continue; // collinear corner does not break convexity
-        }
-        if sign == 0.0 {
-            sign = o.signum();
-        } else if o.signum() != sign {
-            return false;
-        }
-    }
-    true
-}
-
-/// Returns `true` when `p` lies inside or on the boundary of the convex
-/// polygon `hull` given in counter-clockwise order.
-pub fn point_in_convex_polygon(p: &Point, hull: &[Point]) -> bool {
-    let n = hull.len();
-    match n {
-        0 => false,
-        1 => hull[0].distance_squared(p) <= crate::EPSILON,
-        2 => {
-            let seg = crate::Segment::new(hull[0], hull[1]);
-            seg.distance_to_point(p) <= crate::EPSILON
-        }
-        _ => {
-            for i in 0..n {
-                if orientation(&hull[i], &hull[(i + 1) % n], p) < -crate::EPSILON {
-                    return false;
-                }
-            }
-            true
-        }
-    }
-}
-
-/// Perimeter of a closed polygon given in order.
-pub fn perimeter(polygon: &[Point]) -> f64 {
-    let n = polygon.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for i in 0..n {
-        total += polygon[i].distance(&polygon[(i + 1) % n]);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,11 +126,11 @@ mod tests {
         for corner in square() {
             assert!(hull.contains(&corner), "missing corner {corner}");
         }
-        assert!(is_convex_polygon(&hull));
-        assert!(
-            orientation(&hull[0], &hull[1], &hull[2]) > 0.0,
-            "hull must be CCW"
-        );
+        let n = hull.len();
+        for i in 0..n {
+            let turn = orientation(&hull[i], &hull[(i + 1) % n], &hull[(i + 2) % n]);
+            assert!(turn > 0.0, "hull must be convex and CCW at corner {i}");
+        }
     }
 
     #[test]
@@ -219,48 +160,6 @@ mod tests {
         let hull = convex_hull(&pts);
         assert_eq!(hull.len(), 4);
         assert!(!hull.contains(&Point::new(2.0, 0.0)));
-    }
-
-    #[test]
-    fn point_in_convex_polygon_boundary_and_interior() {
-        let hull = convex_hull(&square());
-        assert!(point_in_convex_polygon(&Point::new(2.0, 2.0), &hull));
-        assert!(point_in_convex_polygon(&Point::new(0.0, 0.0), &hull));
-        assert!(point_in_convex_polygon(&Point::new(2.0, 0.0), &hull));
-        assert!(!point_in_convex_polygon(&Point::new(5.0, 2.0), &hull));
-        assert!(!point_in_convex_polygon(&Point::new(-0.1, 2.0), &hull));
-    }
-
-    #[test]
-    fn point_in_degenerate_hulls() {
-        assert!(!point_in_convex_polygon(&Point::ORIGIN, &[]));
-        assert!(point_in_convex_polygon(
-            &Point::new(1.0, 1.0),
-            &[Point::new(1.0, 1.0)]
-        ));
-        let segment_hull = vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0)];
-        assert!(point_in_convex_polygon(
-            &Point::new(2.0, 0.0),
-            &segment_hull
-        ));
-        assert!(!point_in_convex_polygon(
-            &Point::new(2.0, 1.0),
-            &segment_hull
-        ));
-    }
-
-    #[test]
-    fn is_convex_polygon_detects_reflex_vertices() {
-        assert!(is_convex_polygon(&square()));
-        let dented = vec![
-            Point::new(0.0, 0.0),
-            Point::new(4.0, 0.0),
-            Point::new(2.0, 1.0), // dent
-            Point::new(4.0, 4.0),
-            Point::new(0.0, 4.0),
-        ];
-        assert!(!is_convex_polygon(&dented));
-        assert!(is_convex_polygon(&[Point::ORIGIN, Point::new(1.0, 1.0)]));
     }
 
     #[test]
@@ -304,12 +203,5 @@ mod tests {
         let hull = convex_hull(&square());
         let (a, b) = hull_diameter(&hull).unwrap();
         assert!(approx_eq(hull[a].distance(&hull[b]), 32.0f64.sqrt()));
-    }
-
-    #[test]
-    fn perimeter_of_square() {
-        let sq = square();
-        assert!(approx_eq(perimeter(&sq), 16.0));
-        assert!(approx_eq(perimeter(&[Point::ORIGIN]), 0.0));
     }
 }

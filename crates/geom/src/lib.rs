@@ -14,10 +14,8 @@
 //! * [`BoundingBox`] — axis-aligned extents of a field or target cluster.
 //! * [`Polyline`] — open/closed chains of points with arc-length queries,
 //!   used to walk a mule a given distance along a patrolling route.
-//! * [`KdTree`] — nearest-neighbour queries (closest start point, closest
-//!   target) in `O(log n)` expected time.
-//! * [`UniformGrid`] — bucketed spatial index for range queries
-//!   (which targets are within communication range of a mule).
+//! * [`KdTree`] — the spatial index: nearest-neighbour, k-nearest and
+//!   radius queries in `O(log n)` expected time.
 //!
 //! The crate has no dependencies and is panic-free on degenerate input
 //! wherever a sensible total behaviour exists; degenerate cases that have
@@ -28,7 +26,6 @@
 
 pub mod angle;
 pub mod bbox;
-pub mod grid;
 pub mod hull;
 pub mod kdtree;
 pub mod point;
@@ -37,8 +34,7 @@ pub mod segment;
 
 pub use angle::{ccw_included_angle, normalize_angle, Bearing};
 pub use bbox::BoundingBox;
-pub use grid::UniformGrid;
-pub use hull::{convex_hull, hull_diameter, is_convex_polygon, point_in_convex_polygon};
+pub use hull::{convex_hull, hull_diameter};
 pub use kdtree::KdTree;
 pub use point::Point;
 pub use polyline::Polyline;

@@ -118,27 +118,6 @@ impl Polyline {
         })
     }
 
-    /// Splits a **closed** polyline into `n` equal-arc-length positions,
-    /// returning the points at arc lengths `0, |P|/n, 2|P|/n, …` measured
-    /// from the first waypoint.
-    ///
-    /// This is exactly the B-TCTP start-point computation: the circuit is
-    /// partitioned into `n` equal-length segments and one mule is stationed
-    /// at the head of each. Returns an empty vector when `n == 0` or the
-    /// polyline is empty.
-    pub fn equal_split_points(&self, n: usize) -> Vec<Point> {
-        if n == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        let total = self.length();
-        (0..n)
-            .map(|i| {
-                self.point_at(total * i as f64 / n as f64)
-                    .expect("polyline verified non-empty")
-            })
-            .collect()
-    }
-
     /// Arc length from the first waypoint to waypoint `index` along the
     /// traversal direction. Returns `None` when `index` is out of range.
     pub fn arc_length_to_vertex(&self, index: usize) -> Option<f64> {
@@ -158,18 +137,6 @@ impl Polyline {
     /// so all mules deterministically agree. Returns `None` when empty.
     pub fn northmost_index(&self) -> Option<usize> {
         northmost_index(&self.points)
-    }
-
-    /// Rotates a closed polyline so that traversal starts at waypoint
-    /// `start`. No-op for open polylines or out-of-range indices.
-    pub fn rotated_to_start(&self, start: usize) -> Polyline {
-        if !self.closed || start >= self.points.len() {
-            return self.clone();
-        }
-        let mut pts = Vec::with_capacity(self.points.len());
-        pts.extend_from_slice(&self.points[start..]);
-        pts.extend_from_slice(&self.points[..start]);
-        Polyline::closed(pts)
     }
 }
 
@@ -254,26 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn equal_split_points_partition_the_cycle_into_equal_arcs() {
-        let p = unit_square_cycle();
-        let starts = p.equal_split_points(4);
-        assert_eq!(starts.len(), 4);
-        assert_eq!(starts[0], Point::new(0.0, 0.0));
-        assert_eq!(starts[1], Point::new(10.0, 0.0));
-        assert_eq!(starts[2], Point::new(10.0, 10.0));
-        assert_eq!(starts[3], Point::new(0.0, 10.0));
-        // A split count that does not divide the perimeter into vertex-
-        // aligned arcs still lands on the path.
-        let starts3 = p.equal_split_points(3);
-        assert_eq!(starts3.len(), 3);
-        assert!(approx_eq(
-            starts3[1].distance(&Point::new(10.0, 10.0 / 3.0)),
-            0.0
-        ));
-        assert!(p.equal_split_points(0).is_empty());
-    }
-
-    #[test]
     fn arc_length_to_vertex_accumulates_edge_lengths() {
         let p = unit_square_cycle();
         assert!(approx_eq(p.arc_length_to_vertex(0).unwrap(), 0.0));
@@ -292,16 +239,5 @@ mod tests {
         assert_eq!(northmost_index(&pts), Some(2));
         assert_eq!(Polyline::closed(pts).northmost_index(), Some(2));
         assert_eq!(northmost_index(&[]), None);
-    }
-
-    #[test]
-    fn rotated_to_start_preserves_cycle_and_length() {
-        let p = unit_square_cycle();
-        let r = p.rotated_to_start(2);
-        assert_eq!(r.points()[0], Point::new(10.0, 10.0));
-        assert_eq!(r.len(), 4);
-        assert!(approx_eq(r.length(), p.length()));
-        // Out-of-range start index leaves the polyline unchanged.
-        assert_eq!(p.rotated_to_start(99), p);
     }
 }

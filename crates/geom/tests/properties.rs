@@ -3,10 +3,10 @@
 //! These check the invariants the planners rely on, over randomly generated
 //! point sets in the paper's 800 m × 800 m field.
 
+use mule_geom::angle::orientation;
 use mule_geom::{
-    ccw_included_angle, convex_hull, hull, is_convex_polygon, normalize_angle,
-    point_in_convex_polygon, polyline::northmost_index, KdTree, Point, Polyline, Segment,
-    UniformGrid,
+    ccw_included_angle, convex_hull, normalize_angle, polyline::northmost_index, KdTree, Point,
+    Polyline, Segment, EPSILON,
 };
 use proptest::prelude::*;
 
@@ -25,6 +25,92 @@ fn lattice_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
         (0u32..6, 0u32..6).prop_map(|(x, y)| Point::new(10.0 * f64::from(x), 10.0 * f64::from(y))),
         min..=max,
     )
+}
+
+/// Returns `true` when `polygon` (given in order, either orientation) is a
+/// convex polygon. Polygons with fewer than 3 vertices are trivially
+/// considered convex.
+fn is_convex_polygon(polygon: &[Point]) -> bool {
+    let n = polygon.len();
+    if n < 3 {
+        return true;
+    }
+    let mut sign = 0.0_f64;
+    for i in 0..n {
+        let o = orientation(&polygon[i], &polygon[(i + 1) % n], &polygon[(i + 2) % n]);
+        if o.abs() <= f64::EPSILON {
+            continue; // collinear corner does not break convexity
+        }
+        if sign == 0.0 {
+            sign = o.signum();
+        } else if o.signum() != sign {
+            return false;
+        }
+    }
+    true
+}
+
+/// Returns `true` when `p` lies inside or on the boundary of the convex
+/// polygon `hull` given in counter-clockwise order.
+fn point_in_convex_polygon(p: &Point, hull: &[Point]) -> bool {
+    let n = hull.len();
+    match n {
+        0 => false,
+        1 => hull[0].distance_squared(p) <= EPSILON,
+        2 => Segment::new(hull[0], hull[1]).distance_to_point(p) <= EPSILON,
+        _ => (0..n).all(|i| orientation(&hull[i], &hull[(i + 1) % n], p) >= -EPSILON),
+    }
+}
+
+fn square() -> Vec<Point> {
+    vec![
+        Point::new(0.0, 0.0),
+        Point::new(4.0, 0.0),
+        Point::new(4.0, 4.0),
+        Point::new(0.0, 4.0),
+    ]
+}
+
+#[test]
+fn point_in_convex_polygon_boundary_and_interior() {
+    let hull = convex_hull(&square());
+    assert!(point_in_convex_polygon(&Point::new(2.0, 2.0), &hull));
+    assert!(point_in_convex_polygon(&Point::new(0.0, 0.0), &hull));
+    assert!(point_in_convex_polygon(&Point::new(2.0, 0.0), &hull));
+    assert!(!point_in_convex_polygon(&Point::new(5.0, 2.0), &hull));
+    assert!(!point_in_convex_polygon(&Point::new(-0.1, 2.0), &hull));
+}
+
+#[test]
+fn point_in_degenerate_hulls() {
+    assert!(!point_in_convex_polygon(&Point::ORIGIN, &[]));
+    assert!(point_in_convex_polygon(
+        &Point::new(1.0, 1.0),
+        &[Point::new(1.0, 1.0)]
+    ));
+    let segment_hull = vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0)];
+    assert!(point_in_convex_polygon(
+        &Point::new(2.0, 0.0),
+        &segment_hull
+    ));
+    assert!(!point_in_convex_polygon(
+        &Point::new(2.0, 1.0),
+        &segment_hull
+    ));
+}
+
+#[test]
+fn is_convex_polygon_detects_reflex_vertices() {
+    assert!(is_convex_polygon(&square()));
+    let dented = vec![
+        Point::new(0.0, 0.0),
+        Point::new(4.0, 0.0),
+        Point::new(2.0, 1.0), // dent
+        Point::new(4.0, 4.0),
+        Point::new(0.0, 4.0),
+    ];
+    assert!(!is_convex_polygon(&dented));
+    assert!(is_convex_polygon(&[Point::ORIGIN, Point::new(1.0, 1.0)]));
 }
 
 /// `k` successive filtered nearest-neighbour searches, each excluding the
@@ -102,7 +188,7 @@ proptest! {
         let hull_pts = convex_hull(&points);
         if hull_pts.len() >= 3 {
             let tour_len = Polyline::closed(points.clone()).length();
-            prop_assert!(hull::perimeter(&hull_pts) <= tour_len + 1e-6);
+            prop_assert!(Polyline::closed(hull_pts).length() <= tour_len + 1e-6);
         }
     }
 
@@ -120,20 +206,6 @@ proptest! {
         let a = p.point_at(d).unwrap();
         let b = p.point_at(d + total).unwrap();
         prop_assert!(a.distance(&b) <= 1e-6, "wrap mismatch: {a} vs {b}");
-    }
-
-    #[test]
-    fn equal_split_points_lie_on_the_path(points in field_points(2, 25), n in 1usize..12) {
-        let p = Polyline::closed(points);
-        let total = p.length();
-        prop_assume!(total > 1e-6);
-        let splits = p.equal_split_points(n);
-        prop_assert_eq!(splits.len(), n);
-        // Each split point is reachable at its nominal arc length.
-        for (i, s) in splits.iter().enumerate() {
-            let expected = p.point_at(total * i as f64 / n as f64).unwrap();
-            prop_assert!(s.distance(&expected) <= 1e-9);
-        }
     }
 
     #[test]
@@ -179,43 +251,10 @@ proptest! {
     }
 
     #[test]
-    fn grid_range_agrees_with_brute_force(points in field_points(0, 60), q in field_point(), r in 0.0..300.0f64) {
-        let grid = UniformGrid::build(&points, 20.0);
-        let got = grid.within_radius(&q, r);
-        let want: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.distance(&q) <= r)
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn grid_nearest_agrees_with_brute_force(points in field_points(1, 60), q in field_point()) {
-        let grid = UniformGrid::build(&points, 35.0);
-        let (_, d) = grid.nearest(&q).unwrap();
-        let brute = points
-            .iter()
-            .map(|p| p.distance(&q))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((d - brute).abs() <= 1e-9);
-    }
-
-    #[test]
     fn northmost_point_is_at_least_as_north_as_all_others(points in field_points(1, 50)) {
         let idx = northmost_index(&points).unwrap();
         for p in &points {
             prop_assert!(points[idx].y >= p.y);
         }
-    }
-
-    #[test]
-    fn rotation_preserves_cycle_length(points in field_points(1, 30), start in 0usize..30) {
-        let p = Polyline::closed(points.clone());
-        let start = start % points.len().max(1);
-        let r = p.rotated_to_start(start);
-        prop_assert!((p.length() - r.length()).abs() <= 1e-6);
-        prop_assert_eq!(p.len(), r.len());
     }
 }

@@ -127,54 +127,43 @@ impl ChbConfig {
     }
 }
 
-/// Builds the CHB Hamiltonian circuit over `points` with the default
-/// configuration.
-pub fn construct_circuit(points: &[Point]) -> Tour {
-    construct_circuit_with(points, &ChbConfig::default())
-}
-
-/// Builds the CHB Hamiltonian circuit with an explicit configuration.
+/// Builds the CHB Hamiltonian circuit over `points` under `metric` — the
+/// one circuit-construction entry point.
 ///
-/// In candidate-list mode (explicit or via `Auto` above the threshold) no
-/// dense distance matrix is allocated — the `O(n²)` matrix is the first
-/// thing that stops fitting at thousands of targets.
-pub fn construct_circuit_with(points: &[Point], config: &ChbConfig) -> Tour {
-    match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates(points, config, k),
+/// The pipeline follows from the metric and the resolved search mode:
+///
+/// * Euclidean, exact: all-pairs construction and polish over
+///   [`DistanceMatrix::from_points`] — the historical, byte-stable path.
+/// * Euclidean, candidates: matrix-free incremental insertion plus
+///   neighbour-list polish. No dense matrix is allocated; the `O(n²)`
+///   matrix is the first thing that stops fitting at thousands of targets.
+/// * Road, exact: the same exact pipeline over the road
+///   [`DistanceMatrix::from_metric`] (one Dijkstra per distinct snapped road
+///   node). The convex-hull *seed* still comes from the point geometry
+///   (hulls are geometric objects), but every cost it compares is a road
+///   distance.
+/// * Road, candidates: nearest-neighbour seeding plus matrix candidate-list
+///   polish over the road matrix.
+pub fn construct_circuit(points: &[Point], metric: &TravelMetric, config: &ChbConfig) -> Tour {
+    match (metric.road_index(), config.search.resolve(points.len())) {
+        (None, SearchMode::Candidates(k)) => construct_circuit_candidates(points, config, k),
+        (Some(_), SearchMode::Candidates(k)) => {
+            let dm = DistanceMatrix::from_metric(points, metric);
+            construct_circuit_candidates_matrix(points, &dm, config, k)
+        }
         _ => {
-            let dm = DistanceMatrix::from_points(points);
+            let dm = DistanceMatrix::from_metric(points, metric);
             construct_circuit_exact(points, &dm, config)
         }
     }
 }
 
-/// Builds the CHB Hamiltonian circuit under an arbitrary travel metric.
-///
-/// * `Euclidean` delegates to [`construct_circuit_with`] — the historical
-///   code path, byte-identical tours included.
-/// * `Road` precomputes the metric [`DistanceMatrix`] (one Dijkstra per
-///   distinct snapped road node) and runs the matrix-backed pipeline:
-///   exact construction + polish at or below the resolved threshold,
-///   nearest-neighbour seeding + matrix candidate lists above it. The
-///   convex-hull *seed* of the exact path still comes from the point
-///   geometry (hulls are geometric objects), but every cost it compares is
-///   a road distance.
-pub fn construct_circuit_metric(
-    points: &[Point],
-    metric: &TravelMetric,
-    config: &ChbConfig,
-) -> Tour {
-    if metric.is_euclidean() {
-        return construct_circuit_with(points, config);
-    }
-    let dm = DistanceMatrix::from_metric(points, metric);
-    match config.search.resolve(points.len()) {
-        SearchMode::Candidates(k) => construct_circuit_candidates_matrix(points, &dm, config, k),
-        _ => construct_circuit_exact(points, &dm, config),
-    }
+/// [`construct_circuit`] under the Euclidean metric.
+pub fn construct_circuit_with(points: &[Point], config: &ChbConfig) -> Tour {
+    construct_circuit(points, &TravelMetric::Euclidean, config)
 }
 
-/// The matrix-backed candidate pipeline of the road-metric path:
+/// The matrix-backed candidate pipeline of the road metric:
 /// nearest-neighbour seeding plus matrix candidate-list local search.
 fn construct_circuit_candidates_matrix(
     points: &[Point],
@@ -283,10 +272,14 @@ mod tests {
     use super::*;
     use crate::test_support::pseudo_random_points;
 
+    fn default_circuit(points: &[Point]) -> Tour {
+        construct_circuit(points, &TravelMetric::Euclidean, &ChbConfig::default())
+    }
+
     #[test]
     fn circuit_is_a_valid_hamiltonian_cycle() {
         let pts = pseudo_random_points(30, 12345);
-        let tour = construct_circuit(&pts);
+        let tour = default_circuit(&pts);
         assert!(tour.is_valid());
         assert_eq!(tour.len(), pts.len());
     }
@@ -295,7 +288,7 @@ mod tests {
     fn polishing_never_hurts() {
         let pts = pseudo_random_points(40, 777);
         let raw = construct_circuit_with(&pts, &ChbConfig::construction_only());
-        let polished = construct_circuit(&pts);
+        let polished = default_circuit(&pts);
         assert!(polished.length(&pts) <= raw.length(&pts) + 1e-9);
     }
 
@@ -304,8 +297,8 @@ mod tests {
         // The distributed-agreement property: every mule computes the same
         // circuit from the same target list.
         let pts = pseudo_random_points(25, 42);
-        let a = construct_circuit(&pts);
-        let b = construct_circuit(&pts);
+        let a = default_circuit(&pts);
+        let b = default_circuit(&pts);
         assert_eq!(a.order(), b.order());
     }
 
@@ -314,7 +307,7 @@ mod tests {
         let pts = pseudo_random_points(35, 9001);
         let dm = DistanceMatrix::from_points(&pts);
         let mst = crate::minimum_spanning_tree(&pts, &dm);
-        let tour = construct_circuit(&pts);
+        let tour = default_circuit(&pts);
         assert!(tour.length(&pts) <= 2.0 * mst.weight + 1e-9);
     }
 
@@ -322,7 +315,7 @@ mod tests {
     fn degenerate_target_counts_are_handled() {
         for n in 0..4 {
             let pts = pseudo_random_points(n, 5);
-            let tour = construct_circuit(&pts);
+            let tour = default_circuit(&pts);
             assert_eq!(tour.len(), n);
             assert!(tour.is_valid());
         }
@@ -399,7 +392,7 @@ mod tests {
     fn metric_circuit_euclidean_is_byte_identical() {
         for n in [10usize, 60, AUTO_EXACT_THRESHOLD + 20] {
             let pts = pseudo_random_points(n, 31);
-            let a = construct_circuit_metric(&pts, &TravelMetric::Euclidean, &ChbConfig::default());
+            let a = construct_circuit(&pts, &TravelMetric::Euclidean, &ChbConfig::default());
             let b = construct_circuit_with(&pts, &ChbConfig::default());
             assert_eq!(a.order(), b.order(), "n = {n}");
         }
@@ -418,8 +411,8 @@ mod tests {
             .iter()
             .map(|p| metric.road_index().unwrap().snap_position(p))
             .collect();
-        let a = construct_circuit_metric(&pts, &metric, &ChbConfig::default());
-        let b = construct_circuit_metric(&pts, &metric, &ChbConfig::default());
+        let a = construct_circuit(&pts, &metric, &ChbConfig::default());
+        let b = construct_circuit(&pts, &metric, &ChbConfig::default());
         assert_eq!(a.order(), b.order());
         assert!(a.is_valid());
         assert_eq!(a.len(), pts.len());
@@ -428,7 +421,7 @@ mod tests {
         let naive: Vec<usize> = (0..pts.len()).collect();
         assert!(dm.cycle_length(a.order()) <= dm.cycle_length(&naive));
         // The candidate path also produces a valid tour on road costs.
-        let large = construct_circuit_metric(
+        let large = construct_circuit(
             &pts,
             &metric,
             &ChbConfig::default().with_search(SearchMode::Candidates(8)),
@@ -463,7 +456,7 @@ mod tests {
         // circuit (via the candidate path — this is what planners hit on
         // large scenarios).
         let pts = pseudo_random_points(AUTO_EXACT_THRESHOLD + 50, 5);
-        let tour = construct_circuit(&pts);
+        let tour = default_circuit(&pts);
         assert!(tour.is_valid());
         assert_eq!(tour.len(), pts.len());
     }

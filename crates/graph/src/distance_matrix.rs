@@ -40,16 +40,17 @@ impl DistanceMatrix {
     /// Builds the matrix under an arbitrary travel metric. The Euclidean
     /// metric routes through [`DistanceMatrix::from_points`] so the bytes
     /// (and the float operations producing them) are identical to the
-    /// pre-metric era.
+    /// pre-metric era; a road metric reads the road index's shortest-path
+    /// tables ([`mule_road::RoadIndex::pairwise`]).
     pub fn from_metric(points: &[Point], metric: &TravelMetric) -> Self {
-        match metric {
-            TravelMetric::Euclidean => DistanceMatrix::from_points(points),
-            road => {
+        match metric.road_index() {
+            None => DistanceMatrix::from_points(points),
+            Some(index) => {
                 let _s = mule_obs::span("graph.distance_matrix");
                 mule_obs::add("n", points.len() as u64);
                 DistanceMatrix {
                     n: points.len(),
-                    data: road.pairwise(points),
+                    data: index.pairwise(points),
                 }
             }
         }

@@ -6,11 +6,11 @@
 //! The crate is organised as construction → improvement → inspection:
 //!
 //! * [`DistanceMatrix`] — dense pairwise travel distances, computed once
-//!   per scenario and shared by all heuristics: Euclidean
+//!   per circuit build and shared by all its heuristics: Euclidean
 //!   ([`DistanceMatrix::from_points`]) or under any
 //!   [`mule_road::TravelMetric`] ([`DistanceMatrix::from_metric`]).
 //! * [`Tour`] — an ordered Hamiltonian cycle over point indices with length,
-//!   validity, rotation and edge bookkeeping.
+//!   validity, arc reversal and edge bookkeeping.
 //! * Construction heuristics: [`nearest_neighbor()`], [`cheapest_insertion`],
 //!   [`convex_hull_insertion`] (the "CHB" construction), [`mst`] (Prim) with
 //!   a pre-order-walk tour for a 2-approximation cross-check.
@@ -20,15 +20,15 @@
 //! * [`partition`] — angular and k-means target grouping (used by the Sweep
 //!   baseline and the grouping ablation).
 //! * [`chb`] — the packaged pipeline (convex-hull insertion + 2-opt + Or-opt)
-//!   used by the planners: `chb::construct_circuit(points)`. The planners
-//!   always run the default [`SearchMode::Auto`], which keeps paper-size
-//!   instances on the exact (byte-stable) path and switches to candidate
-//!   lists above [`chb::AUTO_EXACT_THRESHOLD`] points; forcing one engine
-//!   ([`ChbConfig::with_search`]) is for benches and tests. The
-//!   metric-aware entry point [`construct_circuit_metric`] additionally
-//!   accepts a [`mule_road::TravelMetric`]: Euclidean delegates to the
-//!   historical path bit-for-bit, road metrics run the matrix-backed
-//!   pipeline over precomputed shortest-path distances.
+//!   behind the one circuit entry point,
+//!   [`construct_circuit(points, metric, config)`](construct_circuit). The
+//!   planners always run the default [`SearchMode::Auto`], which keeps
+//!   paper-size instances on the exact (byte-stable) path and switches to
+//!   candidate lists above [`chb::AUTO_EXACT_THRESHOLD`] points; forcing one
+//!   engine ([`ChbConfig::with_search`]) is for benches and tests. Under a
+//!   road [`mule_road::TravelMetric`] the pipeline runs over precomputed
+//!   shortest-path distances; [`construct_circuit_with`] is the Euclidean
+//!   shorthand.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -45,15 +45,13 @@ pub mod tour;
 pub mod two_opt;
 
 pub use candidates::{or_opt_candidates, two_opt_candidates, CandidateLists, SearchDist};
-pub use chb::{
-    construct_circuit, construct_circuit_metric, construct_circuit_with, ChbConfig, SearchMode,
-};
+pub use chb::{construct_circuit, construct_circuit_with, ChbConfig, SearchMode};
 pub use distance_matrix::DistanceMatrix;
 pub use insertion::{cheapest_insertion, convex_hull_insertion, convex_hull_insertion_incremental};
 pub use mst::{minimum_spanning_tree, mst_preorder_tour};
 pub use nearest_neighbor::nearest_neighbor;
 pub use or_opt::or_opt;
-pub use partition::{angular_partition, kmeans_partition, within_group_spread};
+pub use partition::{angular_partition, kmeans_partition};
 pub use tour::Tour;
 pub use two_opt::two_opt;
 

@@ -151,23 +151,23 @@ pub fn kmeans_partition(points: &[Point], groups: usize, max_iters: usize) -> Ve
     out
 }
 
-/// Sum over groups of the total pairwise within-group distance — a compactness
-/// score for comparing partitions (smaller is more compact).
-pub fn within_group_spread(points: &[Point], groups: &[Vec<usize>]) -> f64 {
-    let mut total = 0.0;
-    for group in groups {
-        for (a_pos, &a) in group.iter().enumerate() {
-            for &b in &group[a_pos + 1..] {
-                total += points[a].distance(&points[b]);
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sum over groups of the total pairwise within-group distance — a
+    /// compactness score for comparing partitions (smaller is more compact).
+    fn group_spread(points: &[Point], groups: &[Vec<usize>]) -> f64 {
+        let mut total = 0.0;
+        for group in groups {
+            for (a_pos, &a) in group.iter().enumerate() {
+                for &b in &group[a_pos + 1..] {
+                    total += points[a].distance(&points[b]);
+                }
+            }
+        }
+        total
+    }
 
     fn is_partition(n: usize, groups: &[Vec<usize>]) -> bool {
         let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
@@ -252,13 +252,13 @@ mod tests {
         let pivot = Point::centroid(&pts).unwrap();
         let angular = angular_partition(&pts, &pivot, 3);
         let kmeans = kmeans_partition(&pts, 3, 50);
-        assert!(within_group_spread(&pts, &kmeans) <= within_group_spread(&pts, &angular) + 1e-9);
+        assert!(group_spread(&pts, &kmeans) <= group_spread(&pts, &angular) + 1e-9);
     }
 
     #[test]
-    fn within_group_spread_of_singletons_is_zero() {
+    fn group_spread_of_singletons_is_zero() {
         let pts = three_clusters();
         let singletons: Vec<Vec<usize>> = (0..pts.len()).map(|i| vec![i]).collect();
-        assert_eq!(within_group_spread(&pts, &singletons), 0.0);
+        assert_eq!(group_spread(&pts, &singletons), 0.0);
     }
 }

@@ -5,7 +5,6 @@
 //! returns to `order[0]`. Planners manipulate tours by index so that target
 //! metadata (weights, identities) stays attached to its original slot.
 
-use crate::distance_matrix::DistanceMatrix;
 use mule_geom::Point;
 
 /// An ordered Hamiltonian cycle over the point indices `0..n`.
@@ -74,11 +73,6 @@ impl Tour {
         total + points[*self.order.last().unwrap()].distance(&points[self.order[0]])
     }
 
-    /// Total length using a precomputed distance matrix.
-    pub fn length_with_matrix(&self, dm: &DistanceMatrix) -> f64 {
-        dm.cycle_length(&self.order)
-    }
-
     /// Position of point index `target` within the tour, if present.
     pub fn position_of(&self, target: usize) -> Option<usize> {
         self.order.iter().position(|&i| i == target)
@@ -94,28 +88,6 @@ impl Tour {
         (0..n)
             .map(|i| (self.order[i], self.order[(i + 1) % n]))
             .collect()
-    }
-
-    /// Rotates the tour (in place) so that traversal starts at the point
-    /// index `start`. No-op when `start` is not in the tour.
-    pub fn rotate_to_start(&mut self, start: usize) {
-        if let Some(pos) = self.position_of(start) {
-            self.order.rotate_left(pos);
-        }
-    }
-
-    /// Reverses the sub-sequence of positions `[i, j]` (inclusive), the
-    /// 2-opt move primitive. Indices are positions in the tour, not point
-    /// indices; `i <= j` is required.
-    ///
-    /// This is the *literal* (array-level) reversal used by the exact
-    /// pipeline, kept byte-for-byte stable so golden tours never change.
-    /// The candidate-list local search uses [`Tour::reverse_arc`] instead,
-    /// which reverses whichever cyclic arc is shorter.
-    pub fn reverse_segment(&mut self, i: usize, j: usize) {
-        if i < j && j < self.order.len() {
-            self.order[i..=j].reverse();
-        }
     }
 
     /// Builds the inverse mapping `pos[point] = position` of the current
@@ -135,8 +107,7 @@ impl Tour {
     /// walking forward and wrapping past the end), updating the caller's
     /// position index in place.
     ///
-    /// Unlike [`Tour::reverse_segment`] this is orientation-agnostic: when
-    /// the complementary arc is shorter, *that* arc is physically reversed
+    /// This is orientation-agnostic: when the complementary arc is shorter, *that* arc is physically reversed
     /// instead — an equivalent cycle under symmetric distances — so a 2-opt
     /// move always costs `O(min(arc, n − arc))` element swaps instead of a
     /// full-arc `O(n)` reverse. Length bookkeeping stays exact because the
@@ -177,6 +148,7 @@ impl Tour {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance_matrix::DistanceMatrix;
 
     fn square_points() -> Vec<Point> {
         vec![
@@ -195,7 +167,7 @@ mod tests {
         assert_eq!(tour.len(), 4);
         assert!((tour.length(&pts) - 40.0).abs() < 1e-12);
         let dm = DistanceMatrix::from_points(&pts);
-        assert!((tour.length_with_matrix(&dm) - 40.0).abs() < 1e-12);
+        assert!((dm.cycle_length(tour.order()) - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -221,27 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn rotation_preserves_validity_and_length() {
-        let pts = square_points();
-        let mut tour = Tour::identity(4);
-        tour.rotate_to_start(2);
-        assert_eq!(tour.order()[0], 2);
-        assert!(tour.is_valid());
-        assert!((tour.length(&pts) - 40.0).abs() < 1e-12);
-        // Rotating to an unknown index leaves the tour unchanged.
-        let before = tour.clone();
-        tour.rotate_to_start(99);
-        assert_eq!(tour, before);
-    }
-
-    #[test]
-    fn reverse_segment_performs_a_two_opt_move() {
+    fn reverse_arc_performs_a_two_opt_move() {
         // A crossed square: 0-2-1-3 has crossing diagonals; reversing
         // positions 1..=2 uncrosses it.
         let pts = square_points();
         let mut tour = Tour::new(vec![0, 2, 1, 3]);
         let before = tour.length(&pts);
-        tour.reverse_segment(1, 2);
+        let mut pos = tour.position_index();
+        tour.reverse_arc(1, 2, &mut pos);
         assert_eq!(tour.order(), &[0, 1, 2, 3]);
         assert!(tour.length(&pts) < before);
         assert!(tour.is_valid());
@@ -258,12 +217,13 @@ mod tests {
 
     #[test]
     fn reverse_arc_matches_reverse_segment_on_inner_arcs() {
-        let mut a = Tour::new(vec![0, 1, 2, 3, 4, 5]);
-        let mut b = a.clone();
+        let mut b = Tour::new(vec![0, 1, 2, 3, 4, 5]);
         let mut pos = b.position_index();
-        a.reverse_segment(1, 2);
+        // The literal array-level 2-opt reversal of positions 1..=2.
+        let mut a = b.order().to_vec();
+        a[1..=2].reverse();
         b.reverse_arc(1, 2, &mut pos);
-        assert_eq!(a.order(), b.order());
+        assert_eq!(a, b.order());
         assert_eq!(pos, b.position_index());
     }
 
@@ -275,7 +235,7 @@ mod tests {
         let mut tour = Tour::new(vec![0, 2, 1, 3]);
         let before = tour.length(&pts);
         let mut pos = tour.position_index();
-        // Same 2-opt move as reverse_segment(1, 2) expressed as the
+        // Same 2-opt move as reversing positions 1..=2, expressed as the
         // complementary wrapped arc 3..=0.
         tour.reverse_arc(3, 0, &mut pos);
         assert!(tour.is_valid());
@@ -284,7 +244,7 @@ mod tests {
         // The cycle is 0-1-2-3 up to rotation/direction: every edge has
         // length 10.
         let dm = DistanceMatrix::from_points(&pts);
-        assert!((tour.length_with_matrix(&dm) - 40.0).abs() < 1e-12);
+        assert!((dm.cycle_length(tour.order()) - 40.0).abs() < 1e-12);
     }
 
     #[test]

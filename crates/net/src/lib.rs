@@ -6,11 +6,10 @@
 //! * [`node`] — targets, the sink and the recharge station, with per-target
 //!   weights (NTP vs VIP, paper Definition 1).
 //! * [`field`] — the assembled monitoring field: node list, ranges and the
-//!   paper's radio constants, with lookup helpers the planners use.
+//!   paper's radio constants (sensing range 10 m, communication range 20 m),
+//!   with lookup helpers the planners use.
 //! * [`buffer`] — the data buffer at each target (sensing data accumulates
 //!   until a mule collects it) and the mule-side payload store.
-//! * [`radio`] — range-based transfer checks (sensing range 10 m,
-//!   communication range 20 m in the paper's setup).
 //! * [`connectivity`] — union-find over the communication graph, used to
 //!   verify that generated scenarios really consist of *disconnected* target
 //!   areas (the situation that motivates data mules in the first place).
@@ -22,7 +21,6 @@ pub mod buffer;
 pub mod connectivity;
 pub mod field;
 pub mod node;
-pub mod radio;
 
 pub use buffer::{DataBuffer, MulePayload};
 pub use connectivity::{
@@ -30,4 +28,3 @@ pub use connectivity::{
 };
 pub use field::{Field, FieldBuilder, RadioParameters};
 pub use node::{Node, NodeId, NodeKind, Weight};
-pub use radio::{in_communication_range, in_sensing_range, LinkBudget};

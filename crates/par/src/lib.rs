@@ -40,9 +40,8 @@
 //!
 //! 1. an explicit per-call override (`Some(n)` passed by the caller, e.g.
 //!    `patrolctl sweep --workers N`),
-//! 2. the process-wide default set with [`set_default_workers`],
-//! 3. the `MULE_PAR_WORKERS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 2. the `MULE_PAR_WORKERS` environment variable,
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! Forcing a single worker (any of the above = 1) reproduces the exact
 //! sequential behaviour — the determinism tests rely on this.
@@ -71,9 +70,6 @@ pub const WORKERS_ENV_VAR: &str = "MULE_PAR_WORKERS";
 /// better load balancing at slightly higher cursor contention.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Process-wide default worker count (0 = unset).
-static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Set while the current thread is a pool worker, so nested parallel
     /// maps run inline instead of spawning a second tier of threads.
@@ -86,25 +82,14 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
-/// Sets (or with `None` clears) the process-wide default worker count,
-/// overriding the `MULE_PAR_WORKERS` environment variable. Zero counts are
-/// treated as `None`.
-pub fn set_default_workers(workers: Option<usize>) {
-    DEFAULT_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
-}
-
 /// Resolves the worker count for a parallel call.
 ///
-/// Priority: `explicit` override → [`set_default_workers`] →
-/// `MULE_PAR_WORKERS` → [`std::thread::available_parallelism`] (→ 1 when
-/// even that is unavailable). The result is always ≥ 1.
+/// Priority: `explicit` override → `MULE_PAR_WORKERS` →
+/// [`std::thread::available_parallelism`] (→ 1 when even that is
+/// unavailable). The result is always ≥ 1.
 pub fn resolve_workers(explicit: Option<usize>) -> usize {
     if let Some(n) = explicit.filter(|&n| n > 0) {
         return n;
-    }
-    let configured = DEFAULT_WORKERS.load(Ordering::Relaxed);
-    if configured > 0 {
-        return configured;
     }
     if let Some(n) = std::env::var(WORKERS_ENV_VAR)
         .ok()
@@ -263,15 +248,6 @@ mod tests {
         assert_eq!(resolve_workers(Some(1)), 1);
         // Zero is "no override".
         assert!(resolve_workers(Some(0)) >= 1);
-    }
-
-    #[test]
-    fn default_workers_can_be_set_and_cleared() {
-        set_default_workers(Some(2));
-        assert_eq!(resolve_workers(None), 2);
-        assert_eq!(resolve_workers(Some(5)), 5, "explicit still wins");
-        set_default_workers(None);
-        assert!(resolve_workers(None) >= 1);
     }
 
     #[test]

@@ -72,31 +72,6 @@ impl TravelMetric {
         }
     }
 
-    /// The dense row-major `n × n` distance matrix over `points`.
-    ///
-    /// Note for `mule-graph` readers: `DistanceMatrix::from_metric` routes
-    /// the Euclidean case to its own `from_points` (the bit-for-bit
-    /// historical path) and only calls this for road metrics; the
-    /// Euclidean arm below exists so the metric is a complete API for
-    /// callers without `mule-graph`, and mirrors `from_points` exactly.
-    pub fn pairwise(&self, points: &[Point]) -> Vec<f64> {
-        match self {
-            TravelMetric::Euclidean => {
-                let n = points.len();
-                let mut out = vec![0.0; n * n];
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        let d = points[i].distance(&points[j]);
-                        out[i * n + j] = d;
-                        out[j * n + i] = d;
-                    }
-                }
-                out
-            }
-            TravelMetric::Road(index) => index.pairwise(points),
-        }
-    }
-
     /// Short label used in reports and JSON documents.
     pub fn label(&self) -> &'static str {
         match self {
@@ -144,19 +119,6 @@ mod tests {
         let b = Point::new(700.0, 600.0);
         assert!(m.distance(&a, &b) >= a.distance(&b));
         assert!(!m.leg_path(&a, &b).is_empty());
-    }
-
-    #[test]
-    fn pairwise_euclidean_equals_manual_distances() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(3.0, 4.0),
-            Point::new(-1.0, 1.0),
-        ];
-        let m = TravelMetric::Euclidean.pairwise(&pts);
-        assert_eq!(m[1], 5.0, "d(0, 1)");
-        assert_eq!(m[3], 5.0, "d(1, 0)");
-        assert_eq!(m[0], 0.0);
     }
 
     #[test]
