@@ -98,3 +98,54 @@ fn large_plan_responses_are_byte_identical() {
         );
     }
 }
+
+/// Plan documents on the exact CHB path (insertion, 2-opt and Or-opt over
+/// the full matrix) for every TCTP planner. 127 targets plus the sink are
+/// 128 circuit points, the largest instance `SearchMode::Auto` keeps exact.
+/// W-TCTP runs both break-edge policies, Balancing at two VIP loads.
+#[test]
+fn exact_path_plan_responses_are_byte_identical() {
+    let mut drifted = Vec::new();
+    for (cmdline, expected) in [
+        ("plan --targets 100 --mules 4 --seed 7 --planner b-tctp", 0x7360_df5b_0a56_396b),
+        (
+            "plan --targets 100 --mules 4 --seed 7 --planner w-tctp-balancing --vips 5 --vip-weight 3",
+            0x77dc_767a_89f7_6dad,
+        ),
+        (
+            "plan --targets 100 --mules 4 --seed 7 --planner w-tctp-balancing --vips 8 --vip-weight 5",
+            0xe4c8_8c81_5512_90af,
+        ),
+        (
+            "plan --targets 100 --mules 4 --seed 7 --planner w-tctp-shortest --vips 5 --vip-weight 3",
+            0x623d_d7fe_699a_6cb8,
+        ),
+        (
+            "plan --targets 100 --mules 4 --seed 7 --planner rw-tctp --recharge",
+            0x9a35_8362_53c1_1d31,
+        ),
+        ("plan --targets 127 --mules 4 --seed 7 --planner b-tctp", 0x240d_1a54_4daf_5cd2),
+        (
+            "plan --targets 127 --mules 4 --seed 7 --planner w-tctp-balancing --vips 5 --vip-weight 3",
+            0x9230_6477_d0d3_e6cb,
+        ),
+        (
+            "plan --targets 127 --mules 4 --seed 7 --planner w-tctp-balancing --vips 8 --vip-weight 5",
+            0x7dee_c4a9_888f_5aaf,
+        ),
+        (
+            "plan --targets 127 --mules 4 --seed 7 --planner w-tctp-shortest --vips 5 --vip-weight 3",
+            0x53a6_76e6_de38_d6b7,
+        ),
+        (
+            "plan --targets 127 --mules 4 --seed 7 --planner rw-tctp --recharge",
+            0x9f79_6545_f360_6fa0,
+        ),
+    ] {
+        let got = fnv1a(run(cmdline).text.as_bytes());
+        if got != expected {
+            drifted.push(format!("`patrolctl {cmdline}`: {got:#018x}"));
+        }
+    }
+    assert!(drifted.is_empty(), "drifted:\n{}", drifted.join("\n"));
+}
