@@ -5,8 +5,8 @@
 //! result as the `BENCH_tours.json` artefact through the shared
 //! [`crate::harness`] writer.
 //!
-//! The exact pipeline is `O(n³)` in construction, so it is only timed up to
-//! [`TourBenchParams::exact_cap`] points; above the cap the speedup and
+//! The exact pipeline grows as about `n^2` and needs an `n × n` matrix, so
+//! it is only timed up to [`TourBenchParams::exact_cap`] points; above the cap the speedup and
 //! length-ratio columns are `null` in the JSON (explicitly, not silently
 //! dropped).
 
@@ -26,8 +26,8 @@ pub struct TourBenchParams {
     /// Candidate-list width for the candidates pipeline.
     pub k: usize,
     /// Largest size at which the exact pipeline is still timed; above it
-    /// only the candidate pipeline runs (`O(n³)` exact construction is
-    /// minutes-to-hours at 5000 points).
+    /// only the candidate pipeline runs (the exact pipeline's matrix alone
+    /// is 200 MB at 5000 points).
     pub exact_cap: usize,
     /// Timed repetitions per measurement; the minimum is reported, which
     /// is the stablest wall-clock statistic on a noisy machine.

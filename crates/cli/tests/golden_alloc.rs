@@ -116,3 +116,25 @@ fn road_replans_reuse_tables_legs_and_buffers() {
         assert!(allocs <= 3, "chb.or_opt made {allocs} allocations");
     }
 }
+
+/// A paper-size W-TCTP Balancing plan. The break-edge search measures the
+/// walk once per inserted VIP copy and the patrolling rule reuses its
+/// buffers, so the planner allocates per call, not per candidate edge or
+/// per step of the walk.
+const BALANCING: &str = "plan --targets 50 --mules 4 --seed 7 --planner balancing --vips 5 \
+     --vip-weight 3";
+
+#[test]
+fn w_tctp_balancing_allocates_per_call_not_per_candidate() {
+    let _ = armed_trace(BALANCING);
+    let trace = armed_trace(BALANCING);
+    let planner = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "planner.W-TCTP")
+        .expect("the plan runs W-TCTP");
+    // Counts include child spans. Copying the walk per candidate edge made
+    // 1,823; a tenth of that leaves room for the circuit and the render.
+    let allocs = planner.alloc.expect("armed").allocs;
+    assert!(allocs <= 182, "planner.W-TCTP made {allocs} allocations");
+}

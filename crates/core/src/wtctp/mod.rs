@@ -88,10 +88,16 @@ impl WTctp {
         // The circuit walk over local indices 0..k is simply 0,1,2,…,k-1
         // because `positions` is already in traversal order.
         let base: Vec<usize> = (0..positions.len()).collect();
-        let walk = wpp::build_wpp(&base, &positions, &weights, self.policy);
+        let walk = {
+            let _s = mule_obs::span("wtctp.break_edge");
+            wpp::build_wpp(&base, &positions, &weights, self.policy)
+        };
 
         // Canonical traversal order via the patrolling rule.
-        let ordered = patrol_rule::order_walk_by_rule(&walk, &positions);
+        let ordered = {
+            let _s = mule_obs::span("wtctp.patrol_rule");
+            patrol_rule::order_walk_by_rule(&walk, &positions)
+        };
 
         Ok(ordered
             .into_iter()

@@ -67,13 +67,27 @@ pub fn order_walk_by_rule(walk: &[usize], positions: &[Point]) -> Vec<usize> {
         return walk.to_vec();
     }
 
-    // Edge multiset as adjacency lists of (neighbour, edge id).
-    let mut adjacency: std::collections::HashMap<usize, Vec<(usize, usize)>> = Default::default();
+    // Edge multiset as adjacency lists of (neighbour, edge id), stored
+    // flat: node `v`'s list is `adjacency[offsets[v]..offsets[v + 1]]`, in
+    // edge order.
+    let nodes = positions.len();
+    let mut offsets = vec![0usize; nodes + 1];
+    for i in 0..n {
+        offsets[walk[i] + 1] += 1;
+        offsets[walk[(i + 1) % n] + 1] += 1;
+    }
+    for v in 0..nodes {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut filled = offsets.clone();
+    let mut adjacency = vec![(0usize, 0usize); 2 * n];
     for i in 0..n {
         let a = walk[i];
         let b = walk[(i + 1) % n];
-        adjacency.entry(a).or_default().push((b, i));
-        adjacency.entry(b).or_default().push((a, i));
+        adjacency[filled[a]] = (b, i);
+        filled[a] += 1;
+        adjacency[filled[b]] = (a, i);
+        filled[b] += 1;
     }
 
     let mut used = vec![false; n];
@@ -82,17 +96,22 @@ pub fn order_walk_by_rule(walk: &[usize], positions: &[Point]) -> Vec<usize> {
     // Consume the first edge explicitly so the rule has an incoming
     // direction to measure angles against.
     used[0] = true;
-    let mut order = vec![start, second];
+    let mut order = Vec::with_capacity(n);
+    order.extend([start, second]);
     let mut from = start;
     let mut at = second;
+    let mut available: Vec<(usize, usize)> = Vec::new();
+    let mut candidate_nodes: Vec<usize> = Vec::new();
 
     for _ in 2..n {
-        let neighbours = adjacency.get(&at).cloned().unwrap_or_default();
-        let available: Vec<(usize, usize)> = neighbours
-            .into_iter()
-            .filter(|&(_, edge)| !used[edge])
-            .collect();
-        let candidate_nodes: Vec<usize> = available.iter().map(|&(nb, _)| nb).collect();
+        available.clear();
+        available.extend(
+            adjacency[offsets[at]..offsets[at + 1]]
+                .iter()
+                .filter(|&&(_, edge)| !used[edge]),
+        );
+        candidate_nodes.clear();
+        candidate_nodes.extend(available.iter().map(|&(nb, _)| nb));
         let Some(slot) = next_by_rule(positions, from, at, &candidate_nodes) else {
             // Stuck before consuming every edge: fall back to the original.
             return walk.to_vec();
@@ -106,17 +125,16 @@ pub fn order_walk_by_rule(walk: &[usize], positions: &[Point]) -> Vec<usize> {
 
     // The last edge must close the circuit back to the start; if it does
     // not, the greedy traversal painted itself into a corner.
-    let last_edge_ok = (0..n).filter(|&e| !used[e]).count() == 1;
-    let closes = {
-        let remaining: Vec<usize> = (0..n).filter(|&e| !used[e]).collect();
-        remaining.len() == 1 && {
-            let e = remaining[0];
+    let mut unused = (0..n).filter(|&e| !used[e]);
+    let closes = match (unused.next(), unused.next()) {
+        (Some(e), None) => {
             let a = walk[e];
             let b = walk[(e + 1) % n];
             (a == at && b == start) || (b == at && a == start)
         }
+        _ => false,
     };
-    if last_edge_ok && closes && order.len() == n {
+    if closes && order.len() == n {
         // Drop nothing: `order` already lists n vertices; the closing edge
         // back to `start` is implicit in the cyclic representation.
         order

@@ -40,9 +40,11 @@ pub const DEFAULT_CANDIDATES_K: usize = 10;
 /// Which neighbourhood the construction pipeline searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchMode {
-    /// Exact all-pairs construction and local search (`O(n³)` worst-case
-    /// construction, `O(n²)` per polish pass). Byte-stable; the only mode
-    /// that existed before candidate lists.
+    /// Exact construction and local search over the full distance matrix.
+    /// Byte-stable; the only mode that existed before candidate lists. On
+    /// uniform points the whole pipeline grows as about `n^1.9` from 50 to
+    /// 200 points and `n^2.1` from 200 to 1,000 (measured exponents in
+    /// docs/PERFORMANCE.md).
     Exact,
     /// Candidate-list search with the given `k` (nearest neighbours per
     /// point): incremental convex-hull insertion plus neighbour-list

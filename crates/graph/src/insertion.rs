@@ -6,8 +6,12 @@
 //!   that every TCTP planner starts from: begin with the convex hull of the
 //!   targets (already a tour of the boundary points) and repeatedly insert
 //!   the interior point whose cheapest insertion position is cheapest. This
-//!   is the **exact** all-pairs formulation (`O(n³)` worst case), kept
-//!   byte-for-byte stable because golden tests pin its tours.
+//!   is the **exact** formulation over the full distance matrix, kept
+//!   byte-for-byte stable because golden tests pin its tours. Each point
+//!   caches its cheapest position, so an insertion rescans only the points
+//!   whose cached edge it split. Measured on uniform points (the scaling
+//!   run in docs/PERFORMANCE.md) it grows as about `n^2.3` from 50 to 200
+//!   points and `n^2.7` from 200 to 1,000.
 //! * [`convex_hull_insertion_incremental`] — the same greedy rule made
 //!   scalable: each interior point caches its best `(edge, cost)` in a
 //!   lazy-invalidation min-heap; an insertion offers its two new edges
@@ -71,23 +75,69 @@ pub fn convex_hull_insertion(points: &[Point], dm: &DistanceMatrix) -> Tour {
         return Tour::identity(n);
     }
 
-    let (mut order, in_tour) = hull_seed(points);
+    let (order, in_tour) = hull_seed(points);
+    insert_cheapest_first(dm, order, &in_tour)
+}
 
-    // Repeatedly insert the remaining point with the cheapest insertion.
-    let mut remaining: Vec<usize> = (0..n).filter(|&i| !in_tour[i]).collect();
+/// Grows the sub-tour `order` to a full tour: while points remain outside
+/// it (`!in_tour`), splices in the one whose cheapest insertion is
+/// cheapest.
+///
+/// Each remaining point caches its first cheapest position and cost, as
+/// [`cheapest_position`] would return them. An insertion into edge `pos`
+/// replaces that edge by the new edges `pos` and `pos + 1` and shifts every
+/// later edge by one, so only a point whose cached edge was `pos` rescans
+/// the tour; every other point compares its cache with the two new edges,
+/// which win cost ties exactly when they come first in the tour. The
+/// caches therefore always equal a full rescan, bit for bit, and the
+/// construction does `O(n)` work per insertion plus one `O(n)` rescan per
+/// point whose edge was split, instead of rescanning every point.
+fn insert_cheapest_first(dm: &DistanceMatrix, mut order: Vec<usize>, in_tour: &[bool]) -> Tour {
+    let mut remaining: Vec<usize> = (0..in_tour.len()).filter(|&i| !in_tour[i]).collect();
+    let mut cached: Vec<(usize, f64)> = remaining
+        .iter()
+        .map(|&k| cheapest_position(dm, &order, k))
+        .collect();
+    order.reserve_exact(remaining.len());
     while !remaining.is_empty() {
         let mut best: Option<(usize, usize, f64)> = None; // (remaining slot, pos, cost)
-        for (slot, &k) in remaining.iter().enumerate() {
-            let (pos, cost) = cheapest_position(dm, &order, k);
+        for (slot, &(pos, cost)) in cached.iter().enumerate() {
             if best.map(|(_, _, b)| cost < b).unwrap_or(true) {
                 best = Some((slot, pos, cost));
             }
         }
         let (slot, pos, _) = best.expect("remaining is non-empty");
         let k = remaining.swap_remove(slot);
+        cached.swap_remove(slot);
+        let (a, b) = (order[pos], order[(pos + 1) % order.len()]);
         order.insert((pos + 1).min(order.len()), k);
+        for (&q, entry) in remaining.iter().zip(cached.iter_mut()) {
+            let (cached_pos, cached_cost) = *entry;
+            *entry = if cached_pos == pos {
+                cheapest_position(dm, &order, q)
+            } else {
+                let first = insertion_cost(dm, a, k, q);
+                let second = insertion_cost(dm, k, b, q);
+                if cached_pos < pos {
+                    let mut best = (cached_pos, cached_cost);
+                    for (p, c) in [(pos, first), (pos + 1, second)] {
+                        if c < best.1 {
+                            best = (p, c);
+                        }
+                    }
+                    best
+                } else {
+                    let mut best = (pos, first);
+                    for (p, c) in [(pos + 1, second), (cached_pos + 1, cached_cost)] {
+                        if c < best.1 {
+                            best = (p, c);
+                        }
+                    }
+                    best
+                }
+            };
+        }
     }
-
     Tour::new(order)
 }
 
@@ -716,25 +766,11 @@ pub fn cheapest_insertion(points: &[Point], dm: &DistanceMatrix) -> Tour {
         return Tour::identity(n);
     }
     let (a, b) = farthest_pair_via_hull(points, dm).expect("n >= 2");
-    let mut order = vec![a, b];
+    let order = vec![a, b];
     let mut in_tour = vec![false; n];
     in_tour[a] = true;
     in_tour[b] = true;
-
-    let mut remaining: Vec<usize> = (0..n).filter(|&i| !in_tour[i]).collect();
-    while !remaining.is_empty() {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (slot, &k) in remaining.iter().enumerate() {
-            let (pos, cost) = cheapest_position(dm, &order, k);
-            if best.map(|(_, _, b)| cost < b).unwrap_or(true) {
-                best = Some((slot, pos, cost));
-            }
-        }
-        let (slot, pos, _) = best.expect("remaining is non-empty");
-        let k = remaining.swap_remove(slot);
-        order.insert((pos + 1).min(order.len()), k);
-    }
-    Tour::new(order)
+    insert_cheapest_first(dm, order, &in_tour)
 }
 
 #[cfg(test)]
@@ -826,7 +862,74 @@ mod tests {
         assert_eq!(tour.len(), 4);
     }
 
-    use crate::test_support::pseudo_random_points;
+    use crate::test_support::{pseudo_random_points, tie_heavy_points};
+    use mule_geom::BoundingBox;
+    use mule_road::{RoadIndex, RoadNetKind, TravelMetric};
+
+    /// The all-pairs loop [`insert_cheapest_first`] replaced, kept as its
+    /// oracle: every step rescans every remaining point against every edge
+    /// of the tour.
+    fn insert_cheapest_first_oracle(
+        dm: &DistanceMatrix,
+        mut order: Vec<usize>,
+        in_tour: &[bool],
+    ) -> Tour {
+        let mut remaining: Vec<usize> = (0..in_tour.len()).filter(|&i| !in_tour[i]).collect();
+        while !remaining.is_empty() {
+            let mut best: Option<(usize, usize, f64)> = None; // (remaining slot, pos, cost)
+            for (slot, &k) in remaining.iter().enumerate() {
+                let (pos, cost) = cheapest_position(dm, &order, k);
+                if best.map(|(_, _, b)| cost < b).unwrap_or(true) {
+                    best = Some((slot, pos, cost));
+                }
+            }
+            let (slot, pos, _) = best.expect("remaining is non-empty");
+            let k = remaining.swap_remove(slot);
+            order.insert((pos + 1).min(order.len()), k);
+        }
+        Tour::new(order)
+    }
+
+    #[test]
+    fn cached_positions_match_the_rescan_oracle() {
+        let road = TravelMetric::road(RoadIndex::for_field(
+            RoadNetKind::Grid,
+            &BoundingBox::square(800.0),
+            4,
+        ));
+        let mut instances = 0;
+        for n in 3..=130usize {
+            for shape in 0..4 {
+                let pts = tie_heavy_points(shape, n, (n * 3 + shape) as u64);
+                for metric in [&TravelMetric::Euclidean, &road] {
+                    let dm = DistanceMatrix::from_metric(&pts, metric);
+                    let label = format!("n {n} shape {shape} {}", metric.label());
+                    let (order, in_tour) = hull_seed(&pts);
+                    assert_eq!(
+                        convex_hull_insertion(&pts, &dm),
+                        insert_cheapest_first_oracle(&dm, order, &in_tour),
+                        "{label}: convex-hull insertion"
+                    );
+                    instances += 1;
+                    // The same loop grows the cheapest-insertion tour from
+                    // two points; smaller sizes keep its oracle quick.
+                    if n > 64 {
+                        continue;
+                    }
+                    let (a, b) = farthest_pair_via_hull(&pts, &dm).unwrap();
+                    let mut in_tour = vec![false; n];
+                    in_tour[a] = true;
+                    in_tour[b] = true;
+                    assert_eq!(
+                        cheapest_insertion(&pts, &dm),
+                        insert_cheapest_first_oracle(&dm, vec![a, b], &in_tour),
+                        "{label}: cheapest insertion"
+                    );
+                }
+            }
+        }
+        assert_eq!(instances, 128 * 4 * 2);
+    }
 
     #[test]
     fn incremental_insertion_yields_valid_tours() {

@@ -72,6 +72,48 @@ pub(crate) mod test_support {
             })
             .collect()
     }
+
+    /// SplitMix64: a tiny seeded stream for [`tie_heavy_points`].
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `n` points of one of four shapes on an 800 m field, for the tests
+    /// that compare a search with the algorithm it replaced: uniform
+    /// floats (0), a coarse integer lattice with exact distance ties (1), a
+    /// few distinct points repeated, so zero distances (2), or the lattice
+    /// jittered by under a nanometre, so gains near the `1e-10` acceptance
+    /// test (3).
+    pub(crate) fn tie_heavy_points(shape: usize, n: usize, seed: u64) -> Vec<Point> {
+        let mut state = seed;
+        let mut coord = |modulus: u64, scale: f64| (splitmix(&mut state) % modulus) as f64 * scale;
+        match shape {
+            0 => (0..n)
+                .map(|_| Point::new(coord(800_000, 1e-3), coord(800_000, 1e-3)))
+                .collect(),
+            1 => (0..n)
+                .map(|_| Point::new(coord(8, 100.0), coord(8, 100.0)))
+                .collect(),
+            3 => (0..n)
+                .map(|_| {
+                    let x = coord(8, 100.0) + coord(1000, 1e-12);
+                    Point::new(x, coord(8, 100.0) + coord(1000, 1e-12))
+                })
+                .collect(),
+            _ => {
+                let distinct: Vec<Point> = (0..n.div_ceil(3))
+                    .map(|_| Point::new(coord(800, 1.0), coord(800, 1.0)))
+                    .collect();
+                (0..n)
+                    .map(|_| distinct[(coord(distinct.len() as u64, 1.0)) as usize])
+                    .collect()
+            }
+        }
+    }
 }
 
 /// Which construction heuristic to use for the initial Hamiltonian circuit.

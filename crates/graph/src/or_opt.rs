@@ -13,28 +13,43 @@ use crate::tour::Tour;
 /// Returns the number of improving relocations applied. The tour length is
 /// never increased.
 ///
-/// Works on the tour's order in place: attempts read the chain-removed
-/// cycle by index arithmetic and moves rotate only the array segment they
-/// touch, so a call allocates one position index and nothing per attempt.
+/// Each pass scans chains by length, then by array position, and applies
+/// the first improving relocation it finds. Attempts read the
+/// chain-removed cycle by index arithmetic and moves rotate only the array
+/// segment they touch.
+///
+/// A chain found to have no improving relocation is certified and skipped
+/// by later passes until its neighbourhood changes or a move adds an edge
+/// that would take it. Every chain a pass does evaluate goes through the
+/// full search, so the applied moves, their tie-breaks and the final tour
+/// are those of rescanning every chain on every pass. A call makes one
+/// allocation.
 pub fn or_opt(tour: &mut Tour, dm: &DistanceMatrix, max_passes: usize) -> usize {
     let n = tour.len();
     if n < 5 {
         return 0;
     }
-    let mut pos = tour.position_index();
     let mut order = std::mem::take(tour).into_order();
+    let mut buffer = Vec::new();
+    let mut book = Bookkeeping::new(&mut buffer, &order, max_passes);
     let mut moves = 0;
     for _ in 0..max_passes {
         let mut improved = false;
         'outer: for chain_len in 1..=3usize {
             for start in 0..n {
-                if let Some(gain) = try_relocate(&mut order, &mut pos, dm, start, chain_len) {
-                    if gain > 1e-10 {
+                if book.certified(&order, dm, start, chain_len) {
+                    continue;
+                }
+                match best_relocation(&order, dm, start, chain_len) {
+                    Some((edge, reversed, gain)) if gain > 1e-10 => {
+                        book.log_move(&order, start, chain_len, edge, reversed);
+                        relocate_chain(&mut order, book.pos, start, chain_len, edge, reversed);
                         moves += 1;
                         improved = true;
                         // Tour positions shifted; restart the scan.
                         break 'outer;
                     }
+                    _ => book.certify(&order, start, chain_len),
                 }
             }
         }
@@ -46,22 +61,22 @@ pub fn or_opt(tour: &mut Tour, dm: &DistanceMatrix, max_passes: usize) -> usize 
     moves
 }
 
-/// Attempts the best relocation of the chain of `chain_len` targets starting
-/// at tour position `start`. Applies the move and returns its gain when an
-/// improving position exists, otherwise returns `None` / `Some(0.0)` without
-/// modifying the order.
+/// The best relocation of the chain of `chain_len` targets starting at
+/// tour position `start`: the array position of the first point of the
+/// reinsertion edge, whether the chain goes in reversed, and the gain.
+/// `None` when the tour is too short to move the chain.
 ///
 /// The reinsertion edges are those of the cycle left after excising the
 /// chain, walked from array position 0: remaining position `p` is array
 /// position `p` before the chain and `p + chain_len` after it, or
-/// `offset + p` when the chain wraps past the array's end.
-fn try_relocate(
-    order: &mut [usize],
-    pos: &mut [usize],
+/// `offset + p` when the chain wraps past the array's end. Equal costs
+/// keep the first edge of that walk.
+fn best_relocation(
+    order: &[usize],
     dm: &DistanceMatrix,
     start: usize,
     chain_len: usize,
-) -> Option<f64> {
+) -> Option<(usize, bool, f64)> {
     let n = order.len();
     if chain_len >= n - 2 {
         return None;
@@ -71,8 +86,7 @@ fn try_relocate(
     let before = order[(start + n - 1) % n];
     let after = order[(start + chain_len) % n];
 
-    // Cost removed by excising the chain.
-    let removed = dm.get(before, first) + dm.get(last, after) - dm.get(before, after);
+    let removed = removed_cost(dm, before, first, last, after);
 
     // Array position of the remaining cycle's position `p`.
     let wrap_offset = (start + chain_len).checked_sub(n);
@@ -82,7 +96,6 @@ fn try_relocate(
         None => p + chain_len,
     };
 
-    // Best reinsertion position.
     let mut best: Option<(usize, f64, bool)> = None; // (edge pos, added cost, reversed)
     let m = n - chain_len;
     for p in 0..m {
@@ -91,26 +104,197 @@ fn try_relocate(
         if i == before && j == after {
             continue; // reinserting where it came from
         }
-        let fwd = dm.get(i, first) + dm.get(last, j) - dm.get(i, j);
-        let rev = dm.get(i, last) + dm.get(first, j) - dm.get(i, j);
-        let (added, reversed) = if rev < fwd { (rev, true) } else { (fwd, false) };
+        let (added, reversed) = added_cost(dm, i, j, first, last);
         if best.map(|(_, b, _)| added < b).unwrap_or(true) {
             best = Some((p, added, reversed));
         }
     }
     let (p, added, reversed) = best?;
-    let gain = removed - added;
-    if gain <= 1e-10 {
-        return Some(0.0);
+    Some((at(p), reversed, removed - added))
+}
+
+/// Cost removed by excising the chain `first..=last` from between
+/// `before` and `after`.
+#[inline]
+fn removed_cost(
+    dm: &DistanceMatrix,
+    before: usize,
+    first: usize,
+    last: usize,
+    after: usize,
+) -> f64 {
+    dm.get(before, first) + dm.get(last, after) - dm.get(before, after)
+}
+
+/// Cost added by reinserting the chain `first..=last` into the edge
+/// `i → j`, in the cheaper direction (forward on ties), and whether that
+/// direction is reversed.
+#[inline]
+fn added_cost(dm: &DistanceMatrix, i: usize, j: usize, first: usize, last: usize) -> (f64, bool) {
+    let fwd = dm.get(i, first) + dm.get(last, j) - dm.get(i, j);
+    let rev = dm.get(i, last) + dm.get(first, j) - dm.get(i, j);
+    if rev < fwd {
+        (rev, true)
+    } else {
+        (fwd, false)
     }
-    relocate_chain(order, pos, start, chain_len, at(p), reversed);
-    Some(gain)
+}
+
+/// Words per certificate: the added-edge log length it was last checked
+/// at, then the chain's window `before, after, chain[0..3]`.
+const CERT: usize = 6;
+
+/// Marks a certificate slot that holds none.
+const UNCERTIFIED: usize = usize::MAX;
+
+/// Edges one move adds: `before → after` and the reinserted chain's span
+/// `i → chain → j`, at most four for a chain of three.
+const EDGES_PER_MOVE: usize = 5;
+
+/// The bookkeeping of one [`or_opt`] call, carved from one buffer: the
+/// position index [`relocate_chain`] maintains, one certificate per
+/// `(chain length, first point)`, and the added-edge log.
+///
+/// A chain's *window* is `before`, the chain and `after`. Its best
+/// relocation depends only on the window and on the edges of the rest of
+/// the cycle. A certificate records a window whose chain had no improving
+/// relocation, and how many edges the log held then. While the window is
+/// unchanged, every edge of the rest of the cycle either was there and was
+/// not improving, or was added by a later move and so is in the log after
+/// the certificate's mark. The chain can therefore be skipped when none of
+/// those logged edges is improving under the same cost expressions and
+/// acceptance test; its mark then moves to the end of the log, so each
+/// logged edge is checked at most once per chain. Distances are finite, so
+/// none of these comparisons meets a NaN.
+struct Bookkeeping<'a> {
+    pos: &'a mut [usize],
+    certs: &'a mut [usize],
+    /// Added edges as `(from, to)` pairs, in the direction the tour walks
+    /// them (road costs are not bit-symmetric).
+    log: &'a mut [usize],
+    logged: usize,
+}
+
+impl<'a> Bookkeeping<'a> {
+    /// Carves the bookkeeping of `order` from `buffer`, sizing the log
+    /// for up to `max_passes` moves (at most `n`; a full log is cleared
+    /// along with every certificate).
+    fn new(buffer: &'a mut Vec<usize>, order: &[usize], max_passes: usize) -> Self {
+        let n = order.len();
+        let log_words = 2 * EDGES_PER_MOVE * max_passes.clamp(1, n);
+        buffer.resize(n + 3 * n * CERT + log_words, UNCERTIFIED);
+        let (pos, rest) = buffer.split_at_mut(n);
+        let (certs, log) = rest.split_at_mut(3 * n * CERT);
+        for (p, &i) in order.iter().enumerate() {
+            pos[i] = p;
+        }
+        Bookkeeping {
+            pos,
+            certs,
+            log,
+            logged: 0,
+        }
+    }
+
+    /// The certificate slot of the chain of `chain_len` points from `first`.
+    fn slot(&self, first: usize, chain_len: usize) -> usize {
+        ((chain_len - 1) * self.pos.len() + first) * CERT
+    }
+
+    /// Whether the chain at `start` holds a certificate that is still
+    /// valid; a valid one is advanced to the end of the log.
+    fn certified(
+        &mut self,
+        order: &[usize],
+        dm: &DistanceMatrix,
+        start: usize,
+        chain_len: usize,
+    ) -> bool {
+        let n = order.len();
+        let first = order[start];
+        let last = order[(start + chain_len - 1) % n];
+        let before = order[(start + n - 1) % n];
+        let after = order[(start + chain_len) % n];
+        let slot = self.slot(first, chain_len);
+        let cert = &self.certs[slot..slot + CERT];
+        if cert[0] == UNCERTIFIED
+            || cert[1] != before
+            || cert[2] != after
+            || (1..chain_len).any(|k| cert[3 + k] != order[(start + k) % n])
+        {
+            return false;
+        }
+        let removed = removed_cost(dm, before, first, last, after);
+        let improving = self.log[2 * cert[0]..2 * self.logged]
+            .chunks_exact(2)
+            .any(|edge| removed - added_cost(dm, edge[0], edge[1], first, last).0 > 1e-10);
+        if improving {
+            return false;
+        }
+        self.certs[slot] = self.logged;
+        true
+    }
+
+    /// Certifies the chain at `start`, which has no improving relocation.
+    fn certify(&mut self, order: &[usize], start: usize, chain_len: usize) {
+        let n = order.len();
+        let slot = self.slot(order[start], chain_len);
+        let cert = &mut self.certs[slot..slot + CERT];
+        cert[0] = self.logged;
+        cert[1] = order[(start + n - 1) % n];
+        cert[2] = order[(start + chain_len) % n];
+        for k in 0..chain_len {
+            cert[3 + k] = order[(start + k) % n];
+        }
+    }
+
+    /// Logs the edges the relocation of the chain at `start` into the edge
+    /// starting at array position `edge` adds; call before applying it.
+    fn log_move(
+        &mut self,
+        order: &[usize],
+        start: usize,
+        chain_len: usize,
+        edge: usize,
+        reversed: bool,
+    ) {
+        let n = order.len();
+        if 2 * (self.logged + EDGES_PER_MOVE) > self.log.len() {
+            self.certs.fill(UNCERTIFIED);
+            self.logged = 0;
+        }
+        let chain = |k: usize| {
+            let k = if reversed { chain_len - 1 - k } else { k };
+            order[(start + k) % n]
+        };
+        let mut span = [0usize; EDGES_PER_MOVE + 1];
+        span[0] = order[edge];
+        for k in 0..chain_len {
+            span[1 + k] = chain(k);
+        }
+        // The edge never starts at `before`, so it ends at its array
+        // successor.
+        span[1 + chain_len] = order[(edge + 1) % n];
+        let before = order[(start + n - 1) % n];
+        let after = order[(start + chain_len) % n];
+        self.push(before, after);
+        for k in 0..=chain_len {
+            self.push(span[k], span[k + 1]);
+        }
+    }
+
+    fn push(&mut self, from: usize, to: usize) {
+        self.log[2 * self.logged] = from;
+        self.log[2 * self.logged + 1] = to;
+        self.logged += 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::insertion::convex_hull_insertion;
+    use crate::test_support::tie_heavy_points as instance;
     use mule_geom::{BoundingBox, Point};
     use mule_road::{RoadIndex, RoadNetKind, TravelMetric};
 
@@ -205,46 +389,6 @@ mod tests {
         Some(gain)
     }
 
-    /// SplitMix64: a tiny seeded stream for the oracle's instances.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// `n` points of one of four shapes on an 800 m field: uniform
-    /// floats, a coarse integer lattice (exact distance ties), a few
-    /// distinct points repeated (zero distances), or the lattice jittered
-    /// by under a nanometre (gains near the `1e-10` acceptance test).
-    fn instance(shape: usize, n: usize, seed: u64) -> Vec<Point> {
-        let mut state = seed;
-        let mut coord = |modulus: u64, scale: f64| (splitmix(&mut state) % modulus) as f64 * scale;
-        match shape {
-            0 => (0..n)
-                .map(|_| Point::new(coord(800_000, 1e-3), coord(800_000, 1e-3)))
-                .collect(),
-            1 => (0..n)
-                .map(|_| Point::new(coord(8, 100.0), coord(8, 100.0)))
-                .collect(),
-            3 => (0..n)
-                .map(|_| {
-                    let x = coord(8, 100.0) + coord(1000, 1e-12);
-                    Point::new(x, coord(8, 100.0) + coord(1000, 1e-12))
-                })
-                .collect(),
-            _ => {
-                let distinct: Vec<Point> = (0..n.div_ceil(3))
-                    .map(|_| Point::new(coord(800, 1.0), coord(800, 1.0)))
-                    .collect();
-                (0..n)
-                    .map(|_| distinct[(coord(distinct.len() as u64, 1.0)) as usize])
-                    .collect()
-            }
-        }
-    }
-
     #[test]
     fn in_place_search_matches_the_splice_oracle() {
         let road = TravelMetric::road(RoadIndex::for_field(
@@ -276,6 +420,35 @@ mod tests {
         assert!(
             moved * 2 > instances,
             "most instances apply moves ({moved})"
+        );
+    }
+
+    /// Tours above the splice-oracle test's sizes, and short tours whose
+    /// moves outnumber their points, so the added-edge log fills and is
+    /// cleared along with every certificate.
+    #[test]
+    fn certificates_survive_large_tours_and_a_full_log() {
+        let mut overflowed = 0;
+        for n in (61..=130usize).step_by(3).chain(5..=12) {
+            for shape in 0..4 {
+                let pts = instance(shape, n, (n * 7 + shape) as u64);
+                let dm = DistanceMatrix::from_points(&pts);
+                for start in [Tour::identity(n), convex_hull_insertion(&pts, &dm)] {
+                    let (mut got, mut want) = (start.clone(), start);
+                    let moves = or_opt(&mut got, &dm, 60);
+                    assert_eq!(
+                        moves,
+                        or_opt_oracle(&mut want, &dm, 60),
+                        "n {n} shape {shape}"
+                    );
+                    assert_eq!(got, want, "n {n} shape {shape}");
+                    overflowed += usize::from(moves > n);
+                }
+            }
+        }
+        assert!(
+            overflowed > 0,
+            "some call logs more moves than its tour has points"
         );
     }
 

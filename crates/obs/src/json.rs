@@ -285,6 +285,16 @@ impl JsonWriter {
         Self::new(true)
     }
 
+    /// A writer of pretty JSON whose buffer starts with room for
+    /// `capacity` bytes, for a caller that can estimate the document's
+    /// size.
+    pub fn pretty_with_capacity(capacity: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(capacity),
+            ..Self::new(true)
+        }
+    }
+
     fn new(pretty: bool) -> Self {
         JsonWriter {
             out: String::new(),

@@ -13,7 +13,7 @@
 use crate::json::{parse, JsonValue, JsonWriter};
 use mule_sim::SimulationConfig;
 use mule_workload::{MetricSpec, ScenarioSpec, SweepSpec};
-use patrol_core::{PlanError, Planner, PlannerKind, Waypoint};
+use patrol_core::{MuleItinerary, PatrolPlan, PlanError, Planner, PlannerKind, Waypoint};
 use std::fmt;
 use std::ops::Range;
 
@@ -225,7 +225,7 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     let plan = planner.plan(&scenario)?;
 
     let _render = mule_obs::span("plan.render");
-    let mut w = JsonWriter::pretty();
+    let mut w = JsonWriter::pretty_with_capacity(estimated_plan_bytes(&plan));
     w.begin_object();
     w.key("schema");
     w.string(PLAN_SCHEMA);
@@ -298,6 +298,23 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     mule_obs::add("itineraries", plan.itineraries.len() as u64);
     mule_obs::add("cycles", cycles_formatted);
     Ok(w.finish())
+}
+
+/// A little more than the size of `plan`'s `/v1/plan` document: a pretty
+/// waypoint takes about 110 bytes and a `path` point about 80. Sizing the
+/// render buffer once spares a response the chain of doubling buffers
+/// (each copied into the next and left free behind it) that growing from
+/// empty costs.
+fn estimated_plan_bytes(plan: &PatrolPlan) -> usize {
+    let itinerary_bytes = |it: &MuleItinerary| {
+        let path_points = if it.leg_paths.is_empty() {
+            0
+        } else {
+            it.cycle.len() + it.leg_paths.iter().map(Vec::len).sum::<usize>()
+        };
+        512 + 128 * it.cycle.len() + 96 * path_points
+    };
+    1024 + plan.itineraries.iter().map(itinerary_bytes).sum::<usize>()
 }
 
 /// Writes a point as `[x, y]`.
