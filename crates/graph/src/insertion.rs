@@ -113,29 +113,23 @@ fn insert_cheapest_first(dm: &DistanceMatrix, mut order: Vec<usize>, in_tour: &[
         order.insert((pos + 1).min(order.len()), k);
         for (&q, entry) in remaining.iter().zip(cached.iter_mut()) {
             let (cached_pos, cached_cost) = *entry;
-            *entry = if cached_pos == pos {
-                cheapest_position(dm, &order, q)
+            if cached_pos == pos {
+                *entry = cheapest_position(dm, &order, q);
+                continue;
+            }
+            // The first strict minimum over the cached edge and the two
+            // new ones, in tour order.
+            let first = (pos, insertion_cost(dm, a, k, q));
+            let second = (pos + 1, insertion_cost(dm, k, b, q));
+            let in_order = if cached_pos < pos {
+                [(cached_pos, cached_cost), first, second]
             } else {
-                let first = insertion_cost(dm, a, k, q);
-                let second = insertion_cost(dm, k, b, q);
-                if cached_pos < pos {
-                    let mut best = (cached_pos, cached_cost);
-                    for (p, c) in [(pos, first), (pos + 1, second)] {
-                        if c < best.1 {
-                            best = (p, c);
-                        }
-                    }
-                    best
-                } else {
-                    let mut best = (pos, first);
-                    for (p, c) in [(pos + 1, second), (cached_pos + 1, cached_cost)] {
-                        if c < best.1 {
-                            best = (p, c);
-                        }
-                    }
-                    best
-                }
+                [first, second, (cached_pos + 1, cached_cost)]
             };
+            *entry = in_order
+                .into_iter()
+                .reduce(|best, c| if c.1 < best.1 { c } else { best })
+                .expect("three candidates");
         }
     }
     Tour::new(order)
