@@ -178,12 +178,6 @@ impl WalkArcs {
     /// `Σ_f |len(C_f) − L_avg|` over the cycles the insertion would create,
     /// with the detour cost as tie-breaker. Reads the measurements of the
     /// current `walk`.
-    ///
-    /// Inserting at an edge splits only the arc that holds it, so each
-    /// candidate sums just that arc's two halves and folds the objective
-    /// over the cycles in the order the inserted walk lists them; every
-    /// other arc keeps its measured length. A VIP absent from the walk
-    /// gets a single cycle, the whole inserted walk.
     fn best_edge_balancing(
         &self,
         walk: &[usize],
@@ -191,72 +185,92 @@ impl WalkArcs {
         vip: usize,
         l_avg: f64,
     ) -> Option<usize> {
+        let mut best: Option<(usize, f64, f64)> = None; // (edge, objective, detour)
+        for (edge, objective) in self.objectives(walk, positions, vip, l_avg) {
+            let detour = detour_cost(walk, positions, edge, vip);
+            let better = match best {
+                None => true,
+                Some((_, obj, det)) => {
+                    objective < obj - 1e-12 || ((objective - obj).abs() <= 1e-12 && detour < det)
+                }
+            };
+            if better {
+                best = Some((edge, objective, detour));
+            }
+        }
+        best.map(|(e, _, _)| e)
+    }
+
+    /// Every admissible break edge in walk order, with the Balancing
+    /// objective of inserting the VIP there.
+    ///
+    /// Inserting at an edge splits only the arc that holds it, so each
+    /// candidate sums just that arc's two halves and folds the objective
+    /// over the cycles in the order the inserted walk lists them; every
+    /// other arc keeps its measured length. A VIP absent from the walk
+    /// gets a single cycle, the whole inserted walk.
+    fn objectives<'a>(
+        &'a self,
+        walk: &'a [usize],
+        positions: &'a [Point],
+        vip: usize,
+        l_avg: f64,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
         let n = walk.len();
         let (occurrences, arcs, segments) = (&self.occurrences, &self.arcs, &self.segments);
         let m = occurrences.len();
-        let deviation = |len: f64| (len - l_avg).abs();
+        let deviation = move |len: f64| (len - l_avg).abs();
         // Length from the start of the arc holding `edge` to `walk[edge]`;
         // at edge 0 that arc is the one wrapping past the walk's end.
         let mut prefix = occurrences
             .last()
             .map_or(0.0, |&o| segments[o..].iter().fold(0.0, |len, s| len + s));
-        let mut best: Option<(usize, f64, f64)> = None; // (edge, objective, detour)
-        for edge in 0..n {
+        (0..n).filter_map(move |edge| {
             if walk[edge] == vip {
                 prefix = 0.0;
             }
-            if !edge_touches(walk, edge, vip) {
-                let next = (edge + 1) % n;
-                // `split` occurrences lie at or before `edge`, so the copy
-                // splits the arc from occurrence `split - 1` (the one
-                // wrapping past the end when `split` is 0): `head` runs
-                // from that occurrence to the copy, `tail` from the copy
-                // to the next occurrence.
-                let split = occurrences.partition_point(|&o| o <= edge);
-                let head = prefix + positions[walk[edge]].distance(&positions[vip]);
-                let mut tail = if m == 0 { head } else { 0.0 };
-                tail += positions[vip].distance(&positions[walk[next]]);
-                let end = if m == 0 { 0 } else { occurrences[split % m] };
-                let mut i = next;
-                while i != end {
-                    tail += segments[i];
-                    i = (i + 1) % n;
-                }
-                let objective = if m == 0 {
-                    deviation(tail)
-                } else if split == 0 {
-                    let mut objective = deviation(tail);
-                    for &len in &arcs[..m - 1] {
-                        objective += deviation(len);
-                    }
-                    objective + deviation(head)
-                } else {
-                    let mut objective = 0.0;
-                    for &len in &arcs[..split - 1] {
-                        objective += deviation(len);
-                    }
-                    objective += deviation(head);
-                    objective += deviation(tail);
-                    for &len in &arcs[split..] {
-                        objective += deviation(len);
-                    }
-                    objective
-                };
-                let detour = detour_cost(walk, positions, edge, vip);
-                let better = match best {
-                    None => true,
-                    Some((_, obj, det)) => {
-                        objective < obj - 1e-12
-                            || ((objective - obj).abs() <= 1e-12 && detour < det)
-                    }
-                };
-                if better {
-                    best = Some((edge, objective, detour));
-                }
-            }
+            let head = prefix + positions[walk[edge]].distance(&positions[vip]);
             prefix += segments[edge];
-        }
-        best.map(|(e, _, _)| e)
+            if edge_touches(walk, edge, vip) {
+                return None;
+            }
+            // `split` occurrences lie at or before `edge`, so the copy
+            // splits the arc from occurrence `split - 1` (the one wrapping
+            // past the end when `split` is 0): `head` runs from that
+            // occurrence to the copy, `tail` from the copy to the next
+            // occurrence.
+            let split = occurrences.partition_point(|&o| o <= edge);
+            let next = (edge + 1) % n;
+            let mut tail = if m == 0 { head } else { 0.0 };
+            tail += positions[vip].distance(&positions[walk[next]]);
+            let end = if m == 0 { 0 } else { occurrences[split % m] };
+            let mut i = next;
+            while i != end {
+                tail += segments[i];
+                i = (i + 1) % n;
+            }
+            let objective = if m == 0 {
+                deviation(tail)
+            } else if split == 0 {
+                let mut objective = deviation(tail);
+                for &len in &arcs[..m - 1] {
+                    objective += deviation(len);
+                }
+                objective + deviation(head)
+            } else {
+                let mut objective = 0.0;
+                for &len in &arcs[..split - 1] {
+                    objective += deviation(len);
+                }
+                objective += deviation(head);
+                objective += deviation(tail);
+                for &len in &arcs[split..] {
+                    objective += deviation(len);
+                }
+                objective
+            };
+            Some((edge, objective))
+        })
     }
 }
 
@@ -339,6 +353,29 @@ mod tests {
         best.map(|(e, _, _)| e)
     }
 
+    /// The oracle's objective for every admissible edge, as bits: the walk
+    /// copied with the VIP inserted, every cycle re-walked and the
+    /// deviations summed.
+    fn oracle_objectives(
+        walk: &[usize],
+        positions: &[Point],
+        vip: usize,
+        l_avg: f64,
+    ) -> Vec<(usize, u64)> {
+        (0..walk.len())
+            .filter(|&edge| !edge_touches(walk, edge, vip))
+            .map(|edge| {
+                let mut candidate = walk.to_vec();
+                candidate.insert(edge + 1, vip);
+                let objective: f64 = vip_cycle_lengths(&candidate, positions, vip)
+                    .iter()
+                    .map(|len| (len - l_avg).abs())
+                    .sum();
+                (edge, objective.to_bits())
+            })
+            .collect()
+    }
+
     /// SplitMix64: a tiny seeded stream for [`tie_heavy_points`].
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -395,6 +432,15 @@ mod tests {
             let l_avg = walk_length(walk, positions) / (copies + 1) as f64;
             for copy in 0..copies {
                 arcs.measure(walk, positions, vip);
+                let objectives: Vec<(usize, u64)> = arcs
+                    .objectives(walk, positions, vip, l_avg)
+                    .map(|(edge, objective)| (edge, objective.to_bits()))
+                    .collect();
+                assert_eq!(
+                    objectives,
+                    oracle_objectives(walk, positions, vip, l_avg),
+                    "{label}: VIP {vip}, copy {copy}: objective bits"
+                );
                 let got = arcs.best_edge_balancing(walk, positions, vip, l_avg);
                 let want = best_edge_balancing_oracle(walk, positions, vip, l_avg);
                 assert_eq!(got, want, "{label}: VIP {vip}, copy {copy}");

@@ -134,6 +134,16 @@ impl DistanceMatrix {
 }
 
 #[cfg(test)]
+impl DistanceMatrix {
+    /// A matrix over `n` points from row-major `data`, which need not be
+    /// symmetric: road costs are only symmetric to rounding.
+    pub(crate) fn from_rows(n: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), n * n);
+        DistanceMatrix { n, data }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -452,6 +452,39 @@ mod tests {
         );
     }
 
+    /// Directed costs: the splice oracle on matrices where `d(i, j)` and
+    /// `d(j, i)` differ, so a chain reinserted reversed walks its inner
+    /// edges at new costs.
+    #[test]
+    fn asymmetric_costs_match_the_splice_oracle() {
+        let mut moved = 0;
+        for n in 5..=40usize {
+            for shape in 0..4 {
+                let pts = instance(shape, n, (n * 11 + shape) as u64);
+                let skew = |i: usize, j: usize| {
+                    let h = (i * 7919 + j * 104_729 + n) as u64;
+                    1.0 + (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / (1u64 << 24) as f64
+                };
+                let data = (0..n * n)
+                    .map(|k| pts[k / n].distance(&pts[k % n]) * skew(k / n, k % n))
+                    .collect();
+                let dm = DistanceMatrix::from_rows(n, data);
+                for start in [Tour::identity(n), convex_hull_insertion(&pts, &dm)] {
+                    let (mut got, mut want) = (start.clone(), start);
+                    let moves = or_opt(&mut got, &dm, 30);
+                    assert_eq!(
+                        moves,
+                        or_opt_oracle(&mut want, &dm, 30),
+                        "n {n} shape {shape}"
+                    );
+                    assert_eq!(got, want, "n {n} shape {shape}");
+                    moved += usize::from(moves > 0);
+                }
+            }
+        }
+        assert!(moved > 100, "{moved} instances apply moves");
+    }
+
     fn line_with_outlier() -> Vec<Point> {
         // Points on a line, except index 2 is visited badly out of order in
         // the identity tour, making a relocation clearly profitable.
