@@ -398,7 +398,7 @@ FLAGS (scenario subcommands):
     --horizon SECONDS  simulation horizon              [default: 40000]
     --svg FILE         write the plan as an SVG file   (simulate)
     --csv PREFIX       write visit/mule CSV traces     (simulate)
-    --width CHARS      ASCII canvas width              (render, default 72)
+    --width CHARS      ASCII canvas width (render)     [default: 72]
     --trace-out FILE   write the run's span trace as Chrome trace_event
                        JSON (open in about:tracing or ui.perfetto.dev)
     --profile          append a per-span self-time profile table
@@ -1641,5 +1641,139 @@ mod tests {
         };
         assert_eq!(opts.svg_path.as_deref(), Some("plan.svg"));
         assert_eq!(opts.csv_prefix.as_deref(), Some("run1"));
+    }
+
+    /// One flag line of a `FLAGS (...)` section of [`USAGE`].
+    struct UsageFlag {
+        /// The section's first word: `scenario` or a subcommand name.
+        section: &'static str,
+        /// The flag names (`--targets/--mules` lists several).
+        names: Vec<&'static str>,
+        /// A `(render)`-style subcommand scope within the scenario section.
+        scope: Option<&'static str>,
+        /// The literal of a `[default: V]`, on the flag's line or below it.
+        default: Option<&'static str>,
+    }
+
+    impl UsageFlag {
+        fn subcommand(&self) -> &'static str {
+            match self.section {
+                "scenario" => self.scope.unwrap_or("plan"),
+                section => section,
+            }
+        }
+    }
+
+    fn usage_flags() -> Vec<UsageFlag> {
+        let mut flags: Vec<UsageFlag> = Vec::new();
+        let mut section = "";
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("FLAGS (") {
+                section = rest.split([' ', ')']).next().unwrap();
+                continue;
+            }
+            if line == "EXAMPLES:" {
+                break;
+            }
+            let trimmed = line.trim_start();
+            if section.is_empty() || trimmed.is_empty() {
+                continue;
+            }
+            if trimmed.starts_with("--") {
+                let first = trimmed.split_whitespace().next().unwrap();
+                flags.push(UsageFlag {
+                    section,
+                    names: first.split('/').collect(),
+                    scope: ["render", "simulate"]
+                        .into_iter()
+                        .find(|sub| line.contains(&format!("({sub})"))),
+                    default: None,
+                });
+            }
+            if let Some((_, rest)) = line.split_once("[default: ") {
+                let flag = flags.last_mut().expect("a default follows its flag");
+                flag.default = rest.split_once(']').map(|(value, _)| value);
+            }
+        }
+        flags
+    }
+
+    /// Whether `flag` parses on `sub`: alone when it is a switch, else with
+    /// one of a few sample values.
+    fn parses(sub: &str, flag: &str) -> bool {
+        let with = |value: &str| parse_args(&argv(&format!("{sub} {flag} {value}"))).is_ok();
+        match parse_args(&argv(&format!("{sub} {flag}"))) {
+            Ok(_) => true,
+            Err(CliError::MissingValue(_)) => {
+                ["1", "none", "euclidean", "b-tctp", "info", "p99_ms=250"]
+                    .into_iter()
+                    .any(with)
+            }
+            Err(_) => false,
+        }
+    }
+
+    #[test]
+    fn usage_and_the_parsers_agree_on_every_flag_and_default() {
+        let flags = usage_flags();
+        assert!(flags.len() > 80, "USAGE parsed to {} flags", flags.len());
+        for flag in &flags {
+            let sub = flag.subcommand();
+            for name in &flag.names {
+                assert!(
+                    parses(sub, name),
+                    "USAGE lists `{name}` but `{sub}` rejects it"
+                );
+                // `[default: --seed]`-style defaults name another flag.
+                if let Some(value) = flag.default.filter(|v| !v.starts_with("--")) {
+                    assert_eq!(
+                        parse_args(&argv(&format!("{sub} {name} {value}"))),
+                        parse_args(&argv(sub)),
+                        "USAGE's `{name}` default {value} is not `{sub}`'s default"
+                    );
+                }
+            }
+        }
+
+        // Every match arm of a flag parser is documented in its section.
+        let source = include_str!("args.rs");
+        let code = &source[..source.find("#[cfg(test)]").unwrap()];
+        let mut parser_section = None;
+        let mut arms = 0;
+        for line in code.lines() {
+            if let Some(rest) = line.split_once("fn parse_").map(|(_, rest)| rest) {
+                let name = rest.split('(').next().unwrap();
+                parser_section = match name {
+                    "args" => Some("scenario"),
+                    "bench_tours" | "bench_routes" | "bench_scale" | "serve" | "chaos"
+                    | "loadgen" => Some(name),
+                    _ => None,
+                };
+                continue;
+            }
+            let trimmed = line.trim_start();
+            let (Some(section), Some(arm)) = (parser_section, trimmed.strip_prefix("\"--")) else {
+                continue;
+            };
+            let Some((name, guard)) = arm.split_once('"') else {
+                continue;
+            };
+            let section = if guard.contains("if is_dynamics") {
+                "dynamics".to_string()
+            } else if guard.contains("if is_sweep") {
+                "sweep".to_string()
+            } else {
+                section.replace('_', "-")
+            };
+            let flag = format!("--{name}");
+            arms += 1;
+            assert!(
+                flags
+                    .iter()
+                    .any(|f| f.section == section && f.names.contains(&flag.as_str())),
+                "`{flag}` is parsed but missing from USAGE's {section} section"
+            );
+        }
+        assert!(arms > 80, "found {arms} flag arms");
     }
 }

@@ -16,4 +16,4 @@ pub mod sweep;
 
 pub use chb::ChbPlanner;
 pub use random::RandomPlanner;
-pub use sweep::{GroupingStrategy, SweepPlanner};
+pub use sweep::SweepPlanner;

@@ -16,41 +16,22 @@ use mule_graph::{construct_circuit, ChbConfig};
 use mule_net::NodeKind;
 use mule_workload::Scenario;
 
-/// How the Sweep baseline splits the targets into per-mule groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GroupingStrategy {
-    /// Contiguous angular sectors around the sink (the default, matching the
-    /// sweep-coverage idea of reference \[4\]).
-    #[default]
-    AngularSectors,
-    /// Spatially compact k-means clusters — a natural alternative for
-    /// disconnected-cluster fields, kept as a grouping ablation.
-    KMeans,
-}
-
 /// The Sweep baseline planner.
-#[derive(Debug, Clone, Default)]
-pub struct SweepPlanner {
-    /// How targets are split into per-mule groups.
-    pub grouping: GroupingStrategy,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SweepPlanner;
 
 impl SweepPlanner {
     /// Sweep with angular grouping.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Splits the targets of `scenario` into `groups` groups with the given
-    /// strategy, returning one vector of node indices (into the field's node
-    /// list) per group. Angular sectors are taken around the sink (the
-    /// field centre without one) and balanced in size by splitting the
-    /// angle-sorted target list into contiguous chunks.
-    pub fn group_targets_with(
-        scenario: &Scenario,
-        groups: usize,
-        strategy: GroupingStrategy,
-    ) -> Vec<Vec<usize>> {
+    /// Splits the targets of `scenario` into `groups` angular sectors
+    /// around the sink (the field centre without one), returning one vector
+    /// of node indices (into the field's node list) per group. Sectors are
+    /// balanced in size by splitting the angle-sorted target list into
+    /// contiguous chunks.
+    pub fn group_targets(scenario: &Scenario, groups: usize) -> Vec<Vec<usize>> {
         let field = scenario.field();
         let targets: Vec<(usize, Point)> = field
             .nodes()
@@ -59,17 +40,11 @@ impl SweepPlanner {
             .map(|n| (n.id.index(), n.position))
             .collect();
         let positions: Vec<Point> = targets.iter().map(|(_, p)| *p).collect();
-        let local_groups = match strategy {
-            GroupingStrategy::AngularSectors => {
-                let sink = field
-                    .sink()
-                    .map(|s| s.position)
-                    .unwrap_or_else(|| field.bounds().center());
-                mule_graph::angular_partition(&positions, &sink, groups)
-            }
-            GroupingStrategy::KMeans => mule_graph::kmeans_partition(&positions, groups.max(1), 50),
-        };
-        local_groups
+        let sink = field
+            .sink()
+            .map(|s| s.position)
+            .unwrap_or_else(|| field.bounds().center());
+        mule_graph::angular_partition(&positions, &sink, groups)
             .into_iter()
             .map(|group| group.into_iter().map(|local| targets[local].0).collect())
             .collect()
@@ -86,7 +61,7 @@ impl Planner for SweepPlanner {
         validate_common(scenario)?;
         let field = scenario.field();
         let sink_node = field.sink();
-        let groups = Self::group_targets_with(scenario, scenario.mule_count(), self.grouping);
+        let groups = Self::group_targets(scenario, scenario.mule_count());
 
         let itineraries = scenario
             .mule_starts()
@@ -139,7 +114,7 @@ mod tests {
     #[test]
     fn groups_partition_the_targets() {
         let s = scenario(3);
-        let groups = SweepPlanner::group_targets_with(&s, 4, GroupingStrategy::AngularSectors);
+        let groups = SweepPlanner::group_targets(&s, 4);
         assert_eq!(groups.len(), 4);
         let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
         assert_eq!(all.len(), 16, "every target is in exactly one group");
@@ -202,33 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn kmeans_grouping_also_partitions_all_targets() {
-        let s = scenario(13);
-        let groups = SweepPlanner::group_targets_with(&s, 4, GroupingStrategy::KMeans);
-        assert_eq!(groups.len(), 4);
-        let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 16);
-
-        let plan = SweepPlanner {
-            grouping: GroupingStrategy::KMeans,
-        }
-        .plan(&s)
-        .unwrap();
-        let mut covered = std::collections::HashSet::new();
-        for it in &plan.itineraries {
-            covered.extend(it.covered_nodes());
-        }
-        for node in s.field().patrolled_nodes() {
-            assert!(covered.contains(&node.id), "node {} covered", node.id);
-        }
-    }
-
-    #[test]
     fn zero_groups_is_clamped_and_errors_propagate() {
         let s = scenario(9);
-        let groups = SweepPlanner::group_targets_with(&s, 0, GroupingStrategy::AngularSectors);
+        let groups = SweepPlanner::group_targets(&s, 0);
         assert_eq!(groups.len(), 1);
         let empty = ScenarioConfig::paper_default().with_mules(0).generate();
         assert_eq!(SweepPlanner::new().plan(&empty), Err(PlanError::NoMules));

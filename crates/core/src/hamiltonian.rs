@@ -129,7 +129,8 @@ mod tests {
         // config routes through candidate-list search — this is the path
         // every planner takes on ROADMAP-scale topologies. With the exact
         // pipeline this test would take minutes in debug builds.
-        let s = mule_workload::ScenarioConfig::large_scale(400)
+        let s = mule_workload::ScenarioConfig::paper_default()
+            .with_targets(400)
             .with_seed(3)
             .generate();
         let c = SharedCircuit::build(&s, &ChbConfig::default()).unwrap();

@@ -1,28 +1,10 @@
 //! The mule battery: a finite energy store with recharge support.
 
-/// Coarse battery condition, used by the RW-TCTP patrolling strategy to
-/// decide whether the next round follows the ordinary patrolling path or the
-/// recharge path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatteryState {
-    /// Remaining energy is above the planning threshold.
-    Healthy,
-    /// Remaining energy is at or below the threshold — head for the
-    /// recharge station on the next opportunity.
-    NeedsRecharge,
-    /// The battery is empty; the mule is stranded.
-    Depleted,
-}
-
 /// A battery with capacity and current charge in joules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_j: f64,
     remaining_j: f64,
-    /// Number of times the battery hit zero.
-    depletion_events: usize,
-    /// Number of recharges performed.
-    recharge_count: usize,
 }
 
 impl Battery {
@@ -32,8 +14,6 @@ impl Battery {
         Battery {
             capacity_j: cap,
             remaining_j: cap,
-            depletion_events: 0,
-            recharge_count: 0,
         }
     }
 
@@ -47,27 +27,6 @@ impl Battery {
     #[inline]
     pub fn remaining(&self) -> f64 {
         self.remaining_j
-    }
-
-    /// Remaining energy as a fraction of capacity in `[0, 1]`.
-    pub fn state_of_charge(&self) -> f64 {
-        if self.capacity_j <= 0.0 {
-            0.0
-        } else {
-            (self.remaining_j / self.capacity_j).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Number of times the battery was fully depleted.
-    #[inline]
-    pub fn depletion_events(&self) -> usize {
-        self.depletion_events
-    }
-
-    /// Number of recharges performed.
-    #[inline]
-    pub fn recharge_count(&self) -> usize {
-        self.recharge_count
     }
 
     /// Returns `true` when the battery is empty.
@@ -85,13 +44,9 @@ impl Battery {
         let available = self.remaining_j;
         if amount <= available {
             self.remaining_j -= amount;
-            if self.remaining_j <= 0.0 {
-                self.depletion_events += 1;
-            }
             0.0
         } else {
             self.remaining_j = 0.0;
-            self.depletion_events += 1;
             amount - available
         }
     }
@@ -104,22 +59,7 @@ impl Battery {
 
     /// Recharges the battery back to full capacity.
     pub fn recharge_full(&mut self) {
-        if self.remaining_j < self.capacity_j {
-            self.recharge_count += 1;
-        }
         self.remaining_j = self.capacity_j;
-    }
-
-    /// Classifies the battery against a planning threshold (fraction of
-    /// capacity, e.g. `0.25`).
-    pub fn state(&self, threshold_fraction: f64) -> BatteryState {
-        if self.is_depleted() {
-            BatteryState::Depleted
-        } else if self.state_of_charge() <= threshold_fraction.clamp(0.0, 1.0) {
-            BatteryState::NeedsRecharge
-        } else {
-            BatteryState::Healthy
-        }
     }
 }
 
@@ -132,9 +72,7 @@ mod tests {
         let b = Battery::full(1000.0);
         assert_eq!(b.capacity(), 1000.0);
         assert_eq!(b.remaining(), 1000.0);
-        assert_eq!(b.state_of_charge(), 1.0);
         assert!(!b.is_depleted());
-        assert_eq!(b.depletion_events(), 0);
     }
 
     #[test]
@@ -142,7 +80,6 @@ mod tests {
         let b = Battery::full(-5.0);
         assert_eq!(b.capacity(), 0.0);
         assert!(b.is_depleted());
-        assert_eq!(b.state_of_charge(), 0.0);
     }
 
     #[test]
@@ -164,7 +101,6 @@ mod tests {
         assert!((shortfall - 30.0).abs() < 1e-12);
         assert_eq!(b.remaining(), 0.0);
         assert!(b.is_depleted());
-        assert_eq!(b.depletion_events(), 1);
     }
 
     #[test]
@@ -172,7 +108,6 @@ mod tests {
         let mut b = Battery::full(50.0);
         assert_eq!(b.draw(50.0), 0.0);
         assert!(b.is_depleted());
-        assert_eq!(b.depletion_events(), 1);
     }
 
     #[test]
@@ -181,23 +116,8 @@ mod tests {
         b.draw(60.0);
         b.recharge_full();
         assert_eq!(b.remaining(), 100.0);
-        assert_eq!(b.recharge_count(), 1);
-        // Recharging a full battery is not counted.
+        // Recharging a full battery leaves it full.
         b.recharge_full();
-        assert_eq!(b.recharge_count(), 1);
-    }
-
-    #[test]
-    fn state_classification_uses_the_threshold() {
-        let mut b = Battery::full(100.0);
-        assert_eq!(b.state(0.25), BatteryState::Healthy);
-        b.draw(76.0);
-        assert_eq!(b.state(0.25), BatteryState::NeedsRecharge);
-        b.draw(24.0);
-        assert_eq!(b.state(0.25), BatteryState::Depleted);
-        // Threshold is clamped into [0, 1].
-        let c = Battery::full(100.0);
-        assert_eq!(c.state(5.0), BatteryState::NeedsRecharge);
-        assert_eq!(c.state(-1.0), BatteryState::Healthy);
+        assert_eq!(b.remaining(), 100.0);
     }
 }

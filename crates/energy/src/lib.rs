@@ -21,7 +21,7 @@ pub mod consumption;
 pub mod model;
 pub mod rounds;
 
-pub use battery::{Battery, BatteryState};
+pub use battery::Battery;
 pub use consumption::{ConsumptionLedger, EnergyCause};
 pub use model::EnergyModel;
 pub use rounds::PatrolRounds;

@@ -66,11 +66,11 @@ impl PartialOrd for Scheduled {
 
 /// A discrete-event simulation clock.
 ///
-/// Events are scheduled with [`SimClock::schedule_at`] /
-/// [`SimClock::schedule_in`] and drained in deterministic
-/// `(time, kind, subject, insertion)` order by [`SimClock::next`] or the
-/// [`SimClock::run_until`] drain loop. The clock never runs backwards:
-/// events scheduled before the current time fire *at* the current time.
+/// Events are scheduled with [`SimClock::schedule_at`] and drained in
+/// deterministic `(time, kind, subject, insertion)` order by
+/// [`SimClock::next`] or the [`SimClock::run_until`] drain loop. The clock
+/// never runs backwards: events scheduled before the current time fire *at*
+/// the current time.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     heap: BinaryHeap<Scheduled>,
@@ -126,12 +126,6 @@ impl SimClock {
         self.next_seq += 1;
         self.heap.push(Scheduled { event, seq });
         true
-    }
-
-    /// Schedules `kind` on `subject` after `delay_s` seconds (negative
-    /// delays clamp to "now").
-    pub fn schedule_in(&mut self, delay_s: f64, subject: EventSubject, kind: EventKind) -> bool {
-        self.schedule_at(self.now_s + delay_s.max(0.0), subject, kind)
     }
 
     /// Time of the next scheduled event, if any.
@@ -243,7 +237,7 @@ mod tests {
         clock.run_until(10.0, |clock, ev| {
             times.push(ev.time_s);
             if ev.time_s < 8.0 {
-                clock.schedule_in(3.0, ev.subject, ev.kind);
+                clock.schedule_at(clock.now() + 3.0, ev.subject, ev.kind);
             }
         });
         assert_eq!(times, vec![0.0, 3.0, 6.0, 9.0]);
@@ -260,7 +254,7 @@ mod tests {
         assert!(!clock.schedule_at(f64::NAN, EventSubject::Global, EventKind::Replan));
         assert!(!clock.schedule_at(f64::INFINITY, EventSubject::Global, EventKind::Replan));
         assert_eq!(clock.len(), 1);
-        assert!(clock.schedule_in(-10.0, EventSubject::Global, EventKind::Replan));
+        assert!(clock.schedule_at(clock.now() - 10.0, EventSubject::Global, EventKind::Replan));
         assert_eq!(clock.peek_time(), Some(100.0));
     }
 

@@ -33,12 +33,6 @@ impl Bearing {
         }
     }
 
-    /// Radians in `[0, 2π)`.
-    #[inline]
-    pub fn radians(&self) -> f64 {
-        self.0
-    }
-
     /// Counter-clockwise angular distance from `self` to `other`,
     /// in `[0, 2π)`.
     pub fn ccw_to(&self, other: &Bearing) -> f64 {
@@ -111,8 +105,8 @@ mod tests {
         let o = Point::ORIGIN;
         let east = Bearing::between(&o, &Point::new(5.0, 0.0)).unwrap();
         let north = Bearing::between(&o, &Point::new(0.0, 5.0)).unwrap();
-        assert!(approx_eq(east.radians(), 0.0));
-        assert!(approx_eq(north.radians(), FRAC_PI_2));
+        assert!(approx_eq(east.0, 0.0));
+        assert!(approx_eq(north.0, FRAC_PI_2));
         assert!(Bearing::between(&o, &o).is_none());
     }
 

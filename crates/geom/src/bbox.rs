@@ -41,17 +41,6 @@ impl BoundingBox {
         }
     }
 
-    /// Smallest box containing all `points`, or `None` if the slice is
-    /// empty.
-    pub fn containing(points: &[Point]) -> Option<Self> {
-        let first = points.first()?;
-        let mut bb = BoundingBox::from_corners(*first, *first);
-        for p in &points[1..] {
-            bb.expand_to(p);
-        }
-        Some(bb)
-    }
-
     /// Grows the box (in place) so that it contains `p`.
     pub fn expand_to(&mut self, p: &Point) {
         self.min_x = self.min_x.min(p.x);
@@ -91,15 +80,6 @@ impl BoundingBox {
     #[inline]
     pub fn contains(&self, p: &Point) -> bool {
         p.x >= self.min_x && p.x <= self.max_x && p.y >= self.min_y && p.y <= self.max_y
-    }
-
-    /// Returns `true` when the two boxes overlap (sharing only a boundary
-    /// counts as overlapping).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        self.min_x <= other.max_x
-            && other.min_x <= self.max_x
-            && self.min_y <= other.max_y
-            && other.min_y <= self.max_y
     }
 
     /// Squared distance from `p` to the closest point of the box (zero when
@@ -156,20 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn containing_covers_every_point() {
-        let pts = [
-            Point::new(10.0, 20.0),
-            Point::new(-5.0, 3.0),
-            Point::new(7.0, 40.0),
-        ];
-        let bb = BoundingBox::containing(&pts).unwrap();
-        for p in &pts {
-            assert!(bb.contains(p));
-        }
-        assert!(BoundingBox::containing(&[]).is_none());
-    }
-
-    #[test]
     fn contains_includes_boundary() {
         let bb = BoundingBox::square(10.0);
         assert!(bb.contains(&Point::new(0.0, 0.0)));
@@ -177,16 +143,6 @@ mod tests {
         assert!(bb.contains(&Point::new(5.0, 0.0)));
         assert!(!bb.contains(&Point::new(10.1, 5.0)));
         assert!(!bb.contains(&Point::new(5.0, -0.1)));
-    }
-
-    #[test]
-    fn intersects_detects_overlap_and_separation() {
-        let a = BoundingBox::square(10.0);
-        let b = BoundingBox::from_corners(Point::new(5.0, 5.0), Point::new(15.0, 15.0));
-        let c = BoundingBox::from_corners(Point::new(20.0, 20.0), Point::new(30.0, 30.0));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
     }
 
     #[test]

@@ -162,34 +162,6 @@ impl KdTree {
         }
     }
 
-    /// Indices of all points within `radius` metres of `query` (inclusive),
-    /// in ascending index order.
-    pub fn within_radius(&self, query: &Point, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        if let Some(root) = self.root {
-            let r2 = radius * radius;
-            self.range_recursive(root, query, r2, &mut out);
-        }
-        out.sort_unstable();
-        out
-    }
-
-    fn range_recursive(&self, node_idx: usize, query: &Point, r2: f64, out: &mut Vec<usize>) {
-        let node = &self.nodes[node_idx];
-        if node.bbox.distance_squared_to(query) > r2 {
-            return;
-        }
-        if node.point.distance_squared(query) <= r2 {
-            out.push(node.index);
-        }
-        if let Some(l) = node.left {
-            self.range_recursive(l, query, r2, out);
-        }
-        if let Some(r) = node.right {
-            self.range_recursive(r, query, r2, out);
-        }
-    }
-
     /// `k` nearest neighbours of `query` (fewer when the tree is smaller),
     /// sorted by increasing distance. Points at equal distance keep the
     /// order in which the depth-first search meets them, so the result is
@@ -302,19 +274,6 @@ mod tests {
             .unwrap();
         assert_eq!(idx, 2, "with (5,5) excluded, (10,10) is next closest");
         assert!(tree.nearest_filtered(&Point::ORIGIN, |_| false).is_none());
-    }
-
-    #[test]
-    fn within_radius_returns_exactly_the_in_range_points() {
-        let pts = sample_points();
-        let tree = KdTree::build(&pts);
-        let hits = tree.within_radius(&Point::new(0.0, 0.0), 12.0);
-        assert_eq!(hits, vec![0, 1, 3, 4]);
-        let none = tree.within_radius(&Point::new(-100.0, -100.0), 5.0);
-        assert!(none.is_empty());
-        // Radius is inclusive.
-        let edge = tree.within_radius(&Point::new(0.0, 0.0), 10.0);
-        assert!(edge.contains(&1) && edge.contains(&3));
     }
 
     #[test]

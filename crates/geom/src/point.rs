@@ -43,12 +43,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Length of this point interpreted as a vector from the origin.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
-    }
-
     /// Squared vector length.
     #[inline]
     pub fn norm_squared(&self) -> f64 {

@@ -238,19 +238,6 @@ proptest! {
     }
 
     #[test]
-    fn kdtree_range_agrees_with_brute_force(points in field_points(0, 60), q in field_point(), r in 0.0..500.0f64) {
-        let tree = KdTree::build(&points);
-        let got = tree.within_radius(&q, r);
-        let want: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.distance(&q) <= r)
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
     fn northmost_point_is_at_least_as_north_as_all_others(points in field_points(1, 50)) {
         let idx = northmost_index(&points).unwrap();
         for p in &points {

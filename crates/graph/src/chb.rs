@@ -113,7 +113,7 @@ impl Default for ChbConfig {
 
 impl ChbConfig {
     /// A configuration with all polishing disabled — raw convex-hull
-    /// insertion, used by the ablation bench.
+    /// insertion, for comparing a circuit before and after polishing.
     pub fn construction_only() -> Self {
         ChbConfig {
             two_opt_passes: 0,

@@ -26,7 +26,7 @@
 //! * [`cheapest_insertion`] — classic cheapest insertion seeded with the
 //!   farthest-apart pair (found via convex-hull rotating calipers, with the
 //!   `O(n²)` matrix scan as the degenerate-hull fallback); used for
-//!   cross-checking and the ablation bench.
+//!   cross-checking and the path-length table.
 
 use crate::distance_matrix::DistanceMatrix;
 use crate::tour::Tour;

@@ -17,8 +17,7 @@
 //! * Improvement: [`two_opt()`] and [`or_opt()`] local search (exact,
 //!   all-pairs), plus their scalable candidate-list twins in
 //!   [`candidates`] — k-nearest-neighbour lists with don't-look bits.
-//! * [`partition`] — angular and k-means target grouping (used by the Sweep
-//!   baseline and the grouping ablation).
+//! * [`partition`] — angular target grouping for the Sweep baseline.
 //! * [`chb`] — the packaged pipeline (convex-hull insertion + 2-opt + Or-opt)
 //!   behind the one circuit entry point,
 //!   [`construct_circuit(points, metric, config)`](construct_circuit). The
@@ -51,75 +50,16 @@ pub use insertion::{cheapest_insertion, convex_hull_insertion, convex_hull_inser
 pub use mst::{minimum_spanning_tree, mst_preorder_tour};
 pub use nearest_neighbor::nearest_neighbor;
 pub use or_opt::or_opt;
-pub use partition::{angular_partition, kmeans_partition};
+pub use partition::angular_partition;
 pub use tour::Tour;
 pub use two_opt::two_opt;
 
 use mule_geom::Point;
 
-#[cfg(test)]
-pub(crate) mod test_support {
-    use mule_geom::Point;
-
-    /// Deterministic pseudo-random point sets shared by the unit tests of
-    /// the construction and search modules (one LCG hash, one 800 m field,
-    /// one copy — keep fixtures from silently diverging).
-    pub(crate) fn pseudo_random_points(n: usize, salt: u64) -> Vec<Point> {
-        (0..n as u64)
-            .map(|i| {
-                let h = i.wrapping_mul(6364136223846793005).wrapping_add(salt);
-                Point::new((h % 800) as f64, ((h >> 17) % 800) as f64)
-            })
-            .collect()
-    }
-
-    /// SplitMix64: a tiny seeded stream for [`tie_heavy_points`].
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// `n` points of one of four shapes on an 800 m field, for the tests
-    /// that compare a search with the algorithm it replaced: uniform
-    /// floats (0), a coarse integer lattice with exact distance ties (1), a
-    /// few distinct points repeated, so zero distances (2), or the lattice
-    /// jittered by under a nanometre, so gains near the `1e-10` acceptance
-    /// test (3).
-    pub(crate) fn tie_heavy_points(shape: usize, n: usize, seed: u64) -> Vec<Point> {
-        let mut state = seed;
-        let mut coord = |modulus: u64, scale: f64| (splitmix(&mut state) % modulus) as f64 * scale;
-        match shape {
-            0 => (0..n)
-                .map(|_| Point::new(coord(800_000, 1e-3), coord(800_000, 1e-3)))
-                .collect(),
-            1 => (0..n)
-                .map(|_| Point::new(coord(8, 100.0), coord(8, 100.0)))
-                .collect(),
-            3 => (0..n)
-                .map(|_| {
-                    let x = coord(8, 100.0) + coord(1000, 1e-12);
-                    Point::new(x, coord(8, 100.0) + coord(1000, 1e-12))
-                })
-                .collect(),
-            _ => {
-                let distinct: Vec<Point> = (0..n.div_ceil(3))
-                    .map(|_| Point::new(coord(800, 1.0), coord(800, 1.0)))
-                    .collect();
-                (0..n)
-                    .map(|_| distinct[(coord(distinct.len() as u64, 1.0)) as usize])
-                    .collect()
-            }
-        }
-    }
-}
-
 /// Which construction heuristic to use for the initial Hamiltonian circuit.
 ///
 /// The paper's planners all use the convex-hull-based construction of
-/// reference \[5\]; the other options exist for the `tours` ablation bench and
+/// reference \[5\]; the other options exist for the path-length table and
 /// as sanity cross-checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TourConstruction {
@@ -153,7 +93,7 @@ impl TourConstruction {
         }
     }
 
-    /// All variants, for sweeps in the ablation benches.
+    /// All variants, in the path-length table's column order.
     pub const ALL: [TourConstruction; 4] = [
         TourConstruction::ConvexHullInsertion,
         TourConstruction::NearestNeighbor,
@@ -230,5 +170,64 @@ mod tests {
         let labels: std::collections::HashSet<&str> =
             TourConstruction::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), TourConstruction::ALL.len());
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    use mule_geom::Point;
+
+    /// Deterministic pseudo-random point sets shared by the unit tests of
+    /// the construction and search modules (one LCG hash, one 800 m field,
+    /// one copy — keep fixtures from silently diverging).
+    pub(crate) fn pseudo_random_points(n: usize, salt: u64) -> Vec<Point> {
+        (0..n as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(6364136223846793005).wrapping_add(salt);
+                Point::new((h % 800) as f64, ((h >> 17) % 800) as f64)
+            })
+            .collect()
+    }
+
+    /// SplitMix64: a tiny seeded stream for [`tie_heavy_points`].
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `n` points of one of four shapes on an 800 m field, for the tests
+    /// that compare a search with the algorithm it replaced: uniform
+    /// floats (0), a coarse integer lattice with exact distance ties (1), a
+    /// few distinct points repeated, so zero distances (2), or the lattice
+    /// jittered by under a nanometre, so gains near the `1e-10` acceptance
+    /// test (3).
+    pub(crate) fn tie_heavy_points(shape: usize, n: usize, seed: u64) -> Vec<Point> {
+        let mut state = seed;
+        let mut coord = |modulus: u64, scale: f64| (splitmix(&mut state) % modulus) as f64 * scale;
+        match shape {
+            0 => (0..n)
+                .map(|_| Point::new(coord(800_000, 1e-3), coord(800_000, 1e-3)))
+                .collect(),
+            1 => (0..n)
+                .map(|_| Point::new(coord(8, 100.0), coord(8, 100.0)))
+                .collect(),
+            3 => (0..n)
+                .map(|_| {
+                    let x = coord(8, 100.0) + coord(1000, 1e-12);
+                    Point::new(x, coord(8, 100.0) + coord(1000, 1e-12))
+                })
+                .collect(),
+            _ => {
+                let distinct: Vec<Point> = (0..n.div_ceil(3))
+                    .map(|_| Point::new(coord(800, 1.0), coord(800, 1.0)))
+                    .collect();
+                (0..n)
+                    .map(|_| distinct[(coord(distinct.len() as u64, 1.0)) as usize])
+                    .collect()
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! The MST tour is the textbook 2-approximation for metric TSP. It is not
 //! used by the TCTP planners themselves; it serves as an independent upper
 //! bound in tests ("no construction heuristic should be wildly worse than
-//! 2 × MST weight") and as one arm of the tour-construction ablation bench.
+//! 2 × MST weight") and as one column of the path-length table.
 
 use crate::distance_matrix::DistanceMatrix;
 use crate::tour::Tour;

@@ -73,11 +73,6 @@ impl Tour {
         total + points[*self.order.last().unwrap()].distance(&points[self.order[0]])
     }
 
-    /// Position of point index `target` within the tour, if present.
-    pub fn position_of(&self, target: usize) -> Option<usize> {
-        self.order.iter().position(|&i| i == target)
-    }
-
     /// The directed edges of the tour as `(from_index, to_index)` pairs,
     /// including the closing edge.
     pub fn edges(&self) -> Vec<(usize, usize)> {
@@ -183,13 +178,6 @@ mod tests {
         let tour = Tour::new(vec![2, 0, 3, 1]);
         assert_eq!(tour.edges(), vec![(2, 0), (0, 3), (3, 1), (1, 2)]);
         assert!(Tour::new(vec![7]).edges().is_empty());
-    }
-
-    #[test]
-    fn position_of_finds_present_points_only() {
-        let tour = Tour::identity(4);
-        assert_eq!(tour.position_of(2), Some(2));
-        assert_eq!(tour.position_of(9), None);
     }
 
     #[test]

@@ -186,12 +186,6 @@ impl LatencyHistogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th-percentile latency, seconds. At serving rates of thousands
-    /// of requests per run the p99 hides tail stalls that p999 exposes.
-    pub fn p999(&self) -> f64 {
-        self.quantile(0.999)
-    }
-
     /// Sum of all observations, in seconds.
     pub fn sum_s(&self) -> f64 {
         self.sum_ns as f64 / 1e9
@@ -379,10 +373,10 @@ mod tests {
         for us in 1..=2000u64 {
             h.record_nanos(us * 1000);
         }
-        assert!(h.p99() <= h.p999());
-        assert!(h.p999() <= h.max_s());
+        assert!(h.p99() <= h.quantile(0.999));
+        assert!(h.quantile(0.999) <= h.max_s());
         let exact_us = 1998.0; // rank ceil(0.999 · 2000)
-        let got_us = h.p999() * 1e6;
+        let got_us = h.quantile(0.999) * 1e6;
         assert!(
             got_us >= exact_us && got_us <= exact_us * 1.125 + 1.0,
             "p999 {got_us} µs vs exact {exact_us} µs"

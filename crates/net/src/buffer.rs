@@ -21,8 +21,6 @@ pub struct DataBuffer {
     rate_bps: f64,
     /// Time the buffer was last drained (simulation seconds).
     last_collected_at: f64,
-    /// Total bytes ever generated that have been collected.
-    total_collected: f64,
 }
 
 impl DataBuffer {
@@ -31,7 +29,6 @@ impl DataBuffer {
         DataBuffer {
             rate_bps: rate_bps.max(0.0),
             last_collected_at: 0.0,
-            total_collected: 0.0,
         }
     }
 
@@ -51,7 +48,6 @@ impl DataBuffer {
     pub fn collect(&mut self, now: f64) -> (f64, f64) {
         let bytes = self.pending_bytes(now);
         let age = self.data_age(now);
-        self.total_collected += bytes;
         self.last_collected_at = self.last_collected_at.max(now);
         (bytes, age)
     }
@@ -70,18 +66,6 @@ impl DataBuffer {
     pub fn last_collected_at(&self) -> f64 {
         self.last_collected_at
     }
-
-    /// Total bytes collected from this target so far.
-    #[inline]
-    pub fn total_collected(&self) -> f64 {
-        self.total_collected
-    }
-
-    /// The configured generation rate.
-    #[inline]
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
 }
 
 /// The payload a mule is carrying: per-target batches awaiting delivery to
@@ -90,7 +74,6 @@ impl DataBuffer {
 pub struct MulePayload {
     batches: Vec<(NodeId, f64)>,
     delivered_bytes: f64,
-    deliveries: usize,
 }
 
 impl MulePayload {
@@ -113,9 +96,6 @@ impl MulePayload {
     /// byte count.
     pub fn deliver_all(&mut self) -> f64 {
         let bytes = self.onboard_bytes();
-        if !self.batches.is_empty() {
-            self.deliveries += 1;
-        }
         self.delivered_bytes += bytes;
         self.batches.clear();
         bytes
@@ -125,12 +105,6 @@ impl MulePayload {
     #[inline]
     pub fn delivered_bytes(&self) -> f64 {
         self.delivered_bytes
-    }
-
-    /// Number of non-empty sink deliveries made.
-    #[inline]
-    pub fn deliveries(&self) -> usize {
-        self.deliveries
     }
 }
 
@@ -143,7 +117,6 @@ mod tests {
         let b = DataBuffer::new(2.0);
         assert_eq!(b.pending_bytes(10.0), 20.0);
         assert_eq!(b.data_age(10.0), 10.0);
-        assert_eq!(b.rate_bps(), 2.0);
     }
 
     #[test]
@@ -165,7 +138,6 @@ mod tests {
         let (bytes2, age2) = b.collect(30.0);
         assert_eq!(bytes2, 15.0);
         assert_eq!(age2, 10.0);
-        assert_eq!(b.total_collected(), 45.0);
     }
 
     #[test]
@@ -184,7 +156,6 @@ mod tests {
         b.restart_at(30.0);
         assert_eq!(b.pending_bytes(30.0), 0.0);
         assert_eq!(b.data_age(40.0), 10.0, "age counts from the restart");
-        assert_eq!(b.total_collected(), 0.0, "restart is not a collection");
         // Restarting in the past never rewinds the clock.
         b.restart_at(5.0);
         assert_eq!(b.last_collected_at(), 30.0);
@@ -201,9 +172,8 @@ mod tests {
         assert_eq!(delivered, 150.0);
         assert_eq!(p.onboard_bytes(), 0.0);
         assert_eq!(p.delivered_bytes(), 150.0);
-        assert_eq!(p.deliveries(), 1);
-        // Delivering with nothing on board does not count as a delivery.
+        // Delivering with nothing on board delivers nothing.
         assert_eq!(p.deliver_all(), 0.0);
-        assert_eq!(p.deliveries(), 1);
+        assert_eq!(p.delivered_bytes(), 150.0);
     }
 }

@@ -114,12 +114,6 @@ pub fn connected_components_by<F: Fn(usize, usize) -> f64>(
     components
 }
 
-/// Returns `true` when the graph described by `dist` at radius `range` has
-/// more than one connected component (see [`connected_components_by`]).
-pub fn is_disconnected_by<F: Fn(usize, usize) -> f64>(n: usize, range: f64, dist: F) -> bool {
-    connected_components_by(n, range, dist).len() > 1
-}
-
 /// Groups `points` into connected components of the unit-disk graph with
 /// radius `range`: two points are adjacent when they are within `range`
 /// metres of each other (straight-line). Returns one vector of point
@@ -220,7 +214,6 @@ mod tests {
         ];
         let by = connected_components_by(points.len(), 15.0, |i, j| points[i].distance(&points[j]));
         assert_eq!(by, connected_components(&points, 15.0));
-        assert!(is_disconnected_by(points.len(), 15.0, |i, j| points[i].distance(&points[j])));
 
         // A non-Euclidean distance (here: a blocked pair) changes the
         // answer — the point of the generic API.

@@ -23,8 +23,6 @@ pub mod field;
 pub mod node;
 
 pub use buffer::{DataBuffer, MulePayload};
-pub use connectivity::{
-    connected_components, connected_components_by, is_disconnected, is_disconnected_by, UnionFind,
-};
+pub use connectivity::{connected_components, connected_components_by, is_disconnected, UnionFind};
 pub use field::{Field, FieldBuilder, RadioParameters};
 pub use node::{Node, NodeId, NodeKind, Weight};

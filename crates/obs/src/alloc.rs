@@ -11,7 +11,7 @@
 //!
 //! * **global tallies** (process-wide atomics): alloc/dealloc/realloc
 //!   counts, allocated/freed bytes, live bytes and the live-bytes
-//!   high-water mark — read with [`stats`], scoped with [`reset_peak`];
+//!   high-water mark — read with [`stats`];
 //! * **thread-local tallies** (plain `Cell`s, allocation-free): the same
 //!   counts for the current thread, which is what lets the tracing layer
 //!   in the crate root attribute allocations to the *innermost open span*
@@ -159,13 +159,6 @@ pub fn thread_stats() -> AllocStats {
         live_bytes: clamp(TL_LIVE_BYTES.with(Cell::get)),
         peak_live_bytes: clamp(TL_WINDOW_PEAK.with(Cell::get)),
     }
-}
-
-/// Resets the **global** live-bytes high-water mark to the current live
-/// figure, so the next [`stats`] reports the peak of the workload that
-/// follows. Counters are never reset (they are monotonic; measure deltas).
-pub fn reset_peak() {
-    PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// Allocation figures of one [`measure`]d call on the calling thread.
@@ -490,18 +483,6 @@ pub(crate) mod tests {
         assert!(panicked.is_err());
         let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!armed(), "the panic left the tallies armed");
-    }
-
-    #[test]
-    fn reset_peak_rebases_to_current_live() {
-        armed_section(|| {
-            let spike: Vec<u8> = vec![0; 1 << 20];
-            drop(spike);
-            reset_peak();
-            let s = stats();
-            // The dropped megabyte no longer dominates the peak.
-            assert!(s.peak_live_bytes <= s.live_bytes + (1 << 16));
-        });
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The workspace has no serialisation framework, so it carries its own
 //! wire format. This module is the one JSON writer: mule-serve's API documents,
-//! the tracked bench artefacts, and the string escaping of the structured
-//! log and the Chrome trace exporter all go through it. It implements
+//! the tracked bench artefacts, the structured log lines and the string
+//! escaping of the Chrome trace exporter all go through it. It implements
 //! exactly what those callers require and nothing more:
 //!
 //! * [`JsonValue`] — the usual six-way value enum. Objects preserve
@@ -442,7 +442,7 @@ impl JsonWriter {
 
 /// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
 /// backslashes and control characters.
-pub fn write_string(out: &mut String, s: &str) {
+fn write_string(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
     for c in s.chars() {

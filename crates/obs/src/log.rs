@@ -23,7 +23,9 @@
 //! * `trace_id` — present when the event happened inside a traced
 //!   request, correlating the line with `/debug/traces` and
 //!   `/debug/requests`.
-//! * `fields` — flat string→scalar map of event-specific data.
+//! * `fields` — flat string→scalar map of event-specific data. Floats print
+//!   in [`JsonWriter`]'s shortest round-trip form (`1.0`, `12.5`) and
+//!   non-finite floats as `null`.
 //!
 //! ## Wiring
 //!
@@ -33,16 +35,15 @@
 //! [`install_stderr`] (production) or [`install_writer`] (tests), filter
 //! with a minimum [`Severity`], and tear down with [`uninstall`].
 //!
-//! Rendering happens on the emitting thread into a reusable thread-local
-//! buffer; only the final single `write_all` of the completed line takes
-//! the sink lock, so lines from concurrent threads never interleave
+//! Rendering happens on the emitting thread with the crate's one
+//! [`JsonWriter`]; only the final single `write_all` of the completed line
+//! takes the sink lock, so lines from concurrent threads never interleave
 //! mid-line. Every rendered line is also mirrored into a fixed-capacity
 //! [`Ring`] readable via [`recent`] — that is what
 //! mule-serve's `GET /debug/events` returns.
 
-use crate::json::write_string;
+use crate::json::{JsonValue, JsonWriter};
 use crate::ring::Ring;
-use std::cell::RefCell;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{LazyLock, Mutex, PoisonError};
@@ -93,62 +94,6 @@ impl Severity {
     }
 }
 
-/// A scalar value in an event's `fields` map.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// A string (JSON-escaped on render).
-    Str(String),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float; non-finite values render as `null`.
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
-}
-
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
-    }
-}
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::U64(v)
-    }
-}
-impl From<u32> for FieldValue {
-    fn from(v: u32) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::I64(v)
-    }
-}
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
-    }
-}
-
 /// A structured event, built with the fluent API and handed to [`emit`].
 ///
 /// ```
@@ -164,7 +109,7 @@ pub struct LogEvent {
     severity: Severity,
     event: &'static str,
     trace_id: Option<String>,
-    fields: Vec<(&'static str, FieldValue)>,
+    fields: Vec<(&'static str, JsonValue)>,
 }
 
 impl LogEvent {
@@ -185,7 +130,7 @@ impl LogEvent {
     }
 
     /// Appends one `fields` entry (insertion order is preserved).
-    pub fn field(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
+    pub fn field(mut self, name: &'static str, value: impl Into<JsonValue>) -> Self {
         self.fields.push((name, value.into()));
         self
     }
@@ -201,11 +146,6 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 static SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
 /// Rendered recent lines, served by `GET /debug/events`.
 static RECENT: LazyLock<Ring<String>> = LazyLock::new(|| Ring::new(256));
-
-thread_local! {
-    /// Per-thread render buffer, reused across emits.
-    static RENDER_BUF: RefCell<String> = const { RefCell::new(String::new()) };
-}
 
 /// Installs a stderr sink with the given minimum severity.
 pub fn install_stderr(min: Severity) {
@@ -255,18 +195,13 @@ pub fn emit(event: LogEvent) -> Option<u64> {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
-    let line = RENDER_BUF.with_borrow_mut(|buf| {
-        buf.clear();
-        render_line(buf, seq, ts_ms, &event);
-        buf.clone()
-    });
-    RECENT.push(line.clone());
-    let mut sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(w) = sink.as_mut() {
+    let line = render_line(seq, ts_ms, &event);
+    if let Some(w) = SINK.lock().unwrap_or_else(PoisonError::into_inner).as_mut() {
         let _ = w.write_all(line.as_bytes());
         let _ = w.write_all(b"\n");
         let _ = w.flush();
     }
+    RECENT.push(line);
     Some(seq)
 }
 
@@ -279,43 +214,30 @@ pub fn recent(limit: usize) -> Vec<String> {
     snap.into_iter().skip(skip).map(|(_, line)| line).collect()
 }
 
-fn render_line(buf: &mut String, seq: u64, ts_ms: u64, event: &LogEvent) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        buf,
-        "{{\"seq\":{seq},\"ts_ms\":{ts_ms},\"severity\":\"{}\",\"event\":",
-        event.severity.label()
-    );
-    write_string(buf, event.event);
+fn render_line(seq: u64, ts_ms: u64, event: &LogEvent) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("seq");
+    w.u64(seq);
+    w.key("ts_ms");
+    w.u64(ts_ms);
+    w.key("severity");
+    w.string(event.severity.label());
+    w.key("event");
+    w.string(event.event);
     if let Some(trace_id) = &event.trace_id {
-        buf.push_str(",\"trace_id\":");
-        write_string(buf, trace_id);
+        w.key("trace_id");
+        w.string(trace_id);
     }
-    buf.push_str(",\"fields\":{");
-    for (i, (name, value)) in event.fields.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        write_string(buf, name);
-        buf.push(':');
-        match value {
-            FieldValue::Str(s) => write_string(buf, s),
-            FieldValue::U64(v) => {
-                let _ = write!(buf, "{v}");
-            }
-            FieldValue::I64(v) => {
-                let _ = write!(buf, "{v}");
-            }
-            FieldValue::F64(v) if v.is_finite() => {
-                let _ = write!(buf, "{v}");
-            }
-            FieldValue::F64(_) => buf.push_str("null"),
-            FieldValue::Bool(v) => {
-                let _ = write!(buf, "{v}");
-            }
-        }
+    w.key("fields");
+    w.begin_object();
+    for (name, value) in &event.fields {
+        w.key(name);
+        value.write(&mut w);
     }
-    buf.push_str("}}");
+    w.end_object();
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]

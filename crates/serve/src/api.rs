@@ -426,10 +426,10 @@ mod tests {
 
     #[test]
     fn spec_json_roundtrips_through_text() {
-        let spec = ScenarioSpec::default()
-            .with_seed(9)
-            .with_targets(14)
-            .with_planner("chb");
+        let spec = ScenarioSpec {
+            planner: "chb".into(),
+            ..ScenarioSpec::default().with_seed(9).with_targets(14)
+        };
         let text = spec_to_json(&spec).to_json_string();
         let back = spec_from_body(text.as_bytes()).unwrap();
         assert_eq!(back, spec);
@@ -681,7 +681,10 @@ mod tests {
 
     #[test]
     fn plan_errors_surface_typed() {
-        let unknown = ScenarioSpec::default().with_planner("nonsense");
+        let unknown = ScenarioSpec {
+            planner: "nonsense".into(),
+            ..ScenarioSpec::default()
+        };
         assert!(matches!(
             plan_response_json(&unknown).unwrap_err(),
             ApiError::BadRequest(_)

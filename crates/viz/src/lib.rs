@@ -15,4 +15,4 @@ pub mod ascii;
 pub mod svg;
 
 pub use ascii::{render_plan, render_scenario, AsciiCanvas};
-pub use svg::{plan_to_svg, scenario_to_svg, SvgStyle};
+pub use svg::{plan_to_svg, SvgStyle};

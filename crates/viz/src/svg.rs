@@ -148,16 +148,6 @@ fn node_markup(scenario: &Scenario, mapper: &Mapper, style: &SvgStyle) -> String
     out
 }
 
-/// Renders only the scenario (nodes on the field) as an SVG document.
-pub fn scenario_to_svg(scenario: &Scenario, style: &SvgStyle) -> String {
-    let (mapper, width, height) = Mapper::new(scenario, style);
-    let mut svg = svg_header(width, height);
-    svg.push_str(&road_markup(scenario, &mapper));
-    svg.push_str(&node_markup(scenario, &mapper, style));
-    svg.push_str("</svg>\n");
-    svg
-}
-
 /// Renders the scenario plus every mule's route as an SVG document.
 pub fn plan_to_svg(scenario: &Scenario, plan: &PatrolPlan, style: &SvgStyle) -> String {
     let (mapper, width, height) = Mapper::new(scenario, style);
@@ -226,7 +216,8 @@ mod tests {
     #[test]
     fn scenario_svg_is_well_formed_and_shows_every_node() {
         let s = scenario();
-        let svg = scenario_to_svg(&s, &SvgStyle::default());
+        let plan = BTctp::new().plan(&s).unwrap();
+        let svg = plan_to_svg(&s, &plan, &SvgStyle::default());
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         let circles = svg.matches("<circle").count();
@@ -259,7 +250,8 @@ mod tests {
             width_px: 400.0,
             ..SvgStyle::default()
         };
-        let svg = scenario_to_svg(&s, &style);
+        let plan = BTctp::new().plan(&s).unwrap();
+        let svg = plan_to_svg(&s, &plan, &style);
         assert!(svg.contains("width=\"400\""));
         assert!(
             svg.contains("height=\"400\""),

@@ -155,19 +155,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// A large-scale topology: `targets` uniformly random targets in a
-    /// field scaled so the *density* matches the paper's densest setup
-    /// (50 targets in 800 m × 800 m). This is the tour-engine stress
-    /// workload — the paper stops at 50 targets, the ROADMAP north-star
-    /// asks for thousands.
-    pub fn large_scale(targets: usize) -> Self {
-        ScenarioConfig {
-            field_side_m: crate::layout::scaled_field_side_m(targets),
-            target_count: targets,
-            ..ScenarioConfig::paper_default()
-        }
-    }
-
     /// Builder-style override of the target count.
     pub fn with_targets(mut self, count: usize) -> Self {
         self.target_count = count;

@@ -75,31 +75,6 @@ impl Disruption {
             Disruption::SpeedWindow { start_s, .. } => start_s,
         }
     }
-
-    /// Human-readable one-line description for timelines and tables.
-    pub fn describe(&self) -> String {
-        match *self {
-            Disruption::TargetFailure { target, at_s } => {
-                format!("t={at_s:.0}s: target {target} fails")
-            }
-            Disruption::TargetRecovery { target, at_s } => {
-                format!("t={at_s:.0}s: target {target} recovers")
-            }
-            Disruption::TargetArrival { target, at_s } => {
-                format!("t={at_s:.0}s: target {target} arrives (late)")
-            }
-            Disruption::MuleBreakdown { mule, at_s } => {
-                format!("t={at_s:.0}s: mule {mule} breaks down")
-            }
-            Disruption::SpeedWindow {
-                start_s,
-                end_s,
-                factor,
-            } => {
-                format!("t={start_s:.0}s–{end_s:.0}s: speed ×{factor:.2}")
-            }
-        }
-    }
 }
 
 /// Knobs of the seeded disruption generator.
@@ -442,28 +417,5 @@ mod tests {
         assert_eq!(plan.len(), 0);
         assert!(plan.phase_boundaries_s().is_empty());
         assert!(plan.late_target_ids().is_empty());
-    }
-
-    #[test]
-    fn descriptions_name_the_subject() {
-        assert!(Disruption::TargetFailure {
-            target: NodeId(3),
-            at_s: 10.0
-        }
-        .describe()
-        .contains("g3"));
-        assert!(Disruption::MuleBreakdown {
-            mule: 2,
-            at_s: 10.0
-        }
-        .describe()
-        .contains("mule 2"));
-        assert!(Disruption::SpeedWindow {
-            start_s: 1.0,
-            end_s: 2.0,
-            factor: 0.5
-        }
-        .describe()
-        .contains("speed"));
     }
 }

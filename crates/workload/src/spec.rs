@@ -97,12 +97,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Builder-style override of the planner name.
-    pub fn with_planner(mut self, planner: impl Into<String>) -> Self {
-        self.planner = planner.into();
-        self
-    }
-
     /// Builder-style override of the travel metric.
     pub fn with_metric(mut self, metric: MetricSpec) -> Self {
         self.metric = metric;
@@ -262,7 +256,10 @@ mod tests {
                 recharge: true,
                 ..base.clone()
             },
-            base.clone().with_planner("chb"),
+            ScenarioSpec {
+                planner: "chb".into(),
+                ..base.clone()
+            },
             ScenarioSpec {
                 horizon_s: 41_000.0,
                 ..base.clone()
@@ -286,10 +283,14 @@ mod tests {
         // Without length-prefixing, spec A with planner "x;recharge=true"
         // could canonicalise like a different spec. The prefix pins the
         // name's extent.
-        let a = ScenarioSpec::default().with_planner("x;recharge=true");
+        let a = ScenarioSpec {
+            planner: "x;recharge=true".into(),
+            ..ScenarioSpec::default()
+        };
         let b = ScenarioSpec {
+            planner: "x".into(),
             recharge: true,
-            ..ScenarioSpec::default().with_planner("x")
+            ..ScenarioSpec::default()
         };
         assert_ne!(a.canonical_string(), b.canonical_string());
         assert_ne!(a.fingerprint(), b.fingerprint());
@@ -332,7 +333,10 @@ mod tests {
         // The planner's length prefix pins its extent, so a crafted name
         // ending in ";metric=road-grid" is not the same spec as a real
         // road request.
-        let crafted = ScenarioSpec::default().with_planner("b-tctp;metric=road-grid");
+        let crafted = ScenarioSpec {
+            planner: "b-tctp;metric=road-grid".into(),
+            ..ScenarioSpec::default()
+        };
         let real =
             ScenarioSpec::default().with_metric(MetricSpec::Road(mule_road::RoadNetKind::Grid));
         assert_ne!(crafted.canonical_string(), real.canonical_string());
