@@ -138,3 +138,29 @@ fn w_tctp_balancing_allocates_per_call_not_per_candidate() {
     let allocs = planner.alloc.expect("armed").allocs;
     assert!(allocs <= 182, "planner.W-TCTP made {allocs} allocations");
 }
+
+/// A paper-size static run. `sim.run` covers construction (routes,
+/// per-node state, the first events), the drain loop and the outcome.
+const SIMULATE: &str = "simulate --targets 50 --mules 4 --seed 7";
+
+/// Allocations of the `sim.run` span (children included) of `cmdline`.
+fn sim_run_allocs(cmdline: &str) -> u64 {
+    let trace = armed_trace(cmdline);
+    let runs: Vec<_> = trace.spans.iter().filter(|s| s.name == "sim.run").collect();
+    assert_eq!(runs.len(), 1, "one simulation run");
+    runs[0].alloc.expect("armed").allocs
+}
+
+#[test]
+fn static_runs_allocate_per_run_not_per_event() {
+    let _ = sim_run_allocs(SIMULATE);
+    let short = sim_run_allocs(&format!("{SIMULATE} --horizon 40000"));
+    let long = sim_run_allocs(&format!("{SIMULATE} --horizon 160000"));
+    assert!(short <= 96, "sim.run made {short} allocations");
+    // Four times the events: only the visit log and the clock's heap
+    // grow, by doubling.
+    assert!(
+        long <= short + 3,
+        "sim.run made {short} allocations at 40,000 s and {long} at 160,000 s"
+    );
+}

@@ -12,29 +12,6 @@ struct Scheduled {
     seq: u64,
 }
 
-impl Scheduled {
-    /// `true` when `self` should fire before `other`.
-    fn fires_before(&self, other: &Self) -> bool {
-        match self.event.time_s.total_cmp(&other.event.time_s) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => {
-                let lhs = (
-                    self.event.kind.priority(),
-                    self.event.subject.order_key(),
-                    self.seq,
-                );
-                let rhs = (
-                    other.event.kind.priority(),
-                    other.event.subject.order_key(),
-                    other.seq,
-                );
-                lhs < rhs
-            }
-        }
-    }
-}
-
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.seq == other.seq
@@ -48,13 +25,23 @@ impl Ord for Scheduled {
         // Reversed: `BinaryHeap` is a max-heap, we want the earliest event
         // on top. `seq` is unique, so this ordering is total and
         // consistent with `eq`.
-        if self.fires_before(other) {
-            Ordering::Greater
-        } else if other.fires_before(self) {
-            Ordering::Less
-        } else {
-            Ordering::Equal
-        }
+        self.event
+            .time_s
+            .total_cmp(&other.event.time_s)
+            .then_with(|| {
+                let lhs = (
+                    self.event.kind.priority(),
+                    self.event.subject.order_key(),
+                    self.seq,
+                );
+                let rhs = (
+                    other.event.kind.priority(),
+                    other.event.subject.order_key(),
+                    other.seq,
+                );
+                lhs.cmp(&rhs)
+            })
+            .reverse()
     }
 }
 

@@ -96,15 +96,14 @@ impl<'a> DynamicSimulation<'a> {
 
     /// Runs until `horizon_s` seconds of simulated time.
     pub fn run_for(&self, horizon_s: f64) -> DynamicOutcome {
-        let run = EngineCore::new(
+        let run = EngineCore::run(
             self.scenario,
             self.plan,
             self.config,
             self.disruptions,
             self.replanner,
             horizon_s,
-        )
-        .run();
+        );
         let horizon = horizon_s.max(0.0);
         let phase_boundaries_s: Vec<f64> = self
             .disruptions

@@ -36,22 +36,37 @@ use crate::outcome::{SimulationOutcome, VisitRecord};
 use mule_energy::{Battery, ConsumptionLedger, EnergyCause};
 use mule_events::{Event, EventKind, EventSubject, SimClock};
 use mule_geom::Point;
-use mule_net::{DataBuffer, MulePayload, NodeId, NodeKind};
+use mule_net::{DataBuffer, Field, MulePayload, NodeId, NodeKind};
 use mule_workload::{Disruption, DisruptionPlan, Scenario};
 use patrol_core::{MuleItinerary, PatrolPlan, ReplanContext, Replanner};
-use std::collections::HashMap;
+
+/// One travel vertex of a [`MuleRoute`], resolved against the field when
+/// the route is built so that an arrival never looks the field up.
+///
+/// A vertex is either a real waypoint (`node = Some(id)` — data is
+/// collected there) or an intermediate bend of the leg geometry a road
+/// metric produced (`node = None` — the mule merely passes through).
+#[derive(Clone, Copy)]
+struct Vertex {
+    position: Point,
+    node: Option<NodeId>,
+    /// The field's kind of `node`; `None` at a bend.
+    kind: Option<NodeKind>,
+    /// Length of the leg from this vertex to the next one (wrapping).
+    leg_m: f64,
+    /// Whether the leg into this vertex heads for the recharge station:
+    /// the first real node at or after it (wrapping) is the station.
+    /// Energy cause attribution uses this, so every sub-leg of a road
+    /// approach to the station is detour energy, not just the final hop.
+    towards_station: bool,
+}
 
 /// Precomputed per-mule geometry: the itinerary's travel vertices and
-/// cumulative arc lengths.
-///
-/// A *vertex* is either a real waypoint (`nodes[i] = Some(id)` — data is
-/// collected there) or an intermediate bend of the leg geometry a road
-/// metric produced (`nodes[i] = None` — the mule merely passes through).
-/// Euclidean itineraries have no bends, so their vertex list is exactly
-/// the historical waypoint list and every arrival time is byte-identical.
+/// cumulative arc lengths. Euclidean itineraries have no bends, so their
+/// vertex list is exactly the historical waypoint list and every arrival
+/// time is byte-identical.
 struct MuleRoute {
-    positions: Vec<Point>,
-    nodes: Vec<Option<NodeId>>,
+    vertices: Vec<Vertex>,
     /// `cumulative[i]` is the arc length from vertex 0 to vertex `i`;
     /// one extra entry holds the full cycle length.
     cumulative: Vec<f64>,
@@ -59,54 +74,57 @@ struct MuleRoute {
 }
 
 impl MuleRoute {
-    fn from_itinerary(it: &MuleItinerary) -> Self {
-        let mut positions: Vec<Point> = Vec::with_capacity(it.cycle.len());
-        let mut nodes: Vec<Option<NodeId>> = Vec::with_capacity(it.cycle.len());
+    fn from_itinerary(it: &MuleItinerary, field: &Field) -> Self {
+        let bends: usize = it.leg_paths.iter().take(it.cycle.len()).map(Vec::len).sum();
+        let mut vertices: Vec<Vertex> = Vec::with_capacity(it.cycle.len() + bends);
+        let vertex = |position, node: Option<NodeId>| Vertex {
+            position,
+            node,
+            kind: node.and_then(|id| field.node(id)).map(|n| n.kind),
+            leg_m: 0.0,
+            towards_station: false,
+        };
         for (i, w) in it.cycle.iter().enumerate() {
-            positions.push(w.position);
-            nodes.push(Some(w.node));
+            vertices.push(vertex(w.position, Some(w.node)));
             if let Some(leg) = it.leg_paths.get(i) {
-                for p in leg {
-                    positions.push(*p);
-                    nodes.push(None);
-                }
+                vertices.extend(leg.iter().map(|p| vertex(*p, None)));
             }
         }
-        let mut cumulative = Vec::with_capacity(positions.len() + 1);
+        let n = vertices.len();
+        let mut cumulative = Vec::with_capacity(n + 1);
         let mut acc = 0.0;
         cumulative.push(0.0);
-        for i in 0..positions.len() {
-            let next = (i + 1) % positions.len().max(1);
-            acc += positions[i].distance(&positions[next]);
+        for i in 0..n {
+            let leg = vertices[i]
+                .position
+                .distance(&vertices[(i + 1) % n].position);
+            vertices[i].leg_m = leg;
+            acc += leg;
             cumulative.push(acc);
         }
-        let total_length = if positions.len() >= 2 { acc } else { 0.0 };
+        // A bend heads wherever the vertex after it heads; bends after the
+        // last real node lead round to the first one.
+        let is_station = |v: &Vertex| v.kind == Some(NodeKind::RechargeStation);
+        let mut towards_station = vertices
+            .iter()
+            .find(|v| v.node.is_some())
+            .is_some_and(is_station);
+        for v in vertices.iter_mut().rev() {
+            if v.node.is_some() {
+                towards_station = is_station(v);
+            }
+            v.towards_station = towards_station;
+        }
+        let total_length = if n >= 2 { acc } else { 0.0 };
         MuleRoute {
-            positions,
-            nodes,
+            vertices,
             cumulative,
             total_length,
         }
     }
 
     fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// The first *real* field node at or after vertex `from` (wrapping),
-    /// i.e. where the current run of road bends ultimately leads. Energy
-    /// cause attribution uses this: every sub-leg of the approach to a
-    /// recharge station is detour energy, not just the final hop. On a
-    /// Euclidean route every vertex is a real node, so this is simply
-    /// `nodes[from]`.
-    fn destination_node(&self, from: usize) -> Option<NodeId> {
-        let n = self.len();
-        for step in 0..n {
-            if let Some(id) = self.nodes[(from + step) % n] {
-                return Some(id);
-            }
-        }
-        None
+        self.vertices.len()
     }
 
     /// The first vertex at or after `entry_offset` metres along the
@@ -163,7 +181,7 @@ impl<'a> Simulation<'a> {
     /// Runs until `horizon_s` seconds of simulated time.
     pub fn run_for(&self, horizon_s: f64) -> SimulationOutcome {
         let empty = DisruptionPlan::none();
-        EngineCore::new(
+        EngineCore::run(
             self.scenario,
             self.plan,
             self.config,
@@ -171,7 +189,6 @@ impl<'a> Simulation<'a> {
             None,
             horizon_s,
         )
-        .run()
         .outcome
     }
 }
@@ -198,11 +215,13 @@ pub(crate) struct EngineCore<'a> {
     // Mutable run state.
     routes: Vec<MuleRoute>,
     states: Vec<MuleState>,
-    buffers: HashMap<NodeId, DataBuffer>,
-    last_visit: HashMap<NodeId, f64>,
-    /// Activity of target nodes; absent means active. Only dynamic runs
-    /// ever insert `false`.
-    inactive: HashMap<NodeId, bool>,
+    // Per-node state, indexed by `NodeId::index()` and sized from the
+    // field; ids outside the field are ignored.
+    /// Only targets own a buffer.
+    buffers: Vec<Option<DataBuffer>>,
+    last_visit: Vec<f64>,
+    /// Whether each node is out of service. Only dynamic runs ever set it.
+    inactive: Vec<bool>,
     /// Global speed multiplier (1.0 = nominal); the product of all open
     /// speed windows, applied to legs as they are scheduled — never
     /// retroactively to committed legs.
@@ -218,7 +237,53 @@ pub(crate) struct EngineCore<'a> {
 }
 
 impl<'a> EngineCore<'a> {
-    pub(crate) fn new(
+    /// Runs `plan` on `scenario` until `horizon_s`. The `sim.run` span
+    /// covers the whole run: its `sim.setup` child builds the routes and
+    /// per-node state and schedules the first events, the drain loop is
+    /// `sim.run`'s own time, and `sim.outcome` sorts the visits and
+    /// reports the mules.
+    pub(crate) fn run(
+        scenario: &'a Scenario,
+        plan: &'a PatrolPlan,
+        config: SimulationConfig,
+        disruptions: &'a DisruptionPlan,
+        replanner: Option<&'a dyn Replanner>,
+        horizon_s: f64,
+    ) -> EngineRun {
+        let _span = mule_obs::span("sim.run");
+        let (mut engine, mut clock) = {
+            let _setup = mule_obs::span("sim.setup");
+            let mut engine =
+                EngineCore::new(scenario, plan, config, disruptions, replanner, horizon_s);
+            let mut clock = SimClock::new();
+            engine.schedule_initial_arrivals(&mut clock);
+            engine.schedule_disruptions(&mut clock);
+            (engine, clock)
+        };
+
+        clock.run_until(engine.horizon, |clock, event| engine.handle(clock, event));
+        mule_obs::add("events", clock.fired());
+
+        let _outcome = mule_obs::span("sim.outcome");
+        engine.visits.sort_by(|a, b| {
+            a.time_s
+                .total_cmp(&b.time_s)
+                .then(a.mule_index.cmp(&b.mule_index))
+        });
+        EngineRun {
+            outcome: SimulationOutcome {
+                planner_name: engine.plan.planner_name.clone(),
+                horizon_s: engine.horizon,
+                visits: engine.visits,
+                mules: engine.states.iter().map(MuleState::report).collect(),
+            },
+            timeline: engine.timeline,
+            replan_times_s: engine.replan_times_s,
+            events_fired: clock.fired(),
+        }
+    }
+
+    fn new(
         scenario: &'a Scenario,
         plan: &'a PatrolPlan,
         config: SimulationConfig,
@@ -227,18 +292,19 @@ impl<'a> EngineCore<'a> {
         horizon_s: f64,
     ) -> Self {
         let field = scenario.field();
-        let buffers: HashMap<NodeId, DataBuffer> = field
+        let buffers: Vec<Option<DataBuffer>> = field
             .nodes()
             .iter()
-            .filter(|n| n.kind == NodeKind::Target)
-            .map(|n| (n.id, DataBuffer::new(scenario.data_rate_bps())))
+            .map(|n| {
+                (n.kind == NodeKind::Target).then(|| DataBuffer::new(scenario.data_rate_bps()))
+            })
             .collect();
-        let last_visit: HashMap<NodeId, f64> = field.nodes().iter().map(|n| (n.id, 0.0)).collect();
+        let last_visit = vec![0.0; field.len()];
 
         let routes: Vec<MuleRoute> = plan
             .itineraries
             .iter()
-            .map(MuleRoute::from_itinerary)
+            .map(|it| MuleRoute::from_itinerary(it, field))
             .collect();
         let states: Vec<MuleState> = plan
             .itineraries
@@ -264,9 +330,11 @@ impl<'a> EngineCore<'a> {
             .collect();
 
         // Late-arrival targets start out of service.
-        let mut inactive = HashMap::new();
+        let mut inactive = vec![false; field.len()];
         for id in disruptions.late_target_ids() {
-            inactive.insert(id, true);
+            if let Some(down) = inactive.get_mut(id.index()) {
+                *down = true;
+            }
         }
 
         let mule_count = plan.itineraries.len();
@@ -304,35 +372,11 @@ impl<'a> EngineCore<'a> {
         self.speed_factor = self.open_speed_windows.iter().product::<f64>().max(0.01);
     }
 
-    fn is_target_active(&self, id: NodeId) -> bool {
-        !self.inactive.get(&id).copied().unwrap_or(false)
-    }
-
-    pub(crate) fn run(mut self) -> EngineRun {
-        let _span = mule_obs::span("sim.run");
-        let mut clock = SimClock::new();
-        self.schedule_initial_arrivals(&mut clock);
-        self.schedule_disruptions(&mut clock);
-
-        clock.run_until(self.horizon, |clock, event| self.handle(clock, event));
-        mule_obs::add("events", clock.fired());
-
-        self.visits.sort_by(|a, b| {
-            a.time_s
-                .total_cmp(&b.time_s)
-                .then(a.mule_index.cmp(&b.mule_index))
-        });
-
-        EngineRun {
-            outcome: SimulationOutcome {
-                planner_name: self.plan.planner_name.clone(),
-                horizon_s: self.horizon,
-                visits: self.visits,
-                mules: self.states.iter().map(MuleState::report).collect(),
-            },
-            timeline: self.timeline,
-            replan_times_s: self.replan_times_s,
-            events_fired: clock.fired(),
+    /// Marks node `id` in or out of service; ids outside the field are
+    /// ignored.
+    fn set_inactive(&mut self, id: NodeId, down: bool) {
+        if let Some(flag) = self.inactive.get_mut(id.index()) {
+            *flag = down;
         }
     }
 
@@ -372,8 +416,8 @@ impl<'a> EngineCore<'a> {
             let (first_wp, partial_dist) = route.entry_waypoint(entry_offset);
 
             let travel = deploy_dist + partial_dist.max(0.0);
-            let dest = self.routes[m].destination_node(first_wp);
-            if !self.consume_movement(m, travel, dest) {
+            let towards_station = route.vertices[first_wp].towards_station;
+            if !self.consume_movement(m, travel, towards_station) {
                 self.states[m].status = MuleStatus::Depleted { at_s: 0.0 };
                 continue; // died during deployment
             }
@@ -463,19 +507,21 @@ impl<'a> EngineCore<'a> {
                 self.on_arrival(clock, m, now);
             }
             (EventKind::TargetFailure, EventSubject::Target(id)) => {
-                self.inactive.insert(id, true);
+                self.set_inactive(id, true);
                 self.note(now, format!("target {id} fails"));
                 self.request_replan(clock, now);
             }
             (EventKind::TargetRecovery, EventSubject::Target(id))
             | (EventKind::TargetArrival, EventSubject::Target(id)) => {
-                self.inactive.insert(id, false);
+                self.set_inactive(id, false);
                 // Data "generated" while the target was down never
                 // existed: restart its buffer and age baseline at `now`.
-                if let Some(buffer) = self.buffers.get_mut(&id) {
+                if let Some(Some(buffer)) = self.buffers.get_mut(id.index()) {
                     buffer.restart_at(now);
                 }
-                self.last_visit.insert(id, now);
+                if let Some(last) = self.last_visit.get_mut(id.index()) {
+                    *last = now;
+                }
                 let what = if event.kind == EventKind::TargetArrival {
                     "arrives"
                 } else {
@@ -545,13 +591,13 @@ impl<'a> EngineCore<'a> {
         self.last_replan_s = Some(now);
         let _span = mule_obs::span("sim.replan");
 
-        let mut inactive_targets: Vec<NodeId> = self
+        let inactive_targets: Vec<NodeId> = self
             .inactive
             .iter()
-            .filter(|(_, &down)| down)
-            .map(|(&id, _)| id)
+            .enumerate()
+            .filter(|&(_, &down)| down)
+            .map(|(i, _)| NodeId(i))
             .collect();
-        inactive_targets.sort_unstable();
 
         let mut active_mules = Vec::new();
         let mut positions = Vec::new();
@@ -562,7 +608,7 @@ impl<'a> EngineCore<'a> {
                 // its committed destination; plan from there. Unscheduled
                 // mules adopt where they stand.
                 positions.push(if state.scheduled {
-                    self.routes[m].positions[state.next_waypoint]
+                    self.routes[m].vertices[state.next_waypoint].position
                 } else {
                     state.position
                 });
@@ -623,7 +669,7 @@ impl<'a> EngineCore<'a> {
         itinerary: MuleItinerary,
         now: f64,
     ) {
-        let route = MuleRoute::from_itinerary(&itinerary);
+        let route = MuleRoute::from_itinerary(&itinerary, self.scenario.field());
         if route.len() == 0 {
             self.routes[m] = route;
             self.states[m].status = MuleStatus::Idle;
@@ -637,9 +683,9 @@ impl<'a> EngineCore<'a> {
         let (first_wp, partial_dist) = route.entry_waypoint(entry_offset);
         let deploy_dist = self.states[m].position.distance(&itinerary.entry_point());
         let travel = deploy_dist + partial_dist.max(0.0);
-        let dest = route.destination_node(first_wp);
+        let towards_station = route.vertices[first_wp].towards_station;
         self.routes[m] = route;
-        if !self.consume_movement(m, travel, dest) {
+        if !self.consume_movement(m, travel, towards_station) {
             self.states[m].status = MuleStatus::Depleted { at_s: now };
             return;
         }
@@ -668,24 +714,21 @@ impl<'a> EngineCore<'a> {
         }
         self.states[m].scheduled = false;
         let wp = self.states[m].next_waypoint;
-        // `None` marks an intermediate bend of a road leg: nothing to
-        // visit, the mule just turns a corner and the next leg is
-        // scheduled below.
-        let node_opt = self.routes[m].nodes[wp];
-        self.states[m].position = self.routes[m].positions[wp];
-        let node_kind = node_opt.and_then(|id| self.scenario.field().node(id).map(|n| n.kind));
+        // A bend of a road leg has no node: nothing to visit, the mule
+        // just turns a corner and the next leg is scheduled below. A
+        // vertex with a kind is a field node, so its index is in range.
+        let vertex = self.routes[m].vertices[wp];
+        self.states[m].position = vertex.position;
 
         // --- Visit processing ------------------------------------------------
-        match (node_kind, node_opt) {
+        match (vertex.kind, vertex.node) {
             // An inactive target is passed by: nothing to collect, no
             // visit recorded (the catch-all arm below).
-            (Some(NodeKind::Target), Some(node_id)) if self.is_target_active(node_id) => {
-                let age = now - self.last_visit.get(&node_id).copied().unwrap_or(0.0);
-                let bytes = self
-                    .buffers
-                    .get_mut(&node_id)
-                    .map(|b| b.collect(now).0)
-                    .unwrap_or(0.0);
+            (Some(NodeKind::Target), Some(node_id)) if !self.inactive[node_id.index()] => {
+                let age = now - self.last_visit[node_id.index()];
+                let bytes = self.buffers[node_id.index()]
+                    .as_mut()
+                    .map_or(0.0, |b| b.collect(now).0);
                 self.states[m].payload.load(node_id, bytes);
                 if self.config.energy_enabled {
                     let e = self.config.energy.collection_energy(1);
@@ -693,7 +736,7 @@ impl<'a> EngineCore<'a> {
                     self.states[m].ledger.record(EnergyCause::Collection, e);
                 }
                 self.states[m].visits += 1;
-                self.last_visit.insert(node_id, now);
+                self.last_visit[node_id.index()] = now;
                 self.visits.push(VisitRecord {
                     time_s: now,
                     mule_index: m,
@@ -703,10 +746,10 @@ impl<'a> EngineCore<'a> {
                 });
             }
             (Some(NodeKind::Sink), Some(node_id)) => {
-                let age = now - self.last_visit.get(&node_id).copied().unwrap_or(0.0);
+                let age = now - self.last_visit[node_id.index()];
                 self.states[m].payload.deliver_all();
                 self.states[m].visits += 1;
-                self.last_visit.insert(node_id, now);
+                self.last_visit[node_id.index()] = now;
                 self.visits.push(VisitRecord {
                     time_s: now,
                     mule_index: m,
@@ -720,7 +763,7 @@ impl<'a> EngineCore<'a> {
                     self.states[m].battery.recharge_full();
                 }
                 self.states[m].recharges += 1;
-                self.last_visit.insert(node_id, now);
+                self.last_visit[node_id.index()] = now;
             }
             _ => {}
         }
@@ -739,15 +782,15 @@ impl<'a> EngineCore<'a> {
             return;
         }
         let next_wp = (wp + 1) % route.len();
-        let leg = route.positions[wp].distance(&route.positions[next_wp]);
-        let dest = route.destination_node(next_wp);
-        if !self.consume_movement(m, leg, dest) {
+        let leg = vertex.leg_m;
+        let towards_station = route.vertices[next_wp].towards_station;
+        if !self.consume_movement(m, leg, towards_station) {
             self.states[m].status = MuleStatus::Depleted { at_s: now };
             return;
         }
         // Collection dwell applies at real stops only — a bend in the road
         // geometry is not a place where data is collected.
-        let dwell = if node_opt.is_some() {
+        let dwell = if vertex.node.is_some() {
             self.config.collection_dwell_s
         } else {
             0.0
@@ -763,9 +806,9 @@ impl<'a> EngineCore<'a> {
 
     /// Charges the movement of `distance_m` metres to mule `m`. Returns
     /// `false` when the battery cannot afford it (the mule is stranded).
-    /// `destination` is `None` for legs ending at a road bend rather than
-    /// a field node.
-    fn consume_movement(&mut self, m: usize, distance_m: f64, destination: Option<NodeId>) -> bool {
+    /// `towards_station` is the destination vertex's
+    /// [`Vertex::towards_station`].
+    fn consume_movement(&mut self, m: usize, distance_m: f64, towards_station: bool) -> bool {
         if distance_m <= 0.0 {
             return true;
         }
@@ -786,11 +829,7 @@ impl<'a> EngineCore<'a> {
         state.distance_m += distance_m;
         // Movement towards (or away from) the recharge station is accounted
         // as recharge-detour energy; everything else is patrol movement.
-        let dest_is_station = destination
-            .and_then(|id| self.scenario.field().node(id))
-            .map(|n| n.kind == NodeKind::RechargeStation)
-            .unwrap_or(false);
-        let cause = if dest_is_station {
+        let cause = if towards_station {
             EnergyCause::RechargeMovement
         } else {
             EnergyCause::PatrolMovement
@@ -1114,6 +1153,200 @@ mod tests {
             }
         }
         assert!(checked > 0, "some steady-state intervals were checked");
+    }
+
+    /// The wrap-around scan the per-vertex station flag replaced: the
+    /// first real node at or after vertex `from`.
+    fn destination_oracle(route: &MuleRoute, from: usize) -> Option<NodeId> {
+        let n = route.len();
+        (0..n).find_map(|step| route.vertices[(from + step) % n].node)
+    }
+
+    #[test]
+    fn resolved_vertices_match_the_field_and_the_wrap_around_scan() {
+        let road = mule_workload::MetricSpec::Road(mule_road::RoadNetKind::Grid);
+        let station_scenario = |metric| {
+            ScenarioConfig::paper_default()
+                .with_targets(10)
+                .with_weights(WeightSpec::UniformVips {
+                    count: 2,
+                    weight: 2,
+                })
+                .with_recharge_station(true)
+                .with_seed(19)
+                .with_metric(metric)
+                .generate()
+        };
+        let cases: Vec<(Scenario, PatrolPlan)> = vec![
+            {
+                let s = scenario(3);
+                let plan = BTctp::new().plan(&s).unwrap();
+                (s, plan)
+            },
+            {
+                let s = ScenarioConfig::paper_default()
+                    .with_seed(3)
+                    .with_metric(road)
+                    .generate();
+                let plan = BTctp::new().plan(&s).unwrap();
+                (s, plan)
+            },
+            {
+                let s = station_scenario(mule_workload::MetricSpec::Euclidean);
+                let plan = RwTctp::default().plan(&s).unwrap();
+                (s, plan)
+            },
+            {
+                let s = station_scenario(road);
+                let plan = RwTctp::default().plan(&s).unwrap();
+                (s, plan)
+            },
+        ];
+        let (mut bends, mut bends_to_station) = (0, 0);
+        for (s, plan) in &cases {
+            let field = s.field();
+            let station = field.recharge_station().map(|n| n.id);
+            // Each itinerary as planned, and turned to start at the station
+            // so that the bends closing the cycle lead round to vertex 0.
+            let mut itineraries = plan.itineraries.clone();
+            for it in &plan.itineraries {
+                if let Some(k) = it.cycle.iter().position(|w| Some(w.node) == station) {
+                    let mut turned = it.clone();
+                    turned.cycle.rotate_left(k);
+                    if !turned.leg_paths.is_empty() {
+                        turned.leg_paths.rotate_left(k);
+                    }
+                    itineraries.push(turned);
+                }
+            }
+            for it in &itineraries {
+                let route = MuleRoute::from_itinerary(it, field);
+                for (i, v) in route.vertices.iter().enumerate() {
+                    let kind = v.node.and_then(|id| field.node(id)).map(|n| n.kind);
+                    assert_eq!(v.kind, kind, "vertex {i}");
+                    let destination = destination_oracle(&route, i);
+                    assert_eq!(
+                        v.towards_station,
+                        destination.is_some() && destination == station
+                    );
+                    let next = &route.vertices[(i + 1) % route.len()];
+                    assert_eq!(
+                        v.leg_m.to_bits(),
+                        v.position.distance(&next.position).to_bits()
+                    );
+                    if v.node.is_none() {
+                        bends += 1;
+                        bends_to_station += usize::from(v.towards_station);
+                    }
+                }
+            }
+        }
+        assert!(bends > 0, "road itineraries have bends");
+        assert!(bends_to_station > 0, "some road bend leads to the station");
+    }
+
+    /// Delegates to B-TCTP and keeps the inactive targets of every call.
+    struct RecordingReplanner {
+        inner: patrol_core::ReplanWithPlanner<BTctp>,
+        seen: std::cell::RefCell<Vec<Vec<NodeId>>>,
+    }
+
+    impl RecordingReplanner {
+        fn new() -> Self {
+            RecordingReplanner {
+                inner: patrol_core::ReplanWithPlanner::new(BTctp::new()),
+                seen: Default::default(),
+            }
+        }
+    }
+
+    impl Replanner for RecordingReplanner {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn replan(&self, ctx: &ReplanContext<'_>) -> Result<PatrolPlan, patrol_core::PlanError> {
+            self.seen.borrow_mut().push(ctx.inactive_targets.to_vec());
+            self.inner.replan(ctx)
+        }
+    }
+
+    fn dynamic(
+        s: &Scenario,
+        plan: &PatrolPlan,
+        disruptions: Vec<Disruption>,
+        replanner: Option<&dyn Replanner>,
+    ) -> crate::DynamicOutcome {
+        let disruptions = DisruptionPlan { disruptions };
+        let mut sim = crate::DynamicSimulation::new(s, plan, &disruptions)
+            .with_config(SimulationConfig::timing_only());
+        if let Some(r) = replanner {
+            sim = sim.with_replanner(r);
+        }
+        sim.run_for(30_000.0)
+    }
+
+    #[test]
+    fn replanners_see_inactive_targets_ascending_and_once() {
+        let s = scenario(43);
+        let plan = BTctp::new().plan(&s).unwrap();
+        let targets = s.field().target_ids();
+        let (late, failed) = (targets[2], targets[7]);
+        let recorder = RecordingReplanner::new();
+        let disruptions = vec![
+            Disruption::TargetFailure {
+                target: failed,
+                at_s: 4_000.0,
+            },
+            // A second failure of the same target must not list it twice.
+            Disruption::TargetFailure {
+                target: failed,
+                at_s: 6_000.0,
+            },
+            Disruption::TargetArrival {
+                target: late,
+                at_s: 9_000.0,
+            },
+        ];
+        let outcome = dynamic(&s, &plan, disruptions, Some(&recorder));
+        assert_eq!(outcome.replan_count(), 3);
+        let seen = recorder.seen.into_inner();
+        assert_eq!(
+            seen,
+            vec![vec![late, failed], vec![late, failed], vec![failed]]
+        );
+    }
+
+    #[test]
+    fn disruptions_outside_the_field_are_ignored() {
+        let s = scenario(43);
+        let plan = BTctp::new().plan(&s).unwrap();
+        let outside = NodeId(s.field().len() + 5);
+        let stray = vec![
+            Disruption::TargetArrival {
+                target: outside,
+                at_s: 2_000.0,
+            },
+            Disruption::TargetFailure {
+                target: outside,
+                at_s: 3_000.0,
+            },
+            Disruption::TargetRecovery {
+                target: outside,
+                at_s: 5_000.0,
+            },
+        ];
+        let plain = dynamic(&s, &plan, Vec::new(), None);
+        let with_stray = dynamic(&s, &plan, stray.clone(), None);
+        assert_eq!(with_stray.outcome, plain.outcome);
+        assert_eq!(with_stray.timeline.len(), 3);
+
+        // A replanner still runs at each stray disruption, but never sees
+        // the unknown id.
+        let recorder = RecordingReplanner::new();
+        let replanned = dynamic(&s, &plan, stray, Some(&recorder));
+        assert_eq!(replanned.replan_count(), 3);
+        assert!(recorder.seen.into_inner().iter().all(Vec::is_empty));
     }
 
     #[test]
