@@ -1,5 +1,5 @@
 //! The measurement and artefact code the tracked suites share
-//! ([`crate::tourbench`], [`crate::routebench`], [`crate::scalebench`]).
+//! ([`crate::tourbench`], [`crate::routebench`]).
 //!
 //! * [`min_time_ms`] — the one wall-clock timer: minimum over samples,
 //!   the stablest single statistic on a noisy machine.

@@ -13,11 +13,10 @@
 //! | [`fig10`] | Fig. 10 — average SD vs. #VIPs × weight, Shortest vs Balancing | `cargo run -p mule-bench --bin fig10` |
 //! | [`pathlen`] | §V text claim: path-length comparison | `cargo run -p mule-bench --bin table_pathlen` |
 //! | [`ablations`] | RW-TCTP recharge behaviour, start-point spreading | `cargo run -p mule-bench --bin ablation_recharge`, `ablation_spread` |
-//! | [`tourbench`] | tour-engine scaling (exact vs. candidate lists) | `patrolctl bench-tours` |
+//! | [`tourbench`] | tour-engine scaling: exact vs. candidate lists, memory, per-stage times | `patrolctl bench-tours` |
 //! | [`routebench`] | road routing (Dijkstra vs. A* vs. ALT) | `patrolctl bench-routes` |
-//! | [`scalebench`] | memory-scale matrix-free construction | `patrolctl bench-scale` |
 //!
-//! The three tracked suites share [`harness`]: one min-of-samples timer,
+//! The two tracked suites share [`harness`]: one min-of-samples timer,
 //! one armed allocation measurement and one artefact writer.
 //!
 //! Every sweep averages over a seeded replication fan (the paper uses 20
@@ -48,7 +47,6 @@ pub mod fig9;
 pub mod harness;
 pub mod pathlen;
 pub mod routebench;
-pub mod scalebench;
 pub mod tourbench;
 
 use mule_sim::{run_sweep, SimulationConfig, SweepCellOutcome};

@@ -4,7 +4,7 @@
 //! after a leading subcommand. Unknown flags and malformed values are
 //! reported as [`CliError`]s with a human-readable message.
 
-use mule_serve::{LoadgenParams, ServerConfig};
+use mule_serve::ServerConfig;
 use mule_workload::ScenarioSpec;
 use patrol_core::PlannerKind;
 use std::fmt;
@@ -76,6 +76,10 @@ pub struct BenchToursOptions {
     /// When set, the command fails if any measured tour-length ratio
     /// (candidates / exact) exceeds this bound — the CI regression gate.
     pub max_ratio: Option<f64>,
+    /// When set, the command fails if the peak live bytes per target
+    /// exceed this bound at any size — the CI regression gate for the
+    /// million-target memory budget.
+    pub max_bytes_per_target: Option<f64>,
     /// When set, the command fails if the traced/untraced wall-clock
     /// ratio of the candidates pipeline exceeds this bound — the CI gate
     /// keeping span collection cheap (tracked bound: 1.05).
@@ -99,20 +103,6 @@ pub struct BenchRoutesOptions {
     /// over plain Dijkstra falls below this bound — the CI regression
     /// gate for the tracked "ALT ≥ 3× Dijkstra at 10k nodes" claim.
     pub min_speedup: Option<f64>,
-}
-
-/// Options of the `bench-scale` subcommand (the tracked memory-scale
-/// benchmark; see `docs/PERFORMANCE.md`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BenchScaleOptions {
-    /// The suite's parameters (sizes, seed, k, samples).
-    pub params: mule_bench::scalebench::ScaleBenchParams,
-    /// Optional path of the JSON artefact to write (`BENCH_scale.json`).
-    pub json_path: Option<String>,
-    /// When set, the command fails if the peak live bytes per target
-    /// exceed this bound at any size — the CI regression gate for the
-    /// million-target memory budget.
-    pub max_bytes_per_target: Option<f64>,
 }
 
 /// Disruption knobs of the `dynamics` subcommand, on top of the shared
@@ -252,22 +242,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// Options of the `loadgen` subcommand (the server load benchmark).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LoadgenOptions {
-    /// The run's parameters (address, request count or duration,
-    /// connections, spec pool, base spec, retries, warm-up, SLO).
-    pub params: LoadgenParams,
-    /// Optional path of the JSON artefact (`BENCH_server.json`).
-    pub json_path: Option<String>,
-    /// Regression gate: fail when p99 latency exceeds this many
-    /// milliseconds.
-    pub max_p99_ms: Option<f64>,
-    /// Regression gate: fail when throughput falls below this many
-    /// requests per second.
-    pub min_rps: Option<f64>,
-}
-
 /// Options of the `chaos` subcommand (the self-checking fault-injection
 /// drill; see docs/RELIABILITY.md).
 #[derive(Debug, Clone, PartialEq)]
@@ -320,20 +294,15 @@ pub enum CliCommand {
     /// Run a parallel replication sweep over a parameter grid and print
     /// the aggregated statistics table.
     Sweep(SweepOptions),
-    /// Benchmark the tour engine (exact vs. candidate-list search) and
-    /// optionally write the tracked `BENCH_tours.json` artefact.
+    /// Benchmark the tour engine (exact vs. candidate-list search, memory
+    /// and per-stage times) and optionally write the tracked
+    /// `BENCH_tours.json` artefact.
     BenchTours(BenchToursOptions),
     /// Benchmark road routing (Dijkstra vs. A* vs. ALT) and optionally
     /// write the tracked `BENCH_routes.json` artefact.
     BenchRoutes(BenchRoutesOptions),
-    /// Benchmark matrix-free construction memory at scale and optionally
-    /// write the tracked `BENCH_scale.json` artefact.
-    BenchScale(BenchScaleOptions),
     /// Run the planning service daemon (blocks forever).
     Serve(ServeOptions),
-    /// Fire concurrent requests at a running server and optionally write
-    /// the tracked `BENCH_server.json` artefact.
-    Loadgen(LoadgenOptions),
     /// Run the self-checking fault-injection drill: boot an in-process
     /// server with an armed fault plan and verify every degraded response
     /// is well-formed, every success byte-identical, and the firing
@@ -382,7 +351,7 @@ pub const USAGE: &str = "\
 patrolctl — data-mule patrolling toolkit (B-TCTP / W-TCTP / RW-TCTP)
 
 USAGE:
-    patrolctl <render|plan|simulate|compare|dynamics|sweep|bench-tours|bench-routes|bench-scale|serve|loadgen|chaos|help> [flags]
+    patrolctl <render|plan|simulate|compare|dynamics|sweep|bench-tours|bench-routes|serve|chaos|help> [flags]
 
 FLAGS (scenario subcommands):
     --targets N        number of targets               [default: 10]
@@ -449,25 +418,6 @@ FLAGS (serve only — the planning-service daemon, see docs/SERVER.md):
     --log-level L        structured-log stderr severity floor:
                          debug | info | warn | error   [default: info]
 
-FLAGS (loadgen only — the tracked server load benchmark):
-    --addr HOST:PORT     server to fire at              [default: 127.0.0.1:7878]
-    --requests N         total requests                 [default: 1000]
-    --connections M      concurrent connections         [default: 4]
-    --spec-pool K        distinct specs rotated through [default: 4]
-    --targets/--mules/--seed/--planner   base spec      (as above)
-    --json FILE          write the report as JSON (BENCH_server.json)
-    --max-p99 MS         fail when p99 latency exceeds MS milliseconds
-    --min-rps R          fail when throughput falls below R req/s
-    --retries N          retry budget per request on 503 (seeded jittered
-                         backoff honouring Retry-After) [default: 3]
-    --duration-s S       run for S seconds instead of a fixed request count
-                         (--requests is ignored)
-    --warmup K           discard the first K requests' latencies from the
-                         histogram (steady-state percentiles) [default: 0]
-    --slo SPEC           grade the report: p99_ms=MS,availability=PCT
-                         (verdicts land in BENCH_server.json; informational,
-                         the hard gates stay --max-p99/--min-rps)
-
 FLAGS (chaos only — the self-checking fault-injection drill):
     --seed S             fault-plan seed: same seed, same firing sequence
                          [default: 7]
@@ -485,6 +435,8 @@ FLAGS (bench-tours only — the tracked tour-engine benchmark):
     --samples N          timed repetitions (min is kept) [default: 3]
     --json FILE          write the benchmark report as JSON
     --max-ratio R        fail when candidates/exact tour length exceeds R
+    --max-bytes-per-target B   fail when peak live bytes per target
+                         exceed B at any size
     --overhead-gate R    fail when tracing overhead (traced/untraced time
                          at the largest size) exceeds R   (CI pins 1.05)
     --trace-out FILE     write a Chrome trace of one traced candidates run
@@ -498,15 +450,6 @@ FLAGS (bench-routes only — the tracked road-routing benchmark):
     --json FILE          write the benchmark report as JSON (BENCH_routes.json)
     --min-speedup R      fail when ALT speedup over Dijkstra falls below R
                          at the largest network size
-
-FLAGS (bench-scale only — the tracked memory-scale benchmark):
-    --sizes LIST         instance sizes          [default: 10000,30000,100000]
-    --seed S             topology seed                  [default: 42]
-    --knn K              candidate-list width           [default: 10]
-    --samples N          timed repetitions (min is kept) [default: 3]
-    --json FILE          write the benchmark report as JSON (BENCH_scale.json)
-    --max-bytes-per-target B   fail when peak live bytes per target
-                         exceed B at any size
     (bench gates fail *after* the artefact is written)
 
 EXAMPLES:
@@ -519,15 +462,11 @@ EXAMPLES:
     patrolctl plan --targets 12 --mules 3 --metric road
     patrolctl bench-routes --sizes 1000,10000 --json BENCH_routes.json \\
         --min-speedup 3.0
-    patrolctl bench-scale --sizes 10000,30000,100000 --json BENCH_scale.json \\
-        --max-bytes-per-target 4096
+    patrolctl bench-tours --sizes 2000,20000 --samples 2 \\
+        --max-bytes-per-target 1024
     patrolctl serve --addr 127.0.0.1:7878 --workers 4 --cache-size 128
     patrolctl serve --deadline-ms 500 --breaker 3 --degraded
     patrolctl serve --debug-endpoints --slo p99_ms=250,availability=99.9
-    patrolctl loadgen --requests 1000 --connections 4 \\
-        --json BENCH_server.json --max-p99 250 --min-rps 50
-    patrolctl loadgen --duration-s 30 --warmup 100 \\
-        --slo p99_ms=250,availability=99 --json BENCH_server.json
     patrolctl chaos --seed 7 --requests 40
 ";
 
@@ -585,6 +524,9 @@ fn parse_bench_tours(args: &[String]) -> Result<CliCommand, CliError> {
             "--samples" => o.params.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
             "--json" => o.json_path = Some(take_value()?),
             "--max-ratio" => o.max_ratio = Some(parse_flag(flag, &take_value()?)?),
+            "--max-bytes-per-target" => {
+                o.max_bytes_per_target = Some(parse_flag(flag, &take_value()?)?)
+            }
             "--overhead-gate" => o.overhead_gate = Some(parse_flag(flag, &take_value()?)?),
             "--trace-out" => o.trace_out = Some(take_value()?),
             "--profile" => o.profile = true,
@@ -611,26 +553,6 @@ fn parse_bench_routes(args: &[String]) -> Result<CliCommand, CliError> {
         Ok(())
     })?;
     Ok(CliCommand::BenchRoutes(o))
-}
-
-/// Parses the flags of `bench-scale`.
-fn parse_bench_scale(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut o = BenchScaleOptions::default();
-    parse_flags(args, |flag, take_value| {
-        match flag {
-            "--sizes" => o.params.sizes = parse_list(flag, &take_value()?)?,
-            "--seed" => o.params.seed = parse_flag(flag, &take_value()?)?,
-            "--knn" => o.params.k = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--samples" => o.params.samples = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--json" => o.json_path = Some(take_value()?),
-            "--max-bytes-per-target" => {
-                o.max_bytes_per_target = Some(parse_flag(flag, &take_value()?)?)
-            }
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        Ok(())
-    })?;
-    Ok(CliCommand::BenchScale(o))
 }
 
 /// Parses an `--slo` objective spec via [`mule_obs::SloSpec::parse`].
@@ -716,44 +638,6 @@ fn parse_chaos(args: &[String]) -> Result<CliCommand, CliError> {
     Ok(CliCommand::Chaos(options))
 }
 
-/// Parses the flags of `loadgen`.
-fn parse_loadgen(args: &[String]) -> Result<CliCommand, CliError> {
-    let mut options = LoadgenOptions::default();
-    let p = &mut options.params;
-    parse_flags(args, |flag, take_value| {
-        match flag {
-            "--addr" => p.addr = take_value()?,
-            "--requests" => p.requests = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--connections" => p.connections = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--spec-pool" => p.spec_pool = parse_flag::<usize>(flag, &take_value()?)?.max(1),
-            "--targets" => p.base.targets = parse_flag(flag, &take_value()?)?,
-            "--mules" => p.base.mules = parse_flag(flag, &take_value()?)?,
-            "--seed" => p.base.seed = parse_flag(flag, &take_value()?)?,
-            "--planner" => p.base.planner = parse_planner(&take_value()?)?,
-            "--json" => options.json_path = Some(take_value()?),
-            "--max-p99" => options.max_p99_ms = Some(parse_flag(flag, &take_value()?)?),
-            "--min-rps" => options.min_rps = Some(parse_flag(flag, &take_value()?)?),
-            "--retries" => p.retry_budget = parse_flag(flag, &take_value()?)?,
-            "--duration-s" => {
-                let value = take_value()?;
-                let seconds = parse_flag::<f64>(flag, &value)?;
-                if seconds.is_nan() || seconds <= 0.0 {
-                    return Err(CliError::InvalidValue {
-                        flag: flag.to_string(),
-                        value,
-                    });
-                }
-                p.duration = Some(Duration::from_secs_f64(seconds));
-            }
-            "--warmup" => p.warmup = parse_flag(flag, &take_value()?)?,
-            "--slo" => p.slo = Some(parse_slo(flag, &take_value()?)?),
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-        Ok(())
-    })?;
-    Ok(CliCommand::Loadgen(options))
-}
-
 /// Parses the argument list (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
     let command = args.first().ok_or(CliError::MissingCommand)?;
@@ -762,9 +646,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, CliError> {
         "help" | "--help" | "-h" => return Ok(CliCommand::Help),
         "bench-tours" => return parse_bench_tours(flags),
         "bench-routes" => return parse_bench_routes(flags),
-        "bench-scale" => return parse_bench_scale(flags),
         "serve" => return parse_serve(flags),
-        "loadgen" => return parse_loadgen(flags),
         "chaos" => return parse_chaos(flags),
         _ => {}
     }
@@ -1205,55 +1087,52 @@ mod tests {
     }
 
     #[test]
-    fn bench_scale_defaults_and_flags() {
-        let CliCommand::BenchScale(opts) = parse_args(&argv("bench-scale")).unwrap() else {
-            panic!("expected bench-scale");
+    fn bench_tours_max_bytes_per_target_defaults_off_and_parses() {
+        let CliCommand::BenchTours(opts) = parse_args(&argv("bench-tours")).unwrap() else {
+            panic!("expected bench-tours");
         };
-        assert_eq!(opts, BenchScaleOptions::default());
-        assert_eq!(opts.params.sizes, vec![10_000, 30_000, 100_000]);
-        assert_eq!(opts.params.seed, 42);
-        assert!(opts.json_path.is_none());
         assert!(opts.max_bytes_per_target.is_none());
 
+        // The CI memory step: large sizes, no exact baseline, the B/target gate.
         let cmd = parse_args(&argv(
-            "bench-scale --sizes 2000,5000 --seed 9 --knn 8 \
-             --samples 2 --json BENCH_scale.json --max-bytes-per-target 4096",
+            "bench-tours --sizes 2000,20000 --seed 9 --knn 8 \
+             --samples 2 --json BENCH_tours.json --max-bytes-per-target 4096",
         ))
         .unwrap();
-        let CliCommand::BenchScale(opts) = cmd else {
+        let CliCommand::BenchTours(opts) = cmd else {
             panic!()
         };
-        assert_eq!(opts.params.sizes, vec![2000, 5000]);
+        assert_eq!(opts.params.sizes, vec![2000, 20000]);
         assert_eq!(opts.params.seed, 9);
         assert_eq!(opts.params.k, 8);
         assert_eq!(opts.params.samples, 2);
-        assert_eq!(opts.json_path.as_deref(), Some("BENCH_scale.json"));
+        assert_eq!(opts.json_path.as_deref(), Some("BENCH_tours.json"));
         assert_eq!(opts.max_bytes_per_target, Some(4096.0));
+        assert!(opts.max_ratio.is_none());
     }
 
     #[test]
-    fn bench_scale_rejects_scenario_flags_and_bad_values() {
+    fn bench_tours_rejects_bad_byte_gates_and_retired_scale_flags() {
         assert!(matches!(
-            parse_args(&argv("bench-scale --targets 10")).unwrap_err(),
-            CliError::UnknownFlag(f) if f == "--targets"
-        ));
-        assert!(matches!(
-            parse_args(&argv("bench-scale --sizes 50,x")).unwrap_err(),
-            CliError::InvalidValue { flag, .. } if flag == "--sizes"
-        ));
-        assert!(matches!(
-            parse_args(&argv("bench-scale --max-bytes-per-target")).unwrap_err(),
+            parse_args(&argv("bench-tours --max-bytes-per-target")).unwrap_err(),
             CliError::MissingValue(_)
         ));
-        assert!(USAGE.contains("bench-scale"));
+        assert!(matches!(
+            parse_args(&argv("bench-tours --max-bytes-per-target lots")).unwrap_err(),
+            CliError::InvalidValue { flag, .. } if flag == "--max-bytes-per-target"
+        ));
         assert!(USAGE.contains("--max-bytes-per-target"));
-        // The matrix-backed flavour's flags are retired.
-        for retired in ["--matrix-cap", "--max-ratio"] {
-            assert!(matches!(
-                parse_args(&argv(&format!("bench-scale {retired} 1"))).unwrap_err(),
-                CliError::UnknownFlag(f) if f == retired
-            ));
-        }
+        // bench-scale is folded into bench-tours; its subcommand and the
+        // matrix-backed flavour's flag are gone.
+        assert!(matches!(
+            parse_args(&argv("bench-scale")).unwrap_err(),
+            CliError::UnknownCommand(c) if c == "bench-scale"
+        ));
+        assert!(!USAGE.contains("bench-scale"));
+        assert!(matches!(
+            parse_args(&argv("bench-tours --matrix-cap 1")).unwrap_err(),
+            CliError::UnknownFlag(f) if f == "--matrix-cap"
+        ));
     }
 
     #[test]
@@ -1473,37 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_duration_warmup_and_slo_flags() {
-        let defaults = LoadgenOptions::default().params;
-        assert!(defaults.duration.is_none());
-        assert_eq!(defaults.warmup, 0);
-        assert!(defaults.slo.is_none());
-
-        let cmd = parse_args(&argv(
-            "loadgen --duration-s 30 --warmup 100 --slo p99_ms=250",
-        ))
-        .unwrap();
-        let CliCommand::Loadgen(opts) = cmd else {
-            panic!()
-        };
-        assert_eq!(opts.params.duration, Some(Duration::from_secs(30)));
-        assert_eq!(opts.params.warmup, 100);
-        assert_eq!(opts.params.slo.unwrap().p99_ms, Some(250.0));
-
-        // A non-positive duration would spin forever or not at all.
-        assert!(matches!(
-            parse_args(&argv("loadgen --duration-s 0")).unwrap_err(),
-            CliError::InvalidValue { flag, .. } if flag == "--duration-s"
-        ));
-        assert!(matches!(
-            parse_args(&argv("loadgen --slo availability=250")).unwrap_err(),
-            CliError::InvalidValue { flag, .. } if flag == "--slo"
-        ));
-        assert!(USAGE.contains("--duration-s"));
-        assert!(USAGE.contains("--warmup"));
-    }
-
-    #[test]
     fn chaos_defaults_and_flags() {
         let CliCommand::Chaos(opts) = parse_args(&argv("chaos")).unwrap() else {
             panic!("expected chaos");
@@ -1534,57 +1382,6 @@ mod tests {
             CliError::UnknownFlag(_)
         ));
         assert!(USAGE.contains("chaos"));
-    }
-
-    #[test]
-    fn loadgen_defaults_flags_and_gates() {
-        let CliCommand::Loadgen(opts) = parse_args(&argv("loadgen")).unwrap() else {
-            panic!("expected loadgen");
-        };
-        assert_eq!(opts, LoadgenOptions::default());
-        assert_eq!(opts.params.requests, 1000);
-        assert_eq!(opts.params.connections, 4);
-        assert!(opts.max_p99_ms.is_none());
-
-        let cmd = parse_args(&argv(
-            "loadgen --addr 127.0.0.1:7979 --requests 2000 --connections 8 --spec-pool 16 \
-             --targets 12 --mules 3 --seed 9 --planner chb --json BENCH_server.json \
-             --max-p99 250 --min-rps 50",
-        ))
-        .unwrap();
-        let CliCommand::Loadgen(opts) = cmd else {
-            panic!()
-        };
-        let p = &opts.params;
-        assert_eq!(p.addr, "127.0.0.1:7979");
-        assert_eq!(p.requests, 2000);
-        assert_eq!(p.connections, 8);
-        assert_eq!(p.spec_pool, 16);
-        assert_eq!(p.base.targets, 12);
-        assert_eq!(p.base.mules, 3);
-        assert_eq!(p.base.seed, 9);
-        assert_eq!(p.base.planner, "chb");
-        assert_eq!(opts.json_path.as_deref(), Some("BENCH_server.json"));
-        assert_eq!(opts.max_p99_ms, Some(250.0));
-        assert_eq!(opts.min_rps, Some(50.0));
-
-        let CliCommand::Loadgen(opts) = parse_args(&argv("loadgen --retries 0")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(opts.params.retry_budget, 0, "--retries 0 disables retrying");
-        assert_eq!(LoadgenOptions::default().params.retry_budget, 3);
-
-        assert!(matches!(
-            parse_args(&argv("loadgen --svg x.svg")).unwrap_err(),
-            CliError::UnknownFlag(_)
-        ));
-        assert!(matches!(
-            parse_args(&argv("loadgen --max-p99 fast")).unwrap_err(),
-            CliError::InvalidValue { .. }
-        ));
-        assert!(USAGE.contains("loadgen"));
-        assert!(USAGE.contains("--max-p99"));
-        assert!(USAGE.contains("--min-rps"));
     }
 
     #[test]
@@ -1716,7 +1513,7 @@ mod tests {
     #[test]
     fn usage_and_the_parsers_agree_on_every_flag_and_default() {
         let flags = usage_flags();
-        assert!(flags.len() > 80, "USAGE parsed to {} flags", flags.len());
+        assert!(flags.len() > 60, "USAGE parsed to {} flags", flags.len());
         for flag in &flags {
             let sub = flag.subcommand();
             for name in &flag.names {
@@ -1745,8 +1542,7 @@ mod tests {
                 let name = rest.split('(').next().unwrap();
                 parser_section = match name {
                     "args" => Some("scenario"),
-                    "bench_tours" | "bench_routes" | "bench_scale" | "serve" | "chaos"
-                    | "loadgen" => Some(name),
+                    "bench_tours" | "bench_routes" | "serve" | "chaos" => Some(name),
                     _ => None,
                 };
                 continue;
@@ -1774,6 +1570,6 @@ mod tests {
                 "`{flag}` is parsed but missing from USAGE's {section} section"
             );
         }
-        assert!(arms > 80, "found {arms} flag arms");
+        assert!(arms > 60, "found {arms} flag arms");
     }
 }

@@ -4,12 +4,10 @@
 //! written) instead of printing directly, so the logic is unit-testable.
 
 use crate::args::{
-    BenchRoutesOptions, BenchScaleOptions, BenchToursOptions, ChaosOptions, CliCommand, CliError,
-    CliOptions, DisruptionPreset, DynamicsOptions, LoadgenOptions, ServeOptions, SweepOptions,
-    USAGE,
+    BenchRoutesOptions, BenchToursOptions, ChaosOptions, CliCommand, CliError, CliOptions,
+    DisruptionPreset, DynamicsOptions, ServeOptions, SweepOptions, USAGE,
 };
 use mule_bench::routebench::run_route_bench;
-use mule_bench::scalebench::run_scale_bench;
 use mule_bench::tourbench::{run_tour_bench, tracing_overhead_ratio};
 use mule_graph::{ChbConfig, SearchMode};
 use mule_metrics::{
@@ -386,7 +384,7 @@ fn run_sweep(options: &SweepOptions) -> Result<CommandOutput, CommandError> {
     Ok(output)
 }
 
-/// The tail the bench and loadgen commands share: print `text`, write the
+/// The tail the bench commands share: print `text`, write the
 /// `json` artefact when a path was given, then run `after_write` (the
 /// regression gates). Gates run *after* the write so a failing run still
 /// leaves the artefact around for diagnosis.
@@ -418,12 +416,14 @@ fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, Command
     let p = &options.params;
     let report = run_tour_bench(p);
     let text = format!(
-        "tour engine benchmark: seed {}  k {}  exact cap {}  samples {}\n\n{}",
+        "tour engine benchmark: seed {}  k {}  exact cap {}  samples {}\n\n{}\n\
+         per-stage times (one captured run; exp = log-log slope vs the previous size):\n\n{}",
         p.seed,
         p.k,
         p.exact_cap,
         p.samples,
-        report.to_table().render()
+        report.to_table().render(),
+        report.to_stage_table().render()
     );
     report_then_gate(
         text,
@@ -446,6 +446,15 @@ fn run_bench_tours(options: &BenchToursOptions) -> Result<CommandOutput, Command
             if let (Some(bound), Some(worst)) = (options.max_ratio, report.max_len_ratio()) {
                 gate(worst > bound, || {
                     format!("tour-length ratio {worst:.4} exceeds --max-ratio {bound}")
+                })?;
+            }
+            if let Some(bound) = options.max_bytes_per_target {
+                let worst = report.max_bytes_per_target();
+                gate(worst > bound, || {
+                    format!(
+                        "matrix-free footprint {worst:.1} bytes/target exceeds \
+                         --max-bytes-per-target {bound}"
+                    )
                 })?;
             }
             if let Some(bound) = options.overhead_gate {
@@ -475,32 +484,6 @@ fn run_bench_routes(options: &BenchRoutesOptions) -> Result<CommandOutput, Comma
         if let (Some(bound), Some(speedup)) = (options.min_speedup, report.largest_alt_speedup()) {
             gate(speedup < bound, || {
                 format!("ALT speedup {speedup:.2}× below --min-speedup {bound} at the largest size")
-            })?;
-        }
-        Ok(())
-    })
-}
-
-fn run_bench_scale(options: &BenchScaleOptions) -> Result<CommandOutput, CommandError> {
-    let p = &options.params;
-    let report = run_scale_bench(p);
-    let text = format!(
-        "memory-scale benchmark: seed {}  k {}  samples {}\n\n{}\n\
-         per-stage times (one captured run; exp = log-log slope vs the previous size):\n\n{}",
-        p.seed,
-        p.k,
-        p.samples,
-        report.to_table().render(),
-        report.to_stage_table().render()
-    );
-    report_then_gate(text, report.to_json(), options.json_path.as_ref(), |_| {
-        if let Some(bound) = options.max_bytes_per_target {
-            let worst = report.max_bytes_per_target();
-            gate(worst > bound, || {
-                format!(
-                    "matrix-free footprint {worst:.1} bytes/target exceeds \
-                     --max-bytes-per-target {bound}"
-                )
             })?;
         }
         Ok(())
@@ -554,34 +537,6 @@ fn run_serve(options: &ServeOptions) -> Result<CommandOutput, CommandError> {
     loop {
         std::thread::park();
     }
-}
-
-/// `patrolctl loadgen`: drive a running server and report/gate the
-/// results.
-fn run_loadgen(options: &LoadgenOptions) -> Result<CommandOutput, CommandError> {
-    let report = mule_serve::run_loadgen(&options.params);
-    let text = report.render();
-    report_then_gate(text, report.to_json(), options.json_path.as_ref(), |_| {
-        gate(report.ok == 0, || {
-            format!(
-                "no request succeeded against {} ({} errors) — is the server up?",
-                options.params.addr, report.errors
-            )
-        })?;
-        if let Some(bound) = options.max_p99_ms {
-            let p99 = report.p99_ms();
-            gate(p99 > bound, || {
-                format!("p99 latency {p99:.2} ms exceeds --max-p99 {bound} ms")
-            })?;
-        }
-        if let Some(bound) = options.min_rps {
-            let rps = report.rps;
-            gate(rps < bound, || {
-                format!("throughput {rps:.1} req/s below --min-rps {bound}")
-            })?;
-        }
-        Ok(())
-    })
 }
 
 /// The default `chaos` fault plan: every fault kind across the serve
@@ -941,9 +896,7 @@ pub fn run_command(command: &CliCommand) -> Result<CommandOutput, CommandError> 
         ),
         CliCommand::BenchTours(options) => run_bench_tours(options),
         CliCommand::BenchRoutes(options) => run_bench_routes(options),
-        CliCommand::BenchScale(options) => run_bench_scale(options),
         CliCommand::Serve(options) => run_serve(options),
-        CliCommand::Loadgen(options) => run_loadgen(options),
         CliCommand::Chaos(options) => run_chaos(options),
     }
 }
@@ -952,7 +905,6 @@ pub fn run_command(command: &CliCommand) -> Result<CommandOutput, CommandError> 
 mod tests {
     use super::*;
     use mule_bench::routebench::RouteBenchParams;
-    use mule_bench::scalebench::ScaleBenchParams;
     use mule_bench::tourbench::TourBenchParams;
 
     fn options() -> CliOptions {
@@ -1245,6 +1197,26 @@ mod tests {
     }
 
     #[test]
+    fn bench_tours_reports_memory_and_stages_and_writes_them_to_json() {
+        let out = run_command(&CliCommand::BenchTours(bench_tours_options())).unwrap();
+        assert!(out.text.contains("bytes/target"));
+        assert!(out.text.contains("chb.hull_insertion (ms)"));
+        assert!(out.files_written.is_empty());
+
+        let dir = std::env::temp_dir().join("patrolctl_benchtours_memory_out");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut opts = bench_tours_options();
+        let path = dir.join("BENCH_tours.json").to_string_lossy().into_owned();
+        opts.json_path = Some(path.clone());
+        let out = run_command(&CliCommand::BenchTours(opts)).unwrap();
+        assert_eq!(out.files_written, vec![path.clone()]);
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.contains("\"bytes_per_target\": "));
+        assert!(json.contains("\"hull_insertion_ms\": "));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn bench_tours_writes_the_json_artefact() {
         let dir = std::env::temp_dir().join("patrolctl_benchtours_test_out");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1254,7 +1226,7 @@ mod tests {
         let out = run_command(&CliCommand::BenchTours(opts)).unwrap();
         assert_eq!(out.files_written, vec![path.clone()]);
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"schema\": \"bench-tours/v2\""));
+        assert!(json.contains("\"schema\": \"bench-tours/v3\""));
         assert!(json.contains("\"n\": 20,"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1272,6 +1244,28 @@ mod tests {
         let err = run_command(&CliCommand::BenchTours(opts)).unwrap_err();
         assert!(err.to_string().contains("check failed"), "{err}");
         assert!(err.to_string().contains("--max-ratio"));
+    }
+
+    #[test]
+    fn bench_tours_bytes_gate_passes_and_fails_after_the_artefact_is_written() {
+        // A generous bound passes …
+        let mut opts = bench_tours_options();
+        opts.max_bytes_per_target = Some(1e12);
+        assert!(run_command(&CliCommand::BenchTours(opts)).is_ok());
+
+        // … an impossible footprint bound fails with a Check error, and
+        // the artefact is still written before the gate fires.
+        let dir = std::env::temp_dir().join("patrolctl_benchtours_gate_out");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut opts = bench_tours_options();
+        let path = dir.join("BENCH_tours.json").to_string_lossy().into_owned();
+        opts.json_path = Some(path.clone());
+        opts.max_bytes_per_target = Some(1.0);
+        let err = run_command(&CliCommand::BenchTours(opts)).unwrap_err();
+        assert!(err.to_string().contains("check failed"), "{err}");
+        assert!(err.to_string().contains("--max-bytes-per-target"));
+        assert!(std::fs::metadata(&path).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn bench_routes_options() -> BenchRoutesOptions {
@@ -1302,59 +1296,6 @@ mod tests {
         assert_eq!(out.files_written, vec![path.clone()]);
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"schema\": \"bench-routes/v1\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn bench_scale_options() -> BenchScaleOptions {
-        BenchScaleOptions {
-            params: ScaleBenchParams {
-                sizes: vec![200, 500],
-                seed: 5,
-                k: 8,
-                samples: 1,
-            },
-            ..BenchScaleOptions::default()
-        }
-    }
-
-    #[test]
-    fn bench_scale_reports_memory_and_writes_json() {
-        let out = run_command(&CliCommand::BenchScale(bench_scale_options())).unwrap();
-        assert!(out.text.contains("memory-scale benchmark"));
-        assert!(out.text.contains("bytes/target"));
-        assert!(out.files_written.is_empty());
-
-        let dir = std::env::temp_dir().join("patrolctl_benchscale_test_out");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut opts = bench_scale_options();
-        let path = dir.join("BENCH_scale.json").to_string_lossy().into_owned();
-        opts.json_path = Some(path.clone());
-        let out = run_command(&CliCommand::BenchScale(opts)).unwrap();
-        assert_eq!(out.files_written, vec![path.clone()]);
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"schema\": \"bench-scale/v3\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_scale_gates_pass_and_fail_after_the_artefact_is_written() {
-        // Generous bounds pass …
-        let mut opts = bench_scale_options();
-        opts.max_bytes_per_target = Some(1e12);
-        assert!(run_command(&CliCommand::BenchScale(opts)).is_ok());
-
-        // … an impossible footprint bound fails with a Check error, and
-        // the artefact is still written before the gate fires.
-        let dir = std::env::temp_dir().join("patrolctl_benchscale_gate_out");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut opts = bench_scale_options();
-        let path = dir.join("BENCH_scale.json").to_string_lossy().into_owned();
-        opts.json_path = Some(path.clone());
-        opts.max_bytes_per_target = Some(1.0);
-        let err = run_command(&CliCommand::BenchScale(opts)).unwrap_err();
-        assert!(err.to_string().contains("check failed"), "{err}");
-        assert!(err.to_string().contains("--max-bytes-per-target"));
-        assert!(std::fs::metadata(&path).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1452,21 +1393,6 @@ mod tests {
         bad.spec.mules = 0;
         let err = run_command(&CliCommand::Plan(bad)).unwrap_err();
         assert!(err.to_string().contains("planning failed"));
-    }
-
-    #[test]
-    fn loadgen_against_a_dead_address_fails_the_gate() {
-        let opts = LoadgenOptions {
-            params: mule_serve::LoadgenParams {
-                addr: "127.0.0.1:1".to_string(),
-                requests: 4,
-                connections: 2,
-                ..mule_serve::LoadgenParams::default()
-            },
-            ..LoadgenOptions::default()
-        };
-        let err = run_command(&CliCommand::Loadgen(opts)).unwrap_err();
-        assert!(err.to_string().contains("no request succeeded"), "{err}");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   lazy-invalidation min-heap; an insertion offers its two new edges
 //!   only to the points a 2-d tree cannot rule out, and a point whose
 //!   cached edge was split is re-scored through the same tree. No dense
-//!   distance matrix. Measured on uniform points (`patrolctl bench-scale`,
-//!   docs/PERFORMANCE.md) the construction grows as about `n^1.3`; exact
+//!   distance matrix. Measured on uniform points (`patrolctl bench-tours`,
+//!   docs/PERFORMANCE.md) the construction grows as about `n^1.4`; exact
 //!   cost ties can still force full cycle scans. Tie-breaking differs from
 //!   the exact variant (heap order vs. scan order), so tours can differ
 //!   *by bytes* on exact cost ties while the greedy rule — and hence

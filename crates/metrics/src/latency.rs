@@ -1,10 +1,9 @@
 //! Log-bucketed latency histograms for the serving path.
 //!
-//! `mule-serve`'s `/metrics` endpoint and the `patrolctl loadgen` client
-//! both need cheap, mergeable latency percentiles. A sorted-sample
-//! percentile is exact but O(n) memory per request stream; a
-//! [`LatencyHistogram`] is O(1) per observation and O(buckets) to merge,
-//! at a bounded relative error.
+//! `mule-serve`'s `/metrics` endpoint needs a cheap request-latency
+//! histogram. A sorted-sample percentile is exact but O(n) memory per
+//! request stream; a [`LatencyHistogram`] is O(1) per observation, at a
+//! bounded relative error.
 //!
 //! ## Bucket layout
 //!
@@ -13,9 +12,8 @@
 //! power-of-two octave is split into [`SUB_BUCKETS`] equal-width linear
 //! sub-buckets. Below `SUB_BUCKETS` nanoseconds each bucket holds exactly
 //! one nanosecond value, so the layout is exact there. The scheme is
-//! *static* — no configuration, no rescaling — which is what makes two
-//! histograms recorded on different threads (or different machines)
-//! mergeable by plain element-wise addition.
+//! *static* — no configuration, no rescaling — so the `/metrics` bucket
+//! bounds never move between scrapes.
 //!
 //! The width of a bucket in octave `e` is `2^(e-3)` ns while its smallest
 //! member is at least `8 · 2^(e-3)` ns, so a reported quantile (the
@@ -64,17 +62,16 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     (lower, lower + (width - 1))
 }
 
-/// A mergeable log-bucketed latency histogram with exact count / mean /
-/// max and bounded-error quantiles.
+/// A log-bucketed latency histogram with exact count / sum / max and
+/// bounded-error quantiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     /// Per-bucket observation counts (see [`bucket_index`]).
     counts: Vec<u64>,
     /// Total observations.
     count: u64,
-    /// Sum of all observations, nanoseconds. Integer so that merging two
-    /// histograms is exactly the same as interleaved recording — no
-    /// floating-point accumulation-order effects.
+    /// Sum of all observations, nanoseconds. Integer so that the sum is
+    /// exact whatever the recording order.
     sum_ns: u128,
     /// Largest observation, nanoseconds.
     max_ns: u64,
@@ -132,20 +129,6 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Returns `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Exact mean of all observations, seconds (0 when empty).
-    pub fn mean_s(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / 1e9 / self.count as f64
-        }
-    }
-
     /// Exact largest observation, seconds (0 when empty).
     pub fn max_s(&self) -> f64 {
         self.max_ns as f64 / 1e9
@@ -176,16 +159,6 @@ impl LatencyHistogram {
         self.quantile(0.50)
     }
 
-    /// 95th-percentile latency, seconds.
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile latency, seconds.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
     /// Sum of all observations, in seconds.
     pub fn sum_s(&self) -> f64 {
         self.sum_ns as f64 / 1e9
@@ -203,19 +176,6 @@ impl LatencyHistogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_bounds(i).1, c))
             .collect()
-    }
-
-    /// Merges another histogram into this one. Because the bucket layout
-    /// is static, merging is element-wise addition and the result is
-    /// identical to having recorded both observation streams into a
-    /// single histogram, in any order.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
@@ -276,12 +236,12 @@ mod tests {
     #[test]
     fn count_mean_max_are_exact() {
         let mut h = LatencyHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         for ms in [1.0, 2.0, 3.0, 10.0] {
             h.record(ms / 1000.0);
         }
         assert_eq!(h.count(), 4);
-        assert!((h.mean_s() - 0.004).abs() < 1e-9);
+        assert!((h.sum_s() / h.count() as f64 - 0.004).abs() < 1e-9);
         assert!((h.max_s() - 0.010).abs() < 1e-12);
     }
 
@@ -300,15 +260,15 @@ mod tests {
             );
         }
         assert_eq!(h.p50(), h.quantile(0.5));
-        assert!(h.p50() <= h.p95() && h.p95() <= h.p99());
-        assert!(h.p99() <= h.max_s());
+        assert!(h.p50() <= h.quantile(0.95) && h.quantile(0.95) <= h.quantile(0.99));
+        assert!(h.quantile(0.99) <= h.max_s());
     }
 
     #[test]
     fn quantile_edge_cases() {
         let empty = LatencyHistogram::new();
         assert_eq!(empty.quantile(0.5), 0.0);
-        assert_eq!(empty.mean_s(), 0.0);
+        assert_eq!(empty.sum_s(), 0.0);
         assert_eq!(empty.max_s(), 0.0);
 
         let mut one = LatencyHistogram::new();
@@ -326,39 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_into_one_histogram() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut combined = LatencyHistogram::new();
-        for i in 0..500u64 {
-            let ns = (i + 1) * 7919; // spread across several octaves
-            if i % 2 == 0 {
-                a.record_nanos(ns);
-            } else {
-                b.record_nanos(ns);
-            }
-            combined.record_nanos(ns);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        assert_eq!(a.count(), 500);
-        assert_eq!(a.p99(), combined.p99());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = LatencyHistogram::new();
-        h.record(0.002);
-        let before = h.clone();
-        h.merge(&LatencyHistogram::new());
-        assert_eq!(h, before);
-
-        let mut empty = LatencyHistogram::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn duration_recording_matches_seconds() {
         let mut a = LatencyHistogram::new();
         let mut b = LatencyHistogram::new();
@@ -373,7 +300,7 @@ mod tests {
         for us in 1..=2000u64 {
             h.record_nanos(us * 1000);
         }
-        assert!(h.p99() <= h.quantile(0.999));
+        assert!(h.quantile(0.99) <= h.quantile(0.999));
         assert!(h.quantile(0.999) <= h.max_s());
         let exact_us = 1998.0; // rank ceil(0.999 · 2000)
         let got_us = h.quantile(0.999) * 1e6;
@@ -400,46 +327,5 @@ mod tests {
         assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(buckets.iter().map(|&(_, c)| c).sum::<u64>(), h.count());
         assert!((h.sum_s() - 46e-9).abs() < 1e-15);
-    }
-
-    mod merge_associativity {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Builds a histogram from a vector of nanosecond observations.
-        fn hist(obs: &[u64]) -> LatencyHistogram {
-            let mut h = LatencyHistogram::new();
-            for &ns in obs {
-                h.record_nanos(ns);
-            }
-            h
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            // (a ⊎ b) ⊎ c ≡ a ⊎ (b ⊎ c), bucket-for-bucket: the static
-            // layout and integer sums make merging exactly associative.
-            #[test]
-            fn merge_is_associative_bucket_for_bucket(
-                a in prop::collection::vec(0u64..u64::MAX, 0..40),
-                b in prop::collection::vec(0u64..u64::MAX, 0..40),
-                c in prop::collection::vec(0u64..u64::MAX, 0..40),
-            ) {
-                let (ha, hb, hc) = (hist(&a), hist(&b), hist(&c));
-
-                let mut left = ha.clone();
-                left.merge(&hb);
-                left.merge(&hc);
-
-                let mut right_inner = hb.clone();
-                right_inner.merge(&hc);
-                let mut right = ha.clone();
-                right.merge(&right_inner);
-
-                prop_assert_eq!(&left, &right);
-                prop_assert_eq!(left.nonzero_buckets(), right.nonzero_buckets());
-            }
-        }
     }
 }

@@ -20,9 +20,9 @@
 //! * [`SweepReport`] — per-cell mean / stddev / 95 % CI aggregation of a
 //!   parallel [`mule_workload::SweepSpec`] run (the `patrolctl sweep`
 //!   table and CSV).
-//! * [`LatencyHistogram`] — mergeable log-bucketed latency histogram with
-//!   `p50`/`p95`/`p99`, backing the `mule-serve` `/metrics` endpoint and
-//!   the `patrolctl loadgen` report.
+//! * [`LatencyHistogram`] — log-bucketed latency histogram with
+//!   bounded-error quantiles, backing the `mule-serve` `/metrics`
+//!   endpoint.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

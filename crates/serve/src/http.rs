@@ -303,7 +303,7 @@ impl ClientResponse {
 }
 
 /// Reads one response from the stream (the client half of the protocol,
-/// used by `loadgen` and the tests).
+/// used by the `chaos` drill and the tests).
 pub fn read_response(reader: &mut impl BufRead) -> Result<ClientResponse, HttpError> {
     let mut budget = MAX_HEAD_BYTES;
     let status_line = read_line(reader, &mut budget)?.ok_or(HttpError::Closed)?;

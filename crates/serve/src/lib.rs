@@ -2,7 +2,7 @@
 //!
 //! Planning-as-a-service: the CHB/WTCTP planning pipeline behind a
 //! dependency-free HTTP/1.1 daemon, with a deterministic plan cache,
-//! request coalescing, explicit backpressure and a load generator.
+//! request coalescing and explicit backpressure.
 //!
 //! Every prior layer of this workspace runs as a one-shot process; this
 //! crate is the serving dimension of the ROADMAP's north star. The
@@ -27,11 +27,9 @@
 //!   beyond `queue_depth`), connection handlers on a long-lived
 //!   [`mule_par::TaskPool`], `/healthz`, `/metrics`, `/v1/plan` and
 //!   `/v1/simulate`.
-//! * [`loadgen`] — the benchmarking client: N requests over M keep-alive
-//!   connections, merged latency histograms, client-observed hit rate,
-//!   the tracked `BENCH_server.json`.
 //!
-//! `patrolctl serve` and `patrolctl loadgen` drive the two ends;
+//! `patrolctl serve` runs the daemon; perfbench's `serve-mixed` workload
+//! (`BENCHMARK.json`) is its load benchmark, with its own client.
 //! `docs/SERVER.md` is the API reference and ops guide,
 //! `docs/RELIABILITY.md` covers fault injection and graceful
 //! degradation (deadlines, breakers, stale-on-error).
@@ -43,13 +41,11 @@ pub mod api;
 pub mod breaker;
 pub mod cache;
 pub mod http;
-pub mod loadgen;
 pub mod server;
 
 pub use api::{plan_response_json, ApiError};
 pub use breaker::{BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheOutcome, PlanCache};
-pub use loadgen::{run_loadgen, LoadReport, LoadgenParams};
 pub use mule_obs::json;
 pub use mule_obs::json::{JsonError, JsonValue};
 pub use server::{start, ServerConfig, ServerHandle};

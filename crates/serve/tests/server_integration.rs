@@ -296,6 +296,55 @@ fn metrics_is_prometheus_text_and_span_counters_match_requests() {
 }
 
 #[test]
+fn concurrent_keep_alive_clients_compute_each_spec_once() {
+    const CLIENTS: u64 = 4;
+    const REQUESTS: u64 = 50;
+    const SPECS: u64 = 4;
+    let server = test_server(ServerConfig::default());
+    // Each client rotates over the same spec pool from its own offset, so
+    // every spec is requested concurrently from the first round on.
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let server = &server;
+            scope.spawn(move || {
+                let mut connection = Client::connect(server);
+                for i in 0..REQUESTS {
+                    let seed = 1 + (client + i) % SPECS;
+                    let body = format!(r#"{{"targets": 8, "mules": 3, "seed": {seed}}}"#);
+                    let response = connection.request("POST", "/v1/plan", body.as_bytes());
+                    assert_eq!(response.status, 200, "client {client} request {i}");
+                }
+            });
+        }
+    });
+
+    let mut client = Client::connect(&server);
+    let text = client.request("GET", "/metrics", b"").body_text();
+    let value = |series: &str| prom::sum(&text, series).unwrap_or(0.0);
+    assert_eq!(
+        value("mule_requests_total{route=\"plan\"}"),
+        (CLIENTS * REQUESTS) as f64
+    );
+    // One cold compute per distinct spec; every other request is served
+    // from the cache, directly or by joining an in-flight compute.
+    assert_eq!(
+        value("mule_cache_events_total{event=\"miss\"}"),
+        SPECS as f64
+    );
+    assert_eq!(
+        value("mule_cache_events_total{event=\"hit\"}")
+            + value("mule_cache_events_total{event=\"coalesced\"}"),
+        (CLIENTS * REQUESTS - SPECS) as f64
+    );
+    assert_eq!(
+        value("mule_span_total{span=\"request\"}"),
+        value("mule_requests_total"),
+        "one request span per counted request:\n{text}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn every_response_carries_a_distinct_trace_id() {
     let server = test_server(ServerConfig::default());
     let mut client = Client::connect(&server);

@@ -5,8 +5,8 @@
 //!
 //! `patrolctl`'s scenario flags write straight into a spec (the CLI's
 //! options embed one, so the two front ends cannot drift); it lives here
-//! rather than in the CLI because the server, the load generator and the
-//! CLI all speak it.
+//! rather than in the CLI because the server, the benchmark and the CLI
+//! all speak it.
 //!
 //! ## Canonical form and fingerprint
 //!
