@@ -99,6 +99,19 @@ fn large_plan_responses_are_byte_identical() {
     }
 }
 
+/// Sweep with more mules than angular groups leaves the extra mules a walk
+/// of one waypoint, the sink: no leg to drive, so its length is the empty
+/// sum and prints as `-0.0`.
+#[test]
+fn single_waypoint_walk_plan_response_is_byte_identical() {
+    let cmdline = "plan --targets 5 --mules 8 --seed 3 --planner sweep";
+    assert_eq!(
+        fnv1a(run(cmdline).text.as_bytes()),
+        0x8264_1292_6abd_e57f,
+        "`patrolctl {cmdline}` drifted"
+    );
+}
+
 /// Plan documents on the exact CHB path (insertion, 2-opt and Or-opt over
 /// the full matrix) for every TCTP planner. 127 targets plus the sink are
 /// 128 circuit points, the largest instance `SearchMode::Auto` keeps exact.

@@ -187,3 +187,20 @@ fn road_plan_responses_are_pinned() {
         assert_eq!(got, want, "{planner}: got {got:#018x}");
     }
 }
+
+/// The road-grid twin of `golden_euclidean.rs`'s single-waypoint pin:
+/// Sweep's sink-only walks have no legs to route, so they render no
+/// `path` and a `-0.0` length.
+#[test]
+fn road_single_waypoint_walks_are_pinned() {
+    let spec = ScenarioSpec {
+        targets: 5,
+        mules: 8,
+        seed: 3,
+        planner: "sweep".to_string(),
+        metric: ROAD,
+        ..ScenarioSpec::default()
+    };
+    let got = fnv1a(plan_response_json(&spec).expect("plan").as_bytes());
+    assert_eq!(got, 0xeea1_bca1_de63_9564, "got {got:#018x}");
+}
