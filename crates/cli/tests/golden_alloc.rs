@@ -139,6 +139,35 @@ fn w_tctp_balancing_allocates_per_call_not_per_candidate() {
     assert!(allocs <= 182, "planner.W-TCTP made {allocs} allocations");
 }
 
+/// A paper-size road-grid RW-TCTP plan: eight mules on one super-cycle
+/// that repeats its legs. Each distinct leg is routed once and the routed
+/// walk is shared, so the render formats one cycle and one path and copies
+/// their bytes for the other mules.
+const ROAD_RW_TCTP: &str = "plan --targets 50 --mules 8 --seed 7 --planner rw-tctp --recharge \
+     --metric road-grid";
+
+#[test]
+fn road_plans_share_one_routed_walk() {
+    let _ = armed_trace(ROAD_RW_TCTP);
+    let trace = armed_trace(ROAD_RW_TCTP);
+    let allocs = |name: &str| {
+        let span = trace
+            .spans
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("the plan opens {name}"));
+        (span.alloc.expect("armed").allocs, span)
+    };
+    // Counts include child spans. With a routed copy of the walk per mule
+    // the planner made 1,195 and the render 88; most of what is left is
+    // the road matrix and the A* queries.
+    let (planner, _) = allocs("planner.RW-TCTP");
+    assert!(planner <= 900, "planner.RW-TCTP made {planner} allocations");
+    let (render, span) = allocs("plan.render");
+    assert!(render <= 40, "plan.render made {render} allocations");
+    assert_eq!(counter(span, "cycles"), 1, "one walk formatted");
+}
+
 /// A paper-size static run. `sim.run` covers construction (routes,
 /// per-node state, the first events), the drain loop and the outcome.
 const SIMULATE: &str = "simulate --targets 50 --mules 4 --seed 7";

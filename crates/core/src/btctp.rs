@@ -11,9 +11,9 @@
 //! target is visited every `|P| / (n · v)` seconds with zero variance — the
 //! property Figures 7 and 8 demonstrate.
 
-use crate::deployment::assign_start_points;
+use crate::deployment::spread_over;
 use crate::hamiltonian::SharedCircuit;
-use crate::plan::{MuleItinerary, PatrolPlan, PlanError};
+use crate::plan::{MuleItinerary, PatrolPlan, PlanError, Walk};
 use crate::planner::{validate_common, Planner};
 use mule_graph::ChbConfig;
 use mule_workload::Scenario;
@@ -62,34 +62,22 @@ impl Planner for BTctp {
         validate_common(scenario)?;
         let circuit =
             SharedCircuit::build(scenario, &ChbConfig::default()).ok_or(PlanError::NoTargets)?;
-        let path = mule_geom::Polyline::closed(circuit.positions());
-
-        let itineraries = if self.spread_start_points {
-            let deployments = assign_start_points(&path, scenario.mule_starts());
-            scenario
-                .mule_starts()
-                .iter()
-                .enumerate()
-                .map(|(m, start)| {
-                    MuleItinerary::new(m, *start, circuit.waypoints.clone())
-                        .with_entry_offset(deployments[m].entry_offset_m)
-                })
-                .collect()
-        } else {
-            // CHB-style: every mule just enters the circuit at the waypoint
-            // nearest its own start position.
-            scenario
-                .mule_starts()
-                .iter()
-                .enumerate()
-                .map(|(m, start)| {
-                    let offset = nearest_vertex_offset(&path, start);
-                    MuleItinerary::new(m, *start, circuit.waypoints.clone())
-                        .with_entry_offset(offset)
-                })
-                .collect()
-        };
-
+        let walk = Walk::from(circuit.waypoints);
+        if self.spread_start_points {
+            return Ok(spread_over(self.name(), walk, scenario));
+        }
+        // CHB-style: every mule just enters the circuit at the waypoint
+        // nearest its own start position.
+        let path = walk.polyline();
+        let itineraries = scenario
+            .mule_starts()
+            .iter()
+            .enumerate()
+            .map(|(m, start)| {
+                let offset = nearest_vertex_offset(&path, start);
+                MuleItinerary::new(m, *start, walk.clone()).with_entry_offset(offset)
+            })
+            .collect();
         Ok(PatrolPlan::new(self.name(), itineraries).with_metric_geometry(scenario.metric()))
     }
 }

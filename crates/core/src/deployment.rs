@@ -12,7 +12,9 @@
 //! nearby start point, every start point manned by exactly one mule) while
 //! being deterministic and independent of mule iteration order.
 
+use crate::plan::{MuleItinerary, PatrolPlan, Walk};
 use mule_geom::{Point, Polyline};
+use mule_workload::Scenario;
 
 /// One mule's deployment decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +83,23 @@ pub fn assign_start_points(path: &Polyline, mule_positions: &[Point]) -> Vec<Dep
             deployment_distance_m: mule_positions[m].distance(&start_points[s]),
         })
         .collect()
+}
+
+/// The plan named `name` in which every mule of `scenario` patrols `walk`,
+/// entering it at its assigned start point, routed along the scenario's
+/// metric: the patrolling strategy of B-, W- and RW-TCTP.
+pub(crate) fn spread_over(name: &str, walk: Walk, scenario: &Scenario) -> PatrolPlan {
+    let deployments = assign_start_points(&walk.polyline(), scenario.mule_starts());
+    let itineraries = scenario
+        .mule_starts()
+        .iter()
+        .enumerate()
+        .map(|(m, start)| {
+            MuleItinerary::new(m, *start, walk.clone())
+                .with_entry_offset(deployments[m].entry_offset_m)
+        })
+        .collect();
+    PatrolPlan::new(name, itineraries).with_metric_geometry(scenario.metric())
 }
 
 #[cfg(test)]

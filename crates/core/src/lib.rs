@@ -47,7 +47,7 @@ pub mod rwtctp;
 pub mod wtctp;
 
 pub use btctp::BTctp;
-pub use plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
+pub use plan::{MuleItinerary, PatrolPlan, PlanError, Walk, Waypoint};
 pub use planner::Planner;
 pub use registry::{PlannerKind, PLANNERS};
 pub use replan::{ReplanContext, ReplanWithPlanner, Replanner};

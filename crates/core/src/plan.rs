@@ -2,25 +2,28 @@
 //! simulator.
 //!
 //! A [`PatrolPlan`] holds one [`MuleItinerary`] per mule. An itinerary is a
-//! *closed walk* over field nodes — the same node may appear several times,
-//! which is how weighted patrolling paths visit a VIP `w_i` times per
-//! traversal — plus the arc-length offset at which the mule enters the walk
-//! (the B-TCTP start-point spreading) and the mule's physical start
-//! position.
+//! [`Walk`] — a *closed walk* over field nodes; the same node may appear
+//! several times, which is how weighted patrolling paths visit a VIP `w_i`
+//! times per traversal — plus the arc-length offset at which the mule
+//! enters the walk (the B-TCTP start-point spreading) and the mule's
+//! physical start position. B-, W- and RW-TCTP hand every mule the same
+//! walk: the itineraries hold clones of one [`Walk`], which share its
+//! storage.
 //!
-//! Under a road metric, an itinerary additionally carries the **leg
-//! geometry**: for each consecutive waypoint pair, the road polyline the
-//! mule physically drives. [`MuleItinerary::polyline`],
-//! [`MuleItinerary::cycle_length`] and the simulator all follow that
-//! geometry, so arrival times, traces and renders see real roads instead of
-//! straight chords. Euclidean plans carry no leg paths and behave — byte
-//! for byte — as they always did.
+//! Under a road metric, a walk additionally carries the **leg geometry**:
+//! for each consecutive waypoint pair, the road polyline the mule
+//! physically drives. [`Walk::length`], [`Walk::vertices`] and the
+//! simulator all follow that geometry, so arrival times, traces and renders
+//! see real roads instead of straight chords. Euclidean walks carry no leg
+//! geometry and behave — byte for byte — as they always did.
 
 use mule_geom::{Point, Polyline};
 use mule_net::NodeId;
 use mule_road::TravelMetric;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// One stop of an itinerary: a field node and its position.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,6 +41,119 @@ impl Waypoint {
     }
 }
 
+/// A closed walk over field nodes, in traversal order: after the last
+/// waypoint the mule returns to the first. It dereferences to its
+/// waypoints.
+///
+/// A walk is immutable, and cloning one clones an [`Arc`]: every mule of a
+/// B-, W- or RW-TCTP plan holds the same walk, which [`Walk::ptr_eq`]
+/// tells apart from an equal walk stored separately.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Walk(Arc<WalkData>);
+
+#[derive(Debug, PartialEq)]
+struct WalkData {
+    waypoints: Vec<Waypoint>,
+    /// `legs[i]` holds the bends the mule passes between waypoint `i` and
+    /// the next one (wrapping). Empty means every leg is the straight
+    /// chord: the Euclidean representation.
+    legs: Vec<Vec<Point>>,
+    /// Length of one traversal, measured once at construction.
+    length_m: f64,
+}
+
+impl Walk {
+    fn new(waypoints: Vec<Waypoint>, legs: Vec<Vec<Point>>) -> Self {
+        let mut walk = Walk(Arc::new(WalkData {
+            waypoints,
+            legs,
+            length_m: 0.0,
+        }));
+        let length_m = walk.polyline().length();
+        Arc::get_mut(&mut walk.0)
+            .expect("a new walk is unshared")
+            .length_m = length_m;
+        walk
+    }
+
+    /// Whether `a` and `b` are clones of one walk (not merely equal).
+    pub fn ptr_eq(a: &Walk, b: &Walk) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Total length of one traversal, in metres, along the leg geometry.
+    pub fn length(&self) -> f64 {
+        self.0.length_m
+    }
+
+    /// Whether the walk carries road geometry for its legs (a road plan's
+    /// walk of two or more waypoints).
+    pub fn is_routed(&self) -> bool {
+        !self.0.legs.is_empty()
+    }
+
+    /// The travel vertices of one traversal, in order: each waypoint (with
+    /// its node) followed by the bends of the leg it starts (with `None`).
+    /// Without leg geometry these are exactly the waypoints.
+    pub fn vertices(&self) -> impl Iterator<Item = (Point, Option<NodeId>)> + '_ {
+        let walk = &*self.0;
+        walk.waypoints.iter().enumerate().flat_map(move |(i, w)| {
+            std::iter::once((w.position, Some(w.node)))
+                .chain(walk.legs.get(i).into_iter().flatten().map(|p| (*p, None)))
+        })
+    }
+
+    /// Number of [`Walk::vertices`]: waypoints plus bends.
+    pub fn vertex_count(&self) -> usize {
+        self.0.waypoints.len() + self.0.legs.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// The closed polyline through every travel vertex.
+    pub fn polyline(&self) -> Polyline {
+        let mut points = Vec::with_capacity(self.vertex_count());
+        points.extend(self.vertices().map(|(p, _)| p));
+        Polyline::closed(points)
+    }
+
+    /// This walk with each leg's road geometry supplied by `leg(from, to)`
+    /// (the metric's `leg_path`). A walk of fewer than two waypoints has
+    /// no leg and comes back as it is.
+    fn routed(&self, mut leg: impl FnMut(&Point, &Point) -> Vec<Point>) -> Walk {
+        let n = self.len();
+        if n < 2 {
+            return self.clone();
+        }
+        let legs = (0..n)
+            .map(|i| leg(&self[i].position, &self[(i + 1) % n].position))
+            .collect();
+        Walk::new(self.0.waypoints.clone(), legs)
+    }
+}
+
+impl From<Vec<Waypoint>> for Walk {
+    /// A walk with straight (chord) legs.
+    fn from(waypoints: Vec<Waypoint>) -> Self {
+        Walk::new(waypoints, Vec::new())
+    }
+}
+
+impl Deref for Walk {
+    type Target = [Waypoint];
+
+    fn deref(&self) -> &[Waypoint] {
+        &self.0.waypoints
+    }
+}
+
+impl<'a> IntoIterator for &'a Walk {
+    type Item = &'a Waypoint;
+    type IntoIter = std::slice::Iter<'a, Waypoint>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.waypoints.iter()
+    }
+}
+
 /// The route of a single mule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MuleItinerary {
@@ -45,33 +161,23 @@ pub struct MuleItinerary {
     pub mule_index: usize,
     /// Where the mule is physically located before it starts patrolling.
     pub start_position: Point,
-    /// The closed walk the mule repeats forever, in traversal order. The
-    /// walk is closed implicitly: after the last waypoint the mule returns
-    /// to the first.
-    pub cycle: Vec<Waypoint>,
+    /// The closed walk the mule repeats forever.
+    pub cycle: Walk,
     /// Arc length along `cycle` (measured from its first waypoint) at which
     /// the mule enters the walk. The mule first travels in a straight line
     /// from `start_position` to that entry point, then patrols. With leg
-    /// geometry present, the arc length is measured along the *expanded*
-    /// polyline (real road metres).
+    /// geometry present, the arc length is measured along the roads.
     pub entry_offset_m: f64,
-    /// Per-leg travel geometry: `leg_paths[i]` holds the intermediate
-    /// points the mule passes between `cycle[i]` and `cycle[(i + 1) % n]`.
-    /// Empty (the default) means every leg is the straight chord — the
-    /// Euclidean representation, unchanged from before road metrics.
-    pub leg_paths: Vec<Vec<Point>>,
 }
 
 impl MuleItinerary {
-    /// Creates an itinerary entering the cycle at its first waypoint, with
-    /// straight (chord) legs.
-    pub fn new(mule_index: usize, start_position: Point, cycle: Vec<Waypoint>) -> Self {
+    /// Creates an itinerary entering the cycle at its first waypoint.
+    pub fn new(mule_index: usize, start_position: Point, cycle: impl Into<Walk>) -> Self {
         MuleItinerary {
             mule_index,
             start_position,
-            cycle,
+            cycle: cycle.into(),
             entry_offset_m: 0.0,
-            leg_paths: Vec::new(),
         }
     }
 
@@ -82,69 +188,17 @@ impl MuleItinerary {
         self
     }
 
-    /// The full travel geometry of one traversal: every waypoint followed
-    /// by its leg's intermediate points. Without leg paths this is exactly
-    /// the waypoint positions.
-    pub fn expanded_points(&self) -> Vec<Point> {
-        if self.leg_paths.is_empty() {
-            return self.cycle.iter().map(|w| w.position).collect();
-        }
-        let mut points = Vec::with_capacity(self.cycle.len() + self.leg_paths.len());
-        for (i, w) in self.cycle.iter().enumerate() {
-            points.push(w.position);
-            if let Some(leg) = self.leg_paths.get(i) {
-                points.extend(leg.iter().copied());
-            }
-        }
-        points
-    }
-
-    /// The closed polyline the mule physically travels (waypoints plus any
-    /// leg geometry).
-    pub fn polyline(&self) -> Polyline {
-        Polyline::closed(self.expanded_points())
-    }
-
-    /// Replaces the leg geometry with `metric`'s paths and rescales the
-    /// entry offset so the mule keeps its *fractional* position along the
-    /// cycle (B-TCTP's `i/n` spreading is exact under the rescale). A
-    /// no-op for the Euclidean metric.
-    pub fn with_metric_geometry(self, metric: &TravelMetric) -> Self {
-        if metric.is_euclidean() {
-            return self;
-        }
-        self.with_legs(|a, b| metric.leg_path(a, b))
-    }
-
-    /// Road geometry with each leg's path supplied by `leg(from, to)`
-    /// (the metric's `leg_path`); see
-    /// [`MuleItinerary::with_metric_geometry`].
-    fn with_legs(mut self, mut leg: impl FnMut(&Point, &Point) -> Vec<Point>) -> Self {
-        if self.cycle.len() < 2 {
-            return self;
-        }
-        let chord_length = self.cycle_length();
-        let n = self.cycle.len();
-        self.leg_paths = (0..n)
-            .map(|i| leg(&self.cycle[i].position, &self.cycle[(i + 1) % n].position))
-            .collect();
-        if chord_length > 1e-9 {
-            let fraction = self.entry_offset_m / chord_length;
-            self.entry_offset_m = fraction * self.cycle_length();
-        }
-        self
-    }
-
     /// Total length of one traversal of the cycle, in metres.
     pub fn cycle_length(&self) -> f64 {
-        self.polyline().length()
+        self.cycle.length()
     }
 
     /// The point on the cycle where the mule enters (at
     /// [`MuleItinerary::entry_offset_m`]). Falls back to the start position
     /// for an empty cycle.
     pub fn entry_point(&self) -> Point {
-        self.polyline()
+        self.cycle
+            .polyline()
             .point_at(self.entry_offset_m)
             .unwrap_or(self.start_position)
     }
@@ -195,34 +249,48 @@ impl PatrolPlan {
             .fold(0.0, f64::max)
     }
 
-    /// Applies `metric`'s leg geometry to every itinerary (see
-    /// [`MuleItinerary::with_metric_geometry`]). Every planner calls this
-    /// as its final step, so a plan built over a road scenario always
-    /// describes real road motion. A no-op for Euclidean scenarios —
-    /// their plans stay byte-identical to the pre-road era.
+    /// Routes every walk of the plan along `metric`'s roads and rescales
+    /// each entry offset so the mule keeps its *fractional* position along
+    /// its walk (B-TCTP's `i/n` spreading is exact under the rescale).
+    /// Every planner calls this as its final step, so a plan built over a
+    /// road scenario always describes real road motion. A no-op for
+    /// Euclidean scenarios — their plans stay byte-identical to the
+    /// pre-road era.
     ///
-    /// B-, W- and RW-TCTP give every mule the same cycle, and RW-TCTP's
-    /// super-cycle repeats the same legs within one itinerary, so each
-    /// distinct leg is routed once per plan and cloned. A leg path is a
-    /// function of its two endpoint positions alone, which is what the
-    /// memo is keyed on.
+    /// Each distinct walk (by [`Walk::ptr_eq`]) is routed once, and the
+    /// itineraries that shared it share the routed walk. RW-TCTP's
+    /// super-cycle repeats its legs within one walk, so legs are memoised
+    /// too: a leg path is a function of its two endpoint positions alone,
+    /// which is what the memo is keyed on.
     pub fn with_metric_geometry(mut self, metric: &TravelMetric) -> Self {
         if metric.is_euclidean() {
             return self;
         }
         let mut legs: HashMap<[u64; 4], Vec<Point>> = HashMap::new();
-        self.itineraries = self
-            .itineraries
-            .into_iter()
-            .map(|it| {
-                it.with_legs(|a, b| {
-                    let key = [a.x, a.y, b.x, b.y].map(f64::to_bits);
-                    legs.entry(key)
-                        .or_insert_with(|| metric.leg_path(a, b))
-                        .clone()
-                })
-            })
-            .collect();
+        let mut routed: Vec<(Walk, Walk)> = Vec::new();
+        for it in &mut self.itineraries {
+            let road = match routed
+                .iter()
+                .find(|(chord, _)| Walk::ptr_eq(chord, &it.cycle))
+            {
+                Some((_, road)) => road.clone(),
+                None => {
+                    let road = it.cycle.routed(|a, b| {
+                        let key = [a.x, a.y, b.x, b.y].map(f64::to_bits);
+                        legs.entry(key)
+                            .or_insert_with(|| metric.leg_path(a, b))
+                            .clone()
+                    });
+                    routed.push((it.cycle.clone(), road.clone()));
+                    road
+                }
+            };
+            let chord_length = it.cycle.length();
+            if chord_length > 1e-9 {
+                it.entry_offset_m = (it.entry_offset_m / chord_length) * road.length();
+            }
+            it.cycle = road;
+        }
         self
     }
 
@@ -285,7 +353,7 @@ mod tests {
     #[test]
     fn cycle_length_and_polyline_agree() {
         let it = square_itinerary(0);
-        assert!((it.cycle_length() - it.polyline().length()).abs() < 1e-12);
+        assert!((it.cycle_length() - it.cycle.polyline().length()).abs() < 1e-12);
         assert!(it.cycle_length() > 0.0);
     }
 
@@ -324,38 +392,53 @@ mod tests {
 
     #[test]
     fn expanded_points_interleave_leg_geometry() {
-        let mut it = square_itinerary(0);
-        assert_eq!(it.expanded_points().len(), it.cycle.len());
+        let chords = square_itinerary(0).cycle;
+        assert_eq!(chords.vertex_count(), chords.len());
+        assert!(!chords.is_routed());
         // Fake road geometry: one bend on the first leg.
-        it.leg_paths = vec![vec![]; it.cycle.len()];
-        it.leg_paths[0] = vec![Point::new(5.0, -2.0)];
-        let expanded = it.expanded_points();
-        assert_eq!(expanded.len(), it.cycle.len() + 1);
-        assert_eq!(expanded[1], Point::new(5.0, -2.0));
-        assert!(it.cycle_length() > square_itinerary(0).cycle_length());
+        let mut legs = vec![vec![]; chords.len()];
+        legs[0] = vec![Point::new(5.0, -2.0)];
+        let road = Walk::new(chords.to_vec(), legs);
+        assert!(road.is_routed());
+        let vertices: Vec<(Point, Option<NodeId>)> = road.vertices().collect();
+        assert_eq!(vertices.len(), chords.len() + 1);
+        assert_eq!(road.vertex_count(), vertices.len());
+        assert_eq!(vertices[0], (chords[0].position, Some(chords[0].node)));
+        assert_eq!(vertices[1], (Point::new(5.0, -2.0), None));
+        assert_eq!(vertices[2], (chords[1].position, Some(chords[1].node)));
+        assert!(road.length() > chords.length());
+        assert_eq!(road.length(), road.polyline().length());
     }
 
     #[test]
     fn euclidean_metric_geometry_is_a_no_op() {
-        let it = square_itinerary(0).with_entry_offset(7.0);
-        let same = it.clone().with_metric_geometry(&TravelMetric::Euclidean);
-        assert_eq!(it, same);
-        let plan = PatrolPlan::new("test", vec![square_itinerary(0)]);
-        assert_eq!(
-            plan.clone().with_metric_geometry(&TravelMetric::Euclidean),
-            plan
-        );
+        let plan = PatrolPlan::new("test", vec![square_itinerary(0).with_entry_offset(7.0)]);
+        let same = plan.clone().with_metric_geometry(&TravelMetric::Euclidean);
+        assert_eq!(same, plan);
+        assert!(Walk::ptr_eq(
+            &same.itineraries[0].cycle,
+            &plan.itineraries[0].cycle
+        ));
+    }
+
+    fn grid_metric() -> TravelMetric {
+        TravelMetric::road(mule_road::RoadIndex::for_field(
+            mule_road::RoadNetKind::Grid,
+            &mule_geom::BoundingBox::square(800.0),
+            4,
+        ))
+    }
+
+    /// Routes `it` on its own, with no walk or leg shared with another
+    /// itinerary.
+    fn routed_alone(it: MuleItinerary, metric: &TravelMetric) -> MuleItinerary {
+        let mut plan = PatrolPlan::new("test", vec![it]).with_metric_geometry(metric);
+        plan.itineraries.remove(0)
     }
 
     #[test]
     fn road_metric_geometry_rescales_the_entry_fraction() {
-        use mule_geom::BoundingBox;
-        let index = mule_road::RoadIndex::for_field(
-            mule_road::RoadNetKind::Grid,
-            &BoundingBox::square(800.0),
-            4,
-        );
-        let metric = TravelMetric::road(index);
+        let metric = grid_metric();
         let snap = |x: f64, y: f64| {
             metric
                 .road_index()
@@ -371,42 +454,42 @@ mod tests {
         let chord_len = it.cycle_length();
         let half_way = it.clone().with_entry_offset(chord_len / 2.0);
 
-        let road_it = half_way.with_metric_geometry(&metric);
-        assert!(!road_it.leg_paths.is_empty());
-        assert_eq!(road_it.leg_paths.len(), road_it.cycle.len());
+        let road_it = routed_alone(half_way, &metric);
+        assert!(road_it.cycle.is_routed());
+        assert_eq!(road_it.cycle[..], it.cycle[..], "same waypoints");
         let road_len = road_it.cycle_length();
         assert!(road_len >= chord_len - 1e-9, "roads never beat the chord");
         assert!(
             (road_it.entry_offset_m - road_len / 2.0).abs() < 1e-6,
             "the 1/2 entry fraction is preserved on the road cycle"
         );
-        // The expanded polyline still starts at the first waypoint.
-        assert_eq!(road_it.expanded_points()[0], road_it.cycle[0].position);
+        // The travel vertices still start at the first waypoint.
+        let first = road_it.cycle.vertices().next().unwrap();
+        assert_eq!(first, (road_it.cycle[0].position, Some(NodeId(0))));
     }
 
     #[test]
     fn shared_cycles_route_each_distinct_leg_once() {
-        use mule_geom::BoundingBox;
-        let metric = TravelMetric::road(mule_road::RoadIndex::for_field(
-            mule_road::RoadNetKind::Grid,
-            &BoundingBox::square(800.0),
-            4,
-        ));
+        let metric = grid_metric();
         let index = metric.road_index().unwrap();
         let wp = |id: usize, x: f64, y: f64| {
             Waypoint::new(NodeId(id), index.snap_position(&Point::new(x, y)))
         };
         // A walk that repeats its legs (RW-TCTP's super-cycle shape),
-        // shared by three mules entering at different offsets.
+        // shared by two mules, and an equal walk stored separately for a
+        // third; each mule enters at its own offset.
         let (a, b, c) = (
             wp(0, 100.0, 100.0),
             wp(1, 700.0, 120.0),
             wp(2, 400.0, 650.0),
         );
-        let cycle = vec![a, b, c, a, b, c];
-        let itineraries: Vec<MuleItinerary> = (0..3)
-            .map(|m| {
-                MuleItinerary::new(m, a.position, cycle.clone()).with_entry_offset(m as f64 * 300.0)
+        let shared = Walk::from(vec![a, b, c, a, b, c]);
+        let separate = Walk::from(shared.to_vec());
+        let itineraries: Vec<MuleItinerary> = [&shared, &shared, &separate]
+            .into_iter()
+            .enumerate()
+            .map(|(m, walk)| {
+                MuleItinerary::new(m, a.position, walk.clone()).with_entry_offset(m as f64 * 300.0)
             })
             .collect();
         let plan = PatrolPlan::new("test", itineraries.clone());
@@ -423,9 +506,15 @@ mod tests {
             .map(|&(_, v)| v)
             .sum();
         assert_eq!(alt_queries, 3, "one A* per distinct leg");
+        let walks: Vec<&Walk> = memoised.itineraries.iter().map(|it| &it.cycle).collect();
+        assert!(
+            Walk::ptr_eq(walks[0], walks[1]),
+            "a shared walk stays shared"
+        );
+        assert!(!Walk::ptr_eq(walks[0], walks[2]));
         let per_itinerary: Vec<MuleItinerary> = itineraries
             .into_iter()
-            .map(|it| it.with_metric_geometry(&metric))
+            .map(|it| routed_alone(it, &metric))
             .collect();
         assert_eq!(memoised.itineraries, per_itinerary);
     }

@@ -12,8 +12,8 @@
 //! WRP traversal into a single repeating cycle, so the simulator needs no
 //! planner-specific logic.
 
-use crate::deployment::assign_start_points;
-use crate::plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
+use crate::deployment::spread_over;
+use crate::plan::{PatrolPlan, PlanError, Walk, Waypoint};
 use crate::planner::{validate_common, Planner};
 use crate::wtctp::{BreakEdgePolicy, WTctp};
 use mule_energy::{EnergyModel, PatrolRounds};
@@ -185,18 +185,7 @@ impl Planner for RwTctp {
         super_cycle.extend_from_slice(&schedule.wrp);
 
         // Mules spread over the super-cycle exactly as in W-TCTP.
-        let path = mule_geom::Polyline::closed(super_cycle.iter().map(|w| w.position).collect());
-        let deployments = assign_start_points(&path, scenario.mule_starts());
-        let itineraries = scenario
-            .mule_starts()
-            .iter()
-            .enumerate()
-            .map(|(m, start)| {
-                MuleItinerary::new(m, *start, super_cycle.clone())
-                    .with_entry_offset(deployments[m].entry_offset_m)
-            })
-            .collect();
-        Ok(PatrolPlan::new(self.name(), itineraries).with_metric_geometry(scenario.metric()))
+        Ok(spread_over(self.name(), Walk::from(super_cycle), scenario))
     }
 }
 

@@ -23,9 +23,9 @@
 pub mod patrol_rule;
 pub mod wpp;
 
-use crate::deployment::assign_start_points;
+use crate::deployment::spread_over;
 use crate::hamiltonian::SharedCircuit;
-use crate::plan::{MuleItinerary, PatrolPlan, PlanError, Waypoint};
+use crate::plan::{PatrolPlan, PlanError, Walk, Waypoint};
 use crate::planner::{validate_common, Planner};
 use mule_graph::ChbConfig;
 use mule_workload::Scenario;
@@ -114,20 +114,8 @@ impl Planner for WTctp {
     fn plan(&self, scenario: &Scenario) -> Result<PatrolPlan, PlanError> {
         let _span = mule_obs::span_owned(|| format!("planner.{}", self.name()));
         validate_common(scenario)?;
-        let waypoints = self.build_wpp_waypoints(scenario)?;
-        let path = mule_geom::Polyline::closed(waypoints.iter().map(|w| w.position).collect());
-        let deployments = assign_start_points(&path, scenario.mule_starts());
-
-        let itineraries = scenario
-            .mule_starts()
-            .iter()
-            .enumerate()
-            .map(|(m, start)| {
-                MuleItinerary::new(m, *start, waypoints.clone())
-                    .with_entry_offset(deployments[m].entry_offset_m)
-            })
-            .collect();
-        Ok(PatrolPlan::new(self.name(), itineraries).with_metric_geometry(scenario.metric()))
+        let walk = Walk::from(self.build_wpp_waypoints(scenario)?);
+        Ok(spread_over(self.name(), walk, scenario))
     }
 }
 

@@ -219,3 +219,62 @@ fn road_plans_run_one_astar_per_distinct_leg() {
         }
     }
 }
+
+/// B-, W- and RW-TCTP hand every mule the same walk, not equal copies of
+/// it, and so does a replan through one of them: on the Euclidean metric
+/// and after routing on roads.
+#[test]
+fn tctp_plans_and_replans_share_one_walk() {
+    use mule_road::RoadNetKind;
+    use mule_workload::MetricSpec;
+    use patrol_core::{PatrolPlan, ReplanContext, ReplanWithPlanner, Replanner, Walk};
+
+    fn assert_one_walk(plan: &PatrolPlan, what: &str) {
+        let first = &plan.itineraries[0].cycle;
+        assert!(
+            plan.itineraries
+                .iter()
+                .all(|it| Walk::ptr_eq(&it.cycle, first)),
+            "{what}: every mule holds one walk"
+        );
+    }
+
+    let rw = RwTctp::default();
+    let planners: [(&dyn Planner, usize, bool); 4] = [
+        (&BTctp::new(), 0, false),
+        (&WTctp::new(BreakEdgePolicy::ShortestLength), 5, false),
+        (&WTctp::new(BreakEdgePolicy::BalancingLength), 5, false),
+        (&rw, 0, true),
+    ];
+    for metric in [MetricSpec::Euclidean, MetricSpec::Road(RoadNetKind::Grid)] {
+        for (planner, vips, recharge) in planners {
+            let scenario = weighted_config(3, 30, 4, vips, 3, recharge)
+                .with_metric(metric)
+                .generate();
+            let plan = planner.plan(&scenario).unwrap();
+            assert_eq!(
+                plan.itineraries[0].cycle.is_routed(),
+                metric != MetricSpec::Euclidean
+            );
+            assert_one_walk(&plan, &format!("{} on {metric:?}", planner.name()));
+        }
+
+        let scenario = weighted_config(3, 30, 4, 0, 1, false)
+            .with_metric(metric)
+            .generate();
+        let initial = BTctp::new().plan(&scenario).unwrap();
+        let positions = vec![scenario.field().sink().unwrap().position; 3];
+        let replan = ReplanWithPlanner::new(BTctp::new())
+            .replan(&ReplanContext {
+                scenario: &scenario,
+                inactive_targets: &[scenario.patrolled_ids()[4]],
+                active_mules: &[0, 1, 3],
+                mule_positions: &positions,
+                previous: &initial,
+                time_s: 1_000.0,
+            })
+            .unwrap();
+        assert_eq!(replan.mule_count(), 3);
+        assert_one_walk(&replan, &format!("a B-TCTP replan on {metric:?}"));
+    }
+}

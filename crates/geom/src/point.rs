@@ -115,22 +115,6 @@ impl Point {
     pub fn lexicographic_cmp(&self, other: &Point) -> std::cmp::Ordering {
         self.x.total_cmp(&other.x).then(self.y.total_cmp(&other.y))
     }
-
-    /// Centroid of a non-empty set of points, or `None` when `points` is
-    /// empty.
-    pub fn centroid(points: &[Point]) -> Option<Point> {
-        if points.is_empty() {
-            return None;
-        }
-        let mut sx = 0.0;
-        let mut sy = 0.0;
-        for p in points {
-            sx += p.x;
-            sy += p.y;
-        }
-        let n = points.len() as f64;
-        Some(Point::new(sx / n, sy / n))
-    }
 }
 
 impl fmt::Display for Point {
@@ -279,20 +263,6 @@ mod tests {
         let b = Point::new(1.0, 1.0);
         assert_eq!(a.advance_towards(&b, 100.0), b);
         assert_eq!(a.advance_towards(&a, 5.0), a);
-    }
-
-    #[test]
-    fn centroid_of_square_is_its_center() {
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(2.0, 2.0),
-            Point::new(0.0, 2.0),
-        ];
-        let c = Point::centroid(&pts).unwrap();
-        assert!(approx_eq(c.x, 1.0));
-        assert!(approx_eq(c.y, 1.0));
-        assert!(Point::centroid(&[]).is_none());
     }
 
     #[test]

@@ -56,25 +56,20 @@ impl Polyline {
 
     /// The edges of the polyline in traversal order (including the closing
     /// edge when the polyline is closed).
-    pub fn segments(&self) -> Vec<Segment> {
+    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
         let n = self.points.len();
-        if n < 2 {
-            return Vec::new();
-        }
-        let mut segs: Vec<Segment> = self
-            .points
+        let closing =
+            (self.closed && n >= 2).then(|| Segment::new(self.points[n - 1], self.points[0]));
+        self.points
             .windows(2)
             .map(|w| Segment::new(w[0], w[1]))
-            .collect();
-        if self.closed {
-            segs.push(Segment::new(self.points[n - 1], self.points[0]));
-        }
-        segs
+            .chain(closing)
     }
 
     /// Total length in metres (including the closing edge when closed).
+    /// Without an edge this is the empty sum, `-0.0`.
     pub fn length(&self) -> f64 {
-        self.segments().iter().map(Segment::length).sum()
+        self.segments().map(|s| s.length()).sum()
     }
 
     /// The point located `distance` metres along the polyline from its first
@@ -185,10 +180,11 @@ mod tests {
 
     #[test]
     fn segments_include_closing_edge_only_when_closed() {
-        assert_eq!(unit_square_cycle().segments().len(), 4);
+        assert_eq!(unit_square_cycle().segments().count(), 4);
         let open = Polyline::open(unit_square_cycle().points().to_vec());
-        assert_eq!(open.segments().len(), 3);
-        assert!(Polyline::open(vec![Point::ORIGIN]).segments().is_empty());
+        assert_eq!(open.segments().count(), 3);
+        assert_eq!(Polyline::open(vec![Point::ORIGIN]).segments().count(), 0);
+        assert_eq!(Polyline::closed(vec![Point::ORIGIN]).segments().count(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::json::{parse, JsonValue, JsonWriter};
 use mule_sim::SimulationConfig;
 use mule_workload::{MetricSpec, ScenarioSpec, SweepSpec};
-use patrol_core::{MuleItinerary, PatrolPlan, PlanError, Planner, PlannerKind, Waypoint};
+use patrol_core::{MuleItinerary, PatrolPlan, PlanError, Planner, PlannerKind, Walk};
 use std::fmt;
 use std::ops::Range;
 
@@ -223,9 +223,13 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     let planner = planner_kind(spec)?.build();
     let scenario = spec.scenario_config().generate();
     let plan = planner.plan(&scenario)?;
+    Ok(render_plan(spec, &plan))
+}
 
+/// Renders the `/v1/plan` document of `plan`, which was made for `spec`.
+fn render_plan(spec: &ScenarioSpec, plan: &PatrolPlan) -> String {
     let _render = mule_obs::span("plan.render");
-    let mut w = JsonWriter::pretty_with_capacity(estimated_plan_bytes(&plan));
+    let mut w = JsonWriter::pretty_with_capacity(estimated_plan_bytes(plan));
     w.begin_object();
     w.key("schema");
     w.string(PLAN_SCHEMA);
@@ -245,9 +249,11 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     w.u64(plan.covered_nodes().len() as u64);
     w.key("itineraries");
     w.begin_array();
-    // Planners that share one circuit among all mules hand every itinerary
-    // the same cycle: its bytes are formatted once and copied after that.
-    let mut last_cycle: Option<(&[Waypoint], Range<usize>)> = None;
+    // Planners that share one walk among all mules hand every itinerary
+    // a clone of it: its bytes are formatted once and copied after that.
+    // The copied run spans the `cycle` value through the `path` value, if
+    // any: the same bytes at the same depth.
+    let mut last_walk: Option<(&Walk, Range<usize>)> = None;
     let mut cycles_formatted = 0;
     for it in &plan.itineraries {
         w.begin_object();
@@ -260,8 +266,8 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
         w.key("cycle_length_m");
         w.f64(it.cycle_length());
         w.key("cycle");
-        match &last_cycle {
-            Some((prev, bytes)) if same_bits(prev, &it.cycle) => w.copy_value(bytes.clone()),
+        match &last_walk {
+            Some((walk, bytes)) if Walk::ptr_eq(walk, &it.cycle) => w.copy_value(bytes.clone()),
             _ => {
                 let begin = w.position();
                 w.begin_array();
@@ -276,20 +282,20 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
                     w.end_object();
                 }
                 w.end_array();
-                last_cycle = Some((&it.cycle, begin..w.position()));
+                // Road plans also expose the driven geometry (every travel
+                // vertex, `[[x, y], …]`); Euclidean responses stay
+                // byte-identical by omitting the field.
+                if it.cycle.is_routed() {
+                    w.key("path");
+                    w.begin_array();
+                    for (p, _) in it.cycle.vertices() {
+                        write_xy(&mut w, p.x, p.y);
+                    }
+                    w.end_array();
+                }
+                last_walk = Some((&it.cycle, begin..w.position()));
                 cycles_formatted += 1;
             }
-        }
-        // Road plans also expose the driven geometry (the expanded
-        // polyline, `[[x, y], …]`); Euclidean responses stay
-        // byte-identical by omitting the field.
-        if !it.leg_paths.is_empty() {
-            w.key("path");
-            w.begin_array();
-            for p in it.expanded_points() {
-                write_xy(&mut w, p.x, p.y);
-            }
-            w.end_array();
         }
         w.end_object();
     }
@@ -297,7 +303,7 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
     w.end_object();
     mule_obs::add("itineraries", plan.itineraries.len() as u64);
     mule_obs::add("cycles", cycles_formatted);
-    Ok(w.finish())
+    w.finish()
 }
 
 /// A little more than the size of `plan`'s `/v1/plan` document: a pretty
@@ -307,10 +313,10 @@ pub fn plan_response_json(spec: &ScenarioSpec) -> Result<String, ApiError> {
 /// empty costs.
 fn estimated_plan_bytes(plan: &PatrolPlan) -> usize {
     let itinerary_bytes = |it: &MuleItinerary| {
-        let path_points = if it.leg_paths.is_empty() {
-            0
+        let path_points = if it.cycle.is_routed() {
+            it.cycle.vertex_count()
         } else {
-            it.cycle.len() + it.leg_paths.iter().map(Vec::len).sum::<usize>()
+            0
         };
         512 + 128 * it.cycle.len() + 96 * path_points
     };
@@ -323,17 +329,6 @@ fn write_xy(w: &mut JsonWriter, x: f64, y: f64) {
     w.f64(x);
     w.f64(y);
     w.end_array();
-}
-
-/// Whether two cycles render to the same bytes: the same nodes at
-/// bit-identical coordinates (`-0.0` and `0.0` differ).
-fn same_bits(a: &[Waypoint], b: &[Waypoint]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(p, q)| {
-            p.node == q.node
-                && p.position.x.to_bits() == q.position.x.to_bits()
-                && p.position.y.to_bits() == q.position.y.to_bits()
-        })
 }
 
 /// A parsed `/v1/simulate` request: the spec plus execution knobs.
@@ -467,23 +462,36 @@ mod tests {
     }
 
     #[test]
-    fn only_bit_identical_cycles_share_bytes() {
+    fn equal_walks_render_alike_whether_shared_or_separate() {
         let spec = ScenarioSpec {
             targets: 6,
-            mules: 2,
+            mules: 3,
             ..ScenarioSpec::default()
         };
-        let plan = build_planner("b-tctp")
+        let shared = build_planner("b-tctp")
             .unwrap()
             .plan(&spec.scenario_config().generate())
             .unwrap();
-        let mut a = plan.itineraries[0].cycle.clone();
-        assert!(same_bits(&a, &plan.itineraries[1].cycle), "B-TCTP shares");
-        assert!(!same_bits(&a, &a[1..]), "lengths differ");
-        let mut b = a.clone();
-        a[0].position.x = 0.0;
-        b[0].position.x = -0.0;
-        assert!(!same_bits(&a, &b), "-0.0 and 0.0 render differently");
+        let mut separate = shared.clone();
+        for it in &mut separate.itineraries {
+            it.cycle = Walk::from(it.cycle.to_vec());
+        }
+        let render = |plan: &PatrolPlan| {
+            let (json, trace) = mule_obs::capture(|| render_plan(&spec, plan));
+            let cycles = trace
+                .spans
+                .iter()
+                .flat_map(|s| &s.counters)
+                .find(|(name, _)| name == "cycles")
+                .map(|&(_, v)| v);
+            (json, cycles)
+        };
+        let (shared_json, shared_cycles) = render(&shared);
+        let (separate_json, separate_cycles) = render(&separate);
+        assert_eq!(shared_json, separate_json);
+        assert_eq!(shared_json, plan_response_json(&spec).unwrap());
+        assert_eq!(shared_cycles, Some(1), "one shared walk, formatted once");
+        assert_eq!(separate_cycles, Some(3), "one walk formatted per mule");
     }
 
     /// Every spelling the API has ever accepted, with the canonical name it

@@ -38,7 +38,8 @@ use mule_events::{Event, EventKind, EventSubject, SimClock};
 use mule_geom::Point;
 use mule_net::{DataBuffer, Field, MulePayload, NodeId, NodeKind};
 use mule_workload::{Disruption, DisruptionPlan, Scenario};
-use patrol_core::{MuleItinerary, PatrolPlan, ReplanContext, Replanner};
+use patrol_core::{MuleItinerary, PatrolPlan, ReplanContext, Replanner, Walk};
+use std::rc::Rc;
 
 /// One travel vertex of a [`MuleRoute`], resolved against the field when
 /// the route is built so that an arrival never looks the field up.
@@ -61,11 +62,13 @@ struct Vertex {
     towards_station: bool,
 }
 
-/// Precomputed per-mule geometry: the itinerary's travel vertices and
-/// cumulative arc lengths. Euclidean itineraries have no bends, so their
-/// vertex list is exactly the historical waypoint list and every arrival
-/// time is byte-identical.
+/// Precomputed geometry of one walk: its travel vertices and cumulative
+/// arc lengths. Mules whose itineraries share a walk share its route.
+/// Euclidean walks have no bends, so their vertex list is exactly the
+/// historical waypoint list and every arrival time is byte-identical.
 struct MuleRoute {
+    /// The walk the route was built from.
+    walk: Walk,
     vertices: Vec<Vertex>,
     /// `cumulative[i]` is the arc length from vertex 0 to vertex `i`;
     /// one extra entry holds the full cycle length.
@@ -74,22 +77,15 @@ struct MuleRoute {
 }
 
 impl MuleRoute {
-    fn from_itinerary(it: &MuleItinerary, field: &Field) -> Self {
-        let bends: usize = it.leg_paths.iter().take(it.cycle.len()).map(Vec::len).sum();
-        let mut vertices: Vec<Vertex> = Vec::with_capacity(it.cycle.len() + bends);
-        let vertex = |position, node: Option<NodeId>| Vertex {
+    fn from_walk(walk: &Walk, field: &Field) -> Self {
+        let mut vertices: Vec<Vertex> = Vec::with_capacity(walk.vertex_count());
+        vertices.extend(walk.vertices().map(|(position, node)| Vertex {
             position,
             node,
             kind: node.and_then(|id| field.node(id)).map(|n| n.kind),
             leg_m: 0.0,
             towards_station: false,
-        };
-        for (i, w) in it.cycle.iter().enumerate() {
-            vertices.push(vertex(w.position, Some(w.node)));
-            if let Some(leg) = it.leg_paths.get(i) {
-                vertices.extend(leg.iter().map(|p| vertex(*p, None)));
-            }
-        }
+        }));
         let n = vertices.len();
         let mut cumulative = Vec::with_capacity(n + 1);
         let mut acc = 0.0;
@@ -117,9 +113,19 @@ impl MuleRoute {
         }
         let total_length = if n >= 2 { acc } else { 0.0 };
         MuleRoute {
+            walk: walk.clone(),
             vertices,
             cumulative,
             total_length,
+        }
+    }
+
+    /// The route of `walk`: the one in `routes` built from the same walk
+    /// if there is one, else a new one.
+    fn shared(routes: &[Rc<MuleRoute>], walk: &Walk, field: &Field) -> Rc<MuleRoute> {
+        match routes.iter().find(|r| Walk::ptr_eq(&r.walk, walk)) {
+            Some(route) => Rc::clone(route),
+            None => Rc::new(MuleRoute::from_walk(walk, field)),
         }
     }
 
@@ -213,7 +219,8 @@ pub(crate) struct EngineCore<'a> {
     horizon: f64,
 
     // Mutable run state.
-    routes: Vec<MuleRoute>,
+    /// Each mule's route; mules on one walk share one route.
+    routes: Vec<Rc<MuleRoute>>,
     states: Vec<MuleState>,
     // Per-node state, indexed by `NodeId::index()` and sized from the
     // field; ids outside the field are ignored.
@@ -301,11 +308,11 @@ impl<'a> EngineCore<'a> {
             .collect();
         let last_visit = vec![0.0; field.len()];
 
-        let routes: Vec<MuleRoute> = plan
-            .itineraries
-            .iter()
-            .map(|it| MuleRoute::from_itinerary(it, field))
-            .collect();
+        let mut routes: Vec<Rc<MuleRoute>> = Vec::with_capacity(plan.itineraries.len());
+        for it in &plan.itineraries {
+            let route = MuleRoute::shared(&routes, &it.cycle, field);
+            routes.push(route);
+        }
         let states: Vec<MuleState> = plan
             .itineraries
             .iter()
@@ -669,7 +676,7 @@ impl<'a> EngineCore<'a> {
         itinerary: MuleItinerary,
         now: f64,
     ) {
-        let route = MuleRoute::from_itinerary(&itinerary, self.scenario.field());
+        let route = MuleRoute::shared(&self.routes, &itinerary.cycle, self.scenario.field());
         if route.len() == 0 {
             self.routes[m] = route;
             self.states[m].status = MuleStatus::Idle;
@@ -1030,7 +1037,7 @@ mod tests {
         let s = cfg.generate();
         let plan = BTctp::new().plan(&s).unwrap();
         assert!(
-            plan.itineraries.iter().any(|it| !it.leg_paths.is_empty()),
+            plan.itineraries.iter().any(|it| it.cycle.is_routed()),
             "road plans carry leg geometry"
         );
         let outcome =
@@ -1100,22 +1107,25 @@ mod tests {
             .sum();
         let recharges: usize = outcome.mules.iter().map(|m| m.recharges).sum();
         assert!(recharges > 0, "RW-TCTP must recharge over a long horizon");
-        let approach_leg_m = plan.itineraries[0]
-            .cycle
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.node == station)
-            .map(|(i, w)| {
-                let n = plan.itineraries[0].cycle.len();
-                let prev = &plan.itineraries[0].cycle[(i + n - 1) % n];
-                let mut leg = prev.position.distance(&w.position);
-                if let Some(path) = plan.itineraries[0].leg_paths.get((i + n - 1) % n) {
-                    let mut points = vec![prev.position];
-                    points.extend(path.iter().copied());
-                    points.push(w.position);
-                    leg = points.windows(2).map(|p| p[0].distance(&p[1])).sum();
-                }
-                leg
+        // The road leg into the station: from the waypoint before it
+        // through that leg's bends.
+        let vertices: Vec<_> = plan.itineraries[0].cycle.vertices().collect();
+        let n = vertices.len();
+        let approach_leg_m = (0..n)
+            .filter(|&j| vertices[j].1 == Some(station))
+            .map(|j| {
+                let from = (1..n)
+                    .map(|back| (j + n - back) % n)
+                    .find(|&i| vertices[i].1.is_some())
+                    .unwrap();
+                let steps = (j + n - from) % n;
+                (0..steps)
+                    .map(|k| {
+                        vertices[(from + k) % n]
+                            .0
+                            .distance(&vertices[(from + k + 1) % n].0)
+                    })
+                    .sum::<f64>()
             })
             .fold(0.0, f64::max);
         let per_metre = EnergyModel::paper_default().move_cost_j_per_m;
@@ -1206,21 +1216,22 @@ mod tests {
         for (s, plan) in &cases {
             let field = s.field();
             let station = field.recharge_station().map(|n| n.id);
-            // Each itinerary as planned, and turned to start at the station
-            // so that the bends closing the cycle lead round to vertex 0.
-            let mut itineraries = plan.itineraries.clone();
+            // Each walk as planned, and turned to start at the station (and
+            // routed again) so that the bends closing the cycle lead round
+            // to vertex 0.
+            let mut walks: Vec<Walk> = plan.itineraries.iter().map(|it| it.cycle.clone()).collect();
             for it in &plan.itineraries {
                 if let Some(k) = it.cycle.iter().position(|w| Some(w.node) == station) {
-                    let mut turned = it.clone();
-                    turned.cycle.rotate_left(k);
-                    if !turned.leg_paths.is_empty() {
-                        turned.leg_paths.rotate_left(k);
-                    }
-                    itineraries.push(turned);
+                    let mut turned = it.cycle.to_vec();
+                    turned.rotate_left(k);
+                    let turned = MuleItinerary::new(it.mule_index, it.start_position, turned);
+                    let routed =
+                        PatrolPlan::new("turned", vec![turned]).with_metric_geometry(s.metric());
+                    walks.push(routed.itineraries[0].cycle.clone());
                 }
             }
-            for it in &itineraries {
-                let route = MuleRoute::from_itinerary(it, field);
+            for walk in &walks {
+                let route = MuleRoute::from_walk(walk, field);
                 for (i, v) in route.vertices.iter().enumerate() {
                     let kind = v.node.and_then(|id| field.node(id)).map(|n| n.kind);
                     assert_eq!(v.kind, kind, "vertex {i}");

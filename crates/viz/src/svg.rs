@@ -159,10 +159,10 @@ pub fn plan_to_svg(scenario: &Scenario, plan: &PatrolPlan, style: &SvgStyle) -> 
             continue;
         }
         let color = ROUTE_COLORS[m % ROUTE_COLORS.len()];
-        // The expanded polyline: waypoints for a Euclidean plan, the full
+        // Every travel vertex: waypoints for a Euclidean plan, the full
         // road geometry for a road plan.
         let mut points: Vec<(f64, f64)> =
-            it.expanded_points().iter().map(|p| mapper.map(p)).collect();
+            it.cycle.vertices().map(|(p, _)| mapper.map(&p)).collect();
         // Close the cycle explicitly.
         if let Some(first) = points.first().copied() {
             points.push(first);
