@@ -1,7 +1,7 @@
 //! Minimal HTTP/1.1 framing over `std::io` streams.
 //!
-//! Implements exactly the subset the planning service and its load
-//! generator need: request/response lines, headers, `Content-Length`
+//! Implements exactly the subset the daemon, the `chaos` drill's client
+//! and the tests need: request/response lines, headers, `Content-Length`
 //! bodies and keep-alive. No chunked transfer encoding (a request with
 //! `Transfer-Encoding` is rejected with 411), no TLS, no HTTP/2 — this is
 //! a service for trusted infrastructure, not the open internet, and the
@@ -10,8 +10,13 @@
 //! Hard limits ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) bound the memory
 //! any single connection can pin, so a malformed or hostile peer cannot
 //! balloon the server.
+//!
+//! A response body is an `Arc<Vec<u8>>`, the plan cache's own type, so a
+//! cache hit hands the cached document to the socket without copying it;
+//! head and body leave in one vectored write.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
+use std::sync::Arc;
 
 /// Largest accepted request/status line + headers block, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -89,35 +94,30 @@ impl From<std::io::Error> for HttpError {
 /// Reads one line terminated by `\n` (tolerating a trailing `\r`),
 /// bounding the total bytes consumed. Returns `None` on EOF before any
 /// byte.
+///
+/// The line is taken a buffer at a time (`read_until` scans `fill_buf`
+/// for the `\n` and consumes up to it) through a `take` one byte past
+/// the budget, so the limit trips on exactly byte `budget + 1`.
 fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Closed);
-            }
-            Ok(_) => {
-                if *budget == 0 {
-                    return Err(HttpError::TooLarge("request head"));
-                }
-                *budget -= 1;
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text = String::from_utf8(line)
-                        .map_err(|_| HttpError::BadRequest("non-UTF-8 header line".into()))?;
-                    return Ok(Some(text));
-                }
-                line.push(byte[0]);
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
+    let limit = *budget as u64 + 1;
+    let taken = std::io::Read::take(&mut *reader, limit).read_until(b'\n', &mut line)?;
+    if taken == 0 {
+        return Ok(None);
     }
+    if taken > *budget {
+        return Err(HttpError::TooLarge("request head"));
+    }
+    *budget -= taken;
+    if line.pop() != Some(b'\n') {
+        return Err(HttpError::Closed);
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| HttpError::BadRequest("non-UTF-8 header line".into()))
 }
 
 /// Reads one request from the stream. `Ok(None)` means the peer closed
@@ -186,29 +186,31 @@ pub struct Response {
     pub status: u16,
     /// Extra headers (`Content-Length`, `Content-Type` and `Connection`
     /// are emitted automatically).
-    pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
+    pub headers: Vec<(&'static str, String)>,
+    /// Body bytes; a `/v1/plan` answer shares the plan cache's own.
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
     /// A JSON response with the given status.
     pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
+        Response::shared_json(status, Arc::new(body.into()))
+    }
+
+    /// A JSON response whose body is shared, not copied: the plan
+    /// cache's bytes go out as they are stored.
+    pub fn shared_json(status: u16, body: Arc<Vec<u8>>) -> Self {
         Response {
             status,
             headers: Vec::new(),
-            body: body.into(),
+            body,
         }
     }
 
     /// A response with an explicit `Content-Type` (suppresses the default
     /// `application/json`). Used by the Prometheus `/metrics` endpoint.
     pub fn text(status: u16, content_type: &str, body: impl Into<Vec<u8>>) -> Self {
-        Response {
-            status,
-            headers: vec![("Content-Type".to_string(), content_type.to_string())],
-            body: body.into(),
-        }
+        Response::json(status, body).with_header("Content-Type", content_type)
     }
 
     /// A JSON error document `{"error": …}` with the given status.
@@ -221,40 +223,70 @@ impl Response {
     }
 
     /// Adds a header.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
-        self.headers.push((name.to_string(), value.into()));
+    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
+        self.headers.push((name, value.into()));
         self
     }
 
     /// Serialises the response to the wire, flushing at the end.
     /// `keep_alive` controls the emitted `Connection` header.
+    ///
+    /// The head is built in one buffer sized up front; head and body
+    /// then leave in one `write_vectored` call when the writer takes
+    /// them whole, and in as many calls as it needs otherwise.
     pub fn write_to(&self, writer: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\n",
-            self.status,
-            status_reason(self.status)
-        );
+        let reason = status_reason(self.status);
+        let extra: usize = self
+            .headers
+            .iter()
+            .map(|(name, value)| name.len() + value.len() + 4)
+            .sum();
+        // Status line, the three automatic headers and the blank line
+        // fit in 128 bytes beside the reason phrase.
+        let mut head = Vec::with_capacity(128 + reason.len() + extra);
+        write!(head, "HTTP/1.1 {} {reason}\r\n", self.status)?;
         let has_content_type = self
             .headers
             .iter()
             .any(|(name, _)| name.eq_ignore_ascii_case("content-type"));
         if !has_content_type {
-            head.push_str("Content-Type: application/json\r\n");
+            head.extend_from_slice(b"Content-Type: application/json\r\n");
         }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        head.push_str(if keep_alive {
-            "Connection: keep-alive\r\n"
+        write!(head, "Content-Length: {}\r\n", self.body.len())?;
+        head.extend_from_slice(if keep_alive {
+            b"Connection: keep-alive\r\n"
         } else {
-            "Connection: close\r\n"
+            b"Connection: close\r\n"
         });
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            head.extend_from_slice(name.as_bytes());
+            head.extend_from_slice(b": ");
+            head.extend_from_slice(value.as_bytes());
+            head.extend_from_slice(b"\r\n");
         }
-        head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        head.extend_from_slice(b"\r\n");
+        write_all_vectored(writer, &mut [IoSlice::new(&head), IoSlice::new(&self.body)])?;
         writer.flush()
     }
+}
+
+/// Writes every byte of `bufs`, advancing across partial writes and
+/// slice boundaries. `Interrupted` is retried; a writer that takes no
+/// bytes fails with `WriteZero` instead of spinning.
+fn write_all_vectored(
+    writer: &mut impl Write,
+    mut bufs: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match writer.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reason phrase for the status codes this service emits.
@@ -362,10 +394,21 @@ pub fn write_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use std::io::{BufReader, Read};
 
     fn parse_bytes(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
         read_request(&mut BufReader::new(bytes))
+    }
+
+    /// Buffer capacities the read path is checked under: byte at a time,
+    /// an odd small size, and `BufReader`'s default.
+    const CAPACITIES: [Option<usize>; 3] = [Some(1), Some(7), None];
+
+    fn reader(bytes: &[u8], capacity: Option<usize>) -> BufReader<&[u8]> {
+        match capacity {
+            Some(capacity) => BufReader::with_capacity(capacity, bytes),
+            None => BufReader::new(bytes),
+        }
     }
 
     #[test]
@@ -389,15 +432,18 @@ mod tests {
 
     #[test]
     fn clean_eof_is_none_and_truncation_is_closed() {
-        assert!(parse_bytes(b"").unwrap().is_none());
-        assert!(matches!(
-            parse_bytes(b"GET / HTTP/1.1\r\nHost"),
-            Err(HttpError::Closed)
-        ));
-        assert!(matches!(
-            parse_bytes(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
-            Err(HttpError::Closed)
-        ));
+        for capacity in CAPACITIES {
+            let parse = |bytes: &[u8]| read_request(&mut reader(bytes, capacity));
+            assert!(parse(b"").unwrap().is_none());
+            assert!(matches!(
+                parse(b"GET / HTTP/1.1\r\nHost"),
+                Err(HttpError::Closed)
+            ));
+            assert!(matches!(
+                parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
+                Err(HttpError::Closed)
+            ));
+        }
     }
 
     #[test]
@@ -444,27 +490,46 @@ mod tests {
 
     #[test]
     fn responses_roundtrip_through_the_client_reader() {
-        let response = Response::json(200, "{\"ok\":true}")
-            .with_header("X-Cache", "hit")
-            .with_header("Retry-After", "1");
+        let responses = [
+            Response::json(200, "{\"ok\":true}")
+                .with_header("X-Cache", "hit")
+                .with_header("Retry-After", "1"),
+            Response::json(200, vec![b'x'; 5000]).with_header("X-Cache", "miss"),
+            Response::text(200, "text/plain", "metrics\n"),
+            Response::error(431, "request head too large"),
+        ];
         let mut wire = Vec::new();
-        response.write_to(&mut wire, true).unwrap();
+        for response in &responses {
+            response.write_to(&mut wire, true).unwrap();
+        }
         let text = String::from_utf8(wire.clone()).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
 
-        let back = read_response(&mut BufReader::new(wire.as_slice())).unwrap();
-        assert_eq!(back.status, 200);
-        assert_eq!(back.header("x-cache"), Some("hit"));
-        assert_eq!(back.header("retry-after"), Some("1"));
-        assert_eq!(back.body_text(), "{\"ok\":true}");
+        for capacity in CAPACITIES {
+            let mut stream = reader(&wire, capacity);
+            for response in &responses {
+                let back = read_response(&mut stream).unwrap();
+                assert_eq!(back.status, response.status);
+                assert_eq!(back.body, *response.body);
+                for (name, value) in &response.headers {
+                    assert_eq!(
+                        back.header(&name.to_ascii_lowercase()),
+                        Some(value.as_str())
+                    );
+                }
+            }
+            assert!(stream.fill_buf().unwrap().is_empty(), "{capacity:?}");
+        }
+        let first = read_response(&mut BufReader::new(wire.as_slice())).unwrap();
+        assert_eq!(first.body_text(), "{\"ok\":true}");
     }
 
     #[test]
     fn error_responses_carry_a_json_document() {
         let response = Response::error(422, "no mules");
         assert_eq!(response.status, 422);
-        let text = String::from_utf8(response.body.clone()).unwrap();
+        let text = String::from_utf8(response.body.to_vec()).unwrap();
         let doc = crate::json::parse(&text).unwrap();
         assert_eq!(
             doc.get("error").and_then(crate::json::JsonValue::as_str),
@@ -484,6 +549,170 @@ mod tests {
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/plan");
         assert_eq!(req.body, b"{\"targets\":5}");
+    }
+
+    /// A writer that takes at most 7 bytes per call, keeps `Write`'s
+    /// default `write_vectored` (first non-empty slice only) and fails
+    /// its first call with `Interrupted`.
+    struct Trickle {
+        wire: Vec<u8>,
+        interrupted: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(7);
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A writer that takes everything in one call and counts the calls.
+    #[derive(Default)]
+    struct Gulp {
+        wire: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Gulp {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            for buf in bufs {
+                self.wire.extend_from_slice(buf);
+            }
+            Ok(bufs.iter().map(|buf| buf.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_and_interrupted_writes_produce_the_exact_wire_image() {
+        let cases: [(Response, bool, &str); 4] = [
+            (
+                Response::json(200, "{\"ok\":true}")
+                    .with_header("X-Cache", "hit")
+                    .with_header("X-Fingerprint", "00000000000000ff"),
+                true,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: 11\r\nConnection: keep-alive\r\nX-Cache: hit\r\n\
+                 X-Fingerprint: 00000000000000ff\r\n\r\n{\"ok\":true}",
+            ),
+            (
+                Response::text(200, "text/plain; version=0.0.4", "up 1\n"),
+                false,
+                "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nConnection: close\r\n\
+                 Content-Type: text/plain; version=0.0.4\r\n\r\nup 1\n",
+            ),
+            (
+                Response::error(503, "busy").with_header("Retry-After", "1"),
+                false,
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 39\r\nConnection: close\r\nRetry-After: 1\r\n\r\n\
+                 {\n  \"error\": \"busy\",\n  \"status\": 503\n}\n",
+            ),
+            (
+                Response::json(404, ""),
+                true,
+                "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+                 Content-Length: 0\r\nConnection: keep-alive\r\n\r\n",
+            ),
+        ];
+        for (response, keep_alive, expected) in cases {
+            let mut trickle = Trickle {
+                wire: Vec::new(),
+                interrupted: false,
+            };
+            response.write_to(&mut trickle, keep_alive).unwrap();
+            assert_eq!(String::from_utf8(trickle.wire).unwrap(), expected);
+
+            let mut gulp = Gulp::default();
+            response.write_to(&mut gulp, keep_alive).unwrap();
+            assert_eq!(
+                gulp.calls, 1,
+                "one vectored write when the writer takes it all"
+            );
+            assert_eq!(String::from_utf8(gulp.wire).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_fails_with_write_zero() {
+        struct Stuck(usize);
+        impl Write for Stuck {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut stuck = Stuck(0);
+        let err = Response::json(200, "{}")
+            .write_to(&mut stuck, true)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+        assert_eq!(stuck.0, 1, "no retry after a zero-byte write");
+    }
+
+    #[test]
+    fn the_head_budget_trips_on_exactly_one_byte_past_the_limit() {
+        let head_of = |len: usize| {
+            let mut head = Vec::from(&b"GET / HTTP/1.1\r\nX-Pad: "[..]);
+            head.resize(len - 4, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            head
+        };
+        let fits = head_of(MAX_HEAD_BYTES);
+        let over = head_of(MAX_HEAD_BYTES + 1);
+        assert_eq!(fits.len(), MAX_HEAD_BYTES);
+        for capacity in CAPACITIES {
+            let request = read_request(&mut reader(&fits, capacity)).unwrap().unwrap();
+            assert_eq!(
+                request.header("x-pad").map(str::len),
+                Some(MAX_HEAD_BYTES - 27)
+            );
+            assert!(
+                matches!(
+                    read_request(&mut reader(&over, capacity)),
+                    Err(HttpError::TooLarge("request head"))
+                ),
+                "{capacity:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_crlf_split_across_refills_ends_one_line() {
+        // `Chain` hands each part to one refill, so the `\r` ends the
+        // first buffer and the `\n` starts the second.
+        let mut split = BufReader::new(Read::chain(&b"GET / HTTP/1.1\r"[..], &b"\nnext\n"[..]));
+        let mut budget = MAX_HEAD_BYTES;
+        assert_eq!(
+            read_line(&mut split, &mut budget).unwrap().as_deref(),
+            Some("GET / HTTP/1.1")
+        );
+        assert_eq!(
+            read_line(&mut split, &mut budget).unwrap().as_deref(),
+            Some("next")
+        );
+        assert_eq!(budget, MAX_HEAD_BYTES - 21);
+        assert!(read_line(&mut split, &mut budget).unwrap().is_none());
     }
 
     #[test]

@@ -314,6 +314,33 @@ struct Shared {
 }
 
 impl Shared {
+    /// Fresh server state for `config`: empty cache, zeroed counters,
+    /// closed breakers.
+    fn new(config: ServerConfig) -> Self {
+        let breaker_threshold = config.breaker_threshold.unwrap_or(0);
+        Shared {
+            cache: PlanCache::new(config.cache_capacity),
+            metrics: ServerMetrics::default(),
+            admitted: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            trace_seq: AtomicU64::new(0),
+            breaker_plan: CircuitBreaker::named("plan", breaker_threshold, config.breaker_cooldown),
+            breaker_simulate: CircuitBreaker::named(
+                "simulate",
+                breaker_threshold,
+                config.breaker_cooldown,
+            ),
+            epoch: Instant::now(),
+            slo: config.slo.clone().map(mule_obs::SloTracker::new),
+            telemetry: config.debug_endpoints.then(|| Telemetry {
+                traces: mule_obs::Ring::new(TRACE_RING_CAPACITY),
+                requests: mule_obs::Ring::new(REQUEST_RING_CAPACITY),
+                profile: Mutex::new(FlatProfile::default()),
+            }),
+            config,
+        }
+    }
+
     /// Feeds one answered request to the SLO tracker, if one is
     /// configured.
     fn record_slo(&self, duration_ms: f64, is_error: bool) {
@@ -633,7 +660,6 @@ impl Drop for ServerHandle {
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let breaker_threshold = config.breaker_threshold.unwrap_or(0);
     // Slow-request logging and `/debug/alloc` report per-request
     // allocation figures, which only exist while the counting allocator
     // is armed. The arm is a counter, so holding one here composes with
@@ -642,27 +668,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     if alloc_armed {
         mule_obs::alloc::arm();
     }
-    let shared = Arc::new(Shared {
-        cache: PlanCache::new(config.cache_capacity),
-        metrics: ServerMetrics::default(),
-        admitted: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
-        trace_seq: AtomicU64::new(0),
-        breaker_plan: CircuitBreaker::named("plan", breaker_threshold, config.breaker_cooldown),
-        breaker_simulate: CircuitBreaker::named(
-            "simulate",
-            breaker_threshold,
-            config.breaker_cooldown,
-        ),
-        epoch: Instant::now(),
-        slo: config.slo.clone().map(mule_obs::SloTracker::new),
-        telemetry: config.debug_endpoints.then(|| Telemetry {
-            traces: mule_obs::Ring::new(TRACE_RING_CAPACITY),
-            requests: mule_obs::Ring::new(REQUEST_RING_CAPACITY),
-            profile: Mutex::new(FlatProfile::default()),
-        }),
-        config: config.clone(),
-    });
+    let shared = Arc::new(Shared::new(config.clone()));
     let pool = TaskPool::new(config.workers);
 
     let accept_shared = Arc::clone(&shared);
@@ -1343,7 +1349,7 @@ fn stale_response(shared: &Shared, key: u64) -> Option<Response> {
     let bytes = shared.cache.stale_get(key)?;
     shared.metrics.observe_stale_served();
     Some(
-        Response::json(200, bytes.as_slice().to_vec())
+        Response::shared_json(200, bytes)
             .with_header("X-Cache", "stale")
             .with_header("Warning", "110 mule-serve \"stale-on-error\"")
             .with_header("X-Fingerprint", format!("{key:016x}")),
@@ -1392,7 +1398,7 @@ fn handle_plan(body: &[u8], shared: &Arc<Shared>) -> (Option<CacheOutcome>, Resp
         Ok((bytes, outcome)) => {
             shared.breaker_plan.on_success();
             let _s = mule_obs::span("request.serialize");
-            let response = Response::json(200, bytes.as_slice().to_vec())
+            let response = Response::shared_json(200, bytes)
                 .with_header("X-Cache", outcome.label())
                 .with_header("X-Fingerprint", format!("{key:016x}"));
             (Some(outcome), response)
@@ -1454,5 +1460,56 @@ fn handle_simulate(body: &[u8], shared: &Arc<Shared>) -> Response {
             shared.metrics.observe_deadline_compute();
             Response::error(504, "simulate compute deadline exceeded")
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A plan document of about 45 KB, near serve-mixed's mean.
+    const SPEC: &[u8] = br#"{"targets": 100, "mules": 4, "seed": 7}"#;
+
+    fn shared(degraded: bool) -> Arc<Shared> {
+        Arc::new(Shared::new(ServerConfig {
+            degraded,
+            ..ServerConfig::default()
+        }))
+    }
+
+    #[test]
+    fn a_cache_hit_allocates_less_than_its_document() {
+        let shared = shared(false);
+        let (cache, warm) = handle_plan(SPEC, &shared);
+        assert_eq!(cache, Some(CacheOutcome::Miss));
+        let document = warm.body.len() as u64;
+        assert!(document >= 30 * 1024, "document of {document} bytes");
+
+        let ((cache, written), measured) = mule_obs::alloc::measure(|| {
+            let (cache, response) = handle_plan(SPEC, &shared);
+            (cache, response.write_to(&mut std::io::sink(), true))
+        });
+        written.unwrap();
+        assert_eq!(cache, Some(CacheOutcome::Hit));
+        assert!(
+            measured.allocated_bytes < document,
+            "a hit allocated {} bytes for a {document}-byte document",
+            measured.allocated_bytes
+        );
+    }
+
+    #[test]
+    fn a_stale_answer_shares_the_last_good_bytes() {
+        let shared = shared(true);
+        let (_, warm) = handle_plan(SPEC, &shared);
+        let key = api::spec_from_body(SPEC).unwrap().fingerprint();
+        let stale = stale_response(&shared, key).expect("degraded mode has last-good bytes");
+        let stored = shared.cache.stale_get(key).unwrap();
+        assert!(Arc::ptr_eq(&stale.body, &stored));
+        assert!(
+            Arc::ptr_eq(&warm.body, &stored),
+            "the miss answer shares them too"
+        );
+        assert!(stale.headers.contains(&("X-Cache", "stale".to_string())));
     }
 }
