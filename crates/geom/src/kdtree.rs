@@ -185,7 +185,8 @@ impl KdTree {
     pub fn k_nearest_into(&self, query: &Point, k: usize, out: &mut Vec<(usize, f64)>) {
         out.clear();
         if let (Some(root), true) = (self.root, k > 0) {
-            self.k_nearest_recursive(root, query, k, out);
+            let box_d2 = self.nodes[root].bbox.distance_squared_to(query);
+            self.k_nearest_recursive(root, box_d2, query, k, out);
         }
         for hit in out.iter_mut() {
             hit.1 = hit.1.sqrt();
@@ -193,17 +194,20 @@ impl KdTree {
     }
 
     /// Collects into `best` (sorted by squared distance, at most `k` long)
-    /// the hits below `node_idx`.
+    /// the hits below `node_idx`, whose box lies `box_d2` (squared) from
+    /// `query` — the distance the parent already computed to order its
+    /// children.
     fn k_nearest_recursive(
         &self,
         node_idx: usize,
+        box_d2: f64,
         query: &Point,
         k: usize,
         best: &mut Vec<(usize, f64)>,
     ) {
         let node = &self.nodes[node_idx];
         let full = best.len() == k;
-        if full && node.bbox.distance_squared_to(query) >= best[k - 1].1 {
+        if full && box_d2 >= best[k - 1].1 {
             return;
         }
         let d2 = node.point.distance_squared(query);
@@ -215,19 +219,23 @@ impl KdTree {
             best.insert(at, (node.index, d2));
         }
         // Same child order as `nearest_recursive`.
-        let children = [node.left, node.right];
-        let mut order = [0usize, 1usize];
-        if let (Some(l), Some(r)) = (node.left, node.right) {
-            let dl = self.nodes[l].bbox.distance_squared_to(query);
-            let dr = self.nodes[r].bbox.distance_squared_to(query);
-            if dr < dl {
-                order = [1, 0];
+        let box_d2 = |child: usize| self.nodes[child].bbox.distance_squared_to(query);
+        match (node.left, node.right) {
+            (Some(l), Some(r)) => {
+                let (dl, dr) = (box_d2(l), box_d2(r));
+                let order = if dr < dl {
+                    [(r, dr), (l, dl)]
+                } else {
+                    [(l, dl), (r, dr)]
+                };
+                for (child, d2) in order {
+                    self.k_nearest_recursive(child, d2, query, k, best);
+                }
             }
-        }
-        for &side in &order {
-            if let Some(child) = children[side] {
-                self.k_nearest_recursive(child, query, k, best);
+            (Some(only), None) | (None, Some(only)) => {
+                self.k_nearest_recursive(only, box_d2(only), query, k, best);
             }
+            (None, None) => {}
         }
     }
 }
@@ -311,6 +319,29 @@ mod tests {
                 .unwrap();
             assert!(approx_eq(tree_d, brute.1.distance(&q)));
             assert!(approx_eq(pts[tree_idx].distance(&q), brute.1.distance(&q)));
+        }
+    }
+
+    #[test]
+    fn k_nearest_matches_successive_filtered_searches() {
+        // A 6 x 6 lattice of 10 m spacing, every third site doubled, so
+        // many hits tie on distance and some coincide.
+        let site = |i: usize| Point::new((i % 6 * 10) as f64, (i / 6 * 10) as f64);
+        let pts: Vec<Point> = (0..36).chain((0..36).step_by(3)).map(site).collect();
+        let tree = KdTree::build(&pts);
+        let queries = pts
+            .iter()
+            .copied()
+            .chain([Point::new(25.0, 25.0), Point::new(-7.0, 31.0)]);
+        for q in queries {
+            for k in [1, 5, 11, pts.len()] {
+                let mut want: Vec<(usize, f64)> = Vec::new();
+                while want.len() < k {
+                    let hit = tree.nearest_filtered(&q, |i| want.iter().all(|&(w, _)| w != i));
+                    want.push(hit.expect("k <= n"));
+                }
+                assert_eq!(tree.k_nearest(&q, k), want, "query {q:?}, k {k}");
+            }
         }
     }
 

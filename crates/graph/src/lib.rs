@@ -189,13 +189,29 @@ pub(crate) mod test_support {
             .collect()
     }
 
-    /// SplitMix64: a tiny seeded stream for [`tie_heavy_points`].
+    /// SplitMix64: a tiny seeded stream for [`tie_heavy_points`] and
+    /// [`lattice_points`].
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// `n` points on an integer lattice of 20 m spacing with about
+    /// `sites_per_point` lattice sites per point, so points coincide and
+    /// distances tie exactly — the lattices of `tests/golden_candidates.rs`.
+    pub(crate) fn lattice_points(n: usize, sites_per_point: f64, seed: u64) -> Vec<Point> {
+        let side = ((n as f64 * sites_per_point).sqrt().ceil() as u64).max(2);
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                let x = splitmix(&mut state) % side;
+                let y = splitmix(&mut state) % side;
+                Point::new(20.0 * x as f64, 20.0 * y as f64)
+            })
+            .collect()
     }
 
     /// `n` points of one of four shapes on an 800 m field, for the tests
