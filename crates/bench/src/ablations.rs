@@ -1,4 +1,4 @@
-//! Design-choice ablations called out in DESIGN.md.
+//! Ablations of two design choices of the planners.
 //!
 //! * [`recharge_ablation`] — RW-TCTP vs. W-TCTP without recharge under a
 //!   battery sweep: does the Eq. 4 schedule actually keep the fleet alive,

@@ -53,53 +53,25 @@ pub struct Fig8Cell {
     pub tctp_sd: f64,
 }
 
-fn average_sd(
-    planner: impl Fn() -> Box<dyn Planner> + Sync,
-    base: ScenarioConfig,
-    replicas: usize,
-    horizon_s: f64,
-) -> f64 {
-    let rep = replicate(
-        planner,
-        base,
-        replicas,
-        &SimulationConfig::timing_only(),
-        horizon_s,
-    );
-    rep.average(|o| IntervalReport::from_outcome(o).average_sd())
-        .unwrap_or(0.0)
-}
-
 /// Runs the Figure 8 sweep (grid cells in parallel on the worker pool).
 pub fn run(params: &Fig8Params) -> Vec<Fig8Cell> {
-    let mut grid = Vec::new();
-    for &targets in &params.target_counts {
-        for &mules in &params.mule_counts {
-            grid.push((targets, mules));
-        }
-    }
+    let grid = crate::grid(&params.target_counts, &params.mule_counts);
     mule_par::parallel_map_slice(&grid, |&(targets, mules)| {
         let base = ScenarioConfig::paper_default()
             .with_targets(targets)
             .with_mules(mules)
             .with_seed(params.seed);
-        let chb_sd = average_sd(
-            || Box::new(ChbPlanner::new()),
-            base,
-            params.replicas,
-            params.horizon_s,
-        );
-        let tctp_sd = average_sd(
-            || Box::new(BTctp::new()),
-            base,
-            params.replicas,
-            params.horizon_s,
-        );
+        let config = SimulationConfig::timing_only();
+        let average_sd = |planner: fn() -> Box<dyn Planner>| {
+            replicate(planner, base, params.replicas, &config, params.horizon_s)
+                .average(|o| IntervalReport::from_outcome(o).average_sd())
+                .unwrap_or(0.0)
+        };
         Fig8Cell {
             targets,
             mules,
-            chb_sd,
-            tctp_sd,
+            chb_sd: average_sd(|| Box::new(ChbPlanner::new())),
+            tctp_sd: average_sd(|| Box::new(BTctp::new())),
         }
     })
 }

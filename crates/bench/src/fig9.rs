@@ -1,18 +1,26 @@
-//! Figure 9 — average DCDT for the Shortest-Length vs Balancing-Length
-//! break-edge policies, swept over the number of VIPs and the VIP weight.
+//! Figures 9 and 10 — the Shortest-Length vs Balancing-Length break-edge
+//! policies, swept over the number of VIPs and the VIP weight. One grid
+//! run feeds both figures: Figure 9 reads the average DCDT off each
+//! replica, Figure 10 the SD of the VIPs' visiting intervals.
 //!
-//! The shape to reproduce: DCDT grows with both the VIP count and the VIP
-//! weight (the weighted patrolling path gets longer), and the
-//! Shortest-Length policy always yields a DCDT no larger than the
-//! Balancing-Length policy because its WPP is shorter.
+//! The shapes to reproduce:
+//! - Figure 9: DCDT grows with both the VIP count and the VIP weight (the
+//!   weighted patrolling path gets longer), and the Shortest-Length policy
+//!   always yields a DCDT no larger than the Balancing-Length policy
+//!   because its WPP is shorter.
+//! - Figure 10: the Shortest-Length policy creates cycles of very
+//!   different lengths around each VIP, so the VIP's visiting intervals
+//!   are uneven and their SD grows quickly with the VIP count and weight;
+//!   the Balancing-Length policy keeps the cycles similar and its SD grows
+//!   only slightly.
 
-use crate::replicate;
-use mule_metrics::{DcdtSeries, TextTable};
-use mule_sim::SimulationConfig;
-use mule_workload::{ScenarioConfig, WeightSpec};
-use patrol_core::{BreakEdgePolicy, WTctp};
+use crate::{mean, replica_scenarios, replicate};
+use mule_metrics::{DcdtSeries, IntervalReport, TextTable};
+use mule_sim::{SimulationConfig, SimulationOutcome};
+use mule_workload::{Scenario, ScenarioConfig, WeightSpec};
+use patrol_core::{BreakEdgePolicy, Planner, WTctp};
 
-/// Parameters of the Figure 9 / Figure 10 sweeps (they share the grid).
+/// Parameters of the VIP grid behind Figures 9 and 10.
 #[derive(Debug, Clone)]
 pub struct VipSweepParams {
     /// Total number of targets (paper: 20).
@@ -38,7 +46,7 @@ impl Default for VipSweepParams {
             // A single data mule: with several mules the merged visit
             // pattern at a VIP is set by the mule spacing rather than by the
             // break-edge policy, which would mask the effect Figures 9/10
-            // isolate (see EXPERIMENTS.md).
+            // isolate.
             mules: 1,
             vip_counts: vec![1, 2, 4, 6, 8],
             vip_weights: vec![2, 3, 4, 5],
@@ -49,45 +57,60 @@ impl Default for VipSweepParams {
     }
 }
 
-/// One cell of the Figure 9 grid.
+/// One break-edge policy's figures in one grid cell, averaged over the
+/// cell's replicas.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig9Cell {
+pub struct PolicyFigures {
+    /// Average post-warm-up DCDT over all targets, seconds (Figure 9).
+    pub dcdt: f64,
+    /// Average SD of the VIPs' visiting intervals, seconds (Figure 10).
+    pub vip_sd: f64,
+}
+
+/// One cell of the VIP grid.
+#[derive(Debug, Clone, Copy)]
+pub struct VipCell {
     /// Number of VIPs.
     pub vips: usize,
     /// VIP weight.
     pub weight: u32,
-    /// Average DCDT under the Shortest-Length policy, seconds.
-    pub shortest_dcdt: f64,
-    /// Average DCDT under the Balancing-Length policy, seconds.
-    pub balancing_dcdt: f64,
+    /// Figures under the Shortest-Length policy.
+    pub shortest: PolicyFigures,
+    /// Figures under the Balancing-Length policy.
+    pub balancing: PolicyFigures,
 }
 
-/// Average post-warm-up DCDT over all targets for one policy and one cell.
-pub fn average_dcdt_for_policy(
+/// Simulates the replicas of one (cell, policy) pair once and reads both
+/// figures off the same outcomes.
+fn policy_figures(
     policy: BreakEdgePolicy,
     base: ScenarioConfig,
-    replicas: usize,
-    horizon_s: f64,
-) -> f64 {
-    let rep = replicate(
-        || Box::new(WTctp::new(policy)),
-        base,
-        replicas,
-        &SimulationConfig::timing_only(),
-        horizon_s,
-    );
-    rep.average(|o| DcdtSeries::from_outcome(o).average_dcdt(2))
-        .unwrap_or(0.0)
+    p: &VipSweepParams,
+) -> PolicyFigures {
+    let planner = || -> Box<dyn Planner> { Box::new(WTctp::new(policy)) };
+    let config = SimulationConfig::timing_only();
+    let rep = replicate(planner, base, p.replicas, &config, p.horizon_s);
+    let dcdt = rep
+        .average(|o| DcdtSeries::from_outcome(o).average_dcdt(2))
+        .unwrap_or(0.0);
+    let scenarios = replica_scenarios(base, p.replicas);
+    let replicas = rep.outcomes.iter().zip(&scenarios);
+    let vip_sd = mean(replicas.filter_map(replica_vip_sd));
+    PolicyFigures { dcdt, vip_sd }
 }
 
-/// Runs the Figure 9 sweep (grid cells in parallel on the worker pool).
-pub fn run(params: &VipSweepParams) -> Vec<Fig9Cell> {
-    let mut grid = Vec::new();
-    for &vips in &params.vip_counts {
-        for &weight in &params.vip_weights {
-            grid.push((vips, weight));
-        }
-    }
+/// Average SD of the VIPs' visiting intervals in one replica, or `None`
+/// when its scenario has no VIPs. An outcome stores only node ids, so the
+/// VIPs come from the replica's regenerated scenario.
+fn replica_vip_sd((outcome, scenario): (&SimulationOutcome, &Scenario)) -> Option<f64> {
+    let vips = scenario.field().vips();
+    let report = IntervalReport::from_outcome(outcome);
+    (!vips.is_empty()).then(|| mean(vips.iter().filter_map(|n| report.node_sd(n.id))))
+}
+
+/// Runs the VIP grid (cells in parallel on the worker pool).
+pub fn run(params: &VipSweepParams) -> Vec<VipCell> {
+    let grid = crate::grid(&params.vip_counts, &params.vip_weights);
     mule_par::parallel_map_slice(&grid, |&(vips, weight)| {
         let base = ScenarioConfig::paper_default()
             .with_targets(params.targets)
@@ -97,44 +120,43 @@ pub fn run(params: &VipSweepParams) -> Vec<Fig9Cell> {
                 weight,
             })
             .with_seed(params.seed);
-        let shortest = average_dcdt_for_policy(
-            BreakEdgePolicy::ShortestLength,
-            base,
-            params.replicas,
-            params.horizon_s,
-        );
-        let balancing = average_dcdt_for_policy(
-            BreakEdgePolicy::BalancingLength,
-            base,
-            params.replicas,
-            params.horizon_s,
-        );
-        Fig9Cell {
+        VipCell {
             vips,
             weight,
-            shortest_dcdt: shortest,
-            balancing_dcdt: balancing,
+            shortest: policy_figures(BreakEdgePolicy::ShortestLength, base, params),
+            balancing: policy_figures(BreakEdgePolicy::BalancingLength, base, params),
         }
     })
 }
 
-/// Formats the grid as a table.
-pub fn table(cells: &[Fig9Cell]) -> TextTable {
+/// Formats one figure of the grid: `metric` names the column, `value`
+/// picks it out of a policy's figures.
+fn table(cells: &[VipCell], metric: &str, value: fn(&PolicyFigures) -> f64) -> TextTable {
     let mut t = TextTable::new(vec![
-        "VIPs",
-        "weight",
-        "Shortest DCDT (s)",
-        "Balancing DCDT (s)",
+        "VIPs".to_string(),
+        "weight".to_string(),
+        format!("Shortest {metric} (s)"),
+        format!("Balancing {metric} (s)"),
     ]);
     for c in cells {
         t.add_row(vec![
             c.vips.to_string(),
             c.weight.to_string(),
-            format!("{:.1}", c.shortest_dcdt),
-            format!("{:.1}", c.balancing_dcdt),
+            format!("{:.1}", value(&c.shortest)),
+            format!("{:.1}", value(&c.balancing)),
         ]);
     }
     t
+}
+
+/// Figure 9: average DCDT per policy.
+pub fn dcdt_table(cells: &[VipCell]) -> TextTable {
+    table(cells, "DCDT", |p| p.dcdt)
+}
+
+/// Figure 10: average SD of the VIPs' visiting intervals per policy.
+pub fn sd_table(cells: &[VipCell]) -> TextTable {
+    table(cells, "SD", |p| p.vip_sd)
 }
 
 #[cfg(test)]
@@ -157,9 +179,12 @@ mod tests {
     fn grid_covers_every_combination() {
         let cells = run(&small_params());
         assert_eq!(cells.len(), 4);
-        assert_eq!(table(&cells).len(), 4);
-        assert!(cells.iter().all(|c| c.shortest_dcdt > 0.0));
-        assert!(cells.iter().all(|c| c.balancing_dcdt > 0.0));
+        assert_eq!(dcdt_table(&cells).len(), 4);
+        assert_eq!(sd_table(&cells).len(), 4);
+        for p in cells.iter().flat_map(|c| [c.shortest, c.balancing]) {
+            assert!(p.dcdt > 0.0);
+            assert!(p.vip_sd.is_finite() && p.vip_sd >= 0.0);
+        }
     }
 
     #[test]
@@ -167,12 +192,12 @@ mod tests {
         let cells = run(&small_params());
         for c in &cells {
             assert!(
-                c.shortest_dcdt <= c.balancing_dcdt * 1.05 + 1.0,
+                c.shortest.dcdt <= c.balancing.dcdt * 1.05 + 1.0,
                 "VIPs {} weight {}: shortest {} vs balancing {}",
                 c.vips,
                 c.weight,
-                c.shortest_dcdt,
-                c.balancing_dcdt
+                c.shortest.dcdt,
+                c.balancing.dcdt
             );
         }
     }
@@ -186,11 +211,35 @@ mod tests {
                 .iter()
                 .find(|c| c.vips == vips && c.weight == weight)
                 .unwrap()
-                .shortest_dcdt
+                .shortest
+                .dcdt
         };
         assert!(
             get(3, 4) >= get(3, 2) * 0.9,
             "heavier VIPs lengthen the path"
         );
+    }
+
+    #[test]
+    fn balancing_policy_has_lower_or_equal_vip_sd() {
+        let params = VipSweepParams {
+            targets: 12,
+            mules: 1,
+            vip_counts: vec![2],
+            vip_weights: vec![3],
+            replicas: 4,
+            horizon_s: 250_000.0,
+            seed: 5,
+        };
+        for c in &run(&params) {
+            assert!(
+                c.balancing.vip_sd <= c.shortest.vip_sd + 1.0,
+                "VIPs {} weight {}: balancing {} vs shortest {}",
+                c.vips,
+                c.weight,
+                c.balancing.vip_sd,
+                c.shortest.vip_sd
+            );
+        }
     }
 }

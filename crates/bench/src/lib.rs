@@ -3,16 +3,16 @@
 //! The figure-regeneration harness: one module per figure of the paper's
 //! evaluation (§V), each exposing a function that runs the full sweep and
 //! returns a [`mule_metrics::TextTable`] with the same series the paper
-//! plots. The binaries in `src/bin/` print these tables.
+//! plots. The `figures` binary prints them by name ([`figures`]):
+//! `cargo run --release -p mule-bench --bin figures -- <name> [--quick] [--csv]`.
 //!
-//! | Module | Paper figure | Binary |
-//! |--------|--------------|--------|
-//! | [`fig7`]  | Fig. 7 — DCDT vs. visit index, Random / Sweep / CHB / TCTP | `cargo run -p mule-bench --bin fig7` |
-//! | [`fig8`]  | Fig. 8 — SD of visiting interval vs. #targets × #DMs, CHB vs TCTP | `cargo run -p mule-bench --bin fig8` |
-//! | [`fig9`]  | Fig. 9 — average DCDT vs. #VIPs × weight, Shortest vs Balancing | `cargo run -p mule-bench --bin fig9` |
-//! | [`fig10`] | Fig. 10 — average SD vs. #VIPs × weight, Shortest vs Balancing | `cargo run -p mule-bench --bin fig10` |
-//! | [`pathlen`] | §V text claim: path-length comparison | `cargo run -p mule-bench --bin table_pathlen` |
-//! | [`ablations`] | RW-TCTP recharge behaviour, start-point spreading | `cargo run -p mule-bench --bin ablation_recharge`, `ablation_spread` |
+//! | Module | Paper figure | Entry point |
+//! |--------|--------------|-------------|
+//! | [`fig7`]  | Fig. 7 — DCDT vs. visit index, Random / Sweep / CHB / TCTP | `figures fig7` |
+//! | [`fig8`]  | Fig. 8 — SD of visiting interval vs. #targets × #DMs, CHB vs TCTP | `figures fig8` |
+//! | [`fig9`]  | Figs. 9 and 10 — average DCDT and VIP-interval SD vs. #VIPs × weight, Shortest vs Balancing, from one grid run | `figures fig9`, `figures fig10` |
+//! | [`pathlen`] | §V text claim: path-length comparison | `figures table_pathlen` |
+//! | [`ablations`] | RW-TCTP recharge behaviour, start-point spreading | `figures ablation_recharge`, `figures ablation_spread` |
 //! | [`tourbench`] | tour-engine scaling: exact vs. candidate lists, memory, per-stage times | `patrolctl bench-tours` |
 //! | [`routebench`] | road routing (Dijkstra vs. A* vs. ALT) | `patrolctl bench-routes` |
 //!
@@ -40,17 +40,17 @@
 #![warn(clippy::all)]
 
 pub mod ablations;
-pub mod fig10;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod figures;
 pub mod harness;
 pub mod pathlen;
 pub mod routebench;
 pub mod tourbench;
 
 use mule_sim::{run_sweep, SimulationConfig, SweepCellOutcome};
-use mule_workload::{ScenarioConfig, SweepSpec};
+use mule_workload::{seed_fan, Scenario, ScenarioConfig, SweepSpec};
 use patrol_core::Planner;
 
 /// Number of replicas the paper averages over.
@@ -95,6 +95,33 @@ where
         );
     }
     cell
+}
+
+/// Every `(a, b)` pair of two axes, `a` major: the cell order of the
+/// figure grids.
+fn grid<A: Copy, B: Copy>(a: &[A], b: &[B]) -> Vec<(A, B)> {
+    a.iter()
+        .flat_map(|&x| b.iter().map(move |&y| (x, y)))
+        .collect()
+}
+
+/// The scenarios of `base`'s replication fan, one per seed of
+/// `seed_fan(base.seed, replicas)`: the fan [`replicate`] simulates, in
+/// the same order as its outcomes.
+fn replica_scenarios(base: ScenarioConfig, replicas: usize) -> Vec<Scenario> {
+    seed_fan(base.seed, replicas)
+        .into_iter()
+        .map(|seed| base.with_seed(seed).generate())
+        .collect()
+}
+
+/// Mean of `values` (`0.0` when there are none).
+fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let values: Vec<f64> = values.into_iter().collect();
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
 }
 
 #[cfg(test)]

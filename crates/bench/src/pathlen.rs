@@ -10,10 +10,11 @@
 //! 3. WRP splice overhead (the extra distance of detouring through the
 //!    recharge station).
 
+use crate::{mean, replica_scenarios};
 use mule_geom::Polyline;
 use mule_graph::{construct_circuit, ChbConfig, TourConstruction};
 use mule_metrics::TextTable;
-use mule_workload::{seed_fan, Scenario, ScenarioConfig, WeightSpec};
+use mule_workload::{ScenarioConfig, WeightSpec};
 use patrol_core::{BreakEdgePolicy, RwTctp, WTctp};
 
 /// Parameters of the path-length sweep.
@@ -43,23 +44,6 @@ impl Default for PathLenParams {
     }
 }
 
-/// The scenarios of `base`'s replication fan, one per seed of
-/// `seed_fan(base.seed, replicas)` — the fan `run_sweep` simulates.
-fn replica_scenarios(base: ScenarioConfig, replicas: usize) -> Vec<Scenario> {
-    seed_fan(base.seed, replicas)
-        .into_iter()
-        .map(|seed| base.with_seed(seed).generate())
-        .collect()
-}
-
-/// Mean of `metric` over `scenarios` (`0.0` when there are none).
-fn average(scenarios: &[Scenario], metric: impl Fn(&Scenario) -> f64) -> f64 {
-    if scenarios.is_empty() {
-        return 0.0;
-    }
-    scenarios.iter().map(metric).sum::<f64>() / scenarios.len() as f64
-}
-
 /// Average Hamiltonian-circuit length per construction heuristic.
 pub fn tour_length_table(params: &PathLenParams) -> TextTable {
     let mut header = vec!["targets".to_string()];
@@ -75,10 +59,10 @@ pub fn tour_length_table(params: &PathLenParams) -> TextTable {
         );
         let mut row = vec![targets.to_string()];
         for construction in TourConstruction::ALL {
-            let avg = average(&scenarios, |scenario| {
+            let avg = mean(scenarios.iter().map(|scenario| {
                 let pts = scenario.patrolled_positions();
                 construction.build(&pts).length(&pts)
-            });
+            }));
             row.push(format!("{avg:.0}"));
         }
         row
@@ -109,17 +93,17 @@ pub fn wpp_overhead_table(params: &PathLenParams) -> TextTable {
                 .with_seed(params.seed),
             params.replicas,
         );
-        let base_len = average(&scenarios, |s| {
+        let base_len = mean(scenarios.iter().map(|s| {
             let pts = s.patrolled_positions();
             construct_circuit(&pts, s.metric(), &ChbConfig::default()).length(&pts)
-        });
+        }));
         let wpp_len = |policy: BreakEdgePolicy| {
-            average(&scenarios, |s| {
+            mean(scenarios.iter().map(|s| {
                 let wpp = WTctp::new(policy)
                     .build_wpp_waypoints(s)
                     .expect("plannable scenario");
                 Polyline::closed(wpp.iter().map(|w| w.position).collect()).length()
-            })
+            }))
         };
         vec![
             targets.to_string(),

@@ -179,14 +179,12 @@ impl RouteBenchReport {
 /// Deterministic query endpoints spread over the node range (no RNG state
 /// shared with the generators, so adding queries never changes networks).
 fn query_pairs(node_count: usize, queries: usize, seed: u64) -> Vec<(u32, u32)> {
+    // A SplitMix64 stream, local to the queries.
     let mut state = seed | 1;
     let mut next = move || {
-        // SplitMix64 step, local to the query stream.
+        let z = mule_obs::splitmix64(state);
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     };
     (0..queries)
         .map(|_| {

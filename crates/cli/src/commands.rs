@@ -555,12 +555,8 @@ fn silence_injected_panics() {
     QUIET.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let message = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied());
-            if message.is_some_and(|m| m.starts_with(mule_fault::INJECTED_PANIC_PREFIX)) {
+            let message = mule_fault::panic_message(info.payload());
+            if message.starts_with(mule_fault::INJECTED_PANIC_PREFIX) {
                 return;
             }
             previous(info);

@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+use mule_obs::splitmix64;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -67,6 +68,18 @@ use std::time::Duration;
 /// Prefix of the panic payload produced by [`FaultKind::Panic`] firings;
 /// sweep quarantine and chaos assertions recognise injected panics by it.
 pub const INJECTED_PANIC_PREFIX: &str = "mule-fault: injected panic at";
+
+/// The message a caught panic carries: its `&str` or `String` payload,
+/// which is what `panic!` produces, or a fixed note for any other payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with a non-string payload".to_string()
+    }
+}
 
 /// What a firing rule does at its fault point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,14 +322,6 @@ pub fn arm(plan: FaultPlan) {
 pub fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     *STATE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// SplitMix64 — the same mixer the workspace's seeded RNGs use.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Uniform `[0, 1)` draw for rule `rule` on its `hit`-th visit — a pure
@@ -587,6 +592,13 @@ mod tests {
         // After the limit, the point is quiet again.
         assert!(point("boom").is_none());
         disarm();
+    }
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        assert_eq!(panic_message(&"static"), "static");
+        assert_eq!(panic_message(&String::from("owned")), "owned");
+        assert_eq!(panic_message(&7u32), "panic with a non-string payload");
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub mod trace;
 pub use chrome::{chrome_trace_json, chrome_traces_json};
 pub use profile::{FlatProfile, ProfileEntry};
 pub use ring::Ring;
-pub use sampler::sample_keep;
+pub use sampler::{sample_keep, splitmix64};
 pub use slo::{SloReport, SloSpec, SloTracker};
 pub use trace::{SpanAlloc, SpanRecord, Trace};
 

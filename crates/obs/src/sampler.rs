@@ -26,22 +26,36 @@ pub fn sample_keep(trace_id: u64, rate: f64) -> bool {
     if rate >= 1.0 {
         return true;
     }
-    // SplitMix64 finaliser: the same mixing the serve trace-id generator
-    // and mule-fault's decision draws use. One round suffices — the input
-    // is already well-mixed when it is a serve trace token, and the
-    // finaliser's avalanche covers sequential ids too.
-    let mut z = trace_id.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    // One SplitMix64 round suffices: the input is already well-mixed when
+    // it is a serve trace token, and the finaliser's avalanche covers
+    // sequential ids too.
+    let z = splitmix64(trace_id);
     // Top 53 bits → uniform in [0, 1); every f64 in that range is exact.
     let draw = (z >> 11) as f64 / (1u64 << 53) as f64;
     draw < rate
 }
 
+/// One SplitMix64 round: adds the golden-ratio increment to `x` and runs
+/// the finaliser. The workspace's one copy of the mixer, behind trace
+/// sampling, the serve trace tokens, mule-fault's decision draws and the
+/// route bench's query stream.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_matches_the_reference_outputs() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+    }
 
     #[test]
     fn decision_is_a_pure_function_of_id_and_rate() {

@@ -581,19 +581,6 @@ impl Shared {
     }
 }
 
-/// The 64-bit trace token for the `seq`-th request; rendered as 16 hex
-/// digits it is the `X-Trace-Id` header value. The splitmix64 finaliser
-/// turns sequential numbers into well-mixed tokens while staying a pure
-/// function of admission order — which is also what the head-based
-/// sampler draws on, so sampling decisions replay identically for a
-/// given admission order.
-fn trace_token(seq: u64) -> u64 {
-    let mut z = seq.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A running server. Dropping the handle shuts the server down and joins
 /// every thread it started.
 pub struct ServerHandle {
@@ -959,7 +946,10 @@ fn observe_telemetry(
     trace: mule_obs::Trace,
 ) -> String {
     use mule_obs::log::{self, LogEvent, Severity};
-    let token = trace_token(seq);
+    // The trace token, rendered as 16 hex digits for `X-Trace-Id`:
+    // SplitMix64 turns sequential admission numbers into well-mixed
+    // tokens while staying a pure function of admission order.
+    let token = mule_obs::splitmix64(seq);
     let id = format!("{token:016x}");
     let elapsed_ms = elapsed.as_secs_f64() * 1e3;
     let is_error = response.status >= 500;
@@ -1300,17 +1290,6 @@ enum ComputeFailure {
     DeadlineExceeded,
 }
 
-/// Renders a panic payload for error documents and logs.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Runs `f` under the optional deadline. With none, `f` runs inline on
 /// the connection worker. With one, `f` runs on a helper thread and this
 /// call waits at most `deadline`; on overrun the worker walks away with
@@ -1388,7 +1367,7 @@ fn handle_plan(body: &[u8], shared: &Arc<Shared>) -> (Option<CacheOutcome>, Resp
         with_deadline(shared.config.deadline, move || {
             cache_shared.cache.get_or_compute(key, move || {
                 catch_unwind(AssertUnwindSafe(|| plan_bytes(&compute_spec)))
-                    .map_err(|p| ComputeFailure::Panicked(panic_message(p)))?
+                    .map_err(|p| ComputeFailure::Panicked(mule_fault::panic_message(&*p)))?
                     .map_err(ComputeFailure::Api)
             })
         })
@@ -1452,7 +1431,10 @@ fn handle_simulate(body: &[u8], shared: &Arc<Shared>) -> Response {
             shared.breaker_simulate.on_failure();
             Response::error(
                 500,
-                &format!("simulation panicked: {}", panic_message(panic_payload)),
+                &format!(
+                    "simulation panicked: {}",
+                    mule_fault::panic_message(&*panic_payload)
+                ),
             )
         }
         Err(()) => {

@@ -157,7 +157,7 @@ where
                 catch_unwind(AssertUnwindSafe(|| {
                     run_sweep_replica(planner.as_ref(), spec, cell, replica_seed, base_config)
                 }))
-                .map_err(|payload| panic_message(payload.as_ref()))
+                .map_err(|payload| mule_fault::panic_message(&*payload))
             };
             if tracing {
                 let (result, trace) = mule_obs::capture(task);
@@ -201,18 +201,6 @@ where
         }
     }
     grouped
-}
-
-/// Best-effort extraction of a panic payload's message (panics almost
-/// always carry `&str` or `String`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "replica panicked with a non-string payload".to_string()
-    }
 }
 
 #[cfg(test)]
