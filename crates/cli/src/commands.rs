@@ -547,23 +547,6 @@ fn run_serve(options: &ServeOptions) -> Result<CommandOutput, CommandError> {
 const DEFAULT_CHAOS_PLAN: &str = "serve.plan=delay:60000@1#1,serve.plan=panic@0.12,\
      serve.cache=evict@0.25,serve.conn.read=io@0.06,serve.conn.write=io@0.06";
 
-/// Installs a panic hook that swallows injected-fault panics (they are
-/// caught and recovered by design; their default-hook backtraces would
-/// bury the chaos report) while delegating everything else.
-fn silence_injected_panics() {
-    static QUIET: std::sync::Once = std::sync::Once::new();
-    QUIET.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let message = mule_fault::panic_message(info.payload());
-            if message.starts_with(mule_fault::INJECTED_PANIC_PREFIX) {
-                return;
-            }
-            previous(info);
-        }));
-    });
-}
-
 /// Client-observed tallies plus server-side accounting of one chaos
 /// drill.
 #[derive(Debug, Default)]
@@ -738,7 +721,7 @@ fn run_chaos_drill(
 /// then once disarmed (every response must be byte-identical to the
 /// golden bytes), and fails with `CommandError::Check` on any violation.
 fn run_chaos(options: &ChaosOptions) -> Result<CommandOutput, CommandError> {
-    silence_injected_panics();
+    mule_fault::silence_injected_panics();
     let plan_spec = options
         .fault_plan
         .clone()

@@ -81,6 +81,22 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Installs, once per process, a panic hook that drops the report of an
+/// injected panic and hands every other panic to the hook it replaced.
+/// Injected panics are caught and recovered by design; their default
+/// reports would bury a chaos report or a test's output.
+pub fn silence_injected_panics() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !panic_message(info.payload()).starts_with(INJECTED_PANIC_PREFIX) {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// What a firing rule does at its fault point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {

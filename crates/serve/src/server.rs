@@ -8,9 +8,12 @@
 //!    answers `503 Service Unavailable` with `Retry-After` immediately
 //!    and closes — **backpressure is explicit and cheap**, not a growing
 //!    queue.
-//! 2. Admitted connections are handed to the worker pool. A worker owns
-//!    the connection for its lifetime (keep-alive requests run
-//!    back-to-back on one worker), bounded by the idle read timeout.
+//! 2. Each admitted connection is one [`TaskPool`] job, queued in
+//!    arrival order. A worker owns the connection for its lifetime
+//!    (keep-alive requests run back-to-back on one worker), bounded by
+//!    the idle read timeout. The job holds the connection's admission
+//!    slot and releases it when it ends, so a handler panic, caught by
+//!    the pool, drops that one connection and the worker takes the next.
 //! 3. `/v1/plan` bodies are parsed into a `ScenarioSpec`, fingerprinted,
 //!    and served through the [`PlanCache`] — hit, coalesced or computed,
 //!    the bytes are identical (see `docs/DETERMINISM.md`). The `X-Cache`
@@ -43,9 +46,10 @@
 //!
 //! [`ServerHandle::shutdown`] (also run on drop) flips the shutdown flag,
 //! pokes the listener with a loopback connection to unblock `accept`,
-//! and drops the pool — which joins every worker after the in-flight
-//! connections wind down (the idle timeout bounds how long an idle
-//! keep-alive peer can delay this).
+//! and joins the accept thread. That thread owns the pool: once the
+//! accept loop returns it drops the pool, which serves the connections
+//! already queued and joins every worker (the idle timeout bounds how
+//! long an idle keep-alive peer can delay this).
 
 use crate::api;
 use crate::breaker::CircuitBreaker;
@@ -582,14 +586,14 @@ impl Shared {
 }
 
 /// A running server. Dropping the handle shuts the server down and joins
-/// every thread it started.
+/// the accept thread and every connection worker. A compute that overran
+/// its deadline finishes on a detached helper thread, which is not
+/// joined.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    /// Owns the connection pool; joining it joins the workers too.
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// Dropped before the accept thread is joined; its own drop joins the
-    /// connection workers.
-    pool: Option<TaskPool>,
     /// True while this handle holds one arm on the counting allocator
     /// (slow-request logging wants per-request allocation figures);
     /// released exactly once at shutdown.
@@ -615,8 +619,9 @@ impl ServerHandle {
         self.shared.render_metrics()
     }
 
-    /// Stops accepting, drains the in-flight connections and joins every
-    /// thread. Called automatically on drop.
+    /// Stops accepting, drains the in-flight connections and joins the
+    /// accept thread and the connection workers. Called automatically on
+    /// drop.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -631,9 +636,6 @@ impl ServerHandle {
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
         }
-        // Dropping the pool joins the connection workers after they
-        // finish their queued connections.
-        self.pool.take();
     }
 }
 
@@ -659,83 +661,37 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let pool = TaskPool::new(config.workers);
 
     let accept_shared = Arc::clone(&shared);
-    // Admitted connections travel from the accept thread to the pool
-    // workers over a channel. When the accept thread exits it drops the
-    // sender, the workers' `recv` fails, and their jobs finish — which is
-    // what lets the pool's join-on-drop shutdown terminate.
-    let (conn_tx, conn_rx) = std::sync::mpsc::channel::<TcpStream>();
-    let accept_thread = std::thread::spawn(move || {
-        accept_loop(&listener, &accept_shared, conn_tx);
-    });
-
-    // One long-lived job per worker, each pulling connections off the
-    // shared queue; `queue_depth` (checked at accept time) bounds how
-    // many connections wait here.
-    let conn_rx = ConnReceiver {
-        rx: Arc::new(Mutex::new(conn_rx)),
-    };
-    for _ in 0..config.workers {
-        let shared = Arc::clone(&shared);
-        let rx = ConnReceiver::clone_handle(&conn_rx);
-        pool.spawn(move || {
-            while let Some(stream) = rx.recv() {
-                handle_connection(stream, &shared);
-                shared.admitted.fetch_sub(1, Ordering::SeqCst);
-            }
-        });
-    }
+    let accept_thread = std::thread::spawn(move || accept_loop(&listener, &accept_shared, pool));
 
     Ok(ServerHandle {
         addr,
         shared,
         accept_thread: Some(accept_thread),
-        pool: Some(pool),
         alloc_armed,
     })
 }
 
-/// `mpsc::Receiver` is single-consumer; wrap it in a mutex so every pool
-/// worker can pull connections from one queue.
-struct ConnReceiver {
-    rx: Arc<Mutex<std::sync::mpsc::Receiver<TcpStream>>>,
-}
+/// One admission slot, released on drop: when its connection's handler
+/// returns or panics, or when the pool drops its job un-run.
+struct Admission(Arc<Shared>);
 
-impl ConnReceiver {
-    fn clone_handle(rx: &ConnReceiver) -> ConnReceiver {
-        ConnReceiver {
-            rx: Arc::clone(&rx.rx),
-        }
-    }
-
-    fn recv(&self) -> Option<TcpStream> {
-        // Recover from poisoning: one worker panicking while holding the
-        // receiver must not strand the queued connections of the others.
-        self.rx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv()
-            .ok()
+impl Drop for Admission {
+    fn drop(&mut self) {
+        self.0.admitted.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Shared,
-    conn_tx: std::sync::mpsc::Sender<TcpStream>,
-) {
+/// Admits connections until shutdown. Returning drops `pool`, which
+/// serves the connections already queued and joins the workers.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: TaskPool) {
     loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        let Ok((mut stream, _)) = accepted else {
+            continue;
+        };
         // Backpressure: admit up to `queue_depth` concurrent connections,
         // reject the rest immediately. The counter is incremented here —
         // in the single accept thread — so admission decisions are
@@ -750,9 +706,11 @@ fn accept_loop(
             continue;
         }
         shared.admitted.fetch_add(1, Ordering::SeqCst);
-        if conn_tx.send(stream).is_err() {
-            return; // workers are gone: shutting down
-        }
+        // One pool job per connection: the pool's panic guard turns a
+        // handler panic into one lost connection, and the slot goes back
+        // with the job.
+        let slot = Admission(Arc::clone(shared));
+        pool.spawn(move || handle_connection(stream, &slot.0));
     }
 }
 

@@ -1,8 +1,9 @@
 //! Fault-injection and graceful-degradation tests over real TCP sockets:
 //! a panicking single-flight leader never strands its coalesced waiters,
 //! compute deadlines answer `504` and count on `/metrics`, the per-route
-//! circuit breaker opens / probes / closes, and degraded mode serves the
-//! last-good bytes with `X-Cache: stale`.
+//! circuit breaker opens / probes / closes, degraded mode serves the
+//! last-good bytes with `X-Cache: stale`, and a panicking connection
+//! handler costs one connection, not a worker or an admission slot.
 //!
 //! Every test that arms a [`mule_fault`] plan holds `FAULT_LOCK`: the
 //! armed plan is process-global, so armed tests and disarmed controls
@@ -14,30 +15,10 @@ use mule_serve::{plan_response_json, ServerConfig, ServerHandle};
 use mule_workload::ScenarioSpec;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::{Mutex, Once};
+use std::sync::Mutex;
 use std::time::Duration;
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Silences the default panic hook for injected-fault panics only, so
-/// armed tests don't spray backtraces into the test output.
-fn silence_injected_panics() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .is_some_and(|m| m.starts_with(mule_fault::INJECTED_PANIC_PREFIX));
-            if !injected {
-                previous(info);
-            }
-        }));
-    });
-}
 
 /// Disarms the global fault plan on drop, so a failing assertion in one
 /// test cannot leave the plan armed for the next.
@@ -45,7 +26,7 @@ struct Armed;
 
 impl Armed {
     fn plan(seed: u64, spec: &str) -> Armed {
-        silence_injected_panics();
+        mule_fault::silence_injected_panics();
         mule_fault::arm(mule_fault::FaultPlan::parse(seed, spec).expect("fault plan"));
         Armed
     }
@@ -98,6 +79,85 @@ fn post_plan(server: &ServerHandle, body: &[u8]) -> ClientResponse {
     let mut reader = BufReader::new(stream);
     write_request(&mut writer, "POST", "/v1/plan", body).expect("write request");
     read_response(&mut reader).expect("read response")
+}
+
+/// One `GET` on a fresh connection; `None` means the exchange died at the
+/// transport (the server dropped the connection or refused it). The read
+/// timeout keeps a server that stopped serving from hanging the test.
+fn get(server: &ServerHandle, path: &str) -> Option<ClientResponse> {
+    let stream = TcpStream::connect(server.addr()).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+    let mut writer = stream.try_clone().ok()?;
+    let mut reader = BufReader::new(stream);
+    write_request(&mut writer, "GET", path, b"").ok()?;
+    read_response(&mut reader).ok()
+}
+
+#[test]
+fn a_panicking_connection_handler_costs_one_connection() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Each of the first two connections panics in its handler. With two
+    // workers and two admission slots, a panic that killed its worker or
+    // leaked its slot would leave nothing to serve the rest.
+    let _armed = Armed::plan(7, "serve.conn.read=panic#2");
+    let server = test_server(ServerConfig {
+        workers: 2,
+        queue_depth: 2,
+        ..ServerConfig::default()
+    });
+
+    for i in 0..2 {
+        let dropped = get(&server, "/healthz");
+        assert!(dropped.is_none(), "exchange {i} survived: {dropped:?}");
+    }
+    for i in 0..4 {
+        let healthy = get(&server, "/healthz").map(|r| r.status);
+        assert_eq!(healthy, Some(200), "healthz {i} after the panics");
+    }
+
+    let metrics = get(&server, "/metrics").expect("metrics scrape");
+    assert_eq!(metrics.status, 200);
+    let text = metrics.body_text();
+    assert!(
+        text.contains("mule_fault_injected_total{point=\"serve.conn.read\",kind=\"panic\"} 2"),
+        "both panics counted:\n{text}"
+    );
+    // The scrape renders before its own request is counted, so the four
+    // answered health checks are every request on record.
+    let requests: u64 = text
+        .lines()
+        .filter(|line| line.starts_with("mule_requests_total{"))
+        .map(|line| line.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(requests, 4, "{text}");
+    server.shutdown();
+}
+
+#[test]
+fn a_job_panic_before_the_handler_runs_drops_only_its_connection() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // `par.job` fires at dispatch, before the connection's handler runs:
+    // the un-run job is dropped with its connection and admission slot,
+    // and the one worker takes the next connection.
+    let _armed = Armed::plan(7, "par.job=panic#1");
+    let server = test_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+
+    let dropped = get(&server, "/healthz");
+    assert!(
+        dropped.is_none(),
+        "the first exchange survived: {dropped:?}"
+    );
+    for i in 0..2 {
+        let healthy = get(&server, "/healthz").map(|r| r.status);
+        assert_eq!(healthy, Some(200), "healthz {i} after the panic");
+    }
+    assert!(server
+        .metrics_prometheus()
+        .contains("mule_fault_injected_total{point=\"par.job\",kind=\"panic\"} 1"));
+    server.shutdown();
 }
 
 #[test]
