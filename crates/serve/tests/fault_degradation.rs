@@ -71,13 +71,17 @@ fn expected_bytes() -> Vec<u8> {
 }
 
 fn post_plan(server: &ServerHandle, body: &[u8]) -> ClientResponse {
+    post(server, "/v1/plan", body)
+}
+
+fn post(server: &ServerHandle, path: &str, body: &[u8]) -> ClientResponse {
     let stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    write_request(&mut writer, "POST", "/v1/plan", body).expect("write request");
+    write_request(&mut writer, "POST", path, body).expect("write request");
     read_response(&mut reader).expect("read response")
 }
 
@@ -228,6 +232,46 @@ fn a_compute_overrunning_the_deadline_answers_504_and_counts_it() {
         "compute deadline counted on /metrics:\n{metrics}"
     );
     assert!(metrics.contains("mule_fault_injected_total{point=\"serve.plan\",kind=\"delay\"} 1"));
+    server.shutdown();
+}
+
+#[test]
+fn a_simulate_overrunning_the_deadline_answers_504_and_opens_its_breaker() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // One replica's injected 2 s delay overruns the 200 ms deadline. The
+    // 504 counts as a compute deadline and, at threshold 1, opens the
+    // simulate breaker; the plan route keeps its own closed breaker.
+    let _armed = Armed::plan(7, "sweep.replica=delay:2000#1");
+    let server = test_server(ServerConfig {
+        deadline: Some(Duration::from_millis(200)),
+        breaker_threshold: Some(1),
+        breaker_cooldown: Duration::from_secs(60),
+        ..ServerConfig::default()
+    });
+    let body = br#"{"spec": {"targets": 6, "horizon_s": 5000.0}, "replicas": 3}"#;
+
+    let timed_out = post(&server, "/v1/simulate", body);
+    assert_eq!(timed_out.status, 504);
+    assert!(
+        timed_out
+            .body_text()
+            .contains("simulate compute deadline exceeded"),
+        "{}",
+        timed_out.body_text()
+    );
+    let metrics = server.metrics_prometheus();
+    assert!(
+        metrics.contains("mule_deadline_exceeded_total{stage=\"compute\"} 1"),
+        "{metrics}"
+    );
+
+    let rejected = post(&server, "/v1/simulate", body);
+    assert_eq!(rejected.status, 503, "open breaker fails fast");
+    assert_eq!(rejected.header("x-breaker"), Some("open"));
+
+    let plan = post_plan(&server, &spec_body());
+    assert_eq!(plan.status, 200, "breakers are per route");
+    assert_eq!(plan.body, expected_bytes());
     server.shutdown();
 }
 
