@@ -571,7 +571,6 @@ fn chaos_request(
     addr: &std::net::SocketAddr,
     body: &[u8],
 ) -> Option<mule_serve::http::ClientResponse> {
-    use std::io::Write;
     let stream = std::net::TcpStream::connect(addr).ok()?;
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
@@ -579,14 +578,7 @@ fn chaos_request(
     stream.set_nodelay(true).ok()?;
     let mut writer = stream.try_clone().ok()?;
     let mut reader = std::io::BufReader::new(stream);
-    let head = format!(
-        "POST /v1/plan HTTP/1.1\r\nHost: mule-serve\r\nConnection: close\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    writer.write_all(head.as_bytes()).ok()?;
-    writer.write_all(body).ok()?;
-    writer.flush().ok()?;
+    mule_serve::http::write_request(&mut writer, "POST", "/v1/plan", body, false).ok()?;
     mule_serve::http::read_response(&mut reader).ok()
 }
 

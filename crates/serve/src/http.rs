@@ -375,15 +375,23 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<ClientResponse, HttpEr
     Ok(ClientResponse { body, ..response })
 }
 
-/// Writes a request (the client half), flushing at the end.
+/// Writes a request (the client half), flushing at the end. Without
+/// `keep_alive` it asks the server to close the connection after its
+/// answer (`Connection: close`).
 pub fn write_request(
     writer: &mut impl Write,
     method: &str,
     path: &str,
     body: &[u8],
+    keep_alive: bool,
 ) -> std::io::Result<()> {
+    let connection = if keep_alive {
+        ""
+    } else {
+        "Connection: close\r\n"
+    };
     let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: mule-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+        "{method} {path} HTTP/1.1\r\nHost: mule-serve\r\n{connection}Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
     writer.write_all(head.as_bytes())?;
@@ -543,12 +551,22 @@ mod tests {
 
     #[test]
     fn request_writer_produces_parseable_requests() {
-        let mut wire = Vec::new();
-        write_request(&mut wire, "POST", "/v1/plan", b"{\"targets\":5}").unwrap();
-        let req = parse_bytes(&wire).unwrap().unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/plan");
-        assert_eq!(req.body, b"{\"targets\":5}");
+        for keep_alive in [true, false] {
+            let mut wire = Vec::new();
+            write_request(
+                &mut wire,
+                "POST",
+                "/v1/plan",
+                b"{\"targets\":5}",
+                keep_alive,
+            )
+            .unwrap();
+            let req = parse_bytes(&wire).unwrap().unwrap();
+            assert_eq!(req.method, "POST");
+            assert_eq!(req.path, "/v1/plan");
+            assert_eq!(req.body, b"{\"targets\":5}");
+            assert_eq!(req.keep_alive(), keep_alive);
+        }
     }
 
     /// A writer that takes at most 7 bytes per call, keeps `Write`'s

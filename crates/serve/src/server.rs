@@ -36,9 +36,12 @@
 //!   fingerprint, they are served with `X-Cache: stale` and a `Warning`
 //!   header instead of the 5xx.
 //!
-//! Compute panics are caught at the request level in all cases, so a
-//! panicking planner produces a well-formed 500 (or a stale 200) instead
-//! of a dropped connection. The `mule-fault` points in this file
+//! `/v1/plan` and `/v1/simulate` run their computes through one guard
+//! (`guarded`): it catches a panic, applies the deadline and records the
+//! route breaker's outcome, so a panicking planner produces a well-formed
+//! 500 (or a stale 200) instead of a dropped connection. A panic outside
+//! a compute costs only its connection and counts on
+//! `mule_connection_panics_total`. The `mule-fault` points in this file
 //! (`serve.plan`, `serve.cache`, `serve.conn.read`, `serve.conn.write`)
 //! exist to prove exactly that under `patrolctl chaos`.
 //!
@@ -146,11 +149,6 @@ pub const RETRY_AFTER_S: u32 = 1;
 /// Request counters, latency histogram and cache statistics, rendered
 /// into the `/metrics` document by `Shared::render_metrics`.
 #[derive(Debug, Default)]
-struct ServerMetrics {
-    inner: Mutex<MetricsInner>,
-}
-
-#[derive(Debug, Default)]
 struct MetricsInner {
     healthz: u64,
     metrics: u64,
@@ -161,7 +159,11 @@ struct MetricsInner {
     ok_2xx: u64,
     client_err_4xx: u64,
     server_err_5xx: u64,
+    /// Connections rejected by backpressure: no request was read, so no
+    /// route, status or latency is counted.
     rejected_503: u64,
+    /// Connections whose handler (or un-run pool job) panicked.
+    connection_panics: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_coalesced: u64,
@@ -191,68 +193,45 @@ enum Route {
     Other,
 }
 
-impl ServerMetrics {
-    /// Locks the counters, recovering from poisoning: a handler that
-    /// panicked mid-request leaves plain integers behind, and losing every
-    /// later scrape to a cascading panic would turn one bad request into a
-    /// dead `/metrics` endpoint.
-    fn lock(&self) -> MutexGuard<'_, MetricsInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// Locks `mutex`, recovering from poisoning: a handler that panicked
+/// mid-request leaves plain counters and profiles behind, and losing every
+/// later scrape to a cascading panic would turn one bad request into a
+/// dead `/metrics` endpoint.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
+impl MetricsInner {
     /// Records one handled request together with its span profile.
     fn observe(
-        &self,
+        &mut self,
         route: Route,
         status: u16,
         elapsed: Duration,
         cache: Option<CacheOutcome>,
         profile: &FlatProfile,
     ) {
-        let mut inner = self.lock();
         match route {
-            Route::Healthz => inner.healthz += 1,
-            Route::Metrics => inner.metrics += 1,
-            Route::Plan => inner.plan += 1,
-            Route::Simulate => inner.simulate += 1,
-            Route::Debug => inner.debug += 1,
-            Route::Other => inner.other += 1,
+            Route::Healthz => self.healthz += 1,
+            Route::Metrics => self.metrics += 1,
+            Route::Plan => self.plan += 1,
+            Route::Simulate => self.simulate += 1,
+            Route::Debug => self.debug += 1,
+            Route::Other => self.other += 1,
         }
         match status {
-            200..=299 => inner.ok_2xx += 1,
-            400..=499 => inner.client_err_4xx += 1,
-            _ => inner.server_err_5xx += 1,
+            200..=299 => self.ok_2xx += 1,
+            400..=499 => self.client_err_4xx += 1,
+            _ => self.server_err_5xx += 1,
         }
         match cache {
-            Some(CacheOutcome::Hit) => inner.cache_hits += 1,
-            Some(CacheOutcome::Miss) => inner.cache_misses += 1,
-            Some(CacheOutcome::Coalesced) => inner.cache_coalesced += 1,
+            Some(CacheOutcome::Hit) => self.cache_hits += 1,
+            Some(CacheOutcome::Miss) => self.cache_misses += 1,
+            Some(CacheOutcome::Coalesced) => self.cache_coalesced += 1,
             None => {}
         }
-        inner.latency.record_duration(elapsed);
-        inner.spans.merge(profile);
-    }
-
-    /// Records one connection rejected by backpressure (no request was
-    /// read, so no route, status or latency is counted — rejections carry
-    /// no trace).
-    fn observe_rejected(&self) {
-        self.lock().rejected_503 += 1;
-    }
-
-    /// Records one request whose header+body read overran the deadline.
-    fn observe_deadline_read(&self) {
-        self.lock().deadline_read += 1;
-    }
-
-    /// Records one compute cut off by the deadline.
-    fn observe_deadline_compute(&self) {
-        self.lock().deadline_compute += 1;
-    }
-
-    /// Records one stale-on-error serve.
-    fn observe_stale_served(&self) {
-        self.lock().stale_served += 1;
+        self.latency.record_duration(elapsed);
+        self.spans.merge(profile);
     }
 }
 
@@ -298,10 +277,12 @@ const REQUEST_RING_CAPACITY: usize = 512;
 
 struct Shared {
     cache: PlanCache,
-    metrics: ServerMetrics,
+    /// Every counter of `/metrics` behind one lock (see [`lock`]).
+    metrics: Mutex<MetricsInner>,
     admitted: AtomicUsize,
     shutdown: AtomicBool,
-    /// Monotonic request sequence feeding [`trace_id`].
+    /// Monotonic request sequence feeding the trace token (see
+    /// `observe_telemetry`).
     trace_seq: AtomicU64,
     /// Per-route circuit breakers (disabled unless
     /// [`ServerConfig::breaker_threshold`] is set).
@@ -324,7 +305,7 @@ impl Shared {
         let breaker_threshold = config.breaker_threshold.unwrap_or(0);
         Shared {
             cache: PlanCache::new(config.cache_capacity),
-            metrics: ServerMetrics::default(),
+            metrics: Mutex::default(),
             admitted: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             trace_seq: AtomicU64::new(0),
@@ -369,7 +350,7 @@ impl Shared {
             .map(|tracker| tracker.report(self.epoch.elapsed().as_secs()));
         // One lock over the route counters and the span profile keeps
         // `mule_span_total{span="request"}` equal to their sum.
-        let inner = self.metrics.lock();
+        let inner = lock(&self.metrics);
         let mut p = PromText::new();
 
         p.family(
@@ -407,6 +388,13 @@ impl Shared {
             "Connections rejected by backpressure (503 + Retry-After).",
         );
         p.sample_u64("mule_rejected_total", &[], inner.rejected_503);
+
+        p.family(
+            "mule_connection_panics_total",
+            "counter",
+            "Connections dropped by a panic in their handler or pool job.",
+        );
+        p.sample_u64("mule_connection_panics_total", &[], inner.connection_panics);
 
         p.family(
             "mule_cache_events_total",
@@ -672,11 +660,15 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 }
 
 /// One admission slot, released on drop: when its connection's handler
-/// returns or panics, or when the pool drops its job un-run.
+/// returns or panics, or when the pool drops its job un-run. A drop
+/// during unwinding counts the connection as lost to a panic.
 struct Admission(Arc<Shared>);
 
 impl Drop for Admission {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(&self.0.metrics).connection_panics += 1;
+        }
         self.0.admitted.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -698,7 +690,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: TaskPool) {
         // sequential and deterministic for a given arrival order.
         let admitted = shared.admitted.load(Ordering::SeqCst);
         if admitted >= shared.config.queue_depth {
-            shared.metrics.observe_rejected();
+            lock(&shared.metrics).rejected_503 += 1;
             shared.record_slo(0.0, true);
             let response = Response::error(503, "server at capacity, retry later")
                 .with_header("Retry-After", RETRY_AFTER_S.to_string());
@@ -710,7 +702,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: TaskPool) {
         // handler panic into one lost connection, and the slot goes back
         // with the job.
         let slot = Admission(Arc::clone(shared));
-        pool.spawn(move || handle_connection(stream, &slot.0));
+        pool.spawn(move || handle_connection(stream, slot));
     }
 }
 
@@ -721,8 +713,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: TaskPool) {
 /// timeout alone leaves the classic slow-loris hole — a peer trickling
 /// one byte per timeout holds a worker forever; the total budget closes
 /// it.
-struct TimedStream {
-    stream: TcpStream,
+struct TimedStream<'a> {
+    stream: &'a TcpStream,
     idle: Duration,
     read_deadline: Option<Duration>,
     /// Set at the first byte of a request, cleared between requests.
@@ -735,8 +727,8 @@ struct TimedStream {
     last_timeout: Option<Duration>,
 }
 
-impl TimedStream {
-    fn new(stream: TcpStream, idle: Duration, read_deadline: Option<Duration>) -> Self {
+impl<'a> TimedStream<'a> {
+    fn new(stream: &'a TcpStream, idle: Duration, read_deadline: Option<Duration>) -> Self {
         TimedStream {
             stream,
             idle,
@@ -764,7 +756,7 @@ impl TimedStream {
     }
 }
 
-impl Read for TimedStream {
+impl Read for TimedStream<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let timeout = match (self.read_deadline, self.request_started) {
             (Some(total), Some(started)) => {
@@ -808,14 +800,15 @@ impl Read for TimedStream {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+/// Serves one admitted connection until it closes. Parameters drop in
+/// reverse order, so `slot` is released before `stream` closes: a client
+/// that reconnects after reading EOF always finds the slot free.
+fn handle_connection(stream: TcpStream, slot: Admission) {
+    let shared = &slot.0;
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let mut writer = &stream;
     let mut reader = BufReader::new(TimedStream::new(
-        stream,
+        &stream,
         shared.config.idle_timeout,
         shared.config.deadline,
     ));
@@ -840,9 +833,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 });
                 let elapsed = started.elapsed();
                 let profile = FlatProfile::of(&trace);
-                shared
-                    .metrics
-                    .observe(route, response.status, elapsed, cache, &profile);
+                lock(&shared.metrics).observe(route, response.status, elapsed, cache, &profile);
                 let id = observe_telemetry(
                     shared, seq, &request, &response, elapsed, cache, &profile, trace,
                 );
@@ -863,7 +854,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 // and close. No request was parsed, so — like
                 // backpressure 503s — this is counted outside the
                 // per-route counters, but it spends availability budget.
-                shared.metrics.observe_deadline_read();
+                lock(&shared.metrics).deadline_read += 1;
                 shared.record_slo(0.0, true);
                 let _ = Response::error(504, "request read deadline exceeded")
                     .write_to(&mut writer, false);
@@ -935,11 +926,7 @@ fn observe_telemetry(
             sampled,
             slow,
         });
-        telemetry
-            .profile
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(profile);
+        lock(&telemetry.profile).merge(profile);
     }
     if slow && log::enabled_at(Severity::Warn) {
         log::emit(
@@ -1153,12 +1140,7 @@ fn handle_debug(path: &str, query: Option<&str>, shared: &Arc<Shared>) -> Respon
         "/debug/profile" => {
             // The scrape *takes* the merged profile, so consecutive
             // scrapes report disjoint windows (Prometheus-style deltas).
-            let profile = std::mem::take(
-                &mut *telemetry
-                    .profile
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
+            let profile = std::mem::take(&mut *lock(&telemetry.profile));
             let entries: Vec<JsonValue> = profile
                 .entries
                 .iter()
@@ -1231,13 +1213,6 @@ fn handle_debug(path: &str, query: Option<&str>, shared: &Arc<Shared>) -> Respon
     }
 }
 
-fn api_error_response(e: &api::ApiError) -> Response {
-    match e {
-        api::ApiError::BadRequest(msg) => Response::error(400, msg),
-        api::ApiError::Plan(plan_err) => Response::error(422, &plan_err.to_string()),
-    }
-}
-
 /// Why a guarded compute produced no bytes.
 enum ComputeFailure {
     /// The request itself is bad (4xx; never trips the breaker).
@@ -1248,26 +1223,66 @@ enum ComputeFailure {
     DeadlineExceeded,
 }
 
-/// Runs `f` under the optional deadline. With none, `f` runs inline on
-/// the connection worker. With one, `f` runs on a helper thread and this
-/// call waits at most `deadline`; on overrun the worker walks away with
-/// `Err(())` (answering 504) while the helper finishes in the background
-/// — its result still lands in the cache for the next request, and any
-/// coalesced waiters are still woken.
-fn with_deadline<T: Send + 'static>(
-    deadline: Option<Duration>,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> Result<T, ()> {
-    match deadline {
-        None => Ok(f()),
+impl ComputeFailure {
+    /// The error answer of a failed `/v1/plan` or `/v1/simulate`.
+    fn response(&self, route: Route) -> Response {
+        let (what, name) = if route == Route::Plan {
+            ("planner", "plan")
+        } else {
+            ("simulation", "simulate")
+        };
+        match self {
+            ComputeFailure::Api(api::ApiError::BadRequest(msg)) => Response::error(400, msg),
+            ComputeFailure::Api(api::ApiError::Plan(e)) => Response::error(422, &e.to_string()),
+            ComputeFailure::Panicked(msg) => {
+                Response::error(500, &format!("{what} panicked: {msg}"))
+            }
+            ComputeFailure::DeadlineExceeded => {
+                Response::error(504, &format!("{name} compute deadline exceeded"))
+            }
+        }
+    }
+}
+
+/// Runs an admitted route's compute behind its `breaker`. A panic comes
+/// back as [`ComputeFailure::Panicked`]. With no deadline the compute runs
+/// inline on the connection worker; with one it runs on a helper thread
+/// and the worker waits at most the deadline, then walks away with
+/// [`ComputeFailure::DeadlineExceeded`] (answering 504) while the helper
+/// finishes in the background — a plan still lands in the cache for the
+/// next request, and any coalesced waiters are still woken. Panics and
+/// overruns count against the breaker; bad requests do not.
+fn guarded<T: Send + 'static>(
+    shared: &Shared,
+    breaker: &CircuitBreaker,
+    compute: impl FnOnce() -> Result<T, api::ApiError> + Send + 'static,
+) -> Result<T, ComputeFailure> {
+    let run = move || {
+        catch_unwind(AssertUnwindSafe(compute))
+            .map_err(|p| ComputeFailure::Panicked(mule_fault::panic_message(&*p)))?
+            .map_err(ComputeFailure::Api)
+    };
+    let result = match shared.config.deadline {
+        None => run(),
         Some(limit) => {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
-                let _ = tx.send(f());
+                let _ = tx.send(run());
             });
-            rx.recv_timeout(limit).map_err(|_| ())
+            rx.recv_timeout(limit)
+                .unwrap_or(Err(ComputeFailure::DeadlineExceeded))
+        }
+    };
+    match &result {
+        Ok(_) => breaker.on_success(),
+        Err(ComputeFailure::Api(_)) => {}
+        Err(ComputeFailure::Panicked(_)) => breaker.on_failure(),
+        Err(ComputeFailure::DeadlineExceeded) => {
+            breaker.on_failure();
+            lock(&shared.metrics).deadline_compute += 1;
         }
     }
+    result
 }
 
 /// The fail-fast 503 an open breaker answers with.
@@ -1284,7 +1299,7 @@ fn stale_response(shared: &Shared, key: u64) -> Option<Response> {
         return None;
     }
     let bytes = shared.cache.stale_get(key)?;
-    shared.metrics.observe_stale_served();
+    lock(&shared.metrics).stale_served += 1;
     Some(
         Response::shared_json(200, bytes)
             .with_header("X-Cache", "stale")
@@ -1300,7 +1315,7 @@ fn handle_plan(body: &[u8], shared: &Arc<Shared>) -> (Option<CacheOutcome>, Resp
     };
     let spec = match parsed {
         Ok(spec) => spec,
-        Err(e) => return (None, api_error_response(&e)),
+        Err(e) => return (None, ComputeFailure::Api(e).response(Route::Plan)),
     };
     let key = {
         let _s = mule_obs::span("request.fingerprint");
@@ -1314,45 +1329,29 @@ fn handle_plan(body: &[u8], shared: &Arc<Shared>) -> (Option<CacheOutcome>, Resp
     }
     let looked_up = {
         let _s = mule_obs::span("request.cache_lookup");
-        // The compute is panic-guarded so a planner bug (or injected
-        // `serve.plan` panic) surfaces as a typed failure: the cache
-        // wakes one coalesced waiter to retry, the breaker counts it,
-        // and the client gets a well-formed response. Under a deadline
-        // the whole lookup (including any coalesced wait) moves onto a
-        // helper thread; the clones exist so that thread owns its data.
+        // The guard wraps the whole lookup, coalesced wait included. A
+        // planner panic (or injected `serve.plan` panic) unwinds through
+        // the cache, which clears the in-flight slot and wakes a waiter to
+        // retry. The clones let a deadline's helper thread own its data.
         let cache_shared = Arc::clone(shared);
-        let compute_spec = spec.clone();
-        with_deadline(shared.config.deadline, move || {
-            cache_shared.cache.get_or_compute(key, move || {
-                catch_unwind(AssertUnwindSafe(|| plan_bytes(&compute_spec)))
-                    .map_err(|p| ComputeFailure::Panicked(mule_fault::panic_message(&*p)))?
-                    .map_err(ComputeFailure::Api)
-            })
+        guarded(shared, &shared.breaker_plan, move || {
+            cache_shared.cache.get_or_compute(key, || plan_bytes(&spec))
         })
-        .unwrap_or(Err(ComputeFailure::DeadlineExceeded))
     };
     match looked_up {
         Ok((bytes, outcome)) => {
-            shared.breaker_plan.on_success();
             let _s = mule_obs::span("request.serialize");
             let response = Response::shared_json(200, bytes)
                 .with_header("X-Cache", outcome.label())
                 .with_header("X-Fingerprint", format!("{key:016x}"));
             (Some(outcome), response)
         }
-        Err(ComputeFailure::Api(e)) => (None, api_error_response(&e)),
-        Err(ComputeFailure::Panicked(msg)) => {
-            shared.breaker_plan.on_failure();
-            let response = stale_response(shared, key)
-                .unwrap_or_else(|| Response::error(500, &format!("planner panicked: {msg}")));
-            (None, response)
-        }
-        Err(ComputeFailure::DeadlineExceeded) => {
-            shared.breaker_plan.on_failure();
-            shared.metrics.observe_deadline_compute();
-            let response = stale_response(shared, key)
-                .unwrap_or_else(|| Response::error(504, "plan compute deadline exceeded"));
-            (None, response)
+        Err(failure) => {
+            let stale = match failure {
+                ComputeFailure::Api(_) => None,
+                _ => stale_response(shared, key),
+            };
+            (None, stale.unwrap_or_else(|| failure.response(Route::Plan)))
         }
     }
 }
@@ -1370,36 +1369,17 @@ fn handle_simulate(body: &[u8], shared: &Arc<Shared>) -> Response {
     };
     let request = match parsed {
         Ok(request) => request,
-        Err(e) => return api_error_response(&e),
+        Err(e) => return ComputeFailure::Api(e).response(Route::Simulate),
     };
     if !shared.breaker_simulate.admit() {
         return breaker_response();
     }
     let _s = mule_obs::span("request.simulate");
-    let computed = with_deadline(shared.config.deadline, move || {
-        catch_unwind(AssertUnwindSafe(|| api::simulate_response_json(&request)))
-    });
-    match computed {
-        Ok(Ok(Ok(doc))) => {
-            shared.breaker_simulate.on_success();
-            Response::json(200, doc)
-        }
-        Ok(Ok(Err(e))) => api_error_response(&e),
-        Ok(Err(panic_payload)) => {
-            shared.breaker_simulate.on_failure();
-            Response::error(
-                500,
-                &format!(
-                    "simulation panicked: {}",
-                    mule_fault::panic_message(&*panic_payload)
-                ),
-            )
-        }
-        Err(()) => {
-            shared.breaker_simulate.on_failure();
-            shared.metrics.observe_deadline_compute();
-            Response::error(504, "simulate compute deadline exceeded")
-        }
+    match guarded(shared, &shared.breaker_simulate, move || {
+        api::simulate_response_json(&request)
+    }) {
+        Ok(doc) => Response::json(200, doc),
+        Err(failure) => failure.response(Route::Simulate),
     }
 }
 

@@ -13,7 +13,7 @@
 use mule_serve::http::{read_response, write_request, ClientResponse};
 use mule_serve::{plan_response_json, ServerConfig, ServerHandle};
 use mule_workload::ScenarioSpec;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -81,20 +81,24 @@ fn post(server: &ServerHandle, path: &str, body: &[u8]) -> ClientResponse {
         .unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    write_request(&mut writer, "POST", path, body).expect("write request");
+    write_request(&mut writer, "POST", path, body, true).expect("write request");
     read_response(&mut reader).expect("read response")
 }
 
-/// One `GET` on a fresh connection; `None` means the exchange died at the
-/// transport (the server dropped the connection or refused it). The read
-/// timeout keeps a server that stopped serving from hanging the test.
+/// One `GET` on a fresh `Connection: close` connection, read to EOF so
+/// the server has closed it (and released its admission slot) before the
+/// next connect; `None` means the exchange died at the transport (the
+/// server dropped the connection or refused it). The read timeout keeps a
+/// server that stopped serving from hanging the test.
 fn get(server: &ServerHandle, path: &str) -> Option<ClientResponse> {
     let stream = TcpStream::connect(server.addr()).ok()?;
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     let mut writer = stream.try_clone().ok()?;
     let mut reader = BufReader::new(stream);
-    write_request(&mut writer, "GET", path, b"").ok()?;
-    read_response(&mut reader).ok()
+    write_request(&mut writer, "GET", path, b"", false).ok()?;
+    let response = read_response(&mut reader).ok()?;
+    reader.read_to_end(&mut Vec::new()).ok()?;
+    Some(response)
 }
 
 #[test]
@@ -125,6 +129,10 @@ fn a_panicking_connection_handler_costs_one_connection() {
     assert!(
         text.contains("mule_fault_injected_total{point=\"serve.conn.read\",kind=\"panic\"} 2"),
         "both panics counted:\n{text}"
+    );
+    assert!(
+        text.contains("mule_connection_panics_total 2"),
+        "both lost connections counted:\n{text}"
     );
     // The scrape renders before its own request is counted, so the four
     // answered health checks are every request on record.
@@ -158,9 +166,12 @@ fn a_job_panic_before_the_handler_runs_drops_only_its_connection() {
         let healthy = get(&server, "/healthz").map(|r| r.status);
         assert_eq!(healthy, Some(200), "healthz {i} after the panic");
     }
-    assert!(server
-        .metrics_prometheus()
-        .contains("mule_fault_injected_total{point=\"par.job\",kind=\"panic\"} 1"));
+    let metrics = server.metrics_prometheus();
+    assert!(metrics.contains("mule_fault_injected_total{point=\"par.job\",kind=\"panic\"} 1"));
+    assert!(
+        metrics.contains("mule_connection_panics_total 1"),
+        "{metrics}"
+    );
     server.shutdown();
 }
 

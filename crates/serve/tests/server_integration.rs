@@ -31,7 +31,7 @@ impl Client {
     }
 
     fn request(&mut self, method: &str, path: &str, body: &[u8]) -> ClientResponse {
-        write_request(&mut self.writer, method, path, body).expect("write request");
+        write_request(&mut self.writer, method, path, body, true).expect("write request");
         read_response(&mut self.reader).expect("read response")
     }
 }

@@ -32,7 +32,7 @@ impl Client {
     }
 
     fn request(&mut self, method: &str, path: &str, body: &[u8]) -> ClientResponse {
-        write_request(&mut self.writer, method, path, body).expect("write request");
+        write_request(&mut self.writer, method, path, body, true).expect("write request");
         read_response(&mut self.reader).expect("read response")
     }
 }
@@ -358,6 +358,7 @@ fn slo_gauges_appear_on_metrics_when_configured() {
         "mule_requests_total",
         "mule_responses_total",
         "mule_rejected_total",
+        "mule_connection_panics_total",
         "mule_cache_events_total",
         "mule_deadline_exceeded_total",
         "mule_stale_served_total",
