@@ -13,8 +13,14 @@
 use mule_geom::Point;
 use mule_road::TravelMetric;
 
-/// A symmetric `n × n` matrix of travel distances, stored row-major in a
-/// single flat allocation.
+/// An `n × n` matrix of travel distances, stored row-major in a single flat
+/// allocation.
+///
+/// Every public constructor writes `d(i, j)` and `d(j, i)` from one value,
+/// so production matrices are bit-symmetric and a column is its row. A
+/// directed matrix (the test-only `from_rows`) stores its transpose after
+/// the rows, so [`DistanceMatrix::column`] reads `data` from
+/// `data.len() − n²` on: offset 0 when symmetric, the transpose when not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceMatrix {
     n: usize,
@@ -83,6 +89,20 @@ impl DistanceMatrix {
         self.data[i * self.n + j]
     }
 
+    /// Distances from point `i`: `row(i)[j] == get(i, j)`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
+    /// Distances to point `j`: `column(j)[i] == get(i, j)`, bit for bit.
+    /// For a symmetric matrix this is `row(j)`.
+    #[inline]
+    pub fn column(&self, j: usize) -> &[f64] {
+        let columns = self.data.len() - self.n * self.n;
+        &self.data[columns + j * self.n..columns + (j + 1) * self.n]
+    }
+
     /// The nearest other point to `i` that satisfies `accept`, as
     /// `(index, distance)`. Returns `None` when no acceptable point exists.
     pub fn nearest_to<F: Fn(usize) -> bool>(&self, i: usize, accept: F) -> Option<(usize, f64)> {
@@ -135,10 +155,14 @@ impl DistanceMatrix {
 
 #[cfg(test)]
 impl DistanceMatrix {
-    /// A matrix over `n` points from row-major `data`, which need not be
-    /// symmetric: road costs are only symmetric to rounding.
-    pub(crate) fn from_rows(n: usize, data: Vec<f64>) -> Self {
+    /// A directed matrix over `n` points from row-major `data`. Every
+    /// production matrix is bit-symmetric; this one exists so the local
+    /// searches are tested on costs where `d(i, j) != d(j, i)`. Its
+    /// transpose is stored after the rows for [`DistanceMatrix::column`].
+    pub(crate) fn from_rows(n: usize, mut data: Vec<f64>) -> Self {
         assert_eq!(data.len(), n * n);
+        let transpose: Vec<f64> = (0..n * n).map(|k| data[(k % n) * n + k / n]).collect();
+        data.extend(transpose);
         DistanceMatrix { n, data }
     }
 }
@@ -168,6 +192,16 @@ mod tests {
         }
         assert!((dm.get(0, 2) - 2.0_f64.sqrt()).abs() < 1e-12);
         assert_eq!(dm.get(0, 1), 1.0);
+    }
+
+    #[test]
+    fn columns_read_the_transpose_of_a_directed_matrix() {
+        let data = vec![0.0, 1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0];
+        let dm = DistanceMatrix::from_rows(3, data);
+        assert_eq!(dm.row(1), [3.0, 0.0, 4.0]);
+        assert_eq!(dm.column(1), [1.0, 0.0, 6.0]);
+        let square = DistanceMatrix::from_points(&unit_square());
+        assert_eq!(square.column(2), square.row(2));
     }
 
     #[test]
@@ -232,16 +266,20 @@ mod tests {
             5,
         );
         let metric = TravelMetric::road(idx);
-        let pts = vec![
-            Point::new(100.0, 100.0),
-            Point::new(650.0, 200.0),
-            Point::new(400.0, 700.0),
-        ];
+        let pts: Vec<Point> = (0..60u64)
+            .map(|i| {
+                Point::new(
+                    (i.wrapping_mul(193) % 797) as f64 + 0.25,
+                    (i.wrapping_mul(389) % 791) as f64 + 0.5,
+                )
+            })
+            .collect();
         let dm = DistanceMatrix::from_metric(&pts, &metric);
-        for i in 0..3 {
+        for i in 0..pts.len() {
             assert_eq!(dm.get(i, i), 0.0);
-            for j in 0..3 {
-                assert_eq!(dm.get(i, j), dm.get(j, i));
+            for j in 0..pts.len() {
+                assert_eq!(dm.get(i, j).to_bits(), dm.get(j, i).to_bits(), "({i}, {j})");
+                assert_eq!(dm.column(j)[i].to_bits(), dm.get(i, j).to_bits());
                 if i != j {
                     assert!(
                         dm.get(i, j) >= pts[i].distance(&pts[j]) - 1e-9,

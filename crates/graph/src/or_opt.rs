@@ -14,9 +14,13 @@ use crate::tour::Tour;
 /// never increased.
 ///
 /// Each pass scans chains by length, then by array position, and applies
-/// the first improving relocation it finds. Attempts read the
-/// chain-removed cycle by index arithmetic and moves rotate only the array
+/// the first improving relocation it finds. Moves rotate only the array
 /// segment they touch.
+///
+/// An attempt walks the cycle left once the chain is cut out as at most
+/// two contiguous array ranges and then the wrap edge, reading each edge's
+/// length from a successor-length array that is refreshed after every move
+/// and the chain ends' distances from their matrix rows and columns.
 ///
 /// A chain found to have no improving relocation is certified and skipped
 /// by later passes until its neighbourhood changes or a move adds an edge
@@ -31,19 +35,21 @@ pub fn or_opt(tour: &mut Tour, dm: &DistanceMatrix, max_passes: usize) -> usize 
     }
     let mut order = std::mem::take(tour).into_order();
     let mut buffer = Vec::new();
-    let mut book = Bookkeeping::new(&mut buffer, &order, max_passes);
+    let mut book = Bookkeeping::new(&mut buffer, &order, dm, max_passes);
     let mut moves = 0;
     for _ in 0..max_passes {
         let mut improved = false;
         'outer: for chain_len in 1..=3usize {
             for start in 0..n {
-                if book.certified(&order, dm, start, chain_len) {
+                let chain = Chain::new(&order, dm, start, chain_len);
+                if book.certified(&order, dm, &chain) {
                     continue;
                 }
-                match best_relocation(&order, dm, start, chain_len) {
+                match best_relocation(&order, book.successors, &chain) {
                     Some((edge, reversed, gain)) if gain > 1e-10 => {
                         book.log_move(&order, start, chain_len, edge, reversed);
                         relocate_chain(&mut order, book.pos, start, chain_len, edge, reversed);
+                        successor_lengths(&order, dm, book.successors);
                         moves += 1;
                         improved = true;
                         // Tour positions shifted; restart the scan.
@@ -61,84 +67,118 @@ pub fn or_opt(tour: &mut Tour, dm: &DistanceMatrix, max_passes: usize) -> usize 
     moves
 }
 
-/// The best relocation of the chain of `chain_len` targets starting at
-/// tour position `start`: the array position of the first point of the
-/// reinsertion edge, whether the chain goes in reversed, and the gain.
-/// `None` when the tour is too short to move the chain.
+/// The chain of `len` targets starting at tour position `start`, its
+/// neighbours, and the matrix rows and columns of its end points, which
+/// the relocation scan and the certificate check read as slices.
+struct Chain<'m> {
+    start: usize,
+    len: usize,
+    before: usize,
+    after: usize,
+    /// Cost removed by excising the chain from between `before` and `after`.
+    removed: f64,
+    /// `d(·, first)`, `d(·, last)`, `d(first, ·)` and `d(last, ·)`.
+    to_first: &'m [f64],
+    to_last: &'m [f64],
+    from_first: &'m [f64],
+    from_last: &'m [f64],
+}
+
+impl<'m> Chain<'m> {
+    fn new(order: &[usize], dm: &'m DistanceMatrix, start: usize, len: usize) -> Self {
+        let n = order.len();
+        let first = order[start];
+        let last = order[(start + len - 1) % n];
+        let before = order[(start + n - 1) % n];
+        let after = order[(start + len) % n];
+        let (to_first, from_last) = (dm.column(first), dm.row(last));
+        Chain {
+            start,
+            len,
+            before,
+            after,
+            removed: to_first[before] + from_last[after] - dm.get(before, after),
+            to_first,
+            to_last: dm.column(last),
+            from_first: dm.row(first),
+            from_last,
+        }
+    }
+
+    /// Costs added by reinserting the chain into the edge `i → j` of
+    /// length `d_ij`, forward and reversed. The cheaper one is taken,
+    /// forward on ties.
+    #[inline]
+    fn added(&self, i: usize, j: usize, d_ij: f64) -> (f64, f64) {
+        let fwd = self.to_first[i] + self.from_last[j] - d_ij;
+        let rev = self.to_last[i] + self.from_first[j] - d_ij;
+        (fwd, rev)
+    }
+}
+
+/// The best relocation of `chain`: the array position of the first point
+/// of the reinsertion edge, whether the chain goes in reversed, and the
+/// gain. `None` when the tour is too short to move the chain.
 ///
 /// The reinsertion edges are those of the cycle left after excising the
-/// chain, walked from array position 0: remaining position `p` is array
-/// position `p` before the chain and `p + chain_len` after it, or
-/// `offset + p` when the chain wraps past the array's end. Equal costs
-/// keep the first edge of that walk.
+/// chain, walked from its first remaining array position: the edges
+/// `order[a] → order[a + 1]` of the range before the chain and of the range
+/// after it, then the wrap edge `order[n − 1] → order[0]`, skipping the
+/// `before → after` junction. A chain that wraps past the array's end
+/// leaves one range and no wrap edge. Equal costs keep the first edge of
+/// that walk. `successors[a]` holds the bits of `d(order[a], order[a + 1])`
+/// (cyclically). Distances are finite, so the first edge always beats the
+/// infinite start.
 fn best_relocation(
     order: &[usize],
-    dm: &DistanceMatrix,
-    start: usize,
-    chain_len: usize,
+    successors: &[usize],
+    chain: &Chain,
 ) -> Option<(usize, bool, f64)> {
     let n = order.len();
-    if chain_len >= n - 2 {
+    if chain.len >= n - 2 {
         return None;
     }
-    let first = order[start];
-    let last = order[(start + chain_len - 1) % n];
-    let before = order[(start + n - 1) % n];
-    let after = order[(start + chain_len) % n];
-
-    let removed = removed_cost(dm, before, first, last, after);
-
-    // Array position of the remaining cycle's position `p`.
-    let wrap_offset = (start + chain_len).checked_sub(n);
-    let at = |p: usize| match wrap_offset {
-        Some(offset) => offset + p,
-        None if p < start => p,
-        None => p + chain_len,
+    let mut best = (usize::MAX, f64::INFINITY, false); // (edge pos, added cost, reversed)
+    let mut consider = |a: usize, i: usize, j: usize, d_ij: usize| {
+        let (fwd, rev) = chain.added(i, j, f64::from_bits(d_ij as u64));
+        // Branch-free: the direction is only looked at on a new best.
+        let added = if rev < fwd { rev } else { fwd };
+        if added < best.1 {
+            best = (a, added, rev < fwd);
+        }
     };
-
-    let mut best: Option<(usize, f64, bool)> = None; // (edge pos, added cost, reversed)
-    let m = n - chain_len;
-    for p in 0..m {
-        let i = order[at(p)];
-        let j = order[at((p + 1) % m)];
-        if i == before && j == after {
-            continue; // reinserting where it came from
-        }
-        let (added, reversed) = added_cost(dm, i, j, first, last);
-        if best.map(|(_, b, _)| added < b).unwrap_or(true) {
-            best = Some((p, added, reversed));
+    let end = chain.start + chain.len;
+    let after_chain = if end < n { end..n - 1 } else { 0..0 };
+    for edges in [
+        end.saturating_sub(n)..chain.start.saturating_sub(1),
+        after_chain,
+    ] {
+        let (i, j) = (&order[edges.clone()], &order[edges.start + 1..=edges.end]);
+        for (k, ((&i, &j), &d_ij)) in i.iter().zip(j).zip(&successors[edges.clone()]).enumerate() {
+            consider(edges.start + k, i, j, d_ij);
         }
     }
-    let (p, added, reversed) = best?;
-    Some((at(p), reversed, removed - added))
+    if end < n && chain.start > 0 {
+        consider(n - 1, order[n - 1], order[0], successors[n - 1]);
+    }
+    let (edge, added, reversed) = best;
+    (edge != usize::MAX).then_some((edge, reversed, chain.removed - added))
 }
 
-/// Cost removed by excising the chain `first..=last` from between
-/// `before` and `after`.
-#[inline]
-fn removed_cost(
-    dm: &DistanceMatrix,
-    before: usize,
-    first: usize,
-    last: usize,
-    after: usize,
-) -> f64 {
-    dm.get(before, first) + dm.get(last, after) - dm.get(before, after)
-}
-
-/// Cost added by reinserting the chain `first..=last` into the edge
-/// `i → j`, in the cheaper direction (forward on ties), and whether that
-/// direction is reversed.
-#[inline]
-fn added_cost(dm: &DistanceMatrix, i: usize, j: usize, first: usize, last: usize) -> (f64, bool) {
-    let fwd = dm.get(i, first) + dm.get(last, j) - dm.get(i, j);
-    let rev = dm.get(i, last) + dm.get(first, j) - dm.get(i, j);
-    if rev < fwd {
-        (rev, true)
-    } else {
-        (fwd, false)
+/// Writes the bits of `d(order[a], order[a + 1])`, the last edge wrapping
+/// to `order[0]`, into `successors[a]`. The bits of an `f64` fit a `usize`
+/// word, so the lengths share the one bookkeeping buffer.
+fn successor_lengths(order: &[usize], dm: &DistanceMatrix, successors: &mut [usize]) {
+    let next = order[1..].iter().chain(&order[..1]);
+    for ((&i, &j), slot) in order.iter().zip(next).zip(successors) {
+        *slot = dm.get(i, j).to_bits() as usize;
     }
 }
+
+const _: () = assert!(
+    usize::BITS == u64::BITS,
+    "successor lengths are f64 bits in usize words"
+);
 
 /// Words per certificate: the added-edge log length it was last checked
 /// at, then the chain's window `before, after, chain[0..3]`.
@@ -152,8 +192,9 @@ const UNCERTIFIED: usize = usize::MAX;
 const EDGES_PER_MOVE: usize = 5;
 
 /// The bookkeeping of one [`or_opt`] call, carved from one buffer: the
-/// position index [`relocate_chain`] maintains, one certificate per
-/// `(chain length, first point)`, and the added-edge log.
+/// position index [`relocate_chain`] maintains, the successor lengths
+/// [`best_relocation`] reads, one certificate per `(chain length, first
+/// point)`, and the added-edge log.
 ///
 /// A chain's *window* is `before`, the chain and `after`. Its best
 /// relocation depends only on the window and on the edges of the rest of
@@ -168,9 +209,10 @@ const EDGES_PER_MOVE: usize = 5;
 /// none of these comparisons meets a NaN.
 struct Bookkeeping<'a> {
     pos: &'a mut [usize],
+    successors: &'a mut [usize],
     certs: &'a mut [usize],
     /// Added edges as `(from, to)` pairs, in the direction the tour walks
-    /// them (road costs are not bit-symmetric).
+    /// them (costs may be directed).
     log: &'a mut [usize],
     logged: usize,
 }
@@ -179,17 +221,25 @@ impl<'a> Bookkeeping<'a> {
     /// Carves the bookkeeping of `order` from `buffer`, sizing the log
     /// for up to `max_passes` moves (at most `n`; a full log is cleared
     /// along with every certificate).
-    fn new(buffer: &'a mut Vec<usize>, order: &[usize], max_passes: usize) -> Self {
+    fn new(
+        buffer: &'a mut Vec<usize>,
+        order: &[usize],
+        dm: &DistanceMatrix,
+        max_passes: usize,
+    ) -> Self {
         let n = order.len();
         let log_words = 2 * EDGES_PER_MOVE * max_passes.clamp(1, n);
-        buffer.resize(n + 3 * n * CERT + log_words, UNCERTIFIED);
+        buffer.resize(2 * n + 3 * n * CERT + log_words, UNCERTIFIED);
         let (pos, rest) = buffer.split_at_mut(n);
+        let (successors, rest) = rest.split_at_mut(n);
         let (certs, log) = rest.split_at_mut(3 * n * CERT);
         for (p, &i) in order.iter().enumerate() {
             pos[i] = p;
         }
+        successor_lengths(order, dm, successors);
         Bookkeeping {
             pos,
+            successors,
             certs,
             log,
             logged: 0,
@@ -201,33 +251,25 @@ impl<'a> Bookkeeping<'a> {
         ((chain_len - 1) * self.pos.len() + first) * CERT
     }
 
-    /// Whether the chain at `start` holds a certificate that is still
-    /// valid; a valid one is advanced to the end of the log.
-    fn certified(
-        &mut self,
-        order: &[usize],
-        dm: &DistanceMatrix,
-        start: usize,
-        chain_len: usize,
-    ) -> bool {
+    /// Whether `chain` holds a certificate that is still valid; a valid
+    /// one is advanced to the end of the log.
+    fn certified(&mut self, order: &[usize], dm: &DistanceMatrix, chain: &Chain) -> bool {
         let n = order.len();
-        let first = order[start];
-        let last = order[(start + chain_len - 1) % n];
-        let before = order[(start + n - 1) % n];
-        let after = order[(start + chain_len) % n];
-        let slot = self.slot(first, chain_len);
+        let slot = self.slot(order[chain.start], chain.len);
         let cert = &self.certs[slot..slot + CERT];
         if cert[0] == UNCERTIFIED
-            || cert[1] != before
-            || cert[2] != after
-            || (1..chain_len).any(|k| cert[3 + k] != order[(start + k) % n])
+            || cert[1] != chain.before
+            || cert[2] != chain.after
+            || (1..chain.len).any(|k| cert[3 + k] != order[(chain.start + k) % n])
         {
             return false;
         }
-        let removed = removed_cost(dm, before, first, last, after);
         let improving = self.log[2 * cert[0]..2 * self.logged]
             .chunks_exact(2)
-            .any(|edge| removed - added_cost(dm, edge[0], edge[1], first, last).0 > 1e-10);
+            .any(|edge| {
+                let (fwd, rev) = chain.added(edge[0], edge[1], dm.get(edge[0], edge[1]));
+                chain.removed - if rev < fwd { rev } else { fwd } > 1e-10
+            });
         if improving {
             return false;
         }
@@ -387,6 +429,156 @@ mod tests {
         }
         *tour = Tour::new(new_order);
         Some(gain)
+    }
+
+    /// The index-mapped walk the range kernel replaced, kept as its
+    /// oracle: remaining position `p` of the chain-removed cycle is array
+    /// position `p` before the chain and `p + chain_len` after it, or
+    /// `offset + p` when the chain wraps past the array's end, and every
+    /// distance is a `get`.
+    fn at_walk_best_relocation(
+        order: &[usize],
+        dm: &DistanceMatrix,
+        start: usize,
+        chain_len: usize,
+    ) -> Option<(usize, bool, f64)> {
+        let n = order.len();
+        if chain_len >= n - 2 {
+            return None;
+        }
+        let first = order[start];
+        let last = order[(start + chain_len - 1) % n];
+        let before = order[(start + n - 1) % n];
+        let after = order[(start + chain_len) % n];
+        let removed = dm.get(before, first) + dm.get(last, after) - dm.get(before, after);
+        let wrap_offset = (start + chain_len).checked_sub(n);
+        let at = |p: usize| match wrap_offset {
+            Some(offset) => offset + p,
+            None if p < start => p,
+            None => p + chain_len,
+        };
+        let mut best: Option<(usize, f64, bool)> = None;
+        let m = n - chain_len;
+        for p in 0..m {
+            let i = order[at(p)];
+            let j = order[at((p + 1) % m)];
+            if i == before && j == after {
+                continue;
+            }
+            let fwd = dm.get(i, first) + dm.get(last, j) - dm.get(i, j);
+            let rev = dm.get(i, last) + dm.get(first, j) - dm.get(i, j);
+            let (added, reversed) = if rev < fwd { (rev, true) } else { (fwd, false) };
+            if best.map(|(_, b, _)| added < b).unwrap_or(true) {
+                best = Some((p, added, reversed));
+            }
+        }
+        let (p, added, reversed) = best?;
+        Some((at(p), reversed, removed - added))
+    }
+
+    /// Replays an `or_opt(tour, dm, max_passes)` run move by move. At every
+    /// step, every chain's range-kernel answer must match the index-mapped
+    /// walk's `(edge, reversed, gain bits)`; the run's final order must be
+    /// `or_opt`'s. Returns the moves replayed and which chain shapes were
+    /// seen: starting at 0, ending at `n − 1`, wrapping, and too long to
+    /// move.
+    fn replay_against_the_walk_oracle(
+        tour: &Tour,
+        dm: &DistanceMatrix,
+        max_passes: usize,
+        label: &str,
+    ) -> (usize, [bool; 4]) {
+        let n = tour.len();
+        let mut order = tour.order().to_vec();
+        let mut pos = tour.position_index();
+        let mut successors = vec![0; n];
+        let mut seen = [false; 4];
+        let mut moves = 0;
+        for _ in 0..max_passes {
+            successor_lengths(&order, dm, &mut successors);
+            let mut first_improving = None;
+            for chain_len in 1..=3usize {
+                for start in 0..n {
+                    let chain = Chain::new(&order, dm, start, chain_len);
+                    let got = best_relocation(&order, &successors, &chain);
+                    let want = at_walk_best_relocation(&order, dm, start, chain_len);
+                    let bits =
+                        |r: Option<(usize, bool, f64)>| r.map(|(e, v, g)| (e, v, g.to_bits()));
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{label}: start {start} len {chain_len}"
+                    );
+                    seen[0] |= start == 0;
+                    seen[1] |= start + chain_len == n;
+                    seen[2] |= start + chain_len > n;
+                    seen[3] |= want.is_none();
+                    if let Some((edge, reversed, gain)) = want {
+                        if gain > 1e-10 && first_improving.is_none() {
+                            first_improving = Some((start, chain_len, edge, reversed));
+                        }
+                    }
+                }
+            }
+            let Some((start, chain_len, edge, reversed)) = first_improving else {
+                break;
+            };
+            relocate_chain(&mut order, &mut pos, start, chain_len, edge, reversed);
+            moves += 1;
+        }
+        let mut want = tour.clone();
+        assert_eq!(or_opt(&mut want, dm, max_passes), moves, "{label}: moves");
+        assert_eq!(order, want.order(), "{label}: final order");
+        (moves, seen)
+    }
+
+    /// A directed matrix over `pts`: each Euclidean distance scaled by a
+    /// per-ordered-pair factor in `[1, 2)`.
+    fn directed_matrix(pts: &[Point], salt: usize) -> DistanceMatrix {
+        let n = pts.len();
+        let skew = |i: usize, j: usize| {
+            let h = (i * 7919 + j * 104_729 + salt) as u64;
+            1.0 + (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / (1u64 << 24) as f64
+        };
+        let data = (0..n * n)
+            .map(|k| pts[k / n].distance(&pts[k % n]) * skew(k / n, k % n))
+            .collect();
+        DistanceMatrix::from_rows(n, data)
+    }
+
+    #[test]
+    fn range_kernel_matches_the_index_mapped_walk() {
+        let mut seen = [false; 4];
+        let (mut runs, mut moved) = (0, 0);
+        for n in (5..=40usize).chain([100, 128]) {
+            for shape in 0..4 {
+                let pts = instance(shape, n, (n * 13 + shape) as u64);
+                let euclidean = DistanceMatrix::from_points(&pts);
+                for (costs, dm) in [
+                    ("euclidean", euclidean),
+                    ("directed", directed_matrix(&pts, n + shape)),
+                ] {
+                    for start in [Tour::identity(n), convex_hull_insertion(&pts, &dm)] {
+                        let label = format!("n {n} shape {shape} {costs}");
+                        let (moves, shapes) =
+                            replay_against_the_walk_oracle(&start, &dm, 30, &label);
+                        for (s, hit) in seen.iter_mut().zip(shapes) {
+                            *s |= hit;
+                        }
+                        runs += 1;
+                        moved += usize::from(moves > 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            moved * 2 > runs,
+            "most runs apply moves ({moved} of {runs})"
+        );
+        assert_eq!(
+            seen, [true; 4],
+            "chains at 0, ending at n - 1, wrapping and too long"
+        );
     }
 
     #[test]

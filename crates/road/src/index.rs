@@ -209,6 +209,8 @@ impl RoadIndex {
     /// Each source's table is kept on the index after its first use, so
     /// later calls over the same nodes (a replan over the surviving
     /// targets of a scenario) run Dijkstra only for nodes not seen before.
+    /// Cells `[i][j]` and `[j][i]` are written from one value, so the
+    /// matrix is symmetric bit for bit.
     pub fn pairwise(&self, points: &[Point]) -> Vec<f64> {
         let n = points.len();
         let mut out = vec![0.0; n * n];

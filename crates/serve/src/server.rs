@@ -42,7 +42,8 @@
 //! 500 (or a stale 200) instead of a dropped connection. A panic outside
 //! a compute costs only its connection and counts on
 //! `mule_connection_panics_total`. The `mule-fault` points in this file
-//! (`serve.plan`, `serve.cache`, `serve.conn.read`, `serve.conn.write`)
+//! (`serve.plan`, `serve.simulate`, `serve.cache`, `serve.conn.read`,
+//! `serve.conn.write`)
 //! exist to prove exactly that under `patrolctl chaos`.
 //!
 //! ## Shutdown
@@ -1376,6 +1377,7 @@ fn handle_simulate(body: &[u8], shared: &Arc<Shared>) -> Response {
     }
     let _s = mule_obs::span("request.simulate");
     match guarded(shared, &shared.breaker_simulate, move || {
+        let _ = mule_fault::point("serve.simulate");
         api::simulate_response_json(&request)
     }) {
         Ok(doc) => Response::json(200, doc),

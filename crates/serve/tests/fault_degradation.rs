@@ -1,6 +1,7 @@
 //! Fault-injection and graceful-degradation tests over real TCP sockets:
 //! a panicking single-flight leader never strands its coalesced waiters,
-//! compute deadlines answer `504` and count on `/metrics`, the per-route
+//! compute deadlines answer `504` and count on `/metrics`, a panicking
+//! simulate answers `500` and counts against its breaker, the per-route
 //! circuit breaker opens / probes / closes, degraded mode serves the
 //! last-good bytes with `X-Cache: stale`, and a panicking connection
 //! handler costs one connection, not a worker or an admission slot.
@@ -283,6 +284,53 @@ fn a_simulate_overrunning_the_deadline_answers_504_and_opens_its_breaker() {
     let plan = post_plan(&server, &spec_body());
     assert_eq!(plan.status, 200, "breakers are per route");
     assert_eq!(plan.body, expected_bytes());
+    server.shutdown();
+}
+
+#[test]
+fn a_panicking_simulate_answers_500_and_counts_against_its_breaker() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The one injected panic answers 500 and, at threshold 1, opens the
+    // simulate breaker; the plan route keeps its own closed breaker, and
+    // after the cooldown a half-open probe simulates and closes it again.
+    let _armed = Armed::plan(7, "serve.simulate=panic#1");
+    let server = test_server(ServerConfig {
+        breaker_threshold: Some(1),
+        breaker_cooldown: Duration::from_millis(100),
+        ..ServerConfig::default()
+    });
+    let body = br#"{"spec": {"targets": 6, "horizon_s": 5000.0}, "replicas": 2}"#;
+
+    let panicked = post(&server, "/v1/simulate", body);
+    assert_eq!(panicked.status, 500);
+    let text = panicked.body_text();
+    assert!(
+        text.contains("simulation panicked") && text.contains("injected panic"),
+        "{text}"
+    );
+    let metrics = server.metrics_prometheus();
+    assert!(
+        metrics.contains("mule_breaker_state{route=\"simulate\"} 1"),
+        "the panic counts against the simulate breaker:\n{metrics}"
+    );
+    assert!(metrics.contains("mule_breaker_state{route=\"plan\"} 0"));
+    assert!(
+        metrics.contains("mule_fault_injected_total{point=\"serve.simulate\",kind=\"panic\"} 1")
+    );
+
+    let plan = post_plan(&server, &spec_body());
+    assert_eq!(plan.status, 200, "breakers are per route");
+    assert_eq!(plan.body, expected_bytes());
+
+    std::thread::sleep(Duration::from_millis(150));
+    let probed = post(&server, "/v1/simulate", body);
+    assert_eq!(probed.status, 200, "{}", probed.body_text());
+    let metrics = server.metrics_prometheus();
+    assert!(
+        metrics.contains("mule_breaker_transitions_total{route=\"simulate\",to=\"closed\"} 1"),
+        "{metrics}"
+    );
+    assert_eq!(mule_fault::firings_total(), 1);
     server.shutdown();
 }
 
