@@ -4,12 +4,14 @@ use crate::event::{Event, EventKind, EventSubject};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One entry of the clock's heap: an event plus the insertion sequence
-/// number that makes the ordering total.
+/// One entry of the clock's heap: an event, its packed
+/// [`Event::order_key`] and the insertion sequence number that makes the
+/// ordering total.
 #[derive(Debug, Clone, Copy)]
 struct Scheduled {
-    event: Event,
+    key: u128,
     seq: u64,
+    event: Event,
 }
 
 impl PartialEq for Scheduled {
@@ -25,23 +27,7 @@ impl Ord for Scheduled {
         // Reversed: `BinaryHeap` is a max-heap, we want the earliest event
         // on top. `seq` is unique, so this ordering is total and
         // consistent with `eq`.
-        self.event
-            .time_s
-            .total_cmp(&other.event.time_s)
-            .then_with(|| {
-                let lhs = (
-                    self.event.kind.priority(),
-                    self.event.subject.order_key(),
-                    self.seq,
-                );
-                let rhs = (
-                    other.event.kind.priority(),
-                    other.event.subject.order_key(),
-                    other.seq,
-                );
-                lhs.cmp(&rhs)
-            })
-            .reverse()
+        (other.key, other.seq).cmp(&(self.key, self.seq))
     }
 }
 
@@ -111,7 +97,11 @@ impl SimClock {
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { event, seq });
+        self.heap.push(Scheduled {
+            key: event.order_key(),
+            seq,
+            event,
+        });
         true
     }
 

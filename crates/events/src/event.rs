@@ -1,5 +1,6 @@
 //! Typed events and their deterministic ordering keys.
 
+use mule_geom::ordered_bits;
 use mule_net::NodeId;
 
 /// Who (or what) an event is about.
@@ -91,6 +92,23 @@ pub struct Event {
     pub subject: EventSubject,
     /// What the event does.
     pub kind: EventKind,
+}
+
+impl Event {
+    /// The packed key the clock orders events by. Its unsigned order is
+    /// time under [`f64::total_cmp`], then kind priority, then subject
+    /// class (globals, mules, targets), then subject index: the bits are
+    /// `ordered_bits(time) << 64 | priority << 56 | class << 48 | index`.
+    /// Subject indices must stay below 2^48.
+    #[inline]
+    pub fn order_key(&self) -> u128 {
+        let (class, index) = self.subject.order_key();
+        debug_assert!(index < 1 << 48, "subject index {index} overflows its key field");
+        u128::from(ordered_bits(self.time_s)) << 64
+            | u128::from(self.kind.priority()) << 56
+            | u128::from(class) << 48
+            | index as u128
+    }
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@
 //! schedule follow-up events) with two hard guarantees the simulator's
 //! reproducibility depends on:
 //!
-//! 1. **Total time order.** Event times are `f64` seconds compared with
-//!    [`f64::total_cmp`], so a NaN can never silently corrupt the heap
-//!    order (it sorts to a defined position instead of making comparisons
-//!    inconsistent).
+//! 1. **Total time order.** Event times are `f64` seconds ordered as
+//!    [`f64::total_cmp`] orders them, so a NaN can never silently corrupt
+//!    the heap order (it sorts to a defined position instead of making
+//!    comparisons inconsistent). The heap compares integers: each entry
+//!    carries its packed [`Event::order_key`].
 //! 2. **Deterministic tie-breaking.** Events at the same timestamp pop in
 //!    `(kind priority, subject key, insertion sequence)` order. Disruptions
 //!    apply before waypoint arrivals at the same instant, mules resolve in

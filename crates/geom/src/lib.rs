@@ -55,9 +55,52 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
     diff <= EPSILON || diff <= f64::max(a.abs(), b.abs()) * 1e-12
 }
 
+/// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`] order:
+/// every bit of a negative value is flipped and the sign bit of a
+/// non-negative one is set, so `-0.0 < +0.0` and NaNs sort to the ends.
+/// Heaps keyed by it compare integers instead of floats.
+#[inline]
+pub fn ordered_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ordered_bits_orders_like_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    ordered_bits(a).cmp(&ordered_bits(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn approx_eq_accepts_identical_values() {

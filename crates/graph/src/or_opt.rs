@@ -42,12 +42,12 @@ pub fn or_opt(tour: &mut Tour, dm: &DistanceMatrix, max_passes: usize) -> usize 
         'outer: for chain_len in 1..=3usize {
             for start in 0..n {
                 let chain = Chain::new(&order, dm, start, chain_len);
-                if book.certified(&order, dm, &chain) {
+                if book.certified(&order, &chain) {
                     continue;
                 }
                 match best_relocation(&order, book.successors, &chain) {
                     Some((edge, reversed, gain)) if gain > 1e-10 => {
-                        book.log_move(&order, start, chain_len, edge, reversed);
+                        book.log_move(&order, dm, start, chain_len, edge, reversed);
                         relocate_chain(&mut order, book.pos, start, chain_len, edge, reversed);
                         successor_lengths(&order, dm, book.successors);
                         moves += 1;
@@ -184,6 +184,10 @@ const _: () = assert!(
 /// at, then the chain's window `before, after, chain[0..3]`.
 const CERT: usize = 6;
 
+/// Words per added-edge log entry: `from`, `to` and the bits of
+/// `d(from, to)`, which the move fixes and every later check reads.
+const LOG_ENTRY: usize = 3;
+
 /// Marks a certificate slot that holds none.
 const UNCERTIFIED: usize = usize::MAX;
 
@@ -211,8 +215,8 @@ struct Bookkeeping<'a> {
     pos: &'a mut [usize],
     successors: &'a mut [usize],
     certs: &'a mut [usize],
-    /// Added edges as `(from, to)` pairs, in the direction the tour walks
-    /// them (costs may be directed).
+    /// Added edges as `(from, to, length bits)` entries, in the direction
+    /// the tour walks them (costs may be directed).
     log: &'a mut [usize],
     logged: usize,
 }
@@ -228,7 +232,7 @@ impl<'a> Bookkeeping<'a> {
         max_passes: usize,
     ) -> Self {
         let n = order.len();
-        let log_words = 2 * EDGES_PER_MOVE * max_passes.clamp(1, n);
+        let log_words = LOG_ENTRY * EDGES_PER_MOVE * max_passes.clamp(1, n);
         buffer.resize(2 * n + 3 * n * CERT + log_words, UNCERTIFIED);
         let (pos, rest) = buffer.split_at_mut(n);
         let (successors, rest) = rest.split_at_mut(n);
@@ -253,7 +257,7 @@ impl<'a> Bookkeeping<'a> {
 
     /// Whether `chain` holds a certificate that is still valid; a valid
     /// one is advanced to the end of the log.
-    fn certified(&mut self, order: &[usize], dm: &DistanceMatrix, chain: &Chain) -> bool {
+    fn certified(&mut self, order: &[usize], chain: &Chain) -> bool {
         let n = order.len();
         let slot = self.slot(order[chain.start], chain.len);
         let cert = &self.certs[slot..slot + CERT];
@@ -264,10 +268,11 @@ impl<'a> Bookkeeping<'a> {
         {
             return false;
         }
-        let improving = self.log[2 * cert[0]..2 * self.logged]
-            .chunks_exact(2)
+        let improving = self.log[LOG_ENTRY * cert[0]..LOG_ENTRY * self.logged]
+            .chunks_exact(LOG_ENTRY)
             .any(|edge| {
-                let (fwd, rev) = chain.added(edge[0], edge[1], dm.get(edge[0], edge[1]));
+                let length = f64::from_bits(edge[2] as u64);
+                let (fwd, rev) = chain.added(edge[0], edge[1], length);
                 chain.removed - if rev < fwd { rev } else { fwd } > 1e-10
             });
         if improving {
@@ -295,13 +300,14 @@ impl<'a> Bookkeeping<'a> {
     fn log_move(
         &mut self,
         order: &[usize],
+        dm: &DistanceMatrix,
         start: usize,
         chain_len: usize,
         edge: usize,
         reversed: bool,
     ) {
         let n = order.len();
-        if 2 * (self.logged + EDGES_PER_MOVE) > self.log.len() {
+        if LOG_ENTRY * (self.logged + EDGES_PER_MOVE) > self.log.len() {
             self.certs.fill(UNCERTIFIED);
             self.logged = 0;
         }
@@ -319,15 +325,19 @@ impl<'a> Bookkeeping<'a> {
         span[1 + chain_len] = order[(edge + 1) % n];
         let before = order[(start + n - 1) % n];
         let after = order[(start + chain_len) % n];
-        self.push(before, after);
+        self.push(dm, before, after);
         for k in 0..=chain_len {
-            self.push(span[k], span[k + 1]);
+            self.push(dm, span[k], span[k + 1]);
         }
     }
 
-    fn push(&mut self, from: usize, to: usize) {
-        self.log[2 * self.logged] = from;
-        self.log[2 * self.logged + 1] = to;
+    fn push(&mut self, dm: &DistanceMatrix, from: usize, to: usize) {
+        let entry = LOG_ENTRY * self.logged;
+        self.log[entry..entry + LOG_ENTRY].copy_from_slice(&[
+            from,
+            to,
+            dm.get(from, to).to_bits() as usize,
+        ]);
         self.logged += 1;
     }
 }

@@ -45,4 +45,4 @@ pub use graph::{RoadGraph, RoadGraphBuilder, SpeedClass};
 pub use index::RoadIndex;
 pub use landmarks::Landmarks;
 pub use metric::TravelMetric;
-pub use route::{astar, astar_alt, dijkstra, dijkstra_counted, dijkstra_to, Route};
+pub use route::{astar, astar_alt, dijkstra, dijkstra_counted, dijkstra_to, frontier_key, Route};

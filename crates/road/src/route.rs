@@ -3,8 +3,8 @@
 //! All three query flavours (plain Dijkstra, A* with the Euclidean
 //! heuristic, A* with ALT lower bounds — see [`crate::landmarks`]) return
 //! the same costs and are deterministic: the priority queue orders by
-//! `(priority, node id)` under `f64::total_cmp`, so ties never depend on
-//! heap internals.
+//! `(priority, node id)` under `f64::total_cmp` (compared as integers, see
+//! [`frontier_key`]), so ties never depend on heap internals.
 //!
 //! The Euclidean heuristic is admissible because every arc's cost is its
 //! geometric length times a class factor ≥ 1 ([`crate::SpeedClass`]), so
@@ -14,6 +14,7 @@
 
 use crate::graph::RoadGraph;
 use crate::landmarks::Landmarks;
+use mule_geom::ordered_bits;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -29,18 +30,34 @@ pub struct Route {
     pub settled: usize,
 }
 
-/// Min-heap entry ordered by `(priority, node)`; `BinaryHeap` is a
+/// The order search frontiers pop in: ascending `(priority, node)`, with
+/// the priority compared under [`f64::total_cmp`] through
+/// [`ordered_bits`], so every heap comparison is an integer one.
+#[inline]
+pub fn frontier_key(priority: f64, node: u32) -> (u64, u32) {
+    (ordered_bits(priority), node)
+}
+
+/// Min-heap entry ordered by [`frontier_key`]; `BinaryHeap` is a
 /// max-heap, so the `Ord` impl is reversed.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
-    priority: f64,
+    key: u64,
     cost: f64,
     node: u32,
 }
 
+impl HeapEntry {
+    #[inline]
+    fn new(priority: f64, cost: f64, node: u32) -> Self {
+        let (key, node) = frontier_key(priority, node);
+        HeapEntry { key, cost, node }
+    }
+}
+
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.priority.total_cmp(&other.priority).is_eq() && self.node == other.node
+        (self.key, self.node) == (other.key, other.node)
     }
 }
 impl Eq for HeapEntry {}
@@ -52,10 +69,7 @@ impl PartialOrd for HeapEntry {
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: smallest (priority, node) pops first.
-        other
-            .priority
-            .total_cmp(&self.priority)
-            .then_with(|| other.node.cmp(&self.node))
+        (other.key, other.node).cmp(&(self.key, self.node))
     }
 }
 
@@ -76,11 +90,7 @@ pub fn dijkstra_counted(graph: &RoadGraph, src: u32) -> (Vec<f64>, usize) {
     let mut settled = 0usize;
     let mut heap = BinaryHeap::new();
     dist[src as usize] = 0.0;
-    heap.push(HeapEntry {
-        priority: 0.0,
-        cost: 0.0,
-        node: src,
-    });
+    heap.push(HeapEntry::new(0.0, 0.0, src));
     while let Some(entry) = heap.pop() {
         if entry.cost > dist[entry.node as usize] {
             continue; // stale heap entry
@@ -90,11 +100,7 @@ pub fn dijkstra_counted(graph: &RoadGraph, src: u32) -> (Vec<f64>, usize) {
             let cand = entry.cost + arc_cost;
             if cand < dist[next as usize] {
                 dist[next as usize] = cand;
-                heap.push(HeapEntry {
-                    priority: cand,
-                    cost: cand,
-                    node: next,
-                });
+                heap.push(HeapEntry::new(cand, cand, next));
             }
         }
     }
@@ -119,11 +125,7 @@ fn best_first<H: Fn(u32) -> f64>(
     let mut settled = 0usize;
     let mut heap = BinaryHeap::new();
     dist[src as usize] = 0.0;
-    heap.push(HeapEntry {
-        priority: heuristic(src),
-        cost: 0.0,
-        node: src,
-    });
+    heap.push(HeapEntry::new(heuristic(src), 0.0, src));
     while let Some(entry) = heap.pop() {
         if entry.cost > dist[entry.node as usize] {
             continue;
@@ -148,11 +150,7 @@ fn best_first<H: Fn(u32) -> f64>(
             if cand < dist[next as usize] {
                 dist[next as usize] = cand;
                 parent[next as usize] = entry.node;
-                heap.push(HeapEntry {
-                    priority: cand + heuristic(next),
-                    cost: cand,
-                    node: next,
-                });
+                heap.push(HeapEntry::new(cand + heuristic(next), cand, next));
             }
         }
     }

@@ -5,12 +5,198 @@
 //!   costs as plain Dijkstra;
 //! * ALT lower bounds never exceed the true shortest-path distance;
 //! * generated graphs are connected after deletions — the generator either
-//!   keeps every node or restricts to (and reports) the component used.
+//!   keeps every node or restricts to (and reports) the component used;
+//! * the integer [`frontier_key`] orders search entries exactly as the
+//!   float comparator it replaced, and every search returns the same
+//!   route, cost bits and settled count as a search ordered by that
+//!   comparator.
 
-use mule_geom::BoundingBox;
-use mule_road::{astar, astar_alt, dijkstra, dijkstra_to, Landmarks};
-use mule_road::{grid_with_deletions, random_planar, RoadNet};
+use mule_geom::{BoundingBox, Point};
+use mule_road::{astar, astar_alt, dijkstra, dijkstra_counted, dijkstra_to, Landmarks};
+use mule_road::{frontier_key, Route};
+use mule_road::{grid_with_deletions, random_planar, RoadGraph, RoadGraphBuilder, RoadNet};
+use mule_road::SpeedClass;
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// A search heap entry ordered by the float comparator the road searches
+/// used before [`frontier_key`]: `(priority, node)` under `total_cmp`.
+#[derive(Clone, Copy)]
+struct FloatEntry {
+    priority: f64,
+    cost: f64,
+    node: u32,
+}
+
+fn float_order(a: (f64, u32), b: (f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
+}
+
+impl PartialEq for FloatEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for FloatEntry {}
+impl PartialOrd for FloatEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for FloatEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        float_order((other.priority, other.node), (self.priority, self.node))
+    }
+}
+
+/// The best-first search of `mule_road::route`, step for step, on the
+/// float-ordered heap. `dst = None` runs to exhaustion (one-to-all).
+fn float_search<H: Fn(u32) -> f64>(
+    g: &RoadGraph,
+    src: u32,
+    dst: Option<u32>,
+    heuristic: H,
+) -> (Vec<f64>, Option<Route>, usize) {
+    let mut dist = vec![f64::INFINITY; g.len()];
+    let mut parent = vec![u32::MAX; g.len()];
+    let mut settled = 0;
+    let mut heap = BinaryHeap::new();
+    dist[src as usize] = 0.0;
+    heap.push(FloatEntry {
+        priority: heuristic(src),
+        cost: 0.0,
+        node: src,
+    });
+    while let Some(entry) = heap.pop() {
+        if entry.cost > dist[entry.node as usize] {
+            continue;
+        }
+        settled += 1;
+        if Some(entry.node) == dst {
+            let mut nodes = vec![entry.node];
+            while *nodes.last().unwrap() != src {
+                nodes.push(parent[*nodes.last().unwrap() as usize]);
+            }
+            nodes.reverse();
+            let route = Route {
+                cost: entry.cost,
+                nodes,
+                settled,
+            };
+            return (dist, Some(route), settled);
+        }
+        for (next, arc_cost) in g.neighbors(entry.node) {
+            let cand = entry.cost + arc_cost;
+            if cand < dist[next as usize] {
+                dist[next as usize] = cand;
+                parent[next as usize] = entry.node;
+                heap.push(FloatEntry {
+                    priority: cand + heuristic(next),
+                    cost: cand,
+                    node: next,
+                });
+            }
+        }
+    }
+    (dist, None, settled)
+}
+
+/// An exact `nx × ny` lattice with 10 m spacing and every street of one
+/// class: corner-to-corner queries have many equal-cost paths, so the
+/// node tie-break decides most pops.
+fn lattice(nx: u32, ny: u32) -> RoadGraph {
+    let mut b = RoadGraphBuilder::new();
+    for y in 0..ny {
+        for x in 0..nx {
+            b.add_node(Point::new(f64::from(x) * 10.0, f64::from(y) * 10.0));
+        }
+    }
+    for y in 0..ny {
+        for x in 0..nx {
+            let id = y * nx + x;
+            if x + 1 < nx {
+                b.add_edge(id, id + 1, SpeedClass::Street);
+            }
+            if y + 1 < ny {
+                b.add_edge(id, id + nx, SpeedClass::Street);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Exact equality of two routes, cost bits included.
+fn same_route(a: &Route, b: &Route) -> bool {
+    a.cost.to_bits() == b.cost.to_bits() && a.nodes == b.nodes && a.settled == b.settled
+}
+
+/// Every search flavour against its float-ordered twin, on `queries`.
+fn check_against_float_search(g: &RoadGraph, queries: &[(u32, u32)]) -> Result<(), TestCaseError> {
+    let lm = Landmarks::select(g, 3);
+    for &(s, t) in queries {
+        let (dist, _, settled) = float_search(g, s, None, |_| 0.0);
+        let (got, got_settled) = dijkstra_counted(g, s);
+        prop_assert_eq!(got_settled, settled);
+        prop_assert!(got.iter().zip(&dist).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let goal = g.position(t);
+        let euclid = |v: u32| g.position(v).distance(&goal);
+        let alt = |v: u32| lm.lower_bound(v, t).max(g.position(v).distance(&goal));
+        let pairs = [
+            (dijkstra_to(g, s, t), float_search(g, s, Some(t), |_| 0.0).1),
+            (astar(g, s, t), float_search(g, s, Some(t), euclid).1),
+            (astar_alt(g, &lm, s, t), float_search(g, s, Some(t), alt).1),
+        ];
+        for (got, want) in pairs {
+            let (got, want) = (got.expect("connected"), want.expect("connected"));
+            prop_assert!(same_route(&got, &want), "{}->{}: {:?} vs {:?}", s, t, got, want);
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn frontier_keys_order_like_the_float_comparator() {
+    let priorities = [
+        f64::NEG_INFINITY,
+        -1.0,
+        -5e-324,
+        -0.0,
+        0.0,
+        5e-324,
+        1.1e-308,
+        1.0,
+        1.000_000_000_000_000_2,
+        64.0,
+        1.0e300,
+        f64::INFINITY,
+    ];
+    let nodes = [0, 1, 7, u32::MAX];
+    let entries: Vec<(f64, u32)> = priorities
+        .iter()
+        .flat_map(|&p| nodes.iter().map(move |&n| (p, n)))
+        .collect();
+    for &a in &entries {
+        for &b in &entries {
+            assert_eq!(
+                frontier_key(a.0, a.1).cmp(&frontier_key(b.0, b.1)),
+                float_order(a, b),
+                "{a:?} vs {b:?}"
+            );
+        }
+    }
+    // The hazard raw bits would have: `-0.0` sorts before every positive
+    // priority, not after.
+    assert!(frontier_key(-0.0, 9) < frontier_key(5e-324, 0));
+}
+
+#[test]
+fn searches_on_a_tie_heavy_lattice_match_the_float_ordered_search() {
+    let g = lattice(7, 6);
+    let n = g.len() as u32;
+    let queries: Vec<(u32, u32)> = (0..n).step_by(5).map(|s| (s, (s * 17 + 11) % n)).collect();
+    check_against_float_search(&g, &queries).unwrap();
+}
 
 /// Deterministic query pairs spread over the node range.
 fn query_pairs(n: usize, count: usize) -> Vec<(u32, u32)> {
@@ -136,5 +322,19 @@ proptest! {
         };
         check(&grid_with_deletions(&BoundingBox::square(800.0), nx, ny, frac, seed))?;
         check(&random_planar(&BoundingBox::square(800.0), nx * ny, 3, seed))?;
+    }
+
+    #[test]
+    fn searches_match_the_float_ordered_search_on_random_graphs(
+        seed in 0u64..1_000_000,
+        nx in 3usize..9,
+        frac in 0.0..0.35f64,
+    ) {
+        let grid = grid_with_deletions(&BoundingBox::square(800.0), nx, nx, frac, seed);
+        let planar = random_planar(&BoundingBox::square(800.0), nx * nx, 3, seed);
+        for g in [&grid.graph, &planar.graph] {
+            prop_assume!(g.len() >= 2);
+            check_against_float_search(g, &query_pairs(g.len(), 6))?;
+        }
     }
 }

@@ -16,6 +16,19 @@
 //! the mule's next leg. This reproduces the original fixed-plan engine
 //! exactly (same arrival arithmetic, same tie-breaking by mule index).
 //!
+//! Not every vertex goes on the timeline. A road leg's bends collect
+//! nothing, and between two real nodes no other event reads or writes a
+//! mule's state; only disruptions and the replans they trigger do, and
+//! their times are known before the run. So when the next vertex is a
+//! bend whose arrival is within the horizon and *strictly* earlier than
+//! the next disruption, the arrival handler moves the mule there itself
+//! and goes on to the following leg with the same floating-point
+//! operations its event would have run. A bend due at exactly a
+//! disruption's time still goes through the clock, because disruptions
+//! pop first at one instant. Folded arrivals count as waypoint arrivals
+//! in `events_fired` and in the `sim.run` trace counters, which are
+//! collected per event kind and added to the span once, when the run ends.
+//!
 //! ## Dynamic runs
 //!
 //! [`crate::DynamicSimulation`] additionally compiles a
@@ -241,6 +254,60 @@ pub(crate) struct EngineCore<'a> {
     timeline: Vec<TimelineEntry>,
     replan_times_s: Vec<f64>,
     last_replan_s: Option<f64>,
+    /// Every finite disruption time, ascending, and the index of the
+    /// first one not yet passed: the limit of bend folding.
+    disruption_times_s: Vec<f64>,
+    next_disruption: usize,
+    kinds: KindCounts,
+}
+
+/// How many events of each kind a run handled, indexed by
+/// [`EventKind::priority`], and the order in which the kinds were first
+/// handled. When the run ends, the `sim.run` span gets one counter per
+/// kind in that order, so the trace reads as if every event had added to
+/// it. Counter values are part of the deterministic trace shape: an
+/// event-count drift between two runs of one seed is a determinism bug,
+/// and the trace localises it to a kind.
+#[derive(Default)]
+struct KindCounts {
+    counts: [u64; 8],
+    first_seen: [u8; 8],
+    seen: usize,
+}
+
+impl KindCounts {
+    /// Counter names, in priority order.
+    const NAMES: [&'static str; 8] = [
+        "event.target_failure",
+        "event.target_recovery",
+        "event.target_arrival",
+        "event.mule_breakdown",
+        "event.speed_window_end",
+        "event.speed_window_start",
+        "event.replan",
+        "event.waypoint_arrival",
+    ];
+
+    #[inline]
+    fn count(&mut self, kind: &EventKind) {
+        let priority = kind.priority();
+        let count = &mut self.counts[usize::from(priority)];
+        if *count == 0 {
+            self.first_seen[self.seen] = priority;
+            self.seen += 1;
+        }
+        *count += 1;
+    }
+
+    /// Adds the per-kind counters to the innermost open span and returns
+    /// the number of events handled.
+    fn report(&self) -> u64 {
+        for &priority in &self.first_seen[..self.seen] {
+            let p = usize::from(priority);
+            mule_obs::add(Self::NAMES[p], self.counts[p]);
+        }
+        self.counts.iter().sum()
+    }
 }
 
 impl<'a> EngineCore<'a> {
@@ -269,7 +336,8 @@ impl<'a> EngineCore<'a> {
         };
 
         clock.run_until(engine.horizon, |clock, event| engine.handle(clock, event));
-        mule_obs::add("events", clock.fired());
+        let events_fired = engine.kinds.report();
+        mule_obs::add("events", events_fired);
 
         let _outcome = mule_obs::span("sim.outcome");
         engine.visits.sort_by(|a, b| {
@@ -286,7 +354,7 @@ impl<'a> EngineCore<'a> {
             },
             timeline: engine.timeline,
             replan_times_s: engine.replan_times_s,
-            events_fired: clock.fired(),
+            events_fired,
         }
     }
 
@@ -364,6 +432,13 @@ impl<'a> EngineCore<'a> {
             timeline: Vec::new(),
             replan_times_s: Vec::new(),
             last_replan_s: None,
+            disruption_times_s: disruptions
+                .phase_boundaries_s()
+                .into_iter()
+                .filter(|t| t.is_finite())
+                .collect(),
+            next_disruption: 0,
+            kinds: KindCounts::default(),
         }
     }
 
@@ -489,25 +564,8 @@ impl<'a> EngineCore<'a> {
         }
     }
 
-    /// The per-kind dispatch counter name attached to the enclosing
-    /// `sim.run` span. Counter values are part of the deterministic trace
-    /// shape: an event-count drift between two runs of one seed is a
-    /// determinism bug, and the trace localises it to a kind.
-    fn event_counter(kind: &EventKind) -> &'static str {
-        match kind {
-            EventKind::TargetFailure => "event.target_failure",
-            EventKind::TargetRecovery => "event.target_recovery",
-            EventKind::TargetArrival => "event.target_arrival",
-            EventKind::MuleBreakdown => "event.mule_breakdown",
-            EventKind::SpeedWindowStart { .. } => "event.speed_window_start",
-            EventKind::SpeedWindowEnd { .. } => "event.speed_window_end",
-            EventKind::Replan => "event.replan",
-            EventKind::WaypointArrival => "event.waypoint_arrival",
-        }
-    }
-
     fn handle(&mut self, clock: &mut SimClock, event: Event) {
-        mule_obs::add(Self::event_counter(&event.kind), 1);
+        self.kinds.count(&event.kind);
         let now = event.time_s;
         match (event.kind, event.subject) {
             (EventKind::WaypointArrival, EventSubject::Mule(m)) => {
@@ -710,7 +768,27 @@ impl<'a> EngineCore<'a> {
         }
     }
 
-    fn on_arrival(&mut self, clock: &mut SimClock, m: usize, now: f64) {
+    /// The earliest disruption time later than `now`, or infinity. Called
+    /// with event times only, so the cursor never moves backwards.
+    fn next_disruption_after(&mut self, now: f64) -> f64 {
+        while self
+            .disruption_times_s
+            .get(self.next_disruption)
+            .is_some_and(|&t| t <= now)
+        {
+            self.next_disruption += 1;
+        }
+        self.disruption_times_s
+            .get(self.next_disruption)
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// Handles mule `m` reaching its next vertex at `now`, then the bends
+    /// after it that arrive strictly before the next disruption (see the
+    /// module doc): each is arrived at here, with the arithmetic its own
+    /// event would have done, and counted as a waypoint arrival.
+    fn on_arrival(&mut self, clock: &mut SimClock, m: usize, mut now: f64) {
         // A breakdown (or battery death) between scheduling and arrival
         // cancels the leg.
         if matches!(
@@ -719,95 +797,107 @@ impl<'a> EngineCore<'a> {
         ) {
             return;
         }
-        self.states[m].scheduled = false;
-        let wp = self.states[m].next_waypoint;
-        // A bend of a road leg has no node: nothing to visit, the mule
-        // just turns a corner and the next leg is scheduled below. A
-        // vertex with a kind is a field node, so its index is in range.
-        let vertex = self.routes[m].vertices[wp];
-        self.states[m].position = vertex.position;
+        let fold_before = self.next_disruption_after(now);
+        loop {
+            self.states[m].scheduled = false;
+            let wp = self.states[m].next_waypoint;
+            // A bend of a road leg has no node: nothing to visit, the mule
+            // just turns a corner and the next leg is scheduled below. A
+            // vertex with a kind is a field node, so its index is in range.
+            let vertex = self.routes[m].vertices[wp];
+            self.states[m].position = vertex.position;
 
-        // --- Visit processing ------------------------------------------------
-        match (vertex.kind, vertex.node) {
-            // An inactive target is passed by: nothing to collect, no
-            // visit recorded (the catch-all arm below).
-            (Some(NodeKind::Target), Some(node_id)) if !self.inactive[node_id.index()] => {
-                let age = now - self.last_visit[node_id.index()];
-                let bytes = self.buffers[node_id.index()]
-                    .as_mut()
-                    .map_or(0.0, |b| b.collect(now).0);
-                self.states[m].payload.load(node_id, bytes);
-                if self.config.energy_enabled {
-                    let e = self.config.energy.collection_energy(1);
-                    self.states[m].battery.draw(e);
-                    self.states[m].ledger.record(EnergyCause::Collection, e);
+            // --- Visit processing --------------------------------------------
+            match (vertex.kind, vertex.node) {
+                // An inactive target is passed by: nothing to collect, no
+                // visit recorded (the catch-all arm below).
+                (Some(NodeKind::Target), Some(node_id)) if !self.inactive[node_id.index()] => {
+                    let age = now - self.last_visit[node_id.index()];
+                    let bytes = self.buffers[node_id.index()]
+                        .as_mut()
+                        .map_or(0.0, |b| b.collect(now).0);
+                    self.states[m].payload.load(node_id, bytes);
+                    if self.config.energy_enabled {
+                        let e = self.config.energy.collection_energy(1);
+                        self.states[m].battery.draw(e);
+                        self.states[m].ledger.record(EnergyCause::Collection, e);
+                    }
+                    self.states[m].visits += 1;
+                    self.last_visit[node_id.index()] = now;
+                    self.visits.push(VisitRecord {
+                        time_s: now,
+                        mule_index: m,
+                        node: node_id,
+                        data_age_s: age.max(0.0),
+                        bytes,
+                    });
                 }
-                self.states[m].visits += 1;
-                self.last_visit[node_id.index()] = now;
-                self.visits.push(VisitRecord {
-                    time_s: now,
-                    mule_index: m,
-                    node: node_id,
-                    data_age_s: age.max(0.0),
-                    bytes,
-                });
-            }
-            (Some(NodeKind::Sink), Some(node_id)) => {
-                let age = now - self.last_visit[node_id.index()];
-                self.states[m].payload.deliver_all();
-                self.states[m].visits += 1;
-                self.last_visit[node_id.index()] = now;
-                self.visits.push(VisitRecord {
-                    time_s: now,
-                    mule_index: m,
-                    node: node_id,
-                    data_age_s: age.max(0.0),
-                    bytes: 0.0,
-                });
-            }
-            (Some(NodeKind::RechargeStation), Some(node_id)) => {
-                if self.config.energy_enabled {
-                    self.states[m].battery.recharge_full();
+                (Some(NodeKind::Sink), Some(node_id)) => {
+                    let age = now - self.last_visit[node_id.index()];
+                    self.states[m].payload.deliver_all();
+                    self.states[m].visits += 1;
+                    self.last_visit[node_id.index()] = now;
+                    self.visits.push(VisitRecord {
+                        time_s: now,
+                        mule_index: m,
+                        node: node_id,
+                        data_age_s: age.max(0.0),
+                        bytes: 0.0,
+                    });
                 }
-                self.states[m].recharges += 1;
-                self.last_visit[node_id.index()] = now;
+                (Some(NodeKind::RechargeStation), Some(node_id)) => {
+                    if self.config.energy_enabled {
+                        self.states[m].battery.recharge_full();
+                    }
+                    self.states[m].recharges += 1;
+                    self.last_visit[node_id.index()] = now;
+                }
+                _ => {}
             }
-            _ => {}
-        }
 
-        // --- Route switch after a replan -------------------------------------
-        if let Some(itinerary) = self.pending_switch[m].take() {
-            self.adopt_itinerary(clock, m, itinerary, now);
-            return;
-        }
+            // --- Route switch after a replan ---------------------------------
+            if let Some(itinerary) = self.pending_switch[m].take() {
+                self.adopt_itinerary(clock, m, itinerary, now);
+                return;
+            }
 
-        // --- Schedule the next leg -------------------------------------------
-        let route = &self.routes[m];
-        if route.total_length <= 1e-9 && self.config.collection_dwell_s <= 0.0 {
-            // Degenerate zero-length cycle: visiting once is all the
-            // progress that can ever be made.
+            // --- Schedule the next leg ---------------------------------------
+            let route = &self.routes[m];
+            if route.total_length <= 1e-9 && self.config.collection_dwell_s <= 0.0 {
+                // Degenerate zero-length cycle: visiting once is all the
+                // progress that can ever be made.
+                return;
+            }
+            let next_wp = (wp + 1) % route.len();
+            let leg = vertex.leg_m;
+            let next_is_bend = route.vertices[next_wp].node.is_none();
+            let towards_station = route.vertices[next_wp].towards_station;
+            if !self.consume_movement(m, leg, towards_station) {
+                self.states[m].status = MuleStatus::Depleted { at_s: now };
+                return;
+            }
+            // Collection dwell applies at real stops only — a bend in the
+            // road geometry is not a place where data is collected.
+            let dwell = if vertex.node.is_some() {
+                self.config.collection_dwell_s
+            } else {
+                0.0
+            };
+            let arrival = now + dwell + leg / self.speed();
+            self.states[m].next_waypoint = next_wp;
+            self.states[m].next_arrival_s = arrival;
+            if arrival <= self.horizon {
+                // The time the clock would give the arrival's event.
+                let at = arrival.max(now);
+                if next_is_bend && at < fold_before {
+                    self.kinds.count(&EventKind::WaypointArrival);
+                    now = at;
+                    continue;
+                }
+                clock.schedule_at(arrival, EventSubject::Mule(m), EventKind::WaypointArrival);
+                self.states[m].scheduled = true;
+            }
             return;
-        }
-        let next_wp = (wp + 1) % route.len();
-        let leg = vertex.leg_m;
-        let towards_station = route.vertices[next_wp].towards_station;
-        if !self.consume_movement(m, leg, towards_station) {
-            self.states[m].status = MuleStatus::Depleted { at_s: now };
-            return;
-        }
-        // Collection dwell applies at real stops only — a bend in the road
-        // geometry is not a place where data is collected.
-        let dwell = if vertex.node.is_some() {
-            self.config.collection_dwell_s
-        } else {
-            0.0
-        };
-        let arrival = now + dwell + leg / self.speed();
-        self.states[m].next_waypoint = next_wp;
-        self.states[m].next_arrival_s = arrival;
-        if arrival <= self.horizon {
-            clock.schedule_at(arrival, EventSubject::Mule(m), EventKind::WaypointArrival);
-            self.states[m].scheduled = true;
         }
     }
 

@@ -9,13 +9,21 @@
 //! match to the last bit, which holds because the refactored engine
 //! performs the identical floating-point operations in the identical
 //! order.
+//!
+//! The reference pops one heap event per vertex of each walk, the bends of
+//! road legs included, while the engine arrives at most bends inside the
+//! handler of the vertex before them. The road cases below check that
+//! this folding moves no bit, including a battery that runs out between
+//! two bends.
 
 use mule_energy::{Battery, ConsumptionLedger, EnergyCause};
 use mule_net::{DataBuffer, MulePayload, NodeId, NodeKind};
 use mule_sim::{
     MuleReport, MuleStatus, Simulation, SimulationConfig, SimulationOutcome, VisitRecord,
 };
-use mule_workload::{Scenario, ScenarioConfig, WeightSpec};
+use mule_energy::EnergyModel;
+use mule_road::RoadNetKind;
+use mule_workload::{MetricSpec, Scenario, ScenarioConfig, WeightSpec};
 use patrol_core::baselines::{ChbPlanner, SweepPlanner};
 use patrol_core::{BTctp, PatrolPlan, Planner, RwTctp};
 use std::cmp::Ordering;
@@ -49,15 +57,17 @@ impl PartialOrd for Arrival {
 
 struct RefRoute {
     positions: Vec<mule_geom::Point>,
-    nodes: Vec<NodeId>,
+    /// The node at each vertex; `None` at a bend of a road leg.
+    nodes: Vec<Option<NodeId>>,
     cumulative: Vec<f64>,
     total_length: f64,
 }
 
 impl RefRoute {
+    /// Every vertex of the itinerary's walk, bends of road legs included.
     fn from_itinerary(it: &patrol_core::MuleItinerary) -> Self {
-        let positions: Vec<mule_geom::Point> = it.cycle.iter().map(|w| w.position).collect();
-        let nodes: Vec<NodeId> = it.cycle.iter().map(|w| w.node).collect();
+        let (positions, nodes): (Vec<mule_geom::Point>, Vec<Option<NodeId>>) =
+            it.cycle.vertices().unzip();
         let mut cumulative = Vec::with_capacity(positions.len() + 1);
         let mut acc = 0.0;
         cumulative.push(0.0);
@@ -77,6 +87,12 @@ impl RefRoute {
 
     fn len(&self) -> usize {
         self.positions.len()
+    }
+
+    /// The node a mule heading for vertex `wp` is travelling to: the first
+    /// real node at or after it, wrapping round the cycle.
+    fn destination(&self, wp: usize) -> Option<NodeId> {
+        (0..self.len()).find_map(|step| self.nodes[(wp + step) % self.len()])
     }
 }
 
@@ -117,8 +133,9 @@ fn consume_movement(
     state.battery.draw(energy);
     state.distance_m += distance_m;
     let field = scenario.field();
-    let dest_is_station = field
-        .node(route.nodes[destination_wp])
+    let dest_is_station = route
+        .destination(destination_wp)
+        .and_then(|id| field.node(id))
         .map(|n| n.kind == NodeKind::RechargeStation)
         .unwrap_or(false);
     let cause = if dest_is_station {
@@ -130,13 +147,15 @@ fn consume_movement(
     true
 }
 
-/// The original `Simulation::run_for`, operation for operation.
+/// The original `Simulation::run_for`, operation for operation, with one
+/// heap event per vertex, bends of road legs included. Also returns how
+/// many mules ran out of battery on a leg from one bend to another.
 fn reference_run(
     scenario: &Scenario,
     plan: &PatrolPlan,
     config: &SimulationConfig,
     horizon_s: f64,
-) -> SimulationOutcome {
+) -> (SimulationOutcome, usize) {
     let horizon = horizon_s.max(0.0);
     let speed = config.energy.speed_m_per_s.max(1e-9);
     let field = scenario.field();
@@ -176,6 +195,7 @@ fn reference_run(
 
     let mut queue: BinaryHeap<Arrival> = BinaryHeap::new();
     let mut visits: Vec<VisitRecord> = Vec::new();
+    let mut depleted_between_bends = 0;
 
     let deploy_dists: Vec<f64> = plan
         .itineraries
@@ -242,11 +262,11 @@ fn reference_run(
         }
         let route = &routes[mule];
         let wp = states[mule].next_waypoint;
-        let node_id = route.nodes[wp];
-        let node_kind = field.node(node_id).map(|n| n.kind);
+        let node = route.nodes[wp];
+        let node_kind = node.and_then(|id| field.node(id)).map(|n| n.kind);
 
-        match node_kind {
-            Some(NodeKind::Target) => {
+        match (node_kind, node) {
+            (Some(NodeKind::Target), Some(node_id)) => {
                 let age = now - last_visit.get(&node_id).copied().unwrap_or(0.0);
                 let bytes = buffers
                     .get_mut(&node_id)
@@ -268,7 +288,7 @@ fn reference_run(
                     bytes,
                 });
             }
-            Some(NodeKind::Sink) => {
+            (Some(NodeKind::Sink), Some(node_id)) => {
                 let age = now - last_visit.get(&node_id).copied().unwrap_or(0.0);
                 states[mule].payload.deliver_all();
                 states[mule].visits += 1;
@@ -281,14 +301,14 @@ fn reference_run(
                     bytes: 0.0,
                 });
             }
-            Some(NodeKind::RechargeStation) => {
+            (Some(NodeKind::RechargeStation), Some(node_id)) => {
                 if config.energy_enabled {
                     states[mule].battery.recharge_full();
                 }
                 states[mule].recharges += 1;
                 last_visit.insert(node_id, now);
             }
-            None => {}
+            _ => {}
         }
 
         if route.total_length <= 1e-9 && config.collection_dwell_s <= 0.0 {
@@ -298,9 +318,18 @@ fn reference_run(
         let leg = route.positions[wp].distance(&route.positions[next_wp]);
         if !consume_movement(config, scenario, &mut states[mule], leg, route, next_wp) {
             states[mule].status = MuleStatus::Depleted { at_s: now };
+            if node.is_none() && route.nodes[next_wp].is_none() {
+                depleted_between_bends += 1;
+            }
             continue;
         }
-        let arrival = now + config.collection_dwell_s + leg / speed;
+        // Mules dwell at real stops only, not at the bends of a road leg.
+        let dwell = if node.is_some() {
+            config.collection_dwell_s
+        } else {
+            0.0
+        };
+        let arrival = now + dwell + leg / speed;
         states[mule].next_waypoint = next_wp;
         states[mule].next_arrival_s = arrival;
         if arrival <= horizon {
@@ -318,7 +347,7 @@ fn reference_run(
             .then(a.mule_index.cmp(&b.mule_index))
     });
 
-    SimulationOutcome {
+    let outcome = SimulationOutcome {
         planner_name: plan.planner_name.clone(),
         horizon_s: horizon,
         visits,
@@ -337,24 +366,28 @@ fn reference_run(
                 delivered_bytes: s.payload.delivered_bytes(),
             })
             .collect(),
-    }
+    };
+    (outcome, depleted_between_bends)
 }
 
 // --- The comparisons ------------------------------------------------------
 
+/// Asserts the engine matches the reference and returns how many mules
+/// ran out of battery between two bends.
 fn assert_identical(
     scenario: &Scenario,
     plan: &PatrolPlan,
     config: SimulationConfig,
     horizon: f64,
-) {
-    let reference = reference_run(scenario, plan, &config, horizon);
+) -> usize {
+    let (reference, depleted_between_bends) = reference_run(scenario, plan, &config, horizon);
     let actual = Simulation::with_config(scenario, plan, config).run_for(horizon);
     assert_eq!(
         actual, reference,
         "event-loop engine diverged from the reference engine ({} @ horizon {horizon})",
         plan.planner_name
     );
+    depleted_between_bends
 }
 
 #[test]
@@ -419,4 +452,59 @@ fn degenerate_cases_are_byte_identical() {
         ..SimulationConfig::timing_only()
     };
     assert_identical(&s, &plan, config, 20_000.0);
+}
+
+fn road_scenario(kind: RoadNetKind, seed: u64, recharge: bool) -> Scenario {
+    let weights = if recharge {
+        WeightSpec::UniformVips {
+            count: 2,
+            weight: 2,
+        }
+    } else {
+        WeightSpec::AllNormal
+    };
+    ScenarioConfig::paper_default()
+        .with_targets(14)
+        .with_weights(weights)
+        .with_recharge_station(recharge)
+        .with_metric(MetricSpec::Road(kind))
+        .with_seed(seed)
+        .generate()
+}
+
+#[test]
+fn road_plans_are_byte_identical_bend_by_bend() {
+    for kind in [RoadNetKind::Grid, RoadNetKind::Planar] {
+        for seed in [3, 11] {
+            let s = road_scenario(kind, seed, false);
+            let plan = BTctp::new().plan(&s).unwrap();
+            assert!(plan.itineraries.iter().all(|it| it.cycle.is_routed()));
+            assert_identical(&s, &plan, SimulationConfig::timing_only(), 40_000.0);
+            assert_identical(&s, &plan, SimulationConfig::default(), 25_000.0);
+            // Dwell applies at real stops only, not at bends.
+            let dwell = SimulationConfig {
+                synchronized_start: false,
+                collection_dwell_s: 12.5,
+                ..SimulationConfig::timing_only()
+            };
+            assert_identical(&s, &plan, dwell, 20_000.0);
+
+            let s = road_scenario(kind, seed, true);
+            let plan = RwTctp::default().plan(&s).unwrap();
+            assert!(plan.itineraries.iter().all(|it| it.cycle.is_routed()));
+            assert_identical(&s, &plan, SimulationConfig::default(), 100_000.0);
+        }
+    }
+}
+
+#[test]
+fn a_battery_running_out_between_two_bends_is_byte_identical() {
+    let s = road_scenario(RoadNetKind::Grid, 5, false);
+    let plan = BTctp::new().plan(&s).unwrap();
+    let small = EnergyModel {
+        initial_energy_j: 2_500.0,
+        ..EnergyModel::paper_default()
+    };
+    let config = SimulationConfig::default().with_energy(small);
+    assert_eq!(assert_identical(&s, &plan, config, 30_000.0), 1);
 }
