@@ -1,140 +1,162 @@
-//! A 2-D kd-tree for nearest-neighbour and range queries.
+//! A 2-D kd-tree for nearest-neighbour and k-nearest-neighbour queries.
 //!
-//! Used by the B-TCTP location-initialisation step (each mule moves to the
-//! *closest* start point), by the Random baseline (closest unvisited
-//! target), and by the radio substrate (which targets are within
-//! communication range of a mule), and — through single-pass k-nearest
-//! queries — by the tour engine's candidate lists and the planar road
-//! generator. The tree stores indices into the caller's point slice so
-//! callers can map hits back to their own entities.
+//! Used by `mule_road`'s `RoadIndex::snap` (the road node nearest to a
+//! location) and planar road generator (each node's nearest neighbours
+//! are its candidate road edges), and by the tour engine's candidate lists
+//! (one k-nearest query per point). The tree stores
+//! indices into the caller's point slice so callers can map hits back to
+//! their own entities.
 
 use crate::bbox::BoundingBox;
 use crate::point::Point;
+use std::cmp::Ordering;
+
+/// Most subtrees [`KdTree::k_nearest_into`] holds pending at once. A
+/// subtree of `len` nodes has children of at most `len / 2` nodes, so a
+/// tree of fewer than 2³² points has at most 32 levels. A node at depth
+/// `d` is searched with at most one pending sibling for each of its `d`
+/// ancestors' levels below the root, and pushes at most two children,
+/// which happens only at `d ≤ 30`.
+const STACK: usize = 32;
 
 /// A static (build-once) kd-tree over a set of points.
+///
+/// The nodes sit in one array in preorder and the children are implicit:
+/// the subtree at slot `s` with `len` nodes has its left child at `s + 1`
+/// (a subtree of `len / 2` nodes) and its right child at `s + 1 + len / 2`
+/// (the other `len - 1 - len / 2`).
 #[derive(Debug, Clone)]
 pub struct KdTree {
     nodes: Vec<Node>,
-    root: Option<usize>,
-    size: usize,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     point: Point,
-    /// Index of this point in the slice the tree was built from.
-    index: usize,
-    left: Option<usize>,
-    right: Option<usize>,
     /// Bounding box of the subtree rooted here, used for pruning.
     bbox: BoundingBox,
+    /// Index of this point in the slice the tree was built from.
+    index: u32,
+}
+
+/// The order that picks each subtree's root and splits its points: by x at
+/// even depths and by y at odd ones. Below the root, ties fall to the other
+/// axis and then to the index; at the root, straight to the index. This is
+/// the tree a build gets by stable-sorting each level in place, starting
+/// from index order, since each slice then arrives sorted by its parent's
+/// axis.
+fn split_order(depth: usize, a: &Node, b: &Node) -> Ordering {
+    let (pa, pb) = (a.point, b.point);
+    let (along, across) = if depth.is_multiple_of(2) {
+        (pa.x.total_cmp(&pb.x), pa.y.total_cmp(&pb.y))
+    } else {
+        (pa.y.total_cmp(&pb.y), pa.x.total_cmp(&pb.x))
+    };
+    let along = if depth == 0 {
+        along
+    } else {
+        along.then(across)
+    };
+    along.then(a.index.cmp(&b.index))
+}
+
+/// Arranges `nodes`, one subtree whose boxes are still single points, in
+/// preorder: the median under [`split_order`] first, then the left subtree
+/// over the `len / 2` nodes before it, then the right subtree over the rest.
+/// Each selection is linear, so the build costs `O(n log n)`.
+fn arrange(nodes: &mut [Node], depth: usize) {
+    if nodes.is_empty() {
+        return;
+    }
+    let mid = nodes.len() / 2;
+    nodes.select_nth_unstable_by(mid, |a, b| split_order(depth, a, b));
+    nodes.swap(0, mid);
+    let (root, rest) = nodes.split_first_mut().expect("not empty");
+    let (left, right) = rest.split_at_mut(mid);
+    arrange(left, depth + 1);
+    arrange(right, depth + 1);
+    for child in [left.first(), right.first()].into_iter().flatten() {
+        let b = child.bbox;
+        root.bbox.expand_to(&Point::new(b.min_x, b.min_y));
+        root.bbox.expand_to(&Point::new(b.max_x, b.max_y));
+    }
 }
 
 impl KdTree {
-    /// Builds a kd-tree over `points`. Duplicates are allowed; each input
-    /// index appears exactly once in query results.
+    /// Builds a kd-tree over `points` in `O(n log n)`. Duplicates are
+    /// allowed; each input index appears exactly once in query results.
+    ///
+    /// # Panics
+    ///
+    /// When `points` holds 2³² points or more.
     pub fn build(points: &[Point]) -> Self {
-        let mut indexed: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-        let mut nodes = Vec::with_capacity(points.len());
-        let root = Self::build_recursive(&mut indexed[..], 0, &mut nodes);
-        KdTree {
-            nodes,
-            root,
-            size: points.len(),
-        }
+        assert!(
+            u32::try_from(points.len()).is_ok(),
+            "a kd-tree holds fewer than 2^32 points"
+        );
+        let mut nodes: Vec<Node> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &point)| Node {
+                point,
+                bbox: BoundingBox::from_corners(point, point),
+                index: i as u32,
+            })
+            .collect();
+        arrange(&mut nodes, 0);
+        KdTree { nodes }
     }
 
     /// Number of points stored in the tree.
     #[inline]
     pub fn len(&self) -> usize {
-        self.size
+        self.nodes.len()
     }
 
     /// Returns `true` when the tree holds no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.size == 0
+        self.nodes.is_empty()
     }
 
-    fn build_recursive(
-        items: &mut [(usize, Point)],
-        depth: usize,
-        nodes: &mut Vec<Node>,
-    ) -> Option<usize> {
-        if items.is_empty() {
-            return None;
-        }
-        let axis = depth % 2;
-        items.sort_by(|a, b| {
-            let (ka, kb) = if axis == 0 {
-                (a.1.x, b.1.x)
-            } else {
-                (a.1.y, b.1.y)
-            };
-            ka.total_cmp(&kb)
-        });
-        let mid = items.len() / 2;
-        let (orig_index, point) = items[mid];
-
-        let node_slot = nodes.len();
-        nodes.push(Node {
-            point,
-            index: orig_index,
-            left: None,
-            right: None,
-            bbox: BoundingBox::from_corners(point, point),
-        });
-
-        // Split the slice around the median without re-borrowing `items`.
-        let (left_slice, rest) = items.split_at_mut(mid);
-        let right_slice = &mut rest[1..];
-        let left = Self::build_recursive(left_slice, depth + 1, nodes);
-        let right = Self::build_recursive(right_slice, depth + 1, nodes);
-
-        let mut bbox = BoundingBox::from_corners(point, point);
-        if let Some(l) = left {
-            let b = nodes[l].bbox;
-            bbox.expand_to(&Point::new(b.min_x, b.min_y));
-            bbox.expand_to(&Point::new(b.max_x, b.max_y));
-        }
-        if let Some(r) = right {
-            let b = nodes[r].bbox;
-            bbox.expand_to(&Point::new(b.min_x, b.min_y));
-            bbox.expand_to(&Point::new(b.max_x, b.max_y));
-        }
-        nodes[node_slot].left = left;
-        nodes[node_slot].right = right;
-        nodes[node_slot].bbox = bbox;
-        Some(node_slot)
+    /// The stored indices in the tree's preorder, in which neighbouring
+    /// entries tend to be near each other: a caller querying every point
+    /// does so in this order, so that successive searches walk the same
+    /// nodes.
+    pub fn preorder(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.nodes.iter().map(|node| node.index as usize)
     }
 
     /// Index (into the original slice) and distance of the point nearest to
-    /// `query`, or `None` when the tree is empty.
+    /// `query`, or `None` when the tree is empty. Of several points at the
+    /// same distance, the first one the depth-first search meets wins.
     pub fn nearest(&self, query: &Point) -> Option<(usize, f64)> {
         self.nearest_filtered(query, |_| true)
     }
 
-    /// Nearest point whose original index satisfies `accept`. Lets callers
-    /// exclude already-visited targets or the querying mule itself.
-    pub fn nearest_filtered<F: Fn(usize) -> bool>(
+    /// Nearest point whose original index satisfies `accept`; the tests
+    /// build [`KdTree::k_nearest`]'s oracle from repeated calls.
+    fn nearest_filtered<F: Fn(usize) -> bool>(
         &self,
         query: &Point,
         accept: F,
     ) -> Option<(usize, f64)> {
-        let root = self.root?;
         let mut best: Option<(usize, f64)> = None;
-        self.nearest_recursive(root, query, &accept, &mut best);
+        if !self.nodes.is_empty() {
+            self.nearest_recursive(0, self.nodes.len(), query, &accept, &mut best);
+        }
         best.map(|(i, d2)| (i, d2.sqrt()))
     }
 
     fn nearest_recursive<F: Fn(usize) -> bool>(
         &self,
-        node_idx: usize,
+        slot: usize,
+        len: usize,
         query: &Point,
         accept: &F,
         best: &mut Option<(usize, f64)>,
     ) {
-        let node = &self.nodes[node_idx];
+        let node = &self.nodes[slot];
         // Prune whole subtrees that cannot contain a closer accepted point.
         if let Some((_, best_d2)) = best {
             if node.bbox.distance_squared_to(query) > *best_d2 {
@@ -142,33 +164,36 @@ impl KdTree {
             }
         }
         let d2 = node.point.distance_squared(query);
-        if accept(node.index) && best.map(|(_, b)| d2 < b).unwrap_or(true) {
-            *best = Some((node.index, d2));
+        let index = node.index as usize;
+        if accept(index) && best.map(|(_, b)| d2 < b).unwrap_or(true) {
+            *best = Some((index, d2));
         }
-        // Visit the child on the query's side first for better pruning.
-        let children = [node.left, node.right];
-        let mut order = [0usize, 1usize];
-        if let (Some(l), Some(r)) = (node.left, node.right) {
+        // Visit the child on the query's side first for better pruning;
+        // on a tie, the left one.
+        let ((l, l_len), (r, r_len)) = children(slot, len);
+        if r_len > 0 {
             let dl = self.nodes[l].bbox.distance_squared_to(query);
             let dr = self.nodes[r].bbox.distance_squared_to(query);
-            if dr < dl {
-                order = [1, 0];
+            let order = if dr < dl {
+                [(r, r_len), (l, l_len)]
+            } else {
+                [(l, l_len), (r, r_len)]
+            };
+            for (child, child_len) in order {
+                self.nearest_recursive(child, child_len, query, accept, best);
             }
-        }
-        for &side in &order {
-            if let Some(child) = children[side] {
-                self.nearest_recursive(child, query, accept, best);
-            }
+        } else if l_len > 0 {
+            self.nearest_recursive(l, l_len, query, accept, best);
         }
     }
 
     /// `k` nearest neighbours of `query` (fewer when the tree is smaller),
     /// sorted by increasing distance. Points at equal distance keep the
     /// order in which the depth-first search meets them, so the result is
-    /// exactly what `k` successive [`KdTree::nearest_filtered`] queries —
-    /// each excluding the hits before it — would return.
+    /// exactly what `k` successive nearest-point searches — each excluding
+    /// the hits before it — would return.
     pub fn k_nearest(&self, query: &Point, k: usize) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(k.min(self.size));
+        let mut out = Vec::with_capacity(k.min(self.len()));
         self.k_nearest_into(query, k, &mut out);
         out
     }
@@ -177,67 +202,67 @@ impl KdTree {
     /// a caller querying every point allocates once instead of per query.
     ///
     /// One depth-first traversal in the same child order as
-    /// [`KdTree::nearest_filtered`], keeping the best `k` hits sorted by
-    /// squared distance. A new hit is inserted after every kept hit at the
-    /// same distance — it was met later — which reproduces the tie order of
-    /// repeated filtered searches; a subtree is pruned once its box is no
-    /// closer than the current `k`-th hit.
+    /// [`KdTree::nearest`], driven by a fixed stack of pending subtrees,
+    /// keeping the best `k` hits sorted by squared distance. A new hit is
+    /// inserted after every kept hit at the same distance — it was met
+    /// later — which reproduces the tie order of repeated filtered
+    /// searches; a subtree is pruned once its box is no closer than the
+    /// current `k`-th hit.
     pub fn k_nearest_into(&self, query: &Point, k: usize, out: &mut Vec<(usize, f64)>) {
         out.clear();
-        if let (Some(root), true) = (self.root, k > 0) {
-            let box_d2 = self.nodes[root].bbox.distance_squared_to(query);
-            self.k_nearest_recursive(root, box_d2, query, k, out);
+        if k == 0 || self.nodes.is_empty() {
+            return;
+        }
+        let box_d2 = |slot: usize| self.nodes[slot].bbox.distance_squared_to(query);
+        // `(slot, len, squared distance to the subtree's box)`, the nearer
+        // child on top so that it is searched first.
+        let mut stack = [(0usize, 0usize, 0.0f64); STACK];
+        stack[0] = (0, self.nodes.len(), box_d2(0));
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let (slot, len, d2_box) = stack[top];
+            let full = out.len() == k;
+            if full && d2_box >= out[k - 1].1 {
+                continue;
+            }
+            let node = &self.nodes[slot];
+            let d2 = node.point.distance_squared(query);
+            if !full || d2 < out[k - 1].1 {
+                if full {
+                    out.pop();
+                }
+                let at = out.partition_point(|&(_, b)| b <= d2);
+                out.insert(at, (node.index as usize, d2));
+            }
+            let ((l, l_len), (r, r_len)) = children(slot, len);
+            if r_len > 0 {
+                let (dl, dr) = (box_d2(l), box_d2(r));
+                let (near, far) = if dr < dl {
+                    ((r, r_len, dr), (l, l_len, dl))
+                } else {
+                    ((l, l_len, dl), (r, r_len, dr))
+                };
+                stack[top] = far;
+                stack[top + 1] = near;
+                top += 2;
+            } else if l_len > 0 {
+                stack[top] = (l, l_len, box_d2(l));
+                top += 1;
+            }
         }
         for hit in out.iter_mut() {
             hit.1 = hit.1.sqrt();
         }
     }
+}
 
-    /// Collects into `best` (sorted by squared distance, at most `k` long)
-    /// the hits below `node_idx`, whose box lies `box_d2` (squared) from
-    /// `query` — the distance the parent already computed to order its
-    /// children.
-    fn k_nearest_recursive(
-        &self,
-        node_idx: usize,
-        box_d2: f64,
-        query: &Point,
-        k: usize,
-        best: &mut Vec<(usize, f64)>,
-    ) {
-        let node = &self.nodes[node_idx];
-        let full = best.len() == k;
-        if full && box_d2 >= best[k - 1].1 {
-            return;
-        }
-        let d2 = node.point.distance_squared(query);
-        if !full || d2 < best[k - 1].1 {
-            if full {
-                best.pop();
-            }
-            let at = best.partition_point(|&(_, b)| b <= d2);
-            best.insert(at, (node.index, d2));
-        }
-        // Same child order as `nearest_recursive`.
-        let box_d2 = |child: usize| self.nodes[child].bbox.distance_squared_to(query);
-        match (node.left, node.right) {
-            (Some(l), Some(r)) => {
-                let (dl, dr) = (box_d2(l), box_d2(r));
-                let order = if dr < dl {
-                    [(r, dr), (l, dl)]
-                } else {
-                    [(l, dl), (r, dr)]
-                };
-                for (child, d2) in order {
-                    self.k_nearest_recursive(child, d2, query, k, best);
-                }
-            }
-            (Some(only), None) | (None, Some(only)) => {
-                self.k_nearest_recursive(only, box_d2(only), query, k, best);
-            }
-            (None, None) => {}
-        }
-    }
+/// `(slot, len)` of the left and right child of the subtree at `slot` with
+/// `len` nodes; an absent child has length 0.
+#[inline]
+fn children(slot: usize, len: usize) -> ((usize, usize), (usize, usize)) {
+    let half = len / 2;
+    ((slot + 1, half), (slot + 1 + half, len - 1 - half))
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! * [`BoundingBox`] — axis-aligned extents of a field or target cluster.
 //! * [`Polyline`] — open/closed chains of points with arc-length queries,
 //!   used to walk a mule a given distance along a patrolling route.
-//! * [`KdTree`] — the spatial index: nearest-neighbour, k-nearest and
-//!   radius queries in `O(log n)` expected time.
+//! * [`KdTree`] — the spatial index: nearest-neighbour and k-nearest
+//!   queries in `O(log n)` expected time, over one flat array built in
+//!   `O(n log n)`.
 //!
 //! The crate has no dependencies and is panic-free on degenerate input
 //! wherever a sensible total behaviour exists; degenerate cases that have

@@ -10,6 +10,8 @@ use mule_geom::{
 };
 use proptest::prelude::*;
 
+mod reference_kdtree;
+
 fn field_point() -> impl Strategy<Value = Point> {
     (0.0..800.0f64, 0.0..800.0f64).prop_map(|(x, y)| Point::new(x, y))
 }
@@ -113,10 +115,10 @@ fn is_convex_polygon_detects_reflex_vertices() {
     assert!(is_convex_polygon(&[Point::ORIGIN, Point::new(1.0, 1.0)]));
 }
 
-/// `k` successive filtered nearest-neighbour searches, each excluding the
-/// hits before it — the reference `KdTree::k_nearest` must reproduce hit
-/// for hit, tie order included.
-fn repeated_nearest(tree: &KdTree, q: &Point, k: usize) -> Vec<(usize, f64)> {
+/// `k` successive filtered nearest-neighbour searches of the reference
+/// tree, each excluding the hits before it — `KdTree::k_nearest` must
+/// reproduce them hit for hit, tie order included.
+fn repeated_nearest(tree: &reference_kdtree::KdTree, q: &Point, k: usize) -> Vec<(usize, f64)> {
     let mut found: Vec<(usize, f64)> = Vec::new();
     while found.len() < k {
         match tree.nearest_filtered(q, |i| found.iter().all(|&(j, _)| j != i)) {
@@ -228,12 +230,13 @@ proptest! {
         k in 1usize..16,
     ) {
         let tree = KdTree::build(&points);
+        let reference = reference_kdtree::KdTree::build(&points);
         // Lattice queries tie with many points at once; the off-lattice
         // column/row (6) adds queries outside the occupied square.
         let q = Point::new(10.0 * f64::from(qx), 10.0 * f64::from(qy));
-        prop_assert_eq!(tree.k_nearest(&q, k), repeated_nearest(&tree, &q, k));
+        prop_assert_eq!(tree.k_nearest(&q, k), repeated_nearest(&reference, &q, k));
         for p in points.iter().take(8) {
-            prop_assert_eq!(tree.k_nearest(p, k), repeated_nearest(&tree, p, k));
+            prop_assert_eq!(tree.k_nearest(p, k), repeated_nearest(&reference, p, k));
         }
     }
 

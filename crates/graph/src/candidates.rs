@@ -86,8 +86,11 @@ pub struct CandidateLists {
 impl CandidateLists {
     /// Builds k-nearest-neighbour lists over `points` using a kd-tree: one
     /// single-pass [`KdTree::k_nearest_into`] query per point into a reused
-    /// buffer, `O(n·log n)` for fixed `k`, with a constant number of
-    /// allocations. `k` is clamped to `points.len() - 1`.
+    /// buffer, `O(n·log n)` for fixed `k` (the tree's build included), with
+    /// a constant number of allocations. The points are queried in the
+    /// tree's [preorder](KdTree::preorder), so successive searches walk
+    /// mostly the same nodes; each list goes to its own point's row. `k`
+    /// is clamped to `points.len() - 1`.
     pub fn build(points: &[Point], k: usize) -> Self {
         let n = points.len();
         let k = k.min(n.saturating_sub(1));
@@ -99,18 +102,17 @@ impl CandidateLists {
             };
         }
         let tree = KdTree::build(points);
-        let mut lists = Vec::with_capacity(n * k);
+        let mut lists = vec![0u32; n * k];
         let mut hits = Vec::with_capacity(k + 1);
-        for (i, p) in points.iter().enumerate() {
-            // Query k+1 and drop the point itself (duplicates of `p` at
-            // other indices are legitimate candidates).
-            tree.k_nearest_into(p, k + 1, &mut hits);
-            lists.extend(
-                hits.iter()
-                    .filter(|&&(j, _)| j != i)
-                    .take(k)
-                    .map(|&(j, _)| j as u32),
-            );
+        for i in tree.preorder() {
+            // Query k+1 and drop the point itself (duplicates of it at
+            // other indices are legitimate candidates). Of k+1 distinct
+            // hits at most one is `i`, so the row fills.
+            tree.k_nearest_into(&points[i], k + 1, &mut hits);
+            let others = hits.iter().filter(|&&(j, _)| j != i);
+            for (slot, &(j, _)) in lists[i * k..(i + 1) * k].iter_mut().zip(others) {
+                *slot = j as u32;
+            }
         }
         CandidateLists { lists, k, n }
     }

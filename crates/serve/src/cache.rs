@@ -70,6 +70,19 @@ struct CacheState {
     stale_recency: Vec<u64>,
 }
 
+impl CacheState {
+    /// The ready bytes for `key`, if any, moved to the front of the
+    /// recency list.
+    fn use_ready(&mut self, key: u64) -> Option<Arc<Vec<u8>>> {
+        let Some(Slot::Ready(bytes)) = self.slots.get(&key) else {
+            return None;
+        };
+        let bytes = Arc::clone(bytes);
+        touch(&mut self.recency, key);
+        Some(bytes)
+    }
+}
+
 /// A bounded byte cache keyed by spec fingerprint. See module docs.
 pub struct PlanCache {
     capacity: usize,
@@ -122,6 +135,16 @@ impl PlanCache {
         self.len() == 0
     }
 
+    /// The ready bytes for `key`, if any, marked as just used — exactly
+    /// what [`PlanCache::get_or_compute`] answers as a
+    /// [`CacheOutcome::Hit`], without a compute to hand over.
+    pub fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
+        self.state
+            .lock()
+            .expect("cache mutex poisoned")
+            .use_ready(key)
+    }
+
     /// Returns the cached bytes for `key`, computing (or waiting for a
     /// concurrent compute of) them if absent. `compute` runs outside the
     /// cache lock. On `Err` nothing is cached and one coalesced waiter
@@ -138,23 +161,19 @@ impl PlanCache {
         let mut waited = false;
         let mut state = self.state.lock().expect("cache mutex poisoned");
         loop {
-            match state.slots.get(&key) {
-                Some(Slot::Ready(bytes)) => {
-                    let bytes = Arc::clone(bytes);
-                    touch(&mut state.recency, key);
-                    let outcome = if waited {
-                        CacheOutcome::Coalesced
-                    } else {
-                        CacheOutcome::Hit
-                    };
-                    return Ok((bytes, outcome));
-                }
-                Some(Slot::InFlight) => {
-                    waited = true;
-                    state = self.ready.wait(state).expect("cache mutex poisoned");
-                }
-                None => break,
+            if let Some(bytes) = state.use_ready(key) {
+                let outcome = if waited {
+                    CacheOutcome::Coalesced
+                } else {
+                    CacheOutcome::Hit
+                };
+                return Ok((bytes, outcome));
             }
+            if !state.slots.contains_key(&key) {
+                break;
+            }
+            waited = true;
+            state = self.ready.wait(state).expect("cache mutex poisoned");
         }
         // We are the computer for this key.
         state.slots.insert(key, Slot::InFlight);

@@ -39,9 +39,10 @@
 //! `/v1/plan` and `/v1/simulate` run their computes through one guard
 //! (`guarded`): it catches a panic, applies the deadline and records the
 //! route breaker's outcome, so a panicking planner produces a well-formed
-//! 500 (or a stale 200) instead of a dropped connection. A panic outside
-//! a compute costs only its connection and counts on
-//! `mule_connection_panics_total`. The `mule-fault` points in this file
+//! 500 (or a stale 200) instead of a dropped connection. A plan whose
+//! bytes are already cached is answered before the guard, since there is
+//! nothing to compute. A panic outside a compute costs only its
+//! connection and counts on `mule_connection_panics_total`. The `mule-fault` points in this file
 //! (`serve.plan`, `serve.simulate`, `serve.cache`, `serve.conn.read`,
 //! `serve.conn.write`)
 //! exist to prove exactly that under `patrolctl chaos`.
@@ -96,7 +97,8 @@ pub struct ServerConfig {
     /// timeout forever — and (b) the compute time of a plan/simulate
     /// request, which is moved onto a helper thread so the worker can
     /// answer `504 Gateway Timeout` while an overrunning compute finishes
-    /// in the background. `None` (the default) disables both.
+    /// in the background (a cached plan is answered on the worker). `None`
+    /// (the default) disables both.
     pub deadline: Option<Duration>,
     /// Opt-in per-route circuit breaker (`patrolctl serve --breaker K`):
     /// after this many consecutive compute panics/timeouts the route
@@ -1330,14 +1332,23 @@ fn handle_plan(body: &[u8], shared: &Arc<Shared>) -> (Option<CacheOutcome>, Resp
     }
     let looked_up = {
         let _s = mule_obs::span("request.cache_lookup");
-        // The guard wraps the whole lookup, coalesced wait included. A
-        // planner panic (or injected `serve.plan` panic) unwinds through
-        // the cache, which clears the in-flight slot and wakes a waiter to
-        // retry. The clones let a deadline's helper thread own its data.
-        let cache_shared = Arc::clone(shared);
-        guarded(shared, &shared.breaker_plan, move || {
-            cache_shared.cache.get_or_compute(key, || plan_bytes(&spec))
-        })
+        if let Some(bytes) = shared.cache.get(key) {
+            // A ready entry needs no compute, so no guard and, under a
+            // deadline, no helper thread; it counts as the success a
+            // guarded hit would.
+            shared.breaker_plan.on_success();
+            Ok((bytes, CacheOutcome::Hit))
+        } else {
+            // The guard wraps the rest of the lookup, coalesced wait
+            // included. A planner panic (or injected `serve.plan` panic)
+            // unwinds through the cache, which clears the in-flight slot
+            // and wakes a waiter to retry. The clones let a deadline's
+            // helper thread own its data.
+            let cache_shared = Arc::clone(shared);
+            guarded(shared, &shared.breaker_plan, move || {
+                cache_shared.cache.get_or_compute(key, || plan_bytes(&spec))
+            })
+        }
     };
     match looked_up {
         Ok((bytes, outcome)) => {
